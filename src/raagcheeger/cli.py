@@ -208,7 +208,7 @@ def _cmd_triple_h(args: argparse.Namespace) -> int:
     cfg = _config(args)
     triple = _load_triple(_one_input(cfg))
     if args.method == "coordinate":
-        report = cheeger_constant_coordinate(triple, cfg.budgets)
+        report = cheeger_constant_coordinate(triple)
     else:
         report = cheeger_constant_exhaustive(triple, cfg.budgets)
     _emit(cfg, report.to_json_dict())

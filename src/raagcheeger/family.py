@@ -34,7 +34,6 @@ from .pairing import (
     cheeger_constant_coordinate,
     cheeger_constant_exhaustive,
     is_alternating,
-    is_pairing_connected_exhaustive,
     q_valence_coordinate,
     q_valence_exhaustive,
 )
@@ -361,13 +360,14 @@ def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) ->
     n = graph.n_vertices
     h_graph = _exact_or_none(graph, budgets)
     exh = cheeger_constant_exhaustive(triple, budgets)
-    coord = cheeger_constant_coordinate(triple, budgets)
+    coord = cheeger_constant_coordinate(triple)
     try:
         qval, qmethod = q_valence_exhaustive(triple, budgets), "exhaustive"
     except BudgetError:
         qval, qmethod = q_valence_coordinate(triple), "coordinate"
     connected = is_connected(graph)
-    p_connected = is_pairing_connected_exhaustive(triple, budgets)
+    # pairing-connected iff h > 0 or dim V <= 1 (is_pairing_connected_exhaustive)
+    p_connected = exh.value is None or exh.value > 0
     cent = max_centralizer_rank(graph) if n else None
     checks = [
         CheckResult(
@@ -491,9 +491,9 @@ def _verify_one_invariance(
     conn_by_field = {}
     for f in fields:
         triple = build_triple(graph, f)
-        h_by_field[f.name] = cheeger_constant_exhaustive(triple, budgets).value
+        h = h_by_field[f.name] = cheeger_constant_exhaustive(triple, budgets).value
         d_by_field[f.name] = q_valence_coordinate(triple)
-        conn_by_field[f.name] = is_pairing_connected_exhaustive(triple, budgets)
+        conn_by_field[f.name] = h is None or h > 0  # as is_pairing_connected_exhaustive
     def invariant(d: dict) -> bool:
         vals = list(d.values())
         return all(v == vals[0] for v in vals)

@@ -3,9 +3,15 @@ constants, q-valence, pairing-connectedness, and the pivot augmentation.
 
 Every mini-max invariant comes in two flavors that are never silently
 substituted for one another: an exhaustive oracle that enumerates the whole
-search space (subspaces, unordered basis pairs, direct-sum decompositions)
-and, where a distinguished basis makes it legitimate, a coordinate fast path
-restricted to that basis.  Verification code compares them explicitly.
+search space (subspaces, unordered basis pairs) and, where a distinguished
+basis makes it legitimate, a coordinate fast path restricted to that basis.
+Verification code compares them explicitly.
+
+One rank kernel serves every subspace Cheeger computation:
+h_F = (rank R_F - rank R_F|_F) / dim F, with R_F the matrix of
+v -> (q(f_a, v))_a over a basis of F; over GF(2) its vectors are packed into
+ints.  Pairing-connectedness is decided as h > 0, which is exact for
+dim V >= 2 (see :func:`is_pairing_connected_exhaustive`).
 
 Functions accept either a bare :class:`PairingTriple` or any object carrying
 one in a ``pairing`` attribute (such as the cohomology triples built from
@@ -29,7 +35,6 @@ from .linalg import (
     _Echelon,
     enumerate_subspaces,
     enumerate_unordered_bases,
-    subspace_intersection,
 )
 
 SYMMETRIC = "symmetric"
@@ -172,52 +177,113 @@ def apply_pairing(t, x: Sequence, y: Sequence) -> tuple:
     return tuple(acc)
 
 
-def _coefficient_rows(pt: PairingTriple) -> list[list[list[Scalar]]]:
-    """rows[i][e][j] = tensor[i][j][e]: the matrix of v -> q(b_i, v) per basis slot."""
-    n, m = pt.dim_v, pt.dim_w
-    return [[[pt.tensor[i][j][e] for j in range(n)] for e in range(m)] for i in range(n)]
-
-
-def _complement_echelon(pt: PairingTriple, rows, basis: Sequence[Sequence[Scalar]]) -> _Echelon:
-    """Row space of the stacked maps v -> q(f, v) over the given basis of F."""
-    f = pt.field
-    p = f.characteristic
-    n, m = pt.dim_v, pt.dim_w
-    ech = _Echelon(f, n)
-    for vec in basis:
-        support = [(i, c) for i, c in enumerate(vec) if c]
-        for e in range(m):
-            row = None
-            for i, c in support:
-                ri = rows[i][e]
-                if row is None:
-                    if p:
-                        row = [(c * a) % p for a in ri]
-                    else:
-                        row = [c * a for a in ri]
-                else:
-                    if p:
-                        row = [(a + c * b) % p for a, b in zip(row, ri)]
-                    else:
-                        row = [a + c * b for a, b in zip(row, ri)]
-            if row is not None and any(row):
-                ech.insert(row)
-                if ech.rank == n:
-                    return ech
-    return ech
-
-
 def orthogonal_complement(t, subspace: Subspace) -> Subspace:
     """C = {v : q(f, v) = 0 for every f in the subspace}.
 
     The declared (anti)symmetry makes the left and right complements agree,
-    so only one side is computed.
+    so only one side is computed.  This is the explicit route, independent of
+    the rank kernel below: the kernel of the rows v -> q(f, v)_e.
     """
     pt = _pairing(t)
     if subspace.field != pt.field or subspace.ambient_dim != pt.dim_v:
         raise PairingError("subspace does not live in the triple's V")
-    ech = _complement_echelon(pt, _coefficient_rows(pt), subspace.basis)
-    return Subspace.from_vectors(pt.field, pt.dim_v, ech.kernel_basis())
+    n = pt.dim_v
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    ech = _Echelon(pt.field, n)
+    for vec in subspace.basis:
+        images = [apply_pairing(pt, vec, u) for u in units]
+        for e in range(pt.dim_w):
+            ech.insert([w[e] for w in images])
+    return Subspace.from_vectors(pt.field, n, ech.kernel_basis())
+
+
+# -- the rank kernel ---------------------------------------------------------
+
+
+def _rank_kernel(pt: PairingTriple):
+    """The rank kernel of every subspace invariant, built once per call: an
+    echelon basis f_1..f_k of F -> (rank R_F, rank R_F|_F).
+
+    R_F is the matrix of v -> (q(f_a, v))_a.  Its kernel is C = C(F), so
+    dim C = n - rank R_F, and F n C is the kernel of R_F restricted to F, so
+    dim(F n C) = k - rank R_F|_F; hence k * h_F = rank R_F - rank R_F|_F.
+    Column j of R_F is q(f_a, b_j) stacked over a; column b of R_F|_F is
+    sum_j f_b[j] * (column j).  The rows of an echelon basis have distinct
+    leading columns, so the columns of R_F|_F and the non-leading columns of
+    R_F together span the columns of R_F: one elimination over n vectors
+    gives both ranks.  Over GF(2) each q(x, b_j) is packed into an m-bit int
+    and a column is k of those side by side; otherwise vectors are tuples.
+    The image table lives only as long as the returned function.
+    """
+    p = pt.field.characteristic
+    n, m = pt.dim_v, pt.dim_w
+    images: dict = {}
+
+    def image(row):
+        """Store (q(row, b_j) for every j, nonzero (index, coefficient) pairs of row)."""
+        support = [(i, c) for i, c in enumerate(row) if c]
+        sums = [[sum(c * pt.tensor[i][j][e] for i, c in support) for e in range(m)] for j in range(n)]
+        if p == 2:
+            acc = [sum(1 << e for e, x in enumerate(w) if x % 2) for w in sums]
+        else:
+            acc = [tuple(x % p for x in w) if p else tuple(w) for w in sums]
+        images[row] = acc, support
+        return acc, support
+
+    def ranks(basis) -> tuple[int, int]:
+        parts = [images.get(row) or image(row) for row in basis]
+        cols = parts[0][0]
+        for a in range(1, len(parts)):
+            if p == 2:
+                cols = [c | x << a * m for c, x in zip(cols, parts[a][0])]
+            else:
+                cols = [c + x for c, x in zip(cols, parts[a][0])]
+        pivots: list = []
+        _extend(pivots, [_combination(cols, support, p) for _, support in parts], p)
+        rank_restricted = len(pivots)
+        leading = {support[0][0] for _, support in parts}
+        _extend(pivots, [c for j, c in enumerate(cols) if j not in leading], p)
+        return len(pivots), rank_restricted
+
+    return ranks
+
+
+def _combination(cols: list, support: list, p: int):
+    """sum of c * cols[j] over the (j, c) pairs of support."""
+    if p == 2:
+        v = 0
+        for j, _ in support:
+            v ^= cols[j]
+        return v
+    v = [0] * len(cols[0])
+    for j, c in support:
+        v = [a + c * x for a, x in zip(v, cols[j])]
+    return [x % p for x in v] if p else v
+
+
+def _extend(pivots: list, vectors: list, p: int) -> None:
+    """Forward elimination that only counts rank: reduce each vector by the
+    pivots so far and keep the nonzero remainder as a new pivot.  Over GF(2)
+    a pivot is (lowest bit, packed row); otherwise (index, inverse of the
+    entry there, row), over GF(p), or over QQ when p is 0."""
+    if p == 2:
+        for v in vectors:
+            for bit, row in pivots:
+                if v & bit:
+                    v ^= row
+            if v:
+                pivots.append((v & -v, v))
+        return
+    for v in vectors:
+        for lead, inv, row in pivots:
+            c = v[lead]
+            if c:
+                c = c * inv % p if p else c * inv
+                v = [(x - c * y) % p for x, y in zip(v, row)] if p else [x - c * y for x, y in zip(v, row)]
+        for lead, x in enumerate(v):
+            if x:
+                pivots.append((lead, pow(x, p - 2, p) if p else 1 / x, v))
+                break
 
 
 def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
@@ -228,26 +294,10 @@ def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
         raise PairingError(
             f"Cheeger quotient needs 0 < dim F <= {pt.dim_v}/2, got dim F = {j}"
         )
-    comp = orthogonal_complement(t, subspace)
-    inter = subspace_intersection(comp, subspace)
-    return Fraction(pt.dim_v - j - comp.dim + inter.dim, j)
-
-
-def _h_value(pt: PairingTriple, rows, basis: Sequence[Sequence[Scalar]]) -> Fraction:
-    """h_F by the fused route: complement rank, then dim(C n F) via dim(C + F)."""
-    n = pt.dim_v
-    j = len(basis)
-    ech = _complement_echelon(pt, rows, basis)
-    dim_c = n - ech.rank
-    if dim_c == 0:
-        return Fraction(n - j, j)
-    union = _Echelon(pt.field, n)
-    for v in ech.kernel_basis():
-        union.insert(v)
-    for v in basis:
-        union.insert(v)
-    dim_int = dim_c + j - union.rank
-    return Fraction(n - j - dim_c + dim_int, j)
+    if subspace.field != pt.field or subspace.ambient_dim != pt.dim_v:
+        raise PairingError("subspace does not live in the triple's V")
+    rank, rank_restricted = _rank_kernel(pt)(subspace.basis)
+    return Fraction(rank - rank_restricted, j)
 
 
 # -- Cheeger constants -------------------------------------------------------
@@ -272,6 +322,25 @@ class CheegerReport:
         }
 
 
+def _first_minimum(pt: PairingTriple, subspaces: Iterable[Subspace], method: str) -> CheegerReport:
+    """Scan a nonempty stream for the least h_F, keeping the first minimizer;
+    h_F >= 0, so the scan stops at a zero.  Quotients are compared as
+    num / k by cross-multiplication."""
+    ranks = _rank_kernel(pt)
+    best_num, best_dim = 0, 0
+    minimizer: Subspace | None = None
+    visited = 0
+    for sub in subspaces:
+        visited += 1
+        rank, rank_restricted = ranks(sub.basis)
+        num, k = rank - rank_restricted, len(sub.basis)
+        if minimizer is None or num * best_dim < best_num * k:
+            best_num, best_dim, minimizer = num, k, sub
+            if not num:
+                break
+    return CheegerReport(Fraction(best_num, best_dim), minimizer, method, visited)
+
+
 def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
     """Minimum of h_F over every subspace with 1 <= dim F <= (dim V)/2.
 
@@ -283,57 +352,33 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "exhaustive", 0)
-    rows = _coefficient_rows(pt)
-    best: Fraction | None = None
-    minimizer: Subspace | None = None
-    visited = 0
     try:
-        for sub in enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets):
-            visited += 1
-            h = _h_value(pt, rows, sub.basis)
-            if best is None or h < best:
-                best = h
-                minimizer = sub
-                if not h:
-                    break
+        return _first_minimum(
+            pt, enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets), "exhaustive"
+        )
     except BudgetError as err:
         raise BudgetError(
             f"{err}; the coordinate fast path stays exact for cup-product triples"
         ) from None
-    return CheegerReport(best, minimizer, "exhaustive", visited)
 
 
-def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
+def cheeger_constant_coordinate(t) -> CheegerReport:
     """Minimum of h_F over coordinate subspaces of the distinguished basis.
 
     For cup-product triples this equals the exhaustive minimum; for a general
-    triple it is only an upper bound.  The ``budgets`` argument is unused and
-    accepted for signature parity with the exhaustive oracle.
+    triple it is only an upper bound.
     """
-    del budgets
     pt = _pairing(t)
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "coordinate", 0)
-    rows = _coefficient_rows(pt)
-    f = pt.field
-    zero, one = f.zero, f.one
-    best: Fraction | None = None
-    minimizer: Subspace | None = None
-    visited = 0
-    for size in range(1, n // 2 + 1):
-        for combo in itertools.combinations(range(n), size):
-            visited += 1
-            basis = tuple(
-                tuple(one if j == c else zero for j in range(n)) for c in combo
-            )
-            h = _h_value(pt, rows, basis)
-            if best is None or h < best:
-                best = h
-                minimizer = Subspace(f, n, basis)
-                if not h:
-                    return CheegerReport(best, minimizer, "coordinate", visited)
-    return CheegerReport(best, minimizer, "coordinate", visited)
+    zero, one = pt.field.zero, pt.field.one
+    subspaces = (
+        Subspace(pt.field, n, tuple(tuple(one if j == c else zero for j in range(n)) for c in combo))
+        for size in range(1, n // 2 + 1)
+        for combo in itertools.combinations(range(n), size)
+    )
+    return _first_minimum(pt, subspaces, "coordinate")
 
 
 # -- q-valence ---------------------------------------------------------------
@@ -423,21 +468,9 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     if best == 0:
         return 0
     vecs, index, grid = _nonzero_grid(pt)
-    # rank of v -> q(s, v) for each candidate s, reusing the coefficient rows
-    rows = _coefficient_rows(pt)
-    p = pt.field.characteristic
-    rank_lb = []
-    for s in vecs:
-        ech = _Echelon(pt.field, n)
-        support = [(i, c) for i, c in enumerate(s) if c]
-        for e in range(pt.dim_w):
-            row = [0] * n
-            for i, c in support:
-                ri = rows[i][e]
-                row = [(a + c * b) % p for a, b in zip(row, ri)]
-            if any(row):
-                ech.insert(row)
-        rank_lb.append(ech.rank)
+    # dim q_s(V) is rank R_F for F the line through s, whose echelon basis is (s,)
+    ranks = _rank_kernel(pt)
+    rank_lb = [ranks((s,))[0] for s in vecs]
     bases = _all_unordered_bases(n, pt.field)
     base_ix = [tuple(index[v] for v in basis) for basis in bases]
     for s_ixs in base_ix:
@@ -469,56 +502,19 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
 
 def is_pairing_connected_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """True iff no nontrivial direct-sum decomposition V0 + V1 of V pairs to
-    zero identically.
+    zero identically, decided as h > 0 by the exhaustive Cheeger scan.
 
-    Enumerates every decomposition: V0 runs over all subspaces of dimension
-    at most (dim V)/2, V1 over all complements of V0 (graphs of linear maps
-    from the non-pivot coordinate subspace into V0), and the pairing is
-    checked on basis pairs, which suffices by bilinearity.
+    For dim V >= 2 the two are equivalent.  Recall h_F = (n - dim(F + C)) / dim F
+    with C = C(F).  If V = V0 + V1 is such a split, let F be the smaller summand
+    and G the other: G lies in C(F), so F + C(F) = V and h_F = 0.  Conversely,
+    if h_F = 0 then F + C = V; take V1 a complement of F n C inside C.  Then
+    F + V1 = F + C = V and F n V1 = 0, so V = F + V1 is a direct sum with
+    q(F, V1) = 0, and V1 is nonzero because dim V1 = n - dim F >= n/2.
     """
     pt = _pairing(t)
-    n = pt.dim_v
-    if n <= 1:
+    if pt.dim_v <= 1:
         return True
-    vecs, index, grid = _nonzero_grid(pt)
-    p = pt.field.characteristic
-    for v0 in enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets):
-        k = v0.dim
-        ixs0 = [index[row] for row in v0.basis]
-        rows0 = [grid[ix] for ix in ixs0]
-        # all elements of V0, for the per-coordinate complement rows
-        elements = []
-        for coeffs in itertools.product(range(p), repeat=k):
-            acc = [0] * n
-            for c, row in zip(coeffs, v0.basis):
-                if c:
-                    acc = [(a + c * b) % p for a, b in zip(acc, row)]
-            elements.append(tuple(acc))
-        pivots = set()
-        for row in v0.basis:
-            pivots.add(next(c for c, x in enumerate(row) if x))
-        choice_ixs = []
-        for c in range(n):
-            if c in pivots:
-                continue
-            per = []
-            for x in elements:
-                y = list(x)
-                y[c] = (y[c] + 1) % p
-                per.append(index[tuple(y)])
-            choice_ixs.append(per)
-        for pick in itertools.product(range(len(elements)), repeat=len(choice_ixs)):
-            all_zero = True
-            for row in rows0:
-                for sel, per in zip(pick, choice_ixs):
-                    if row[per[sel]]:
-                        all_zero = False
-                        break
-                if not all_zero:
-                    break
-            if all_zero:
-                return False
-    return True
+    return cheeger_constant_exhaustive(pt, budgets).value > 0
 
 
 # -- augmentation and the alternating witness --------------------------------

@@ -46,6 +46,8 @@ from raagcheeger import (
 )
 from raagcheeger.pairing import augment_triple
 
+from decomposition_oracle import pairing_connected_by_decomposition
+
 pytestmark = pytest.mark.acceptance
 
 SAMPLE_SEED = 20260808
@@ -101,18 +103,24 @@ def test_criterion_03_q_valence_equals_max_valence():
 
 
 def test_criterion_04_pairing_connected_iff_connected():
+    # the production check (h > 0) and the direct-sum oracle must each match
     started = time.perf_counter()
     failures = []
     for n in range(1, 6):
         for g in labeled_graphs(n):
             t = build_triple(g, GF2)
-            if is_pairing_connected_exhaustive(t) != is_connected(g):
-                failures.append((n, g.edges))
+            connected = is_connected(g)
+            if is_pairing_connected_exhaustive(t) != connected:
+                failures.append(("production", n, g.edges))
+            if pairing_connected_by_decomposition(t) != connected:
+                failures.append(("decomposition oracle", n, g.edges))
     _report(4, "pairing-connected iff graph connected on all labeled graphs "
-               "with at most 5 vertices over GF(2)", failures, started)
+               "with at most 5 vertices over GF(2), by the production check "
+               "and by the direct-sum oracle", failures, started)
 
 
 def test_criterion_05_positive_cheeger_implies_pairing_connected():
+    # an iff: h > 0 exactly when the direct-sum oracle finds no split
     started = time.perf_counter()
     rng = random.Random(SAMPLE_SEED)
     failures = []
@@ -122,12 +130,11 @@ def test_criterion_05_positive_cheeger_implies_pairing_connected():
         dim_w = rng.randint(0, 4)
         t = random_triple(dim_v, dim_w, GF2, seed=rng.randrange(2**63))
         h = cheeger_constant_exhaustive(t).value
-        if h is not None and h > 0:
-            positive += 1
-            if not is_pairing_connected_exhaustive(t):
-                failures.append((k, dim_v, dim_w, str(h)))
-    _report(5, f"h > 0 implies pairing-connected on 200 seeded random "
-               f"antisymmetric GF(2) triples ({positive} with h > 0), zero "
+        positive += h > 0
+        if (h > 0) != pairing_connected_by_decomposition(t):
+            failures.append((k, dim_v, dim_w, str(h)))
+    _report(5, f"h > 0 iff pairing-connected (direct-sum oracle) on 200 seeded "
+               f"random antisymmetric GF(2) triples ({positive} with h > 0), zero "
                f"counterexamples", failures, started)
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from raagcheeger import GF2, build_triple, cheeger_constant_exhaustive, path
+from raagcheeger import GF2, SimplicialGraph, build_triple, cheeger_constant_exhaustive, cycle, path
 from raagcheeger.cli import main
 from raagcheeger.family import VerificationRecord
 
@@ -70,6 +70,22 @@ def test_qvalence_and_connectedness_commands(tmp_path, p3_file):
     assert json.loads(qc.stdout) == {"q_valence": 2, "method": "coordinate"}
     c = run_cli("connectedness", "--input", str(tf))
     assert json.loads(c.stdout) == {"pairing_connected": True}
+
+
+def test_connectedness_on_eight_vertices_finishes(tmp_path):
+    # C8 over GF(2) sits inside the default subspace budget; enumerating its
+    # direct-sum decompositions ran for minutes, the h > 0 scan takes seconds
+    two_squares = SimplicialGraph.of(
+        [f"v{i}" for i in range(8)],
+        [(f"v{i}", f"v{(i + 1) % 4}") for i in range(4)]
+        + [(f"v{4 + i}", f"v{4 + (i + 1) % 4}") for i in range(4)],
+    )
+    for graph, connected in ((cycle(8), True), (two_squares, False)):
+        tf = tmp_path / "t.json"
+        tf.write_text(json.dumps(build_triple(graph, GF2).to_json_dict()))
+        res = run_cli("connectedness", "--input", str(tf))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"pairing_connected": connected}
 
 
 def test_augment_command(tmp_path, p3_file):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,8 +36,11 @@ from raagcheeger import (
     q_valence_exhaustive,
     random_triple,
     star,
+    subspace_intersection,
     zero_triple,
 )
+
+from decomposition_oracle import pairing_connected_by_decomposition
 
 
 def p3_triple(field=GF2):
@@ -220,20 +224,75 @@ def test_coordinate_cheeger_agrees_on_samples():
     assert cheeger_constant_coordinate(disc).value == 0
 
 
-def test_cheeger_fused_path_matches_public_formula():
-    # the oracle's in-loop h computation must agree with the public
-    # complement + intersection route on every admissible subspace
+def _h_by_complement(t, f: Subspace) -> Fraction:
+    """h_F from the public complement and intersection routes."""
+    n = getattr(t, "pairing", t).dim_v
+    comp = orthogonal_complement(t, f)
+    inter = subspace_intersection(comp, f)
+    return Fraction(n - f.dim - comp.dim + inter.dim, f.dim)
+
+
+def _kernel_test_triples():
     rng = random.Random(19)
-    for _ in range(12):
-        field = rng.choice([GF2, GF3])
-        n = rng.randint(2, 4)
-        t = random_triple(n, rng.randint(0, 3), field, seed=rng.randrange(2**32))
+    for field, n in ((GF2, 6), (GF3, 5), (GF5, 4)):
+        for symmetry in ("antisymmetric", "symmetric"):
+            yield random_triple(n, rng.randint(1, 3), field, rng.randrange(2**32), symmetry)
+        base = random_triple(n, rng.randint(1, 2), field, rng.randrange(2**32))
+        yield augment_triple(base, rng.randrange(n))  # componentwise symmetry
+        yield random_triple(n, 0, field, rng.randrange(2**32))  # dim W = 0
+
+
+def test_cheeger_fused_path_matches_public_formula():
+    # the rank kernel must agree with the public complement + intersection
+    # route on every admissible subspace, and the scan must report the first
+    # minimum in enumeration order with the matching visit count
+    for t in _kernel_test_triples():
+        n, field = t.dim_v, t.field
+        subspaces = list(enumerate_subspaces(n, range(1, n // 2 + 1), field))
+        expected = [_h_by_complement(t, f) for f in subspaces]
+        assert [cheeger_of_subspace(t, f) for f in subspaces] == expected
+        low = min(expected)
+        first = expected.index(low)
         rep = cheeger_constant_exhaustive(t)
-        values = [
-            cheeger_of_subspace(t, f)
-            for f in enumerate_subspaces(n, range(1, n // 2 + 1), field)
+        assert rep.value == low
+        assert rep.minimizer == subspaces[first]
+        assert rep.subspaces_visited == (first + 1 if low == 0 else len(subspaces))
+
+
+def test_coordinate_scan_over_rationals_matches_public_formula():
+    # characteristic 0: the kernel's exact Fraction elimination
+    fractional = PairingTriple.of(
+        QQ, 4, 2,
+        [[(0, 0), ("1/2", 0), (0, 3), (0, 0)],
+         [("-1/2", 0), (0, 0), (0, 0), (2, "1/3")],
+         [(0, -3), (0, 0), (0, 0), (0, 0)],
+         [(0, 0), (-2, "-1/3"), (0, 0), (0, 0)]],
+    )
+    two_parts = SimplicialGraph.of("abcde", [("a", "b"), ("c", "d"), ("d", "e")])
+    for t in [build_triple(g, QQ) for g in (cycle(5), path(4), star(3), two_parts)] + [fractional]:
+        pt = getattr(t, "pairing", t)
+        n = pt.dim_v
+        coords = [
+            Subspace.from_vectors(QQ, n, [[1 if j == c else 0 for j in range(n)] for c in combo])
+            for size in range(1, n // 2 + 1)
+            for combo in itertools.combinations(range(n), size)
         ]
-        assert rep.value == min(values)
+        expected = [_h_by_complement(t, f) for f in coords]
+        assert [cheeger_of_subspace(t, f) for f in coords] == expected
+        low = min(expected)
+        rep = cheeger_constant_coordinate(t)
+        assert rep.value == low
+        assert rep.minimizer == coords[expected.index(low)]
+        if hasattr(t, "graph"):
+            assert rep.value == cheeger_graph_exact(t.graph).value
+    # non-coordinate rational subspaces, where pivots are not units
+    rng = random.Random(23)
+    for _ in range(60):
+        k = rng.randint(1, 2)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)] for _ in range(k)]
+        f = Subspace.from_vectors(QQ, 4, rows)
+        if 0 < f.dim:
+            assert cheeger_of_subspace(fractional, f) == _h_by_complement(fractional, f)
 
 
 # -- q-valence -----------------------------------------------------------------------
@@ -296,13 +355,26 @@ def test_pairing_connectivity_matches_graph_on_gf3():
 
 
 def test_positive_cheeger_implies_pairing_connected_small():
+    # h > 0 iff the independent direct-sum oracle finds no split
     rng = random.Random(2024)
     for _ in range(60):
         n = rng.randint(2, 4)
         t = random_triple(n, rng.randint(1, 3), GF2, seed=rng.randrange(2**32))
         rep = cheeger_constant_exhaustive(t)
-        if rep.value is not None and rep.value > 0:
-            assert is_pairing_connected_exhaustive(t)
+        assert (rep.value > 0) == pairing_connected_by_decomposition(t)
+
+
+def test_connectedness_matches_decomposition_oracle_beyond_gf2():
+    # the h > 0 characterization holds for every declared symmetry and field
+    rng = random.Random(4242)
+    for _ in range(40):
+        field = rng.choice([GF2, GF3, GF5])
+        n = rng.randint(2, 4 if field is GF2 else 3)
+        t = random_triple(n, rng.randint(0, 2), field, seed=rng.randrange(2**32),
+                          symmetry=rng.choice(["symmetric", "antisymmetric"]))
+        if rng.random() < 0.3:
+            t = augment_triple(t, rng.randrange(n))
+        assert is_pairing_connected_exhaustive(t) == pairing_connected_by_decomposition(t)
 
 
 # -- augmentation -----------------------------------------------------------------------
@@ -363,17 +435,15 @@ def negated(t: PairingTriple) -> PairingTriple:
 
 
 def test_sign_convention_does_not_change_invariants():
-    # decomposition counts explode with the field order, so the connectivity
-    # oracle only runs where it stays in the thousands
     cases = [
-        (path(4), GF3, True),
-        (cycle(5), GF3, False),
-        (star(3), GF3, True),
-        (path(3), GF5, True),
-        (path(4), GF5, False),
-        (star(3), GF5, False),
+        (path(4), GF3),
+        (cycle(5), GF3),
+        (star(3), GF3),
+        (path(3), GF5),
+        (path(4), GF5),
+        (star(3), GF5),
     ]
-    for g, field, check_connectivity in cases:
+    for g, field in cases:
         t = build_triple(g, field).pairing
         flipped = negated(t)
         assert (
@@ -381,10 +451,7 @@ def test_sign_convention_does_not_change_invariants():
             == cheeger_constant_exhaustive(flipped).value
         )
         assert q_valence_coordinate(t) == q_valence_coordinate(flipped)
-        if check_connectivity:
-            assert is_pairing_connected_exhaustive(t) == is_pairing_connected_exhaustive(
-                flipped
-            )
+        assert is_pairing_connected_exhaustive(t) == is_pairing_connected_exhaustive(flipped)
 
 
 # -- random triples --------------------------------------------------------------------
