@@ -24,14 +24,34 @@ class FieldError(ValueError):
     """Invalid field construction, foreign scalar, or inversion of zero."""
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the witnesses above decides primality exactly below this bound
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
+    if n in _WITNESSES:
         return True
-    if n % 2 == 0:
+    if any(n % w == 0 for w in _WITNESSES):
         return False
-    f = 3
+    if n < _WITNESS_BOUND:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for w in _WITNESSES:
+            x = pow(w, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+    f = 43
     while f * f <= n:
         if n % f == 0:
             return False

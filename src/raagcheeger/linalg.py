@@ -5,7 +5,8 @@ Subspaces are canonicalized by the reduced row echelon form of their row
 space, so equality, hashing and deduplication are structural and the
 minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
-lexicographically.
+lexicographically.  The subspace stream comes in numpy batches of RREF
+rows, the form the rank kernel in :mod:`raagcheeger.pairing` consumes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field, Scalar
@@ -290,10 +293,10 @@ def gl_order(n: int, p: int) -> int:
     return out
 
 
-def _subspace_profiles(n: int, dims: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    for k in dims:
-        for pivots in itertools.combinations(range(n), k):
-            yield k, pivots
+SUBSPACE_CHUNK = 256
+"""Most subspaces in one batch of :func:`enumerate_subspaces`.  Enough to
+spread numpy's per-call cost thin, few enough that the rank matrices of a
+batch stay within a megabyte or so; below about 128 the scans slow down."""
 
 
 def enumerate_subspaces(
@@ -301,14 +304,15 @@ def enumerate_subspaces(
     dims: Iterable[int],
     field: Field,
     budgets: Budgets = DEFAULT_BUDGETS,
-    part: tuple[int, int] | None = None,
-) -> Iterator[Subspace]:
-    """Stream every subspace of each requested dimension exactly once.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream every subspace of each requested dimension exactly once, in batches.
 
-    The stream is deterministic: pivot-column sets in lexicographic order,
-    then all fillings of the free entries in lexicographic order.  ``part``
-    selects one of N disjoint round-robin slices of the pivot profiles, for
-    order-independent parallel folds.
+    Yields ``(k, rows)`` with ``rows`` an integer array of shape (B, k, n),
+    1 <= B <= :data:`SUBSPACE_CHUNK`; ``rows[b]`` is the canonical RREF basis
+    of one k-dimensional subspace.  The stream is deterministic: dimensions
+    ascending, then pivot-column sets in lexicographic order, then all
+    fillings of the free entries in lexicographic order.  A batch holds
+    consecutive subspaces of one dimension and may span several pivot sets.
     """
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
@@ -324,30 +328,37 @@ def enumerate_subspaces(
         if k < 0 or k > n:
             raise LinalgError(f"requested dimension {k} outside [0, {n}]")
     p = field.characteristic
-    values = tuple(range(p))
-    for seq, (k, pivots) in enumerate(_subspace_profiles(n, dims)):
-        if part is not None and seq % part[1] != part[0]:
-            continue
-        if k == 0:
-            yield Subspace(field, n, ())
-            continue
-        pivset = set(pivots)
-        free = [
-            (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
-        ]
-        base = []
-        for pc in pivots:
-            row = [0] * n
-            row[pc] = 1
-            base.append(row)
-        if not free:
-            yield Subspace(field, n, tuple(tuple(r) for r in base))
-            continue
-        for fill in itertools.product(values, repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (r, c), v in zip(free, fill):
-                rows[r][c] = v
-            yield Subspace(field, n, tuple(tuple(r) for r in rows))
+    for k in dims:
+        pending: list[np.ndarray] = []
+        count = 0
+        for pivots in itertools.combinations(range(n), k):
+            pivset = set(pivots)
+            free = [
+                (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
+            ]
+            total = p ** len(free)
+            # fill number i, written in base p with the first free entry most
+            # significant, is the i-th fill in lexicographic order
+            dtype = np.int64 if total < 2**63 else object
+            powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=dtype)
+            base = np.zeros((k, n), dtype=dtype)
+            base[range(k), list(pivots)] = 1
+            free_rows = [r for r, _ in free]
+            free_cols = [c for _, c in free]
+            start = 0
+            while start < total:
+                stop = min(total, start + SUBSPACE_CHUNK - count)
+                rows = np.repeat(base[None], stop - start, axis=0)
+                fills = np.arange(start, stop, dtype=dtype)[:, None] // powers % p
+                rows[:, free_rows, free_cols] = fills
+                pending.append(rows)
+                count += stop - start
+                start = stop
+                if count == SUBSPACE_CHUNK:
+                    yield k, np.concatenate(pending)
+                    pending, count = [], 0
+        if pending:
+            yield k, np.concatenate(pending)
 
 
 def enumerate_unordered_bases(

@@ -9,9 +9,17 @@ Verification code compares them explicitly.
 
 One rank kernel serves every subspace Cheeger computation:
 h_F = (rank R_F - rank R_F|_F) / dim F, with R_F the matrix of
-v -> (q(f_a, v))_a over a basis of F; over GF(2) its vectors are packed into
-ints.  Pairing-connectedness is decided as h > 0, which is exact for
-dim V >= 2 (see :func:`is_pairing_connected_exhaustive`).
+v -> (q(f_a, v))_a over a basis of F.  It works on numpy batches of bases,
+the (k, rows) chunks of at most ``SUBSPACE_CHUNK`` subspaces that
+:func:`~raagcheeger.linalg.enumerate_subspaces` streams in canonical order:
+one matrix product builds every R_F of a batch and one column-by-column
+elimination ranks them all, on rows packed into int64 and cleared by XOR
+over GF(2), on residues in the narrowest numpy integer type that cannot
+overflow over odd p, and on Python ints or Fractions in object arrays where
+int64 could overflow and over QQ.  The scans build a
+:class:`Subspace` only for the minimizer they report.  Pairing-connectedness
+is decided as h > 0, which is exact for dim V >= 2 (see
+:func:`is_pairing_connected_exhaustive`).
 
 Functions accept either a bare :class:`PairingTriple` or any object carrying
 one in a ``pairing`` attribute (such as the cohomology triples built from
@@ -27,9 +35,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field, Scalar
 from .linalg import (
+    SUBSPACE_CHUNK,
     LinalgError,
     Subspace,
     _Echelon,
@@ -201,89 +212,116 @@ def orthogonal_complement(t, subspace: Subspace) -> Subspace:
 
 
 def _rank_kernel(pt: PairingTriple):
-    """The rank kernel of every subspace invariant, built once per call: an
-    echelon basis f_1..f_k of F -> (rank R_F, rank R_F|_F).
+    """The rank kernel of every subspace invariant, built once per call: a
+    batch of echelon bases, an array of shape (B, k, n), -> the arrays
+    (rank R_F, rank R_F|_F), one entry per basis.
 
-    R_F is the matrix of v -> (q(f_a, v))_a.  Its kernel is C = C(F), so
-    dim C = n - rank R_F, and F n C is the kernel of R_F restricted to F, so
-    dim(F n C) = k - rank R_F|_F; hence k * h_F = rank R_F - rank R_F|_F.
-    Column j of R_F is q(f_a, b_j) stacked over a; column b of R_F|_F is
-    sum_j f_b[j] * (column j).  The rows of an echelon basis have distinct
-    leading columns, so the columns of R_F|_F and the non-leading columns of
-    R_F together span the columns of R_F: one elimination over n vectors
-    gives both ranks.  Over GF(2) each q(x, b_j) is packed into an m-bit int
-    and a column is k of those side by side; otherwise vectors are tuples.
-    The image table lives only as long as the returned function.
+    R_F is the (k*m) x n matrix of the functionals v -> q(f_a, v)_e.  Its
+    kernel is C = C(F), so dim C = n - rank R_F, and F n C is the kernel of
+    R_F restricted to F, so dim(F n C) = k - rank R_F|_F; hence
+    k * h_F = rank R_F - rank R_F|_F.  Column c of R_F|_F is R_F f_c.  The
+    rows of an echelon basis have distinct leading columns, so replacing the
+    leading columns of R_F by the columns of R_F|_F is an invertible column
+    change: one column-by-column elimination of [R_F|_F | non-leading columns
+    of R_F] gives rank R_F|_F after k columns and rank R_F at the end.
+
+    Arithmetic is exact: residues in the narrowest numpy integer type that
+    holds n * (p - 1)^2, Python ints or Fractions in object arrays past int64
+    and over QQ.
     """
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
-    images: dict = {}
+    # no intermediate value exceeds n * (p - 1)^2 in absolute value
+    bound = n * (p - 1) ** 2
+    ints = (np.int8, np.int16, np.int32, np.int64)
+    dtype = next((t for t in ints if p and bound <= np.iinfo(t).max), object)
+    # table[j * m + e, i] = q(b_i, b_j)_e: times a basis row f_a it gives
+    # column j of R_F at the rows (a, e), for every j at once
+    table = np.array(pt.tensor, dtype=dtype).reshape(n, n * m).T
 
-    def image(row):
-        """Store (q(row, b_j) for every j, nonzero (index, coefficient) pairs of row)."""
-        support = [(i, c) for i, c in enumerate(row) if c]
-        sums = [[sum(c * pt.tensor[i][j][e] for i, c in support) for e in range(m)] for j in range(n)]
-        if p == 2:
-            acc = [sum(1 << e for e, x in enumerate(w) if x % 2) for w in sums]
-        else:
-            acc = [tuple(x % p for x in w) if p else tuple(w) for w in sums]
-        images[row] = acc, support
-        return acc, support
-
-    def ranks(basis) -> tuple[int, int]:
-        parts = [images.get(row) or image(row) for row in basis]
-        cols = parts[0][0]
-        for a in range(1, len(parts)):
-            if p == 2:
-                cols = [c | x << a * m for c, x in zip(cols, parts[a][0])]
-            else:
-                cols = [c + x for c, x in zip(cols, parts[a][0])]
-        pivots: list = []
-        _extend(pivots, [_combination(cols, support, p) for _, support in parts], p)
-        rank_restricted = len(pivots)
-        leading = {support[0][0] for _, support in parts}
-        _extend(pivots, [c for j, c in enumerate(cols) if j not in leading], p)
-        return len(pivots), rank_restricted
+    def ranks(rows) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.asarray(rows, dtype=dtype)
+        count, k, _ = rows.shape
+        if not m:
+            return np.zeros(count, np.int64), np.zeros(count, np.int64)
+        # columns[b, j] is column j of R_F, its k*m entries ordered (e, a)
+        columns = (table @ rows.transpose(0, 2, 1)).reshape(count, n, m * k)
+        if p:
+            columns %= p
+        at = np.arange(count)[:, None]
+        leading = np.zeros((count, n), dtype=bool)
+        leading[at, (rows != 0).argmax(axis=2)] = True
+        others = np.nonzero(~leading)[1].reshape(count, n - k)
+        restricted = rows @ columns
+        if p:
+            restricted %= p
+        columns = np.concatenate((restricted, columns[at, others]), axis=1)
+        return _column_ranks(columns, k, p)
 
     return ranks
 
 
-def _combination(cols: list, support: list, p: int):
-    """sum of c * cols[j] over the (j, c) pairs of support."""
-    if p == 2:
-        v = 0
-        for j, _ in support:
-            v ^= cols[j]
-        return v
-    v = [0] * len(cols[0])
-    for j, c in support:
-        v = [a + c * x for a, x in zip(v, cols[j])]
-    return [x % p for x in v] if p else v
+def _column_ranks(cols: np.ndarray, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination of a batch of matrices given column by column,
+    shape (B, columns, rows), that only counts rank: (rank of all columns,
+    rank of the first k columns) per matrix.
+
+    A column's pivot row is its first row with a nonzero entry there; the
+    pivot row clears that entry from every row, itself included, so no row
+    is a pivot twice.  Over GF(2) (with fewer than 64 columns) each row is
+    packed into an int64 and cleared by XOR.  Otherwise the pivot row is
+    scaled to a leading 1 (x^(p-2) is the inverse mod p) and subtracted;
+    residues are reduced mod p, QQ stays exact in Fractions.  ``cols`` is
+    overwritten.
+    """
+    count, n, _ = cols.shape
+    at = np.arange(count)
+    rank = np.zeros(count, np.int64)
+    restricted = rank  # becomes a copy once the first k columns are done
+    if p == 2 and n < 64:
+        bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        packed = np.einsum("j,bjr->br", bits, cols, dtype=np.int64)  # no int64 copy of cols
+        for c in range(n):
+            if c == k:
+                restricted = rank.copy()
+            has = (packed & bits[c]) != 0
+            pivot = has.argmax(axis=1)
+            packed ^= has * packed[at, pivot][:, None]
+            rank += has[at, pivot]
+    else:
+        for c in range(n):
+            if c == k:
+                restricted = rank.copy()
+            column = cols[:, c]
+            has = column != 0
+            pivot = has.argmax(axis=1)
+            found = has[at, pivot]
+            rank += found
+            # column c is not read again, so only the columns right of it change
+            rest = cols[:, c + 1 :]
+            scale = _inverse(np.where(found, column[at, pivot], 1), p)
+            pivot_row = rest[at, :, pivot] * scale[:, None]
+            if p:
+                pivot_row %= p
+            rest -= pivot_row[:, :, None] * column[:, None, :]
+            if p:
+                rest %= p
+    return rank, restricted
 
 
-def _extend(pivots: list, vectors: list, p: int) -> None:
-    """Forward elimination that only counts rank: reduce each vector by the
-    pivots so far and keep the nonzero remainder as a new pivot.  Over GF(2)
-    a pivot is (lowest bit, packed row); otherwise (index, inverse of the
-    entry there, row), over GF(p), or over QQ when p is 0."""
-    if p == 2:
-        for v in vectors:
-            for bit, row in pivots:
-                if v & bit:
-                    v ^= row
-            if v:
-                pivots.append((v & -v, v))
-        return
-    for v in vectors:
-        for lead, inv, row in pivots:
-            c = v[lead]
-            if c:
-                c = c * inv % p if p else c * inv
-                v = [(x - c * y) % p for x, y in zip(v, row)] if p else [x - c * y for x, y in zip(v, row)]
-        for lead, x in enumerate(v):
-            if x:
-                pivots.append((lead, pow(x, p - 2, p) if p else 1 / x, v))
-                break
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Entrywise inverse of nonzero scalars: 1/x over QQ, x^(p-2) mod p over
+    GF(p) by square-and-multiply."""
+    if not p:
+        return Fraction(1) / x
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
@@ -296,8 +334,8 @@ def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
         )
     if subspace.field != pt.field or subspace.ambient_dim != pt.dim_v:
         raise PairingError("subspace does not live in the triple's V")
-    rank, rank_restricted = _rank_kernel(pt)(subspace.basis)
-    return Fraction(rank - rank_restricted, j)
+    rank, rank_restricted = _rank_kernel(pt)([subspace.basis])
+    return Fraction(int(rank[0] - rank_restricted[0]), j)
 
 
 # -- Cheeger constants -------------------------------------------------------
@@ -322,23 +360,32 @@ class CheegerReport:
         }
 
 
-def _first_minimum(pt: PairingTriple, subspaces: Iterable[Subspace], method: str) -> CheegerReport:
-    """Scan a nonempty stream for the least h_F, keeping the first minimizer;
-    h_F >= 0, so the scan stops at a zero.  Quotients are compared as
-    num / k by cross-multiplication."""
+def _first_minimum(
+    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str
+) -> CheegerReport:
+    """Scan a nonempty stream of (k, bases) batches for the least h_F, keeping
+    the first minimizer; h_F >= 0, so the scan stops at a zero.  Inside a
+    batch k is fixed, so the first argmin of the numerators is the batch's
+    first minimum; across batches quotients are compared as num / k by
+    cross-multiplication.  Only the reported minimizer becomes a Subspace."""
     ranks = _rank_kernel(pt)
     best_num, best_dim = 0, 0
-    minimizer: Subspace | None = None
+    best = None
     visited = 0
-    for sub in subspaces:
-        visited += 1
-        rank, rank_restricted = ranks(sub.basis)
-        num, k = rank - rank_restricted, len(sub.basis)
-        if minimizer is None or num * best_dim < best_num * k:
-            best_num, best_dim, minimizer = num, k, sub
+    for k, rows in batches:
+        rank, rank_restricted = ranks(rows)
+        nums = rank - rank_restricted
+        i = int(nums.argmin())
+        num = int(nums[i])
+        if best is None or num * best_dim < best_num * k:
+            best_num, best_dim, best = num, k, rows[i]
             if not num:
+                visited += i + 1
                 break
-    return CheegerReport(Fraction(best_num, best_dim), minimizer, method, visited)
+        visited += len(rows)
+    f = pt.field
+    basis = tuple(tuple(f.element(x) for x in row) for row in best.tolist())
+    return CheegerReport(Fraction(best_num, best_dim), Subspace(f, pt.dim_v, basis), method, visited)
 
 
 def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -372,13 +419,18 @@ def cheeger_constant_coordinate(t) -> CheegerReport:
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "coordinate", 0)
-    zero, one = pt.field.zero, pt.field.one
-    subspaces = (
-        Subspace(pt.field, n, tuple(tuple(one if j == c else zero for j in range(n)) for c in combo))
-        for size in range(1, n // 2 + 1)
-        for combo in itertools.combinations(range(n), size)
-    )
-    return _first_minimum(pt, subspaces, "coordinate")
+    return _first_minimum(pt, _coordinate_batches(n), "coordinate")
+
+
+def _coordinate_batches(n: int):
+    """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
+    at most SUBSPACE_CHUNK, in the order of itertools.combinations."""
+    for k in range(1, n // 2 + 1):
+        combos = itertools.combinations(range(n), k)
+        while chunk := list(itertools.islice(combos, SUBSPACE_CHUNK)):
+            rows = np.zeros((len(chunk), k, n), dtype=np.int64)
+            rows[np.arange(len(chunk))[:, None], range(k), chunk] = 1
+            yield k, rows
 
 
 # -- q-valence ---------------------------------------------------------------
@@ -469,8 +521,7 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         return 0
     vecs, index, grid = _nonzero_grid(pt)
     # dim q_s(V) is rank R_F for F the line through s, whose echelon basis is (s,)
-    ranks = _rank_kernel(pt)
-    rank_lb = [ranks((s,))[0] for s in vecs]
+    rank_lb = _rank_kernel(pt)([[s] for s in vecs])[0].tolist()
     bases = _all_unordered_bases(n, pt.field)
     base_ix = [tuple(index[v] for v in basis) for basis in bases]
     for s_ixs in base_ix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from raagcheeger import enumerate_subspaces
+from subspace_stream import subspaces
 
 
 def _nonzero_grid(pt):
@@ -56,7 +56,7 @@ def pairing_connected_by_decomposition(t) -> bool:
         return True
     vecs, index, grid = _nonzero_grid(pt)
     p = pt.field.characteristic
-    for v0 in enumerate_subspaces(n, range(1, n // 2 + 1), pt.field):
+    for v0 in subspaces(n, range(1, n // 2 + 1), pt.field):
         k = v0.dim
         rows0 = [grid[index[row]] for row in v0.basis]
         # all elements of V0, for the per-coordinate complement rows

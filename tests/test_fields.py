@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagcheeger import GF2, GF3, GF5, QQ, Field, FieldError
+from raagcheeger.fields import _is_prime
 
 FIELDS = [GF2, GF3, GF5, Field.gf(7), QQ]
 
@@ -24,6 +25,22 @@ def test_prime_field_requires_prime():
         with pytest.raises(FieldError):
             Field.gf(bad)
     Field.gf(2), Field.gf(97)
+
+
+def test_primality_is_exact_for_large_moduli():
+    # trial division as the reference below 20000; Mersenne primes are
+    # accepted at once, and strong pseudoprimes to every base up to 37 and
+    # Carmichael numbers are rejected
+    def by_trial_division(n):
+        return n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    for n in range(20000):
+        assert _is_prime(n) == by_trial_division(n), n
+    for p in (2**31 - 1, 2**61 - 1):
+        assert Field.gf(p).characteristic == p
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461, 2**61 + 1):
+        with pytest.raises(FieldError):
+            Field.gf(n)
 
 
 def test_from_name_round_trip():

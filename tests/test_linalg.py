@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raagcheeger import linalg
 from raagcheeger import (
     GF2,
     GF3,
@@ -26,6 +27,8 @@ from raagcheeger import (
     subspace_intersection,
     subspace_sum,
 )
+
+from subspace_stream import canonical_order, subspaces
 
 
 def count_formula(n, k, p):
@@ -176,16 +179,16 @@ def test_intersection_contained_in_both():
 
 
 def test_three_lines_of_the_plane_gf2():
-    subs = list(enumerate_subspaces(2, [1], GF2))
+    subs = list(subspaces(2, [1], GF2))
     assert [s.basis for s in subs] == [((1, 0),), ((1, 1),), ((0, 1),)]
 
 
 def test_planes_of_dimension_two_in_four():
-    assert sum(1 for _ in enumerate_subspaces(4, [2], GF2)) == 35
+    assert sum(1 for _ in subspaces(4, [2], GF2)) == 35
 
 
 def test_whole_space_is_unique():
-    assert sum(1 for _ in enumerate_subspaces(3, [3], GF3)) == 1
+    assert sum(1 for _ in subspaces(3, [3], GF3)) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -194,23 +197,34 @@ def test_enumeration_counts_match_gaussian_binomials(p):
     budgets = Budgets(subspace_dim=6)
     for n in range(7):
         for k in range(n + 1):
-            got = sum(1 for _ in enumerate_subspaces(n, [k], field, budgets))
+            got = sum(len(rows) for _, rows in enumerate_subspaces(n, [k], field, budgets))
             assert got == count_formula(n, k, p) == gaussian_binomial(n, k, p)
 
 
 def test_enumeration_is_duplicate_free():
-    subs = list(enumerate_subspaces(4, [1, 2], GF3, Budgets(subspace_dim=4)))
+    subs = list(subspaces(4, [1, 2], GF3, Budgets(subspace_dim=4)))
     assert len(subs) == len(set(subs))
 
 
-def test_enumeration_deterministic_and_partitionable():
-    whole = list(enumerate_subspaces(5, [1, 2], GF2))
-    assert whole == list(enumerate_subspaces(5, [1, 2], GF2))
-    parts = [
-        list(enumerate_subspaces(5, [1, 2], GF2, part=(i, 3))) for i in range(3)
-    ]
-    assert sorted(map(hash, itertools.chain.from_iterable(parts))) == sorted(map(hash, whole))
-    assert sum(len(p) for p in parts) == len(whole)
+@pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
+def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
+    # batches pack consecutive pivot profiles of one dimension: every batch
+    # but the last of its dimension is full, and concatenated they are the
+    # canonical order; the stream repeats exactly
+    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+    for n, dims, field in ((5, [1, 2], GF2), (4, [0, 1, 2, 4], GF3), (3, [1, 2], GF5)):
+        batches = list(enumerate_subspaces(n, dims, field))
+        flat = [basis for _, rows in batches for basis in rows.tolist()]
+        assert flat == list(canonical_order(n, dims, field.characteristic))
+        assert [k for k, _ in batches] == sorted(k for k, _ in batches)
+        for i, (k, rows) in enumerate(batches):
+            assert rows.shape[1:] == (k, n)
+            last_of_dim = i + 1 == len(batches) or batches[i + 1][0] != k
+            assert 1 <= len(rows) <= chunk and (last_of_dim or len(rows) == chunk)
+        again = list(enumerate_subspaces(n, dims, field))
+        assert len(again) == len(batches)
+        for (k, rows), (k2, rows2) in zip(batches, again):
+            assert k == k2 and (rows == rows2).all()
 
 
 def test_enumeration_rejects_rationals():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from raagcheeger import linalg, pairing
 from raagcheeger import (
     GF2,
     GF3,
@@ -11,6 +12,7 @@ from raagcheeger import (
     QQ,
     BudgetError,
     Budgets,
+    Field,
     PairingError,
     PairingTriple,
     SimplicialGraph,
@@ -25,7 +27,6 @@ from raagcheeger import (
     complete,
     cycle,
     edgeless,
-    enumerate_subspaces,
     is_alternating,
     is_connected,
     is_pairing_connected_exhaustive,
@@ -41,6 +42,7 @@ from raagcheeger import (
 )
 
 from decomposition_oracle import pairing_connected_by_decomposition
+from subspace_stream import canonical_order, subspaces as subspace_stream
 
 
 def p3_triple(field=GF2):
@@ -248,7 +250,7 @@ def test_cheeger_fused_path_matches_public_formula():
     # minimum in enumeration order with the matching visit count
     for t in _kernel_test_triples():
         n, field = t.dim_v, t.field
-        subspaces = list(enumerate_subspaces(n, range(1, n // 2 + 1), field))
+        subspaces = list(subspace_stream(n, range(1, n // 2 + 1), field))
         expected = [_h_by_complement(t, f) for f in subspaces]
         assert [cheeger_of_subspace(t, f) for f in subspaces] == expected
         low = min(expected)
@@ -293,6 +295,105 @@ def test_coordinate_scan_over_rationals_matches_public_formula():
         f = Subspace.from_vectors(QQ, 4, rows)
         if 0 < f.dim:
             assert cheeger_of_subspace(fractional, f) == _h_by_complement(fractional, f)
+
+
+def _scan_by_complement(t, subspaces):
+    """(value, first minimizer, visited) of a first-minimum scan with every
+    h_F from orthogonal_complement + subspace_intersection."""
+    best, visited = None, 0
+    for f in subspaces:
+        visited += 1
+        h = _h_by_complement(t, f)
+        if best is None or h < best[0]:
+            best = (h, f)
+            if h == 0:
+                break
+    return best[0], best[1], visited
+
+
+def _coordinate_subspaces(field, n):
+    return [
+        Subspace.from_vectors(field, n, [[int(j == c) for j in range(n)] for c in combo])
+        for size in range(1, n // 2 + 1)
+        for combo in itertools.combinations(range(n), size)
+    ]
+
+
+def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
+    # (triple, subspaces the exhaustive scan visits).  Batches restart at each
+    # dimension; the comments place the first zero within its dimension
+    cases = [
+        (random_triple(6, 1, GF2, 6), 3),  # dim 1, 3rd: inside the first batch
+        (random_triple(6, 2, GF2, 5), 49),  # dim 1, 49th: last of a 7-batch
+        (random_triple(6, 1, GF2, 53), 64),  # dim 2, 1st: first of a batch at every size
+        (random_triple(6, 2, GF2, 144), 320),  # dim 2, 257th: first of a 256-batch
+        (random_triple(5, 1, GF3, 6), 78),  # dim 1, 78th: first of a 7-batch
+        (random_triple(5, 2, GF3, 64), 628),  # dim 2, 507th: inside both
+        (random_triple(5, 3, GF3, 87), 1024),  # dim 2, 903rd: last of a 7-batch
+        (random_triple(4, 1, GF5, 79), 8),  # dim 1, 8th: first of a 7-batch
+        (random_triple(4, 1, GF5, 58), 14),  # dim 1, 14th: last of a 7-batch
+        (random_triple(4, 2, GF5, 1), 578),  # dim 2, 422nd: inside a 256-batch
+        (build_triple(cycle(6), GF2), 2109),  # h > 0: the whole stream
+        (build_triple(cycle(5), GF3), 1331),
+        (build_triple(path(4), GF5), 962),
+    ]
+    for t, visits in cases:
+        pt = getattr(t, "pairing", t)
+        n, field = pt.dim_v, pt.field
+        stream = (Subspace(field, n, tuple(map(tuple, rows))) for rows in canonical_order(
+            n, range(1, n // 2 + 1), field.characteristic))
+        exhaustive = _scan_by_complement(t, stream)
+        coordinate = _scan_by_complement(t, _coordinate_subspaces(field, n))
+        assert exhaustive[2] == visits
+        for chunk in (1, 7, linalg.SUBSPACE_CHUNK):
+            monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+            monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
+            rep = cheeger_constant_exhaustive(t)
+            assert (rep.value, rep.minimizer, rep.subspaces_visited) == exhaustive
+            rep = cheeger_constant_coordinate(t)
+            assert (rep.value, rep.minimizer, rep.subspaces_visited) == coordinate
+
+
+def test_kernel_with_zero_dimensional_w():
+    # dim W = 0: R_F has no rows, every h_F is 0 and both scans stop at once;
+    # over GF(2^61 - 1) the first pivot set already has p^3 >= 2^63 fills,
+    # which the stream counts in Python ints
+    for field in (GF2, GF3, QQ, Field.gf(2**61 - 1)):
+        t = build_triple(edgeless(4), field)
+        first = Subspace.from_vectors(field, 4, [[1, 0, 0, 0]])
+        rep = cheeger_constant_coordinate(t)
+        assert (rep.value, rep.minimizer, rep.subspaces_visited) == (0, first, 1)
+        assert cheeger_of_subspace(t, span(field, 4, (1, 1, 0, 0), (0, 0, 1, 2))) == 0
+        if field.is_prime_field:
+            rep = cheeger_constant_exhaustive(t)
+            assert (rep.value, rep.minimizer, rep.subspaces_visited) == (0, first, 1)
+            assert not is_pairing_connected_exhaustive(t)
+
+
+@pytest.mark.parametrize("p", [13, 101, 1_073_741_789, 2**31 - 1, 2**61 - 1])
+def test_kernel_over_larger_primes_matches_public_formula(p):
+    # for n = 4 and 5, n * (p - 1)^2 needs int16 at p = 13, int32 at p = 101
+    # and int64 at the largest prime below 2^30, where (p - 1)^3 would not
+    # fit; for the two Mersenne primes the kernel works on Python ints
+    field = Field.gf(p)
+    rng = random.Random(p)
+    triples = [build_triple(g, field) for g in (cycle(5), path(4), star(3))]
+    triples += [random_triple(4, 2, field, rng.randrange(2**32)),
+                random_triple(5, 1, field, rng.randrange(2**32), "symmetric")]
+    for t in triples:
+        n = getattr(t, "pairing", t).dim_v
+        coords = _coordinate_subspaces(field, n)
+        expected = [_h_by_complement(t, f) for f in coords]
+        assert [cheeger_of_subspace(t, f) for f in coords] == expected
+        rep = cheeger_constant_coordinate(t)
+        assert rep.value == min(expected)
+        assert rep.minimizer == coords[expected.index(rep.value)]
+        if hasattr(t, "graph"):
+            assert rep.value == cheeger_graph_exact(t.graph).value
+        for _ in range(10):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, n // 2))]
+            f = Subspace.from_vectors(field, n, rows)
+            assert cheeger_of_subspace(t, f) == _h_by_complement(t, f)
 
 
 # -- q-valence -----------------------------------------------------------------------
@@ -405,7 +506,7 @@ def test_augmentation_is_pointwise_monotone():
         n = rng.randint(2, 5)
         t = random_triple(n, rng.randint(0, 2), GF2, seed=rng.randrange(2**32))
         aug = augment_triple(t, rng.randrange(n))
-        for f in enumerate_subspaces(n, range(1, n // 2 + 1), GF2):
+        for f in subspace_stream(n, range(1, n // 2 + 1), GF2):
             assert cheeger_of_subspace(aug, f) >= cheeger_of_subspace(t, f)
 
 
