@@ -27,16 +27,11 @@ from .graphs import (
 )
 from .linalg import (
     LinalgError,
-    Matrix,
     Subspace,
     enumerate_subspaces,
     enumerate_unordered_bases,
     gaussian_binomial,
-    gl_order,
-    kernel,
-    rref,
     subspace_intersection,
-    subspace_sum,
 )
 from .pairing import (
     CheegerReport,

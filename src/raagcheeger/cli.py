@@ -125,7 +125,7 @@ def _human_lines(payload, indent: str = "") -> list[str]:
 
 def _human_scalar(v) -> str:
     if isinstance(v, float):
-        return f"{v:.6f} (bound)"
+        return f"{v!r} (bound)"
     return str(v)
 
 
@@ -140,24 +140,31 @@ def _emit(cfg: RunConfig, payload: dict, csv_text: str | None = None) -> None:
         print(json.dumps(payload, indent=2))
 
 
+# the keys, in this order, are the --family choices
+_FAMILIES = {
+    "cycle": cycle,
+    "path": path,
+    "complete": complete,
+    "star": star,
+    "edgeless": edgeless,
+    "random-regular": random_regular,
+    "margulis": margulis_like,
+}
+
+
+def _family_graph(name: str, size: int, degree: int | None, seed: int) -> SimplicialGraph:
+    if name != "random-regular":
+        return _FAMILIES[name](size)
+    if degree is None:
+        raise GraphError("--family random-regular needs --degree")
+    return random_regular(size, degree, seed)
+
+
 def _family_graphs(args: argparse.Namespace, cfg: RunConfig) -> list[SimplicialGraph]:
-    makers = {
-        "cycle": cycle,
-        "path": path,
-        "complete": complete,
-        "star": star,
-        "edgeless": edgeless,
-        "margulis": margulis_like,
-    }
-    out = []
-    for pos, size in enumerate(args.sizes):
-        if args.family == "random-regular":
-            if args.degree is None:
-                raise GraphError("--family random-regular needs --degree")
-            out.append(random_regular(size, args.degree, cfg.seed + pos))
-        else:
-            out.append(makers[args.family](size))
-    return out
+    return [
+        _family_graph(args.family, size, args.degree, cfg.seed + pos)
+        for pos, size in enumerate(args.sizes)
+    ]
 
 
 def _resolve_graphs(args: argparse.Namespace, cfg: RunConfig) -> list[SimplicialGraph]:
@@ -179,16 +186,7 @@ def _resolve_graphs(args: argparse.Namespace, cfg: RunConfig) -> list[Simplicial
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    if args.family == "random-regular":
-        if args.degree is None:
-            raise GraphError("--family random-regular needs --degree")
-        graph = random_regular(args.size, args.degree, cfg.seed)
-    else:
-        makers = {
-            "cycle": cycle, "path": path, "complete": complete,
-            "star": star, "edgeless": edgeless, "margulis": margulis_like,
-        }
-        graph = makers[args.family](args.size)
+    graph = _family_graph(args.family, args.size, args.degree, cfg.seed)
     if args.format == "edgelist":
         sys.stdout.write(graph.to_edgelist())
     else:
@@ -199,8 +197,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_graph_h(args: argparse.Namespace) -> int:
     cfg = _config(args)
     graph = _load_graph(_one_input(cfg))
-    res = cheeger_graph_exact(graph, cfg.budgets)
-    _emit(cfg, {"h": str(res.value), "minimizer": list(res.minimizer)})
+    _emit(cfg, cheeger_graph_exact(graph, cfg.budgets).to_json_dict())
     return 0
 
 
@@ -312,17 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
         if all_graphs:
             p.add_argument("--all-graphs", type=int, metavar="N",
                            help="every labeled graph on N vertices")
-        p.add_argument("--family",
-                       choices=["cycle", "path", "complete", "star", "edgeless",
-                                "random-regular", "margulis"])
+        p.add_argument("--family", choices=list(_FAMILIES))
         p.add_argument("--sizes", type=int, nargs="+", default=[])
         p.add_argument("--degree", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a graph from a named family")
     common(p, fmt=("json", "edgelist"), inputs=None)
-    p.add_argument("--family", required=True,
-                   choices=["cycle", "path", "complete", "star", "edgeless",
-                            "random-regular", "margulis"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--degree", type=int, default=None)
     p.set_defaults(handler=_cmd_gen)

@@ -47,12 +47,11 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # -- report structures -------------------------------------------------------
 
 
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, Fraction):
-        return str(v)
-    return f"{v:.6f}"
+_CSV_HEADER = "index,n,dimV,valence,qvalence,h_graph,h_triple,method,checks_passed"
+
+
+def _format_value(v: Fraction | None) -> str:
+    return "" if v is None else str(v)
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,12 @@ class FamilyReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["index,n,dimV,valence,qvalence,h_graph,h_triple,method,checks_passed"]
+        lines = [_CSV_HEADER]
         for e in self.entries:
             if e.kind == "graph":
                 h = _format_value(e.cheeger)
                 if e.cheeger is None and e.cheeger_lower is not None:
-                    h = f"[{e.cheeger_lower:.6f};{e.cheeger_upper:.6f}]"
+                    h = f"[{e.cheeger_lower!r};{e.cheeger_upper!r}]"
                 row = [str(e.index), str(e.size), "", str(e.valence or 0), "", h, "", e.method, ""]
             else:
                 row = [
@@ -298,7 +297,7 @@ class VerificationRecord:
         return out
 
     def to_csv(self) -> str:
-        lines = ["index,n,dimV,valence,qvalence,h_graph,h_triple,method,checks_passed"]
+        lines = [_CSV_HEADER]
         for it in self.items:
             d = it.data
             lines.append(",".join([

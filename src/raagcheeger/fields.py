@@ -176,12 +176,6 @@ class Field:
             return (a + b) % self.characteristic
         return a + b
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        self.check(a), self.check(b)
-        if self.is_prime_field:
-            return (a - b) % self.characteristic
-        return a - b
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         self.check(a), self.check(b)
         if self.is_prime_field:

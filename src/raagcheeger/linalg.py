@@ -1,4 +1,4 @@
-"""Exact matrices and subspaces over a field, plus the enumeration streams
+"""Exact subspaces over a field, plus the enumeration streams
 used by the brute-force oracles.
 
 Subspaces are canonicalized by the reduced row echelon form of their row
@@ -91,10 +91,6 @@ class _Echelon:
         self.pivots.insert(pos, lead)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def kernel_basis(self) -> list[list]:
         """One kernel vector per free column of the accumulated row space."""
         p = self._p
@@ -112,66 +108,6 @@ class _Echelon:
                     v[pc] = (p - x) % p if p else -x
             out.append(v)
         return out
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """An immutable exact matrix.  ``entries`` is a row-major tuple grid."""
-
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
-
-    @staticmethod
-    def from_rows(field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        grid = tuple(tuple(field.element(v) for v in row) for row in rows)
-        ncols = len(grid[0]) if grid else 0
-        for row in grid:
-            if len(row) != ncols:
-                raise LinalgError("ragged rows in matrix construction")
-        return Matrix(field, len(grid), ncols, grid)
-
-    @staticmethod
-    def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    def matvec(self, vec: Sequence[Scalar]) -> tuple:
-        if len(vec) != self.cols:
-            raise LinalgError(f"matvec shape mismatch: {self.cols} columns vs vector of length {len(vec)}")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """The unique reduced row echelon form of ``m``, its rank and pivot columns."""
-    ech = _Echelon(m.field, m.cols)
-    for row in m.entries:
-        ech.insert(row)
-    zero_row = tuple(m.field.zero for _ in range(m.cols))
-    grid = tuple(tuple(r) for r in ech.rows) + tuple(zero_row for _ in range(m.rows - ech.rank))
-    return Matrix(m.field, m.rows, m.cols, grid), ech.rank, tuple(ech.pivots)
-
-
-def kernel(m: Matrix) -> "Subspace":
-    """The null space {x : m.x = 0}, canonicalized."""
-    ech = _Echelon(m.field, m.cols)
-    for row in m.entries:
-        ech.insert(row)
-    return Subspace.from_vectors(m.field, m.cols, ech.kernel_basis())
 
 
 @dataclass(frozen=True)
@@ -201,33 +137,9 @@ class Subspace:
     def zero(field: Field, ambient_dim: int) -> "Subspace":
         return Subspace(field, ambient_dim, ())
 
-    @staticmethod
-    def full(field: Field, ambient_dim: int) -> "Subspace":
-        z, o = field.zero, field.one
-        rows = tuple(
-            tuple(o if i == j else z for j in range(ambient_dim)) for i in range(ambient_dim)
-        )
-        return Subspace(field, ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _echelon(self) -> _Echelon:
-        ech = _Echelon(self.field, self.ambient_dim)
-        ech.rows = [list(r) for r in self.basis]
-        ech.pivots = [next(c for c, v in enumerate(r) if v) for r in self.basis]
-        return ech
-
-    def reduce(self, vector: Sequence[Scalar]) -> tuple:
-        """Residual of ``vector`` after reduction against the basis."""
-        if len(vector) != self.ambient_dim:
-            raise LinalgError("vector length does not match ambient dimension")
-        row = [self.field.element(x) for x in vector]
-        return tuple(self._echelon().residual(row))
-
-    def contains(self, vector: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(vector))
 
     def to_json_dict(self) -> dict:
         f = self.field
@@ -248,16 +160,6 @@ def _require_compatible(a: Subspace, b: Subspace) -> None:
         raise LinalgError(
             f"ambient mismatch: {a.field.name}^{a.ambient_dim} vs {b.field.name}^{b.ambient_dim}"
         )
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _require_compatible(a, b)
-    ech = _Echelon(a.field, a.ambient_dim)
-    for row in a.basis:
-        ech.insert(row)
-    for row in b.basis:
-        ech.insert(row)
-    return Subspace(a.field, a.ambient_dim, tuple(tuple(r) for r in ech.rows))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -283,14 +185,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         num *= p ** (n - i) - 1
         den *= p ** (k - i) - 1
     return num // den
-
-
-def gl_order(n: int, p: int) -> int:
-    """Order of the general linear group GL(n, p)."""
-    out = 1
-    for i in range(n):
-        out *= p**n - p**i
-    return out
 
 
 SUBSPACE_CHUNK = 256

@@ -41,7 +41,6 @@ from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field, Scalar
 from .linalg import (
     SUBSPACE_CHUNK,
-    LinalgError,
     Subspace,
     _Echelon,
     enumerate_subspaces,
@@ -439,11 +438,9 @@ def _coordinate_batches(n: int):
 @lru_cache(maxsize=8)
 def _nonzero_grid(pt: PairingTriple):
     """All nonzero vectors of V (lexicographic), their index map, and the
-    boolean grid nz[ix][iy] = (q(x, y) != 0)."""
-    f = pt.field
-    if not f.is_prime_field:
-        raise LinalgError("non-enumerable field: vector enumeration needs a prime field")
-    p = f.characteristic
+    boolean grid nz[ix][iy] = (q(x, y) != 0).  The field must be prime, as
+    the basis enumeration that runs first has checked."""
+    p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
     vecs = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     index = {v: k for k, v in enumerate(vecs)}
@@ -474,9 +471,8 @@ def _nonzero_grid(pt: PairingTriple):
 
 
 @lru_cache(maxsize=None)
-def _all_unordered_bases(n: int, field: Field) -> tuple:
-    unlimited = Budgets(basis_dim=n)
-    return tuple(enumerate_unordered_bases(n, field, unlimited))
+def _all_unordered_bases(n: int, field: Field, budgets: Budgets) -> tuple:
+    return tuple(enumerate_unordered_bases(n, field, budgets))
 
 
 def q_valence_coordinate(t) -> int:
@@ -508,21 +504,18 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     n = pt.dim_v
     if n == 0:
         return 0
-    if not pt.field.is_prime_field:
-        raise LinalgError("non-enumerable field: q-valence oracle needs a prime field")
-    cap = budgets.basis_cap(pt.field)
-    if n > cap:
+    try:
+        bases = _all_unordered_bases(n, pt.field, budgets)
+    except BudgetError as err:
         raise BudgetError(
-            f"unordered-basis enumeration over {pt.field.name} is capped at dimension {cap} "
-            f"(requested {n}; raise with --budget-bases or use the coordinate upper bound)"
-        )
+            f"{err}; the coordinate upper bound is exact for cup-product triples"
+        ) from None
     best = q_valence_coordinate(pt)
     if best == 0:
         return 0
     vecs, index, grid = _nonzero_grid(pt)
     # dim q_s(V) is rank R_F for F the line through s, whose echelon basis is (s,)
     rank_lb = _rank_kernel(pt)([[s] for s in vecs])[0].tolist()
-    bases = _all_unordered_bases(n, pt.field)
     base_ix = [tuple(index[v] for v in basis) for basis in bases]
     for s_ixs in base_ix:
         if max(rank_lb[i] for i in s_ixs) >= best:

@@ -36,6 +36,7 @@ def test_gen_then_graph_h(tmp_path):
     assert json.loads(res.stdout) == {
         "h": "1",
         "minimizer": ["v0", "v1"],
+        "subsets_visited": 10,
     }
 
 

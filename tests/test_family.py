@@ -74,6 +74,16 @@ def test_exact_mode_falls_back_to_spectral_past_budget():
     assert "fallback" in report.entries[1].note
 
 
+def test_csv_spectral_bounds_parse_back_exactly():
+    # a rounded lower bound can print above the computed one
+    report = graph_family_report([path(200)], mode="spectral")
+    entry = report.entries[0]
+    cell = report.to_csv().splitlines()[1].split(",")[5]
+    lower, upper = cell.strip("[]").split(";")
+    assert float(lower) == entry.cheeger_lower
+    assert float(upper) == entry.cheeger_upper
+
+
 def test_triple_report_matches_graph_values():
     graphs = [path(3), path(4), path(5)]
     triples = [build_triple(g, GF2) for g in graphs]

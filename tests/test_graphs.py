@@ -167,10 +167,13 @@ def test_valence_and_connectivity_basics():
 
 
 def test_lambda2_matches_closed_forms():
-    # cycles: 2 - 2cos(2 pi / n); complete: n; stars: 1
-    for n in (3, 4, 6, 12):
+    # paths: 2 - 2cos(pi / n); cycles: 2 - 2cos(2 pi / n); complete: n; stars: 1
+    for n in (50, 120, 200):
+        lam = laplacian_second_eigenvalue(path(n))
+        assert lam == pytest.approx(2 - 2 * math.cos(math.pi / n), rel=1e-9)
+    for n in (3, 4, 6, 12, 60, 120, 240):
         lam = laplacian_second_eigenvalue(cycle(n))
-        assert lam == pytest.approx(2 - 2 * math.cos(2 * math.pi / n), abs=1e-6)
+        assert lam == pytest.approx(2 - 2 * math.cos(2 * math.pi / n), rel=1e-9)
     for n in (2, 4, 7):
         assert laplacian_second_eigenvalue(complete(n)) == pytest.approx(n, abs=1e-6)
     for k in (3, 5):
