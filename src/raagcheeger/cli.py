@@ -64,11 +64,12 @@ class RunConfig:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    budgets = Budgets(
-        subset_vertices=args.budget_subsets if args.budget_subsets is not None else 24,
-        subspace_dim=args.budget_subspaces,
-        basis_dim=args.budget_bases,
-    )
+    given = {
+        "subset_vertices": args.budget_subsets,
+        "subspace_dim": args.budget_subspaces,
+        "basis_dim": args.budget_bases,
+    }
+    budgets = Budgets(**{name: cap for name, cap in given.items() if cap is not None})
     return RunConfig(
         command=args.command,
         inputs=tuple(getattr(args, "input", None) or ()),

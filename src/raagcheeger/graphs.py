@@ -9,10 +9,11 @@ validated against the parent graph by every operation that takes one.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -204,10 +205,28 @@ def cheeger_graph_exact(
 ) -> GraphCheegerResult:
     """Exact minimum of |boundary(A)|/|A| over nonempty A with 2|A| <= n.
 
-    Brute force over all admissible subsets, sizes ascending and index
-    combinations lexicographic, reporting the first minimizer in that order.
-    Zero is a global minimum, so the scan stops at the first disconnection
-    witness.
+    Meet in the middle: the vertices split into a low part [0, s) and a high
+    part [s, n), with s = max(n // 2, min(n, LOW_PART_MIN)).  For each
+    popcount i, a table of the i-subsets of a part holds their masks and
+    their closed neighbourhoods N[A] (A and its neighbours, as a mask), in
+    lexicographic order, built when a size first needs it.  A k-subset is a
+    low i-subset joined to a high (k - i)-subset, its closed neighbourhood
+    is the OR of theirs, and its boundary is popcount(N[A]) - k, computed by
+    numpy broadcasting over blocks of at most SUBSET_CHUNK subsets.
+
+    The result is the first minimizer in (size, lexicographic) order, reached
+    without visiting subsets in that order.  Per size, the least boundary
+    b_k is kept with its lexicographically first subset: within one split
+    the row-major order of the low x high grid is lexicographic, so the
+    first argmin is the first minimizer there, and across splits the index
+    tuples are compared.  Across sizes, b_k / k must be strictly smaller to
+    replace the best.  Zero is a global minimum, so the scan stops after the
+    first size with a zero; ``subsets_visited`` then counts the subsets up
+    to the minimizer in (size, lexicographic) order: every k-subset of a
+    size up to the minimizer's, less those after it in lexicographic order,
+    which number sum_t C(n - 1 - c_t, k - t) for its sorted indices c_t,
+    t = 0..k-1.  Without a zero every admissible subset is visited.  Masks
+    are int64 below 64 vertices and Python ints in object arrays from 64 on.
     """
     n = graph.n_vertices
     if n < 2:
@@ -219,31 +238,111 @@ def cheeger_graph_exact(
             f"exact subset enumeration capped at {budgets.subset_vertices} vertices "
             f"(requested {n}; raise with --budget-subsets or use spectral bounds)"
         )
-    adj_masks = []
-    for v in graph.vertices:
-        m = 0
-        for w in graph.adjacency[v]:
-            m |= 1 << graph.index[w]
-        adj_masks.append(m)
-    best: Fraction | None = None
-    best_set: tuple[str, ...] = ()
+    index = graph.index
+    closed = [
+        sum(1 << index[w] for w in graph.adjacency[v]) | 1 << index[v] for v in graph.vertices
+    ]
+    dtype = np.int64 if n < 64 else object
+    s = max(n // 2, min(n, LOW_PART_MIN))
+    low = _subset_tables(range(s), closed, dtype)
+    high = _subset_tables(range(s, n), closed, dtype)
+    best_b, best_k, best_combo = 1, 0, ()  # 1/0 stands for no subset yet
     visited = 0
-    for size in range(1, n // 2 + 1):
-        for combo in itertools.combinations(range(n), size):
-            visited += 1
-            mask = 0
-            nb = 0
-            for i in combo:
-                mask |= 1 << i
-                nb |= adj_masks[i]
-            h = Fraction((nb & ~mask).bit_count(), size)
-            if best is None or h < best:
-                best = h
-                best_set = tuple(graph.vertices[i] for i in combo)
-                if not h:
-                    return GraphCheegerResult(best, best_set, visited)
-    assert best is not None
-    return GraphCheegerResult(best, best_set, visited)
+    for k in range(1, n // 2 + 1):
+        b, combo = _least_boundary(k, low, high, s, n)
+        if b * best_k < best_b * k:
+            best_b, best_k, best_combo = b, k, combo
+        visited += math.comb(n, k)
+        if not b:
+            visited -= sum(math.comb(n - 1 - c, k - t) for t, c in enumerate(combo))
+            break
+    return GraphCheegerResult(
+        Fraction(best_b, best_k), tuple(graph.vertices[i] for i in best_combo), visited
+    )
+
+
+# Subsets per broadcast block of the exact scan: a block is a run of rows of
+# the low x high grid, or a run of columns within one row.
+SUBSET_CHUNK = 4096
+# Fewest vertices in the low part of the exact scan (all of a smaller graph):
+# a graph of up to 12 vertices scans one split per size, which keeps the
+# numpy calls per graph few, and from 24 vertices on the parts are halves.
+LOW_PART_MIN = 12
+
+
+def _subset_tables(verts: range, closed: list[int], dtype):
+    """A function of i giving the i-subsets of ``verts`` as an array
+    (2, C(len(verts), i)) of their masks (row 0) and closed neighbourhoods
+    (row 1), in the lexicographic order of their index tuples; each table
+    is built from the one before when first asked for."""
+    members = np.array([[1 << v for v in verts], [closed[v] for v in verts]], dtype)
+    groups = [np.zeros((2, 1), dtype)]
+
+    def group(i: int) -> np.ndarray:
+        while len(groups) <= i:
+            parent, last = _extensions(len(verts), len(groups))
+            # take, unlike [:, index], returns C-contiguous rows
+            groups.append(groups[-1].take(parent, axis=1) | members.take(last, axis=1))
+        return groups[i]
+
+    return group
+
+
+@lru_cache(maxsize=None)
+def _extensions(h: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographic i-subsets of range(h) as extensions of the
+    (i - 1)-subsets: subset t is (i - 1)-subset parent[t] plus member
+    last[t], larger than all of that subset's members.  Extending each
+    (i - 1)-subset in lexicographic order by each larger member in turn,
+    which is the row-major order of nonzero(), lists the i-subsets in
+    lexicographic order."""
+    prev_last = _extensions(h, i - 1)[1] if i > 1 else np.array([-1])
+    return np.nonzero(prev_last[:, None] < np.arange(h))
+
+
+def _least_boundary(k: int, low, high, s: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """The least boundary over k-subsets and the lexicographically first
+    k-subset, as sorted indices, that attains it.  Per split, blocks of the
+    low x high grid are scanned in row-major order and the first argmin of
+    |N[A]| is kept; |N[A]| = k, an empty boundary, ends the split."""
+    best = (n + 1, ())
+    for i in range(max(0, k - (n - s)), min(k, s) + 1):
+        lo, hi = low(i), high(k - i)
+        width = hi.shape[1]
+        rows, cols = max(1, SUBSET_CHUNK // width), min(width, SUBSET_CHUNK)
+        least = n + 1
+        for r, c in itertools.product(range(0, lo.shape[1], rows), range(0, width, cols)):
+            sizes = _popcount(lo[1, r : r + rows, None] | hi[1, c : c + cols], n)
+            at = sizes.argmin()
+            if sizes.flat[at] < least:
+                least = int(sizes.flat[at])
+                row, col = divmod(int(at), sizes.shape[1])
+                mask = int(lo[0, r + row]) | int(hi[0, c + col])
+                if least == k:
+                    break
+        best = min(best, (least - k, tuple(v for v in range(n) if mask >> v & 1)))
+    return best
+
+
+def _popcount(x: np.ndarray, n: int) -> np.ndarray:
+    """Entrywise popcount of nonnegative masks of at most n bits: lookups of
+    12 bits at a time on int64, int.bit_count on object arrays."""
+    if x.dtype == object:
+        return np.frompyfunc(int.bit_count, 1, 1)(x)
+    table = _popcount_table()
+    if n <= 12:
+        return table[x]
+    counts = table[x & 0xFFF]
+    for shift in range(12, n, 12):
+        counts += table[(x >> shift) & 0xFFF]
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _popcount_table() -> np.ndarray:
+    """Popcounts of 0..4095, as sums over their three 4-bit digits."""
+    digit = np.array([bin(v).count("1") for v in range(16)], np.uint8)
+    return np.add.outer(np.add.outer(digit, digit), digit).ravel()
 
 
 def max_valence(graph: SimplicialGraph) -> int:

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,10 @@ from raagcheeger import (
     spectral_cheeger_bounds,
     star,
 )
+from raagcheeger import graphs
 from raagcheeger.graphs import laplacian_second_eigenvalue
+
+from graph_subset_oracle import cheeger_by_subset_loop
 
 
 def abc_path():
@@ -142,6 +147,110 @@ def test_cheeger_invariant_under_relabeling():
         h1 = cheeger_graph_exact(g).value
         h2 = cheeger_graph_exact(g.relabeled(dict(zip(g.vertices, names)))).value
         assert h1 == h2
+
+
+def _outcome(res):
+    return res.value, res.minimizer, res.subsets_visited
+
+
+def _components_graph(sizes, rng, extra=0.3):
+    """A graph whose components have the given sizes, each a random spanning
+    tree plus random extra edges, on shuffled labels v0..v{n-1}."""
+    n = sum(sizes)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges, start = set(), 0
+    for size in sizes:
+        part = order[start : start + size]
+        start += size
+        for t in range(1, size):
+            edges.add(tuple(sorted((part[rng.randrange(t)], part[t]))))
+        edges.update(e for e in itertools.combinations(sorted(part), 2) if rng.random() < extra)
+    return _indexed_graph(n, edges)
+
+
+def _indexed_graph(n, edges):
+    return SimplicialGraph.of([f"v{i}" for i in range(n)], [(f"v{a}", f"v{b}") for a, b in sorted(edges)])
+
+
+def _cycle_beside(n, component, component_edges, rng=None):
+    """A component beside a cycle through every other vertex of range(n),
+    plus n random chords of that cycle when ``rng`` is given."""
+    rest = [v for v in range(n) if v not in component]
+    edges = {tuple(sorted((rest[i - 1], rest[i]))) for i in range(len(rest))}
+    if rng is not None:
+        edges.update(tuple(sorted(rng.sample(rest, 2))) for _ in range(n))
+    return _indexed_graph(n, edges | set(component_edges))
+
+
+def test_exact_scan_matches_subset_loop_on_every_small_graph():
+    for n in range(2, 6):
+        for g in labeled_graphs(n):
+            assert _outcome(cheeger_graph_exact(g)) == _outcome(cheeger_by_subset_loop(g)), g
+
+
+def test_exact_scan_matches_subset_loop_on_a_seeded_sample():
+    rng = random.Random(2024)
+    sample = []
+    for n in range(6, 17):
+        sample.append(_components_graph([n], rng))
+        low = rng.randint(2, n // 2)
+        sample.append(_components_graph([low, n - low], rng))
+        if n >= 9:
+            sample.append(_components_graph([3, 3, n - 6], rng, extra=0.5))
+        pairs = itertools.combinations(range(n), 2)
+        sample.append(_indexed_graph(n, [e for e in pairs if rng.random() < 0.2]))
+    zero_past_singletons = 0
+    for g in sample:
+        res = cheeger_graph_exact(g)
+        assert _outcome(res) == _outcome(cheeger_by_subset_loop(g)), g
+        zero_past_singletons += res.value == 0 and len(res.minimizer) > 1
+    assert zero_past_singletons >= 10
+    assert any(g.n_vertices % 2 for g in sample)
+    for n in (18, 20):
+        g = random_regular(n, 3, seed=n)
+        assert _outcome(cheeger_graph_exact(g)) == _outcome(cheeger_by_subset_loop(g))
+
+
+def test_exact_scan_matches_subset_loop_across_chunk_boundaries(monkeypatch):
+    rng = random.Random(7)
+    cases = [
+        # the only zero of size 2 is {v0, v7}, rank 6: last of a 7-block
+        _cycle_beside(8, (0, 7), [(0, 7)]),
+        # the only zero of size 2 is {v1, v2}, rank 7: first of a 7-block
+        _cycle_beside(8, (1, 2), [(1, 2)]),
+        # 16 vertices: a zero inside the high part [12, 16) and one across
+        _cycle_beside(16, (13, 15), [(13, 15)]),
+        _cycle_beside(16, (3, 14), [(3, 14)]),
+        path(8), cycle(9), star(10), path(14), cycle(15),
+        random_regular(14, 3, seed=1), random_regular(16, 3, seed=2),
+        _components_graph([2, 14], rng), _components_graph([3, 13], rng),
+    ]
+    expected = [_outcome(cheeger_by_subset_loop(g)) for g in cases]
+    assert [out[2] for out in expected[:2]] == [8 + 6 + 1, 8 + 7 + 1]
+    assert {out[0] for out in expected} >= {0, Fraction(1, 4)}
+    for chunk in (1, 7, graphs.SUBSET_CHUNK):
+        monkeypatch.setattr(graphs, "SUBSET_CHUNK", chunk)
+        for g, want in zip(cases, expected):
+            assert _outcome(cheeger_graph_exact(g)) == want, (chunk, g)
+
+
+def test_exact_scan_on_graphs_wider_than_64_bits():
+    # a zero at a small size must end the scan before any large subset table
+    # is built, and masks past bit 63 must stay exact
+    rng = random.Random(11)
+    cases = [
+        _cycle_beside(64, (63,), [], rng),  # an isolated vertex at bit 63
+        _cycle_beside(64, (40, 62), [(40, 62)], rng),
+        _cycle_beside(70, (20, 66, 69), [(20, 66), (66, 69)], rng),
+    ]
+    for g in cases:
+        start = time.perf_counter()
+        res = cheeger_graph_exact(g, Budgets(subset_vertices=70))
+        elapsed = time.perf_counter() - start
+        assert _outcome(res) == _outcome(cheeger_by_subset_loop(g))
+        assert res.value == 0
+        assert elapsed < 1.0
 
 
 def test_boundary_disjoint_from_subset():
