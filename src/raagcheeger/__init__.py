@@ -2,7 +2,7 @@
 cup-product pairing triples of their right-angled Artin groups, with
 exhaustive oracles that machine-verify the dictionary between the two."""
 
-from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
+from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets, gaussian_binomial
 from .fields import GF2, GF3, GF5, QQ, Field, FieldError
 from .graphs import (
     CheegerUndefinedError,
@@ -29,8 +29,6 @@ from .linalg import (
     LinalgError,
     Subspace,
     enumerate_subspaces,
-    enumerate_unordered_bases,
-    gaussian_binomial,
     subspace_intersection,
 )
 from .pairing import (

@@ -1,5 +1,5 @@
-"""Exact subspaces over a field, plus the enumeration streams
-used by the brute-force oracles.
+"""Exact subspaces over a field, plus the subspace enumeration stream used
+by the brute-force oracles.
 
 Subspaces are canonicalized by the reduced row echelon form of their row
 space, so equality, hashing and deduplication are structural and the
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 
 
@@ -176,17 +176,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.field, n, tuple(tuple(v) for v in vectors))
 
 
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional space over GF(p)."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (k - i) - 1
-    return num // den
-
-
 SUBSPACE_CHUNK = 256
 """Most subspaces in one batch of :func:`enumerate_subspaces`.  Enough to
 spread numpy's per-call cost thin, few enough that the rank matrices of a
@@ -207,17 +196,14 @@ def enumerate_subspaces(
     ascending, then pivot-column sets in lexicographic order, then all
     fillings of the free entries in lexicographic order.  A batch holds
     consecutive subspaces of one dimension and may span several pivot sets.
+    Past the budgets (see :meth:`Budgets.check_subspaces`) the first ``next``
+    raises :class:`BudgetError` before any work.
     """
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
-    cap = budgets.subspace_cap(field)
-    if ambient_dim > cap:
-        raise BudgetError(
-            f"subspace enumeration over {field.name} is capped at ambient dimension {cap} "
-            f"(requested {ambient_dim}; raise with --budget-subspaces)"
-        )
     n = ambient_dim
     dims = sorted(set(dims))
+    budgets.check_subspaces(field, n, dims)
     for k in dims:
         if k < 0 or k > n:
             raise LinalgError(f"requested dimension {k} outside [0, {n}]")
@@ -253,36 +239,3 @@ def enumerate_subspaces(
                     pending, count = [], 0
         if pending:
             yield k, np.concatenate(pending)
-
-
-def enumerate_unordered_bases(
-    n: int,
-    field: Field,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> Iterator[tuple[tuple[Scalar, ...], ...]]:
-    """Stream every unordered basis of L^n exactly once, as a sorted tuple of vectors.
-
-    There are |GL(n, p)| / n! of them, which is why the budget cap is tight.
-    """
-    if not field.is_prime_field:
-        raise LinalgError("non-enumerable field: basis enumeration needs a prime field")
-    cap = budgets.basis_cap(field)
-    if n > cap:
-        raise BudgetError(
-            f"unordered-basis enumeration over {field.name} is capped at dimension {cap} "
-            f"(requested {n}; raise with --budget-bases)"
-        )
-    if n == 0:
-        yield ()
-        return
-    p = field.characteristic
-    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    for combo in itertools.combinations(vectors, n):
-        ech = _Echelon(field, n)
-        independent = True
-        for v in combo:
-            if not ech.insert(v):
-                independent = False
-                break
-        if independent:
-            yield combo

@@ -2,9 +2,10 @@
 constants, q-valence, pairing-connectedness, and the pivot augmentation.
 
 Every mini-max invariant comes in two flavors that are never silently
-substituted for one another: an exhaustive oracle that enumerates the whole
-search space (subspaces, unordered basis pairs) and, where a distinguished
-basis makes it legitimate, a coordinate fast path restricted to that basis.
+substituted for one another: an exhaustive oracle that covers the whole
+search space (every subspace; for q-valence, every basis against every
+hyperplane) and, where a distinguished basis makes it legitimate, a
+coordinate fast path restricted to that basis.
 Verification code compares them explicitly.
 
 One rank kernel serves every subspace Cheeger computation:
@@ -39,13 +40,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field, Scalar
-from .linalg import (
-    SUBSPACE_CHUNK,
-    Subspace,
-    _Echelon,
-    enumerate_subspaces,
-    enumerate_unordered_bases,
-)
+from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, _Echelon, enumerate_subspaces
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -435,44 +430,35 @@ def _coordinate_batches(n: int):
 # -- q-valence ---------------------------------------------------------------
 
 
+QVALENCE_CHUNK_BYTES = 1 << 18
+"""Size of the largest temporary of the q-valence min-max, in one-byte
+entries: the combinations tested for independence and the bases scanned
+per numpy step are chunked to stay within it."""
+
+
 @lru_cache(maxsize=8)
-def _nonzero_grid(pt: PairingTriple):
-    """All nonzero vectors of V (lexicographic), their index map, and the
-    boolean grid nz[ix][iy] = (q(x, y) != 0).  The field must be prime, as
-    the basis enumeration that runs first has checked."""
-    p = pt.field.characteristic
-    n, m = pt.dim_v, pt.dim_w
-    vecs = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    index = {v: k for k, v in enumerate(vecs)}
-    # images[i][iy] = q(b_i, y)
-    images = []
-    for i in range(n):
-        row_i = pt.tensor[i]
-        per = []
-        for y in vecs:
-            acc = [0] * m
-            for j, yj in enumerate(y):
-                if yj:
-                    w = row_i[j]
-                    acc = [(a + yj * b) % p for a, b in zip(acc, w)]
-            per.append(acc)
-        images.append(per)
-    grid = []
-    for x in vecs:
-        support = [(i, xi) for i, xi in enumerate(x) if xi]
-        out = []
-        for iy in range(len(vecs)):
-            acc = [0] * m
-            for i, xi in support:
-                acc = [(a + xi * b) % p for a, b in zip(acc, images[i][iy])]
-            out.append(any(acc))
-        grid.append(out)
-    return vecs, index, grid
-
-
-@lru_cache(maxsize=None)
-def _all_unordered_bases(n: int, field: Field, budgets: Budgets) -> tuple:
-    return tuple(enumerate_unordered_bases(n, field, budgets))
+def _projective_frame(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, outside, bases) for GF(p)^n: the projective points, the
+    vectors whose first nonzero entry is 1; outside[h, x] = (h . x != 0),
+    reading point h as the normal of a hyperplane; and every projective basis
+    as a row of n point indices, the n-subsets no hyperplane holds.
+    """
+    grid = np.indices((p,) * n).reshape(n, -1).T
+    points = grid[grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)] == 1]
+    outside = points @ points.T % p != 0
+    combos = itertools.combinations(range(len(points)), n)
+    step = max(1, QVALENCE_CHUNK_BYTES // (len(points) * n))
+    bases = []
+    while True:
+        chunk = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, step)), dtype=np.intp
+        ).reshape(-1, n)
+        if not len(chunk):
+            break
+        # outside is symmetric, so outside[chunk.T][j, c, h] says point j of
+        # combination c lies off hyperplane h
+        bases.append(chunk[outside[chunk.T].any(axis=0).all(axis=1)])
+    return points, outside, np.concatenate(bases)
 
 
 def q_valence_coordinate(t) -> int:
@@ -494,50 +480,52 @@ def q_valence_coordinate(t) -> int:
 def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """min over unordered bases S and B of max_{s in S} #{b in B : q(s, b) != 0}.
 
-    Branch-and-bound: the count for s against any basis B is at least
-    dim q_s(V), because {q(s, b) : b in B} spans the image of q_s; a basis S
-    whose rank lower bound already meets the best-so-far cannot improve it.
-    The best-so-far starts at the coordinate value, which is itself a member
-    of the search space.
+    With w_B(x) = #{b in B : q(x, b) != 0}, this is computed as
+    min_B max_H min_{x not in H} w_B(x) over hyperplanes H, because for each
+    B, min_S max_{s in S} w_B(s) = max_H min_{x not in H} w_B(x):
+
+    - the set {x : w_B(x) <= t} spans V exactly when it lies in no hyperplane;
+    - every basis S meets the complement of every hyperplane.
+
+    Scaling a vector changes neither w_B nor the basis property, so x, the
+    vectors of B and the normals of H all range over projective points.
+    Every step is a numpy reduction over chunks of at most
+    :data:`QVALENCE_CHUNK_BYTES` entries.  Refuses over non-prime fields and
+    past the basis budgets (see :meth:`Budgets.check_bases`) before any work.
     """
     pt = _pairing(t)
-    n = pt.dim_v
+    n, m = pt.dim_v, pt.dim_w
     if n == 0:
         return 0
+    if not pt.field.is_prime_field:
+        raise LinalgError("non-enumerable field: basis enumeration needs a prime field")
     try:
-        bases = _all_unordered_bases(n, pt.field, budgets)
+        budgets.check_bases(pt.field, n)
     except BudgetError as err:
         raise BudgetError(
             f"{err}; the coordinate upper bound is exact for cup-product triples"
         ) from None
-    best = q_valence_coordinate(pt)
-    if best == 0:
+    if m == 0:
         return 0
-    vecs, index, grid = _nonzero_grid(pt)
-    # dim q_s(V) is rank R_F for F the line through s, whose echelon basis is (s,)
-    rank_lb = _rank_kernel(pt)([[s] for s in vecs])[0].tolist()
-    base_ix = [tuple(index[v] for v in basis) for basis in bases]
-    for s_ixs in base_ix:
-        if max(rank_lb[i] for i in s_ixs) >= best:
-            continue
-        s_rows = [grid[i] for i in s_ixs]
-        for b_ixs in base_ix:
-            cur = 0
-            pruned = False
-            for row in s_rows:
-                count = 0
-                for b in b_ixs:
-                    if row[b]:
-                        count += 1
-                if count > cur:
-                    cur = count
-                    if cur >= best:
-                        pruned = True
-                        break
-            if not pruned and cur < best:
-                best = cur
-                if best == 0:
-                    return 0
+    p = pt.field.characteristic
+    points, outside, bases = _projective_frame(n, p)
+    # images[x, e, j] = q(x, b_j)_e, then pairs[x, y] = (q(x, y) != 0); sums
+    # stay below n * p^2, within int64 whenever the p^n points fit in memory
+    table = np.array(pt.tensor, dtype=np.int64).reshape(n, n * m)
+    images = (points @ table % p).reshape(-1, n, m).transpose(0, 2, 1)
+    pairs = (images @ points.T % p).any(axis=1)
+    # on[x, h] is all ones where point x lies on hyperplane h and 0 off it;
+    # no weight exceeds n < 255, so OR-ing it in hides exactly the points on h
+    on = np.where(outside, 0, 255).astype(np.uint8)
+    best = n
+    step = max(1, QVALENCE_CHUNK_BYTES // outside.size)
+    for start in range(0, len(bases), step):
+        # weights[x, c] = w_B(x) for the c-th basis B of the chunk
+        weights = pairs[:, bases[start : start + step]].sum(axis=2, dtype=np.uint8)
+        least_off = (weights[:, None, :] | on[:, :, None]).min(axis=0)
+        best = min(best, int(least_off.max(axis=0).min()))
+        if not best:
+            break
     return best
 
 

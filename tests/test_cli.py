@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from raagcheeger import GF2, SimplicialGraph, build_triple, cheeger_constant_exhaustive, cycle, path
+from raagcheeger import GF2, Field, SimplicialGraph, build_triple, cheeger_constant_exhaustive, cycle, path
 from raagcheeger.cli import main
 from raagcheeger.family import VerificationRecord
 
@@ -157,6 +157,24 @@ def test_budget_exceedance_names_flag(tmp_path):
     res = run_cli("graph-h", "--input", str(f), "--budget-subsets", "6")
     assert res.returncode == 2
     assert "--budget-subsets" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, size, flag",
+    [("qvalence", 2, "--budget-bases"), ("triple-h", 4, "--budget-subspaces")],
+)
+def test_large_prime_is_refused_at_once(tmp_path, command, size, flag):
+    # over GF(1000003) the default dimension caps admit both inputs, but the
+    # basis or subspace count is astronomical; the count cap refuses it
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(build_triple(path(size), Field.gf(1_000_003)).to_json_dict()))
+    res = subprocess.run(
+        [sys.executable, "-m", "raagcheeger", command, "--input", str(f), "--method", "exhaustive"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert res.returncode == 2
+    assert flag in res.stderr and "past the default cap" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_missing_input_is_usage_error():

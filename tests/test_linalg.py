@@ -18,11 +18,11 @@ from raagcheeger import (
     LinalgError,
     Subspace,
     enumerate_subspaces,
-    enumerate_unordered_bases,
     gaussian_binomial,
     subspace_intersection,
 )
 
+from qvalence_oracle import enumerate_unordered_bases
 from subspace_stream import canonical_order, subspaces
 
 
@@ -243,6 +243,20 @@ def test_enumeration_budget_errors_name_the_flag():
         next(enumerate_subspaces(9, [1], GF2))
     with pytest.raises(BudgetError, match="--budget-bases"):
         next(enumerate_unordered_bases(5, GF2))
+
+
+def test_subspace_count_cap_refuses_large_primes_at_once():
+    # GF(2)^8 up to dimension 4 is the largest scan the default caps admit;
+    # one more dimension, or a large prime at n = 4, is refused by its count
+    assert next(enumerate_subspaces(8, range(1, 5), GF2))[0] == 1
+    with pytest.raises(BudgetError, match="417199 subspaces.*--budget-subspaces"):
+        next(enumerate_subspaces(8, range(9), GF2))
+    p = 1_000_003
+    count = gaussian_binomial(4, 1, p) + gaussian_binomial(4, 2, p)
+    with pytest.raises(BudgetError, match=f"{count} subspaces"):
+        next(enumerate_subspaces(4, [1, 2], Field.gf(p)))
+    # an explicit dimension cap replaces the count cap
+    assert next(enumerate_subspaces(8, range(9), GF2, Budgets(subspace_dim=8)))[0] == 0
 
 
 def test_unordered_basis_counts():

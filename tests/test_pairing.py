@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from raagcheeger import (
     GF3,
     GF5,
     QQ,
+    DEFAULT_BUDGETS,
     BudgetError,
     Budgets,
     Field,
+    LinalgError,
     PairingError,
     PairingTriple,
     SimplicialGraph,
@@ -42,6 +45,7 @@ from raagcheeger import (
 )
 
 from decomposition_oracle import pairing_connected_by_decomposition
+from qvalence_oracle import q_valence_by_basis_pairs
 from subspace_stream import canonical_order, subspaces as subspace_stream
 
 
@@ -358,7 +362,8 @@ def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
 def test_kernel_with_zero_dimensional_w():
     # dim W = 0: R_F has no rows, every h_F is 0 and both scans stop at once;
     # over GF(2^61 - 1) the first pivot set already has p^3 >= 2^63 fills,
-    # which the stream counts in Python ints
+    # which the stream counts in Python ints.  The default budgets refuse that
+    # field by its subspace count, so it runs under an explicit dimension cap
     for field in (GF2, GF3, QQ, Field.gf(2**61 - 1)):
         t = build_triple(edgeless(4), field)
         first = Subspace.from_vectors(field, 4, [[1, 0, 0, 0]])
@@ -366,9 +371,12 @@ def test_kernel_with_zero_dimensional_w():
         assert (rep.value, rep.minimizer, rep.subspaces_visited) == (0, first, 1)
         assert cheeger_of_subspace(t, span(field, 4, (1, 1, 0, 0), (0, 0, 1, 2))) == 0
         if field.is_prime_field:
-            rep = cheeger_constant_exhaustive(t)
+            budgets = Budgets(subspace_dim=4) if field.characteristic > 3 else DEFAULT_BUDGETS
+            rep = cheeger_constant_exhaustive(t, budgets)
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == (0, first, 1)
-            assert not is_pairing_connected_exhaustive(t)
+            assert not is_pairing_connected_exhaustive(t, budgets)
+    with pytest.raises(BudgetError, match="subspaces, past the default cap"):
+        cheeger_constant_exhaustive(build_triple(edgeless(4), Field.gf(2**61 - 1)))
 
 
 @pytest.mark.parametrize("p", [13, 101, 1_073_741_789, 2**31 - 1, 2**61 - 1])
@@ -433,6 +441,91 @@ def test_q_valence_exhaustive_gf3():
         from raagcheeger import max_valence
 
         assert q_valence_exhaustive(t) == max_valence(g)
+
+
+def _seeded_triples():
+    rng = random.Random(2024)
+    for field, dims in ((GF2, (2, 3, 4)), (GF3, (2, 3)), (GF5, (2,))):
+        for n in dims:
+            for m in range(4):
+                for symmetry in ("symmetric", "antisymmetric"):
+                    for _ in range(2):
+                        yield random_triple(n, m, field, rng.randrange(2**32), symmetry)
+
+
+def test_q_valence_min_max_matches_basis_pair_oracle():
+    triples = list(_seeded_triples())
+    triples += [augment_triple(build_triple(g, GF3), 0) for g in (path(3), complete(3))]
+    assert len(triples) >= 64
+    got = [q_valence_exhaustive(t) for t in triples]
+    assert got == [q_valence_by_basis_pairs(t) for t in triples]
+    assert set(got) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("field, most", [(GF2, 4), (GF3, 3)], ids=["gf2", "gf3"])
+def test_q_valence_min_max_matches_oracle_on_small_graphs(field, most):
+    for n in range(1, most + 1):
+        for g in labeled_graphs(n):
+            t = build_triple(g, field)
+            assert q_valence_exhaustive(t) == q_valence_by_basis_pairs(t), g.edges
+
+
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_q_valence_min_max_is_chunk_invariant(monkeypatch, chunk):
+    # with tiny chunks the independence test and the scan each take many steps
+    triples = [t for t in _seeded_triples() if t.dim_v >= 3][::3]
+    expected = [q_valence_exhaustive(t) for t in triples]
+    monkeypatch.setattr(pairing, "QVALENCE_CHUNK_BYTES", chunk)
+    pairing._projective_frame.cache_clear()
+    try:
+        assert [q_valence_exhaustive(t) for t in triples] == expected
+    finally:
+        pairing._projective_frame.cache_clear()
+
+
+def test_q_valence_gf2_dim5_in_seconds():
+    # 3 is the value of one run of the basis-pair oracle, which takes about 15 s
+    t = random_triple(5, 3, GF2, 2024)
+    pairing._projective_frame.cache_clear()
+    start = time.perf_counter()
+    assert q_valence_exhaustive(t, Budgets(basis_dim=5)) == 3
+    assert time.perf_counter() - start < 2
+
+
+def test_q_valence_work_cap():
+    # |GL(2, 11)| / 2! = 6600 unordered bases pass the default cap and
+    # |GL(2, 13)| / 2! = 13104 do not; an explicit dimension cap replaces it
+    assert q_valence_exhaustive(build_triple(path(2), Field.gf(11))) == 1
+    t = build_triple(path(2), Field.gf(13))
+    with pytest.raises(BudgetError, match=r"13104 bases.*--budget-bases.*coordinate"):
+        q_valence_exhaustive(t)
+    assert q_valence_exhaustive(t, Budgets(basis_dim=2)) == 1
+
+
+def test_q_valence_refuses_a_large_prime_at_once():
+    p = 1_000_003
+    t = build_triple(path(2), Field.gf(p))
+    count = (p**2 - 1) * (p**2 - p) // 2
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"{count} bases"):
+        q_valence_exhaustive(t)
+    assert time.perf_counter() - start < 1
+
+
+def test_q_valence_refusal_messages():
+    with pytest.raises(LinalgError, match="^non-enumerable field: basis enumeration needs a prime field$"):
+        q_valence_exhaustive(build_triple(path(2), QQ))
+    with pytest.raises(BudgetError) as err:
+        q_valence_exhaustive(build_triple(cycle(5), GF2))
+    assert str(err.value) == (
+        "unordered-basis enumeration over gf2 is capped at dimension 4 "
+        "(requested 5; raise with --budget-bases); "
+        "the coordinate upper bound is exact for cup-product triples"
+    )
+    # dim W = 0 answers 0, but only inside the budget
+    assert q_valence_exhaustive(build_triple(edgeless(4), GF2)) == 0
+    with pytest.raises(BudgetError):
+        q_valence_exhaustive(build_triple(edgeless(5), GF2))
 
 
 # -- pairing-connectedness --------------------------------------------------------------
