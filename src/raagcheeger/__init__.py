@@ -25,24 +25,17 @@ from .graphs import (
     spectral_cheeger_bounds,
     star,
 )
-from .linalg import (
-    LinalgError,
-    Subspace,
-    enumerate_subspaces,
-    subspace_intersection,
-)
+from .linalg import LinalgError, Subspace, enumerate_subspaces
 from .pairing import (
     CheegerReport,
     PairingError,
     PairingTriple,
-    apply_pairing,
     augment_triple,
     cheeger_constant_coordinate,
     cheeger_constant_exhaustive,
     cheeger_of_subspace,
     is_alternating,
     is_pairing_connected_exhaustive,
-    orthogonal_complement,
     q_valence_coordinate,
     q_valence_exhaustive,
     random_triple,

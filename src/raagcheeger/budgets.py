@@ -4,9 +4,10 @@ The exhaustive searches grow like Gaussian binomials, so every oracle checks
 its input against its caps before enumerating and raises
 :class:`BudgetError` naming the relevant CLI flag when a cap is exceeded.
 The default caps bound the ambient dimension per characteristic and, on top,
-the exact number of subspaces or unordered bases searched: the largest count
-the dimension caps admit at p <= 11, so that large primes are refused too.
-An explicit dimension cap replaces both.
+the exact work of the search: the number of subspaces scanned, or the steps
+of the q-valence min-max over projective bases.  Each work cap is the largest
+count the dimension caps admit at p <= 11, so that large primes are refused
+too.  An explicit dimension cap replaces both.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from typing import Iterable
 from .fields import Field
 
 # Per-characteristic default caps on the ambient dimension of subspace /
-# unordered-basis enumeration.  Unlisted primes fall back conservatively.
+# basis enumeration.  Unlisted primes fall back conservatively.
 _SUBSPACE_DIM_DEFAULTS = {2: 8, 3: 6, 5: 5}
 _SUBSPACE_DIM_FALLBACK = 4
 _BASIS_DIM_DEFAULTS = {2: 4, 3: 3}
 _BASIS_DIM_FALLBACK = 2
 # Default caps on predicted work: the subspaces of dimension 1..4 of GF(2)^8,
-# and the unordered bases of GF(11)^2.
+# and the q-valence steps of GF(2)^4 (16 + 840 * 15^2).
 _SUBSPACE_WORK_DEFAULT = 308_992
-_BASIS_WORK_DEFAULT = 6_600
+_BASIS_WORK_DEFAULT = 189_016
 
 
 class BudgetError(ValueError):
@@ -76,7 +77,12 @@ class Budgets:
                 )
 
     def check_bases(self, field: Field, n: int) -> None:
-        """Refuse a search over the unordered bases of GF(p)^n."""
+        """Refuse the q-valence min-max over the projective bases of GF(p)^n.
+
+        Its work is p^n grid vectors plus, per projective basis, a weight for
+        every pair of a point and a hyperplane: p^n + bases * points^2, with
+        points = (p^n - 1)/(p - 1) and bases = |GL(n, p)| / (n! (p - 1)^n).
+        """
         cap = self.basis_dim
         if cap is None:
             cap = _BASIS_DIM_DEFAULTS.get(field.characteristic, _BASIS_DIM_FALLBACK)
@@ -87,12 +93,16 @@ class Budgets:
             )
         if self.basis_dim is None:
             p = field.characteristic
-            count = math.prod(p**n - p**i for i in range(n)) // math.factorial(n)
+            points = (p**n - 1) // (p - 1)
+            bases = math.prod(p**n - p**i for i in range(n)) // (
+                math.factorial(n) * (p - 1) ** n
+            )
+            count = p**n + bases * points**2
             if count > _BASIS_WORK_DEFAULT:
                 raise BudgetError(
-                    f"unordered-basis enumeration over {field.name} in dimension {n} would "
-                    f"range over {count} bases, past the default cap of {_BASIS_WORK_DEFAULT} "
-                    f"(set --budget-bases to cap by dimension alone)"
+                    f"q-valence over {field.name} in dimension {n} would take {count} steps "
+                    f"({bases} projective bases, {points} points), past the default cap of "
+                    f"{_BASIS_WORK_DEFAULT} (set --budget-bases to cap by dimension alone)"
                 )
 
 

@@ -34,6 +34,7 @@ from .pairing import (
     cheeger_constant_coordinate,
     cheeger_constant_exhaustive,
     is_alternating,
+    pairing_connected_from_report,
     q_valence_coordinate,
     q_valence_exhaustive,
 )
@@ -365,8 +366,7 @@ def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) ->
     except BudgetError:
         qval, qmethod = q_valence_coordinate(triple), "coordinate"
     connected = is_connected(graph)
-    # pairing-connected iff h > 0 or dim V <= 1 (is_pairing_connected_exhaustive)
-    p_connected = exh.value is None or exh.value > 0
+    p_connected = pairing_connected_from_report(exh)
     cent = max_centralizer_rank(graph) if n else None
     checks = [
         CheckResult(
@@ -490,9 +490,10 @@ def _verify_one_invariance(
     conn_by_field = {}
     for f in fields:
         triple = build_triple(graph, f)
-        h = h_by_field[f.name] = cheeger_constant_exhaustive(triple, budgets).value
+        exh = cheeger_constant_exhaustive(triple, budgets)
+        h_by_field[f.name] = exh.value
         d_by_field[f.name] = q_valence_coordinate(triple)
-        conn_by_field[f.name] = h is None or h > 0  # as is_pairing_connected_exhaustive
+        conn_by_field[f.name] = pairing_connected_from_report(exh)
     def invariant(d: dict) -> bool:
         vals = list(d.values())
         return all(v == vals[0] for v in vals)

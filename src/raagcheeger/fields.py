@@ -1,18 +1,20 @@
-"""Exact scalar arithmetic over prime fields GF(p) and over the rationals.
+"""Exact scalars of the prime fields GF(p) and of the rationals.
 
 Scalars are plain Python values kept in canonical form: an ``int`` residue in
 ``[0, p)`` for a prime field, a reduced ``fractions.Fraction`` for the
-rationals.  A :class:`Field` carries the operations; it never wraps scalars in
-a dedicated element type, so equality and hashing of scalars are structural.
-All operations reject scalars that are not canonical members of the field,
-which is how accidental mixing of fields surfaces as an explicit error.
+rationals.  A :class:`Field` coerces, checks, negates and serializes them; it
+never wraps scalars in a dedicated element type, so equality and hashing of
+scalars are structural.  :meth:`Field.check` rejects scalars that are not
+canonical members of the field, and negation and serialization go through
+it, which is how accidental mixing of fields surfaces as an explicit error.
+Bulk arithmetic lives in the numpy kernels of :mod:`raagcheeger.pairing`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -21,7 +23,7 @@ RATIONALS = "rationals"
 
 
 class FieldError(ValueError):
-    """Invalid field construction, foreign scalar, or inversion of zero."""
+    """Invalid field construction or foreign scalar."""
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -168,33 +170,11 @@ class Field:
             raise FieldError(f"scalar {value!r} does not belong to {self.name}")
         return value
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        self.check(a), self.check(b)
-        if self.is_prime_field:
-            return (a + b) % self.characteristic
-        return a + b
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        self.check(a), self.check(b)
-        if self.is_prime_field:
-            return (a * b) % self.characteristic
-        return a * b
-
     def neg(self, a: Scalar) -> Scalar:
         self.check(a)
         if self.is_prime_field:
             return (-a) % self.characteristic
         return -a
-
-    def inv(self, a: Scalar) -> Scalar:
-        self.check(a)
-        if a == 0:
-            raise FieldError(f"zero has no multiplicative inverse in {self.name}")
-        if self.is_prime_field:
-            return pow(a, self.characteristic - 2, self.characteristic)
-        return 1 / a
 
     # -- serialization -----------------------------------------------------
 
@@ -206,17 +186,6 @@ class Field:
         if a.denominator == 1:
             return int(a)
         return f"{a.numerator}/{a.denominator}"
-
-    def parse_scalar(self, raw) -> Scalar:
-        return self.element(raw)
-
-    # -- enumeration -------------------------------------------------------
-
-    def elements(self) -> Iterator[Scalar]:
-        """All scalars, in residue order.  Rejected for the rationals."""
-        if not self.is_prime_field:
-            raise FieldError("the rationals are not enumerable")
-        return iter(range(self.characteristic))
 
 
 GF2 = Field.gf(2)

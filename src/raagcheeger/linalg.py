@@ -34,11 +34,9 @@ class _Echelon:
     inserted so far.
     """
 
-    __slots__ = ("field", "width", "rows", "pivots", "_p")
+    __slots__ = ("rows", "pivots", "_p")
 
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
+    def __init__(self, field: Field):
         self.rows: list[list] = []
         self.pivots: list[int] = []
         self._p = field.characteristic
@@ -91,24 +89,6 @@ class _Echelon:
         self.pivots.insert(pos, lead)
         return True
 
-    def kernel_basis(self) -> list[list]:
-        """One kernel vector per free column of the accumulated row space."""
-        p = self._p
-        zero, one = self.field.zero, self.field.one
-        pivset = set(self.pivots)
-        out = []
-        for c in range(self.width):
-            if c in pivset:
-                continue
-            v = [zero] * self.width
-            v[c] = one
-            for r, pc in zip(self.rows, self.pivots):
-                x = r[c]
-                if x:
-                    v[pc] = (p - x) % p if p else -x
-            out.append(v)
-        return out
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -125,7 +105,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Iterable[Iterable]) -> "Subspace":
-        ech = _Echelon(field, ambient_dim)
+        ech = _Echelon(field)
         for v in vectors:
             row = [field.element(x) for x in v]
             if len(row) != ambient_dim:
@@ -150,30 +130,7 @@ class Subspace:
 
     @staticmethod
     def from_json_dict(field: Field, data: dict) -> "Subspace":
-        return Subspace.from_vectors(
-            field, data["ambient"], [[field.parse_scalar(v) for v in row] for row in data["basis"]]
-        )
-
-
-def _require_compatible(a: Subspace, b: Subspace) -> None:
-    if a.field != b.field or a.ambient_dim != b.ambient_dim:
-        raise LinalgError(
-            f"ambient mismatch: {a.field.name}^{a.ambient_dim} vs {b.field.name}^{b.ambient_dim}"
-        )
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: row-reduce [A|A] over [B|0]; zero-left rows carry A cap B."""
-    _require_compatible(a, b)
-    n = a.ambient_dim
-    zero = a.field.zero
-    ech = _Echelon(a.field, 2 * n)
-    for row in a.basis:
-        ech.insert(list(row) + list(row))
-    for row in b.basis:
-        ech.insert(list(row) + [zero] * n)
-    vectors = [r[n:] for r, piv in zip(ech.rows, ech.pivots) if piv >= n]
-    return Subspace(a.field, n, tuple(tuple(v) for v in vectors))
+        return Subspace.from_vectors(field, data["ambient"], data["basis"])
 
 
 SUBSPACE_CHUNK = 256

@@ -1,5 +1,5 @@
-"""(V, W, q) pairing triples: orthogonal complements, subspace Cheeger
-constants, q-valence, pairing-connectedness, and the pivot augmentation.
+"""(V, W, q) pairing triples: subspace Cheeger constants, q-valence,
+pairing-connectedness, and the pivot augmentation.
 
 Every mini-max invariant comes in two flavors that are never silently
 substituted for one another: an exhaustive oracle that covers the whole
@@ -10,8 +10,9 @@ Verification code compares them explicitly.
 
 One rank kernel serves every subspace Cheeger computation:
 h_F = (rank R_F - rank R_F|_F) / dim F, with R_F the matrix of
-v -> (q(f_a, v))_a over a basis of F.  It works on numpy batches of bases,
-the (k, rows) chunks of at most ``SUBSPACE_CHUNK`` subspaces that
+v -> (q(f_a, v))_a over a basis of F; the orthogonal complement C(F) is
+never formed.  It works on numpy batches of bases, the (k, rows) chunks of at
+most ``SUBSPACE_CHUNK`` subspaces that
 :func:`~raagcheeger.linalg.enumerate_subspaces` streams in canonical order:
 one matrix product builds every R_F of a batch and one column-by-column
 elimination ranks them all, on rows packed into int64 and cleared by XOR
@@ -20,7 +21,7 @@ overflow over odd p, and on Python ints or Fractions in object arrays where
 int64 could overflow and over QQ.  The scans build a
 :class:`Subspace` only for the minimizer they report.  Pairing-connectedness
 is decided as h > 0, which is exact for dim V >= 2 (see
-:func:`is_pairing_connected_exhaustive`).
+:func:`pairing_connected_from_report`).
 
 Functions accept either a bare :class:`PairingTriple` or any object carrying
 one in a ``pairing`` attribute (such as the cohomology triples built from
@@ -40,7 +41,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field, Scalar
-from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, _Echelon, enumerate_subspaces
+from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -155,51 +156,6 @@ def zero_triple(dim_v: int, dim_w: int, field: Field, symmetry: str = ANTISYMMET
     w = tuple(z for _ in range(dim_w))
     tensor = tuple(tuple(w for _ in range(dim_v)) for _ in range(dim_v))
     return PairingTriple.of(field, dim_v, dim_w, tensor, symmetry)
-
-
-# -- the pairing itself ------------------------------------------------------
-
-
-def apply_pairing(t, x: Sequence, y: Sequence) -> tuple:
-    """q(x, y) as a W-coordinate tuple; bilinear in each slot."""
-    pt = _pairing(t)
-    f = pt.field
-    xv = [f.element(v) for v in x]
-    yv = [f.element(v) for v in y]
-    if len(xv) != pt.dim_v or len(yv) != pt.dim_v:
-        raise PairingError(f"vectors must have length {pt.dim_v}")
-    acc = [f.zero] * pt.dim_w
-    for i, xi in enumerate(xv):
-        if not xi:
-            continue
-        row = pt.tensor[i]
-        for j, yj in enumerate(yv):
-            if not yj:
-                continue
-            w = row[j]
-            c = f.mul(xi, yj)
-            acc = [f.add(a, f.mul(c, we)) for a, we in zip(acc, w)]
-    return tuple(acc)
-
-
-def orthogonal_complement(t, subspace: Subspace) -> Subspace:
-    """C = {v : q(f, v) = 0 for every f in the subspace}.
-
-    The declared (anti)symmetry makes the left and right complements agree,
-    so only one side is computed.  This is the explicit route, independent of
-    the rank kernel below: the kernel of the rows v -> q(f, v)_e.
-    """
-    pt = _pairing(t)
-    if subspace.field != pt.field or subspace.ambient_dim != pt.dim_v:
-        raise PairingError("subspace does not live in the triple's V")
-    n = pt.dim_v
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
-    ech = _Echelon(pt.field, n)
-    for vec in subspace.basis:
-        images = [apply_pairing(pt, vec, u) for u in units]
-        for e in range(pt.dim_w):
-            ech.insert([w[e] for w in images])
-    return Subspace.from_vectors(pt.field, n, ech.kernel_basis())
 
 
 # -- the rank kernel ---------------------------------------------------------
@@ -532,21 +488,32 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
 # -- pairing-connectedness ---------------------------------------------------
 
 
+def pairing_connected_from_report(report: CheegerReport) -> bool:
+    """Pairing-connectedness read off an exhaustive Cheeger report: h > 0, or
+    dim V <= 1, where the value is undefined.  A coordinate report is refused:
+    its value is only an upper bound on h, so h > 0 there proves nothing.
+
+    For dim V >= 2, V is pairing-connected (no nontrivial direct-sum
+    decomposition V0 + V1 of V pairs to zero identically) iff h > 0.  Recall
+    h_F = (n - dim(F + C)) / dim F with C = C(F).  If V = V0 + V1 is such a
+    split, let F be the smaller summand and G the other: G lies in C(F), so
+    F + C(F) = V and h_F = 0.  Conversely, if h_F = 0 then F + C = V; take V1
+    a complement of F n C inside C.  Then F + V1 = F + C = V and F n V1 = 0,
+    so V = F + V1 is a direct sum with q(F, V1) = 0, and V1 is nonzero
+    because dim V1 = n - dim F >= n/2.
+    """
+    if report.method != "exhaustive":
+        raise PairingError(
+            f"pairing-connectedness needs an exhaustive Cheeger report, got {report.method}"
+        )
+    return report.value is None or report.value > 0
+
+
 def is_pairing_connected_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """True iff no nontrivial direct-sum decomposition V0 + V1 of V pairs to
-    zero identically, decided as h > 0 by the exhaustive Cheeger scan.
-
-    For dim V >= 2 the two are equivalent.  Recall h_F = (n - dim(F + C)) / dim F
-    with C = C(F).  If V = V0 + V1 is such a split, let F be the smaller summand
-    and G the other: G lies in C(F), so F + C(F) = V and h_F = 0.  Conversely,
-    if h_F = 0 then F + C = V; take V1 a complement of F n C inside C.  Then
-    F + V1 = F + C = V and F n V1 = 0, so V = F + V1 is a direct sum with
-    q(F, V1) = 0, and V1 is nonzero because dim V1 = n - dim F >= n/2.
-    """
-    pt = _pairing(t)
-    if pt.dim_v <= 1:
-        return True
-    return cheeger_constant_exhaustive(pt, budgets).value > 0
+    zero identically, decided as h > 0 by the exhaustive Cheeger scan (see
+    :func:`pairing_connected_from_report`)."""
+    return pairing_connected_from_report(cheeger_constant_exhaustive(t, budgets))
 
 
 # -- augmentation and the alternating witness --------------------------------
@@ -563,13 +530,7 @@ def augment_triple(t, pivot: int) -> PairingTriple:
     pt = _pairing(t)
     if not 0 <= pivot < pt.dim_v:
         raise PairingError(f"pivot {pivot} outside basis range 0..{pt.dim_v - 1}")
-    if pt.symmetry == SYMMETRIC:
-        old_signs = [1] * pt.dim_w
-    elif pt.symmetry == ANTISYMMETRIC:
-        old_signs = [-1] * pt.dim_w
-    else:
-        assert pt.signs is not None
-        old_signs = list(pt.signs)
+    old_signs = [pt._sign(e) for e in range(pt.dim_w)]
     one, zero = pt.field.one, pt.field.zero
     tensor = tuple(
         tuple(

@@ -20,7 +20,8 @@ from raagcheeger.linalg import _Echelon
 def enumerate_unordered_bases(n, field, budgets=DEFAULT_BUDGETS):
     """Stream every unordered basis of L^n exactly once, as a sorted tuple of vectors.
 
-    There are |GL(n, p)| / n! of them, which is why the budget cap is tight.
+    There are |GL(n, p)| / n! of them.  The budget check is the library's,
+    which bounds the min-max and not this search, so keep to small inputs.
     """
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: basis enumeration needs a prime field")
@@ -31,7 +32,7 @@ def enumerate_unordered_bases(n, field, budgets=DEFAULT_BUDGETS):
     p = field.characteristic
     vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     for combo in itertools.combinations(vectors, n):
-        ech = _Echelon(field, n)
+        ech = _Echelon(field)
         if all(ech.insert(v) for v in combo):
             yield combo
 

