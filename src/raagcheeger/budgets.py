@@ -1,13 +1,13 @@
 """Enumeration budgets shared by the brute-force oracles.
 
 The exhaustive searches grow like Gaussian binomials, so every oracle checks
-its input against its caps before enumerating and raises
-:class:`BudgetError` naming the relevant CLI flag when a cap is exceeded.
-The default caps bound the ambient dimension per characteristic and, on top,
-the exact work of the search: the number of subspaces scanned, or the steps
-of the q-valence min-max over projective bases.  Each work cap is the largest
-count the dimension caps admit at p <= 11, so that large primes are refused
-too.  An explicit dimension cap replaces both.
+its input against its budget before enumerating.  This module decides and
+words every refusal: each check raises :class:`BudgetError` naming the CLI
+flag to set.  One rule applies.  A budget left at ``None`` caps the exact work
+of the search, computed before any work: the subspaces scanned, or the steps
+of the q-valence min-max over projective bases.  A budget set by its flag caps
+the ambient dimension alone.  The subset scan is capped by vertex count, which
+bounds its sum_{k <= n/2} C(n, k) subsets.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from typing import Iterable
 
 from .fields import Field
 
-# Per-characteristic default caps on the ambient dimension of subspace /
-# basis enumeration.  Unlisted primes fall back conservatively.
-_SUBSPACE_DIM_DEFAULTS = {2: 8, 3: 6, 5: 5}
-_SUBSPACE_DIM_FALLBACK = 4
-_BASIS_DIM_DEFAULTS = {2: 4, 3: 3}
-_BASIS_DIM_FALLBACK = 2
-# Default caps on predicted work: the subspaces of dimension 1..4 of GF(2)^8,
-# and the q-valence steps of GF(2)^4 (16 + 840 * 15^2).
+# Default caps on exact work: the subspaces of dimension 1..4 of GF(2)^8, and
+# the q-valence steps of GF(2)^4 (16 + 840 * 15^2).
 _SUBSPACE_WORK_DEFAULT = 308_992
 _BASIS_WORK_DEFAULT = 189_016
+# Counting stops at 2^_EXACT_BITS, so that a refusal stays cheap and its
+# message short however large the input.
+_EXACT_BITS = 400
+_EXACT_LIMIT = 2**_EXACT_BITS
 
 
 class BudgetError(ValueError):
@@ -45,36 +43,55 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def _stated(count: int) -> str:
+    return str(count) if count < _EXACT_LIMIT else f"at least 2^{_EXACT_BITS}"
+
+
 @dataclass(frozen=True)
 class Budgets:
     """Caps for the three enumeration families.
 
-    ``None`` means "use the per-field default"; an explicit int overrides it
-    for every field.
+    ``subset_vertices`` caps the vertex count of the exact graph scan.
+    ``subspace_dim`` and ``basis_dim`` left at ``None`` cap the exact work of
+    the subspace scan and of q-valence; an explicit int caps the ambient
+    dimension instead, for every field.
     """
 
     subset_vertices: int = 24
     subspace_dim: int | None = None
     basis_dim: int | None = None
 
+    def check_subsets(self, n: int) -> None:
+        """Refuse the exact Cheeger scan of a graph on n vertices."""
+        if n > self.subset_vertices:
+            raise BudgetError(
+                f"exact subset enumeration capped at {self.subset_vertices} vertices "
+                f"(requested {n}; raise with --budget-subsets or use spectral bounds)"
+            )
+
     def check_subspaces(self, field: Field, n: int, dims: Iterable[int]) -> None:
         """Refuse a scan of the subspaces of GF(p)^n of the given distinct dimensions."""
+        suffix = "; the coordinate fast path stays exact for cup-product triples"
         cap = self.subspace_dim
-        if cap is None:
-            cap = _SUBSPACE_DIM_DEFAULTS.get(field.characteristic, _SUBSPACE_DIM_FALLBACK)
-        if n > cap:
-            raise BudgetError(
-                f"subspace enumeration over {field.name} is capped at ambient dimension {cap} "
-                f"(requested {n}; raise with --budget-subspaces)"
-            )
-        if self.subspace_dim is None:
-            count = sum(gaussian_binomial(n, k, field.characteristic) for k in dims)
-            if count > _SUBSPACE_WORK_DEFAULT:
+        if cap is not None:
+            if n > cap:
                 raise BudgetError(
-                    f"subspace enumeration over {field.name} in dimension {n} would visit "
-                    f"{count} subspaces, past the default cap of {_SUBSPACE_WORK_DEFAULT} "
-                    f"(set --budget-subspaces to cap by dimension alone)"
+                    f"subspace enumeration over {field.name} is capped at ambient dimension "
+                    f"{cap} (requested {n}; raise with --budget-subspaces){suffix}"
                 )
+            return
+        count = 0
+        for k in dims:
+            count += gaussian_binomial(n, k, field.characteristic)
+            if count >= _EXACT_LIMIT:
+                break
+        if count > _SUBSPACE_WORK_DEFAULT:
+            raise BudgetError(
+                f"subspace enumeration over {field.name} in dimension {n} would visit "
+                f"{_stated(count)} subspaces, past the default cap of "
+                f"{_SUBSPACE_WORK_DEFAULT} (set --budget-subspaces to cap by dimension "
+                f"alone){suffix}"
+            )
 
     def check_bases(self, field: Field, n: int) -> None:
         """Refuse the q-valence min-max over the projective bases of GF(p)^n.
@@ -83,27 +100,32 @@ class Budgets:
         every pair of a point and a hyperplane: p^n + bases * points^2, with
         points = (p^n - 1)/(p - 1) and bases = |GL(n, p)| / (n! (p - 1)^n).
         """
+        suffix = "; the coordinate upper bound is exact for cup-product triples"
         cap = self.basis_dim
-        if cap is None:
-            cap = _BASIS_DIM_DEFAULTS.get(field.characteristic, _BASIS_DIM_FALLBACK)
-        if n > cap:
-            raise BudgetError(
-                f"unordered-basis enumeration over {field.name} is capped at dimension {cap} "
-                f"(requested {n}; raise with --budget-bases)"
-            )
-        if self.basis_dim is None:
-            p = field.characteristic
-            points = (p**n - 1) // (p - 1)
-            bases = math.prod(p**n - p**i for i in range(n)) // (
-                math.factorial(n) * (p - 1) ** n
-            )
-            count = p**n + bases * points**2
-            if count > _BASIS_WORK_DEFAULT:
+        if cap is not None:
+            if n > cap:
                 raise BudgetError(
-                    f"q-valence over {field.name} in dimension {n} would take {count} steps "
-                    f"({bases} projective bases, {points} points), past the default cap of "
-                    f"{_BASIS_WORK_DEFAULT} (set --budget-bases to cap by dimension alone)"
+                    f"unordered-basis enumeration over {field.name} is capped at dimension "
+                    f"{cap} (requested {n}; raise with --budget-bases){suffix}"
                 )
+            return
+        p = field.characteristic
+        points = (p**n - 1) // (p - 1)
+        den = math.factorial(n) * (p - 1) ** n
+        num = 1
+        for i in range(n):
+            num *= p**n - p**i
+            if num >= den * _EXACT_LIMIT:
+                break
+        bases = num // den
+        count = p**n + bases * points**2
+        if count > _BASIS_WORK_DEFAULT:
+            raise BudgetError(
+                f"q-valence over {field.name} in dimension {n} would take {_stated(count)} "
+                f"steps ({_stated(bases)} projective bases, {_stated(points)} points), past "
+                f"the default cap of {_BASIS_WORK_DEFAULT} (set --budget-bases to cap by "
+                f"dimension alone){suffix}"
+            )
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -222,10 +222,7 @@ def triple_family_report(
 def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
     pt: PairingTriple = getattr(t, "pairing", t)
     n = pt.dim_v
-    try:
-        qval, qmethod = q_valence_exhaustive(pt, budgets), "exhaustive"
-    except BudgetError:
-        qval, qmethod = q_valence_coordinate(pt), "coordinate"
+    qval, qmethod = _q_valence(pt, budgets)
     try:
         report = cheeger_constant_exhaustive(pt, budgets)
     except BudgetError as err:
@@ -236,6 +233,15 @@ def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
                            method="undefined", note="dim V < 2")
     return FamilyEntry(0, "triple", pt.field.name, n, qval, qmethod, report.value,
                        method="exact")
+
+
+def _q_valence(t, budgets: Budgets) -> tuple[int, str]:
+    """The exhaustive q-valence within budget, else the coordinate value,
+    which is exact for cup-product triples; with the method used."""
+    try:
+        return q_valence_exhaustive(t, budgets), "exhaustive"
+    except BudgetError:
+        return q_valence_coordinate(t), "coordinate"
 
 
 # -- verification records ----------------------------------------------------
@@ -252,6 +258,11 @@ class CheckResult:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+def _check(name: str, passed: bool, witness: dict) -> CheckResult:
+    """A check that carries its witness only when it fails."""
+    return CheckResult(name, passed, None if passed else witness)
 
 
 @dataclass(frozen=True)
@@ -361,41 +372,21 @@ def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) ->
     h_graph = _exact_or_none(graph, budgets)
     exh = cheeger_constant_exhaustive(triple, budgets)
     coord = cheeger_constant_coordinate(triple)
-    try:
-        qval, qmethod = q_valence_exhaustive(triple, budgets), "exhaustive"
-    except BudgetError:
-        qval, qmethod = q_valence_coordinate(triple), "coordinate"
+    qval, qmethod = _q_valence(triple, budgets)
     connected = is_connected(graph)
     p_connected = pairing_connected_from_report(exh)
     cent = max_centralizer_rank(graph) if n else None
     checks = [
-        CheckResult(
-            "h-graph-equals-h-triple",
-            h_graph == exh.value,
-            None if h_graph == exh.value else {"h_graph": _fmt(h_graph), "h_triple": _fmt(exh.value)},
-        ),
-        CheckResult(
-            "h-coordinate-equals-exhaustive",
-            coord.value == exh.value,
-            None if coord.value == exh.value else {"coordinate": _fmt(coord.value), "exhaustive": _fmt(exh.value)},
-        ),
-        CheckResult(
-            "dimV-equals-rank",
-            triple.pairing.dim_v == n,
-            None if triple.pairing.dim_v == n else {"dimV": triple.pairing.dim_v, "vertices": n},
-        ),
-        CheckResult(
-            "centralizer-rank-equals-qvalence-plus-1",
-            cent == qval + 1 if cent is not None else True,
-            None if cent is None or cent == qval + 1 else
-            {"max_centralizer_rank": cent, "q_valence": qval, "q_valence_method": qmethod},
-        ),
-        CheckResult(
-            "pairing-connected-iff-connected",
-            p_connected == connected,
-            None if p_connected == connected else
-            {"pairing_connected": p_connected, "graph_connected": connected},
-        ),
+        _check("h-graph-equals-h-triple", h_graph == exh.value,
+               {"h_graph": _fmt(h_graph), "h_triple": _fmt(exh.value)}),
+        _check("h-coordinate-equals-exhaustive", coord.value == exh.value,
+               {"coordinate": _fmt(coord.value), "exhaustive": _fmt(exh.value)}),
+        _check("dimV-equals-rank", triple.pairing.dim_v == n,
+               {"dimV": triple.pairing.dim_v, "vertices": n}),
+        _check("centralizer-rank-equals-qvalence-plus-1", cent is None or cent == qval + 1,
+               {"max_centralizer_rank": cent, "q_valence": qval, "q_valence_method": qmethod}),
+        _check("pairing-connected-iff-connected", p_connected == connected,
+               {"pairing_connected": p_connected, "graph_connected": connected}),
     ]
     data = {
         "n": n,
@@ -441,21 +432,12 @@ def _verify_one_augmentation(
     alt_orig = is_alternating(triple)
     alt_aug = is_alternating(augmented)
     checks = [
-        CheckResult(
-            "cheeger-monotone-under-augmentation",
-            monotone,
-            None if monotone else {"h": _fmt(h_orig), "h_augmented": _fmt(h_aug)},
-        ),
-        CheckResult(
-            "qvalence-grows-at-most-one",
-            d_aug <= d_orig + 1,
-            None if d_aug <= d_orig + 1 else {"d": d_orig, "d_augmented": d_aug},
-        ),
-        CheckResult(
-            "alternating-flips",
-            alt_orig and not alt_aug,
-            None if alt_orig and not alt_aug else {"alternating": alt_orig, "alternating_augmented": alt_aug},
-        ),
+        _check("cheeger-monotone-under-augmentation", monotone,
+               {"h": _fmt(h_orig), "h_augmented": _fmt(h_aug)}),
+        _check("qvalence-grows-at-most-one", d_aug <= d_orig + 1,
+               {"d": d_orig, "d_augmented": d_aug}),
+        _check("alternating-flips", alt_orig and not alt_aug,
+               {"alternating": alt_orig, "alternating_augmented": alt_aug}),
     ]
     data = {
         "n": graph.n_vertices,
@@ -498,12 +480,11 @@ def _verify_one_invariance(
         vals = list(d.values())
         return all(v == vals[0] for v in vals)
     checks = [
-        CheckResult("h-field-invariant", invariant(h_by_field),
-                    None if invariant(h_by_field) else {k: _fmt(v) for k, v in h_by_field.items()}),
-        CheckResult("qvalence-field-invariant", invariant(d_by_field),
-                    None if invariant(d_by_field) else dict(d_by_field)),
-        CheckResult("pairing-connected-field-invariant", invariant(conn_by_field),
-                    None if invariant(conn_by_field) else dict(conn_by_field)),
+        _check("h-field-invariant", invariant(h_by_field),
+               {k: _fmt(v) for k, v in h_by_field.items()}),
+        _check("qvalence-field-invariant", invariant(d_by_field), dict(d_by_field)),
+        _check("pairing-connected-field-invariant", invariant(conn_by_field),
+               dict(conn_by_field)),
     ]
     first = fields[0].name
     data = {

@@ -32,32 +32,26 @@ _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
+    """Exact primality for n < _WITNESS_BOUND."""
     if n < 2:
         return False
     if n in _WITNESSES:
         return True
     if any(n % w == 0 for w in _WITNESSES):
         return False
-    if n < _WITNESS_BOUND:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for w in _WITNESSES:
-            x = pow(w, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -73,6 +67,11 @@ class Field:
 
     def __post_init__(self) -> None:
         if self.kind == PRIME_FIELD:
+            if self.characteristic >= _WITNESS_BOUND:
+                raise FieldError(
+                    f"prime field characteristic must be below {_WITNESS_BOUND}, where "
+                    f"primality is decided exactly, got {self.characteristic}"
+                )
             if not _is_prime(self.characteristic):
                 raise FieldError(
                     f"prime field characteristic must be prime, got {self.characteristic}"

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 
 
 class GraphError(ValueError):
@@ -233,11 +233,7 @@ def cheeger_graph_exact(
         raise CheegerUndefinedError(
             f"Cheeger constant undefined on {n} vertex/vertices: no admissible subset"
         )
-    if n > budgets.subset_vertices:
-        raise BudgetError(
-            f"exact subset enumeration capped at {budgets.subset_vertices} vertices "
-            f"(requested {n}; raise with --budget-subsets or use spectral bounds)"
-        )
+    budgets.check_subsets(n)
     index = graph.index
     closed = [
         sum(1 << index[w] for w in graph.adjacency[v]) | 1 << index[v] for v in graph.vertices

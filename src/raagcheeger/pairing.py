@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces
 
@@ -349,14 +349,9 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "exhaustive", 0)
-    try:
-        return _first_minimum(
-            pt, enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets), "exhaustive"
-        )
-    except BudgetError as err:
-        raise BudgetError(
-            f"{err}; the coordinate fast path stays exact for cup-product triples"
-        ) from None
+    return _first_minimum(
+        pt, enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets), "exhaustive"
+    )
 
 
 def cheeger_constant_coordinate(t) -> CheegerReport:
@@ -455,12 +450,7 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         return 0
     if not pt.field.is_prime_field:
         raise LinalgError("non-enumerable field: basis enumeration needs a prime field")
-    try:
-        budgets.check_bases(pt.field, n)
-    except BudgetError as err:
-        raise BudgetError(
-            f"{err}; the coordinate upper bound is exact for cup-product triples"
-        ) from None
+    budgets.check_bases(pt.field, n)
     if m == 0:
         return 0
     p = pt.field.characteristic

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from raagcheeger import DEFAULT_BUDGETS, BudgetError, LinalgError, Subspace
+from raagcheeger import DEFAULT_BUDGETS, LinalgError, Subspace
 from raagcheeger.linalg import _Echelon
 
 
@@ -76,12 +76,7 @@ def q_valence_by_basis_pairs(t, budgets=DEFAULT_BUDGETS):
     n = pt.dim_v
     if n == 0:
         return 0
-    try:
-        bases = _all_unordered_bases(n, pt.field, budgets)
-    except BudgetError as err:
-        raise BudgetError(
-            f"{err}; the coordinate upper bound is exact for cup-product triples"
-        ) from None
+    bases = _all_unordered_bases(n, pt.field, budgets)
     best = max(sum(1 for w in row if any(w)) for row in pt.tensor)
     if best == 0:
         return 0

@@ -164,8 +164,8 @@ def test_budget_exceedance_names_flag(tmp_path):
     [("qvalence", 2, "--budget-bases"), ("triple-h", 4, "--budget-subspaces")],
 )
 def test_large_prime_is_refused_at_once(tmp_path, command, size, flag):
-    # over GF(1000003) the default dimension caps admit both inputs, but the
-    # basis or subspace count is astronomical; the count cap refuses it
+    # both inputs are small, but over GF(1000003) the basis or subspace count
+    # is astronomical; the count cap refuses it
     f = tmp_path / "t.json"
     f.write_text(json.dumps(build_triple(path(size), Field.gf(1_000_003)).to_json_dict()))
     res = subprocess.run(
@@ -175,6 +175,31 @@ def test_large_prime_is_refused_at_once(tmp_path, command, size, flag):
     assert res.returncode == 2
     assert flag in res.stderr and "past the default cap" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_field_past_the_witness_bound_is_refused(p3_file):
+    # every command parses --field, so an unprovable prime must be refused
+    res = subprocess.run(
+        [sys.executable, "-m", "raagcheeger", "graph-h", "--input", p3_file,
+         "--field", "gf618970019642690137449562111"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert res.returncode == 2
+    assert "3317044064679887385961981" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_gf7_five_dimensional_scan_answers(tmp_path, capsys):
+    # GF(7)^5 up to dimension 2 is 142851 subspaces, within the work cap;
+    # h > 0, so the scan visits all of them
+    for graph, h in ((cycle(5), "1"), (path(5), "1/2")):
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(build_triple(graph, Field.gf(7)).to_json_dict()))
+        assert main(["triple-h", "--input", str(f), "--method", "exhaustive"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["value"], out["subspaces_visited"]) == (h, 142_851)
+    assert main(["verify-theorem", "--family", "cycle", "--sizes", "5", "--field", "gf7"]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 0
 
 
 def test_missing_input_is_usage_error():

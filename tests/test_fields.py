@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,19 @@ def test_primality_is_exact_for_large_moduli():
     for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461, 2**61 + 1):
         with pytest.raises(FieldError):
             Field.gf(n)
+
+
+def test_characteristic_past_the_witness_bound_is_refused_at_once():
+    # past the bound Miller-Rabin with the fixed witnesses is not proven
+    # exact, and trial division never returned
+    bound = 3_317_044_064_679_887_385_961_981
+    start = time.perf_counter()
+    for p in (bound, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(FieldError, match=f"below {bound}"):
+            Field.gf(p)
+    with pytest.raises(FieldError, match=f"below {bound}"):
+        Field.from_name("gf618970019642690137449562111")
+    assert time.perf_counter() - start < 1
 
 
 def test_from_name_round_trip():

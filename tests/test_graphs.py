@@ -137,6 +137,12 @@ def test_cheeger_undefined_below_two_vertices():
 def test_cheeger_budget_error_names_flag():
     with pytest.raises(BudgetError, match="--budget-subsets"):
         cheeger_graph_exact(cycle(6), Budgets(subset_vertices=5))
+    with pytest.raises(BudgetError) as err:
+        cheeger_graph_exact(cycle(25))
+    assert str(err.value) == (
+        "exact subset enumeration capped at 24 vertices "
+        "(requested 25; raise with --budget-subsets or use spectral bounds)"
+    )
 
 
 def test_cheeger_invariant_under_relabeling():

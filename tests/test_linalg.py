@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -231,8 +234,11 @@ def test_enumeration_rejects_rationals():
 
 
 def test_enumeration_budget_errors_name_the_flag():
-    with pytest.raises(BudgetError, match="--budget-subspaces"):
-        next(enumerate_subspaces(9, [1], GF2))
+    # the default caps the work, not the dimension: the 511 lines of GF(2)^9
+    # are admitted, its 4141728 subspaces of dimension 1..4 are not
+    assert sum(len(rows) for _, rows in enumerate_subspaces(9, [1], GF2)) == 511
+    with pytest.raises(BudgetError, match="4141728 subspaces.*--budget-subspaces"):
+        next(enumerate_subspaces(9, range(1, 5), GF2))
     with pytest.raises(BudgetError, match="--budget-bases"):
         next(enumerate_unordered_bases(5, GF2))
 
@@ -249,6 +255,33 @@ def test_subspace_count_cap_refuses_large_primes_at_once():
         next(enumerate_subspaces(4, [1, 2], Field.gf(p)))
     # an explicit dimension cap replaces the count cap
     assert next(enumerate_subspaces(8, range(9), GF2, Budgets(subspace_dim=8)))[0] == 0
+
+
+def test_astronomical_counts_are_refused_at_once():
+    # counting stops at 2^400, so a huge ambient dimension is refused cheaply
+    # and the message stays short
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"would visit at least 2\^400 subspaces"):
+        Budgets().check_subspaces(GF2, 2000, range(1, 1001))
+    with pytest.raises(BudgetError, match=r"at least 2\^400 steps \(at least 2\^400 projective"):
+        Budgets().check_bases(Field.gf(7), 2000)
+    assert time.perf_counter() - start < 1
+    # below 2^400 the count is exact
+    with pytest.raises(BudgetError, match=f"{2**100 - 1 + gaussian_binomial(100, 2, 2)} subspaces"):
+        Budgets().check_subspaces(GF2, 100, [1, 2])
+
+
+def test_budget_errors_are_raised_in_budgets_only():
+    # budgets.py decides and words every refusal; the oracles only call it
+    raising = set()
+    for module in Path(linalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name == "BudgetError":
+                    raising.add(module.name)
+    assert raising == {"budgets.py"}
 
 
 def test_unordered_basis_counts():

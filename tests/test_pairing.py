@@ -549,8 +549,9 @@ def test_q_valence_refusal_messages():
     with pytest.raises(BudgetError) as err:
         q_valence_exhaustive(build_triple(cycle(5), GF2))
     assert str(err.value) == (
-        "unordered-basis enumeration over gf2 is capped at dimension 4 "
-        "(requested 5; raise with --budget-bases); "
+        "q-valence over gf2 in dimension 5 would take 80078240 steps "
+        "(83328 projective bases, 31 points), past the default cap of 189016 "
+        "(set --budget-bases to cap by dimension alone); "
         "the coordinate upper bound is exact for cup-product triples"
     )
     # dim W = 0 answers 0, but only inside the budget
