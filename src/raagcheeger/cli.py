@@ -285,103 +285,116 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_args(p: argparse.ArgumentParser, fmt=("json", "human"), inputs: int | None = 1):
+    if inputs == 1:
+        p.add_argument("--input", nargs=1, help="input file")
+    elif inputs == -1:
+        p.add_argument("--input", nargs="+", help="input files")
+    p.add_argument("--field", default="gf2", help="gf<p> or rational (default gf2)")
+    p.add_argument("--budget-subsets", type=int, default=None, metavar="N")
+    p.add_argument("--budget-subspaces", type=int, default=None, metavar="N")
+    p.add_argument("--budget-bases", type=int, default=None, metavar="N")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=fmt, default="json")
+    p.add_argument("--jobs", type=int, default=1)
+
+
+def _family_source_args(p: argparse.ArgumentParser, all_graphs: bool = True):
+    if all_graphs:
+        p.add_argument("--all-graphs", type=int, metavar="N",
+                       help="every labeled graph on N vertices")
+    p.add_argument("--family", choices=list(_FAMILIES))
+    p.add_argument("--sizes", type=int, nargs="+", default=[])
+    p.add_argument("--degree", type=int, default=None)
+
+
+def _gen_args(p: argparse.ArgumentParser):
+    _common_args(p, fmt=("json", "edgelist"), inputs=None)
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--degree", type=int, default=None)
+
+
+def _method_args(p: argparse.ArgumentParser):
+    _common_args(p)
+    p.add_argument("--method", choices=["exhaustive", "coordinate"], default="exhaustive")
+
+
+def _augment_args(p: argparse.ArgumentParser):
+    _common_args(p)
+    p.add_argument("--pivot", type=int, default=0)
+
+
+def _verify_theorem_args(p: argparse.ArgumentParser):
+    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
+    _family_source_args(p)
+    p.add_argument("--verbose", action="store_true", help="list every item, not just failures")
+
+
+def _verify_augmentation_args(p: argparse.ArgumentParser):
+    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
+    _family_source_args(p, all_graphs=False)
+    p.add_argument("--pivot", type=int, default=0)
+    p.add_argument("--verbose", action="store_true")
+
+
+def _verify_invariance_args(p: argparse.ArgumentParser):
+    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
+    _family_source_args(p)
+    p.add_argument("--fields", nargs="+", default=["gf2", "gf3", "gf5"])
+    p.add_argument("--verbose", action="store_true")
+
+
+def _family_report_args(p: argparse.ArgumentParser):
+    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
+    _family_source_args(p, all_graphs=False)
+    p.add_argument("--kind", choices=["graph", "triple"], default="graph")
+    p.add_argument("--mode", choices=["exact", "spectral"], default="exact")
+    p.add_argument("--valence-bound", type=int, default=None)
+
+
+# (name, help, handler, arguments), in the order --help lists them
+_COMMANDS = (
+    ("gen", "generate a graph from a named family", _cmd_gen, _gen_args),
+    ("graph-h", "exact graph Cheeger constant", _cmd_graph_h, _common_args),
+    ("triple-h", "Cheeger constant of a pairing triple", _cmd_triple_h, _method_args),
+    ("qvalence", "q-valence of a pairing triple", _cmd_qvalence, _method_args),
+    ("connectedness", "pairing-connectedness of a triple", _cmd_connectedness, _common_args),
+    ("build-triple", "cup-product triple of a graph", _cmd_build_triple, _common_args),
+    ("augment", "pivot augmentation of a triple", _cmd_augment, _augment_args),
+    ("verify-theorem", "machine-check the dictionary on graphs",
+     _cmd_verify_theorem, _verify_theorem_args),
+    ("verify-augmentation", "check the pivot augmentation on graphs",
+     _cmd_verify_augmentation, _verify_augmentation_args),
+    ("verify-invariance", "check field independence on graphs",
+     _cmd_verify_invariance, _verify_invariance_args),
+    ("family-report", "per-index expander bookkeeping", _cmd_family_report, _family_report_args),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered with its help
+    line; only ``command``'s subparser gets its arguments when ``command``
+    names one, since parsing a command line that starts with it reads no
+    other subparser.  Otherwise every subparser gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="raagcheeger",
         description="Exact Cheeger constants for graphs and cup-product pairing triples, "
                     "with brute-force verification of the dictionary between them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, fmt=("json", "human"), inputs: int | None = 1):
-        if inputs == 1:
-            p.add_argument("--input", nargs=1, help="input file")
-        elif inputs == -1:
-            p.add_argument("--input", nargs="+", help="input files")
-        p.add_argument("--field", default="gf2", help="gf<p> or rational (default gf2)")
-        p.add_argument("--budget-subsets", type=int, default=None, metavar="N")
-        p.add_argument("--budget-subspaces", type=int, default=None, metavar="N")
-        p.add_argument("--budget-bases", type=int, default=None, metavar="N")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=fmt, default="json")
-        p.add_argument("--jobs", type=int, default=1)
-
-    def family_source(p: argparse.ArgumentParser, all_graphs: bool = True):
-        if all_graphs:
-            p.add_argument("--all-graphs", type=int, metavar="N",
-                           help="every labeled graph on N vertices")
-        p.add_argument("--family", choices=list(_FAMILIES))
-        p.add_argument("--sizes", type=int, nargs="+", default=[])
-        p.add_argument("--degree", type=int, default=None)
-
-    p = sub.add_parser("gen", help="generate a graph from a named family")
-    common(p, fmt=("json", "edgelist"), inputs=None)
-    p.add_argument("--family", required=True, choices=list(_FAMILIES))
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("graph-h", help="exact graph Cheeger constant")
-    common(p)
-    p.set_defaults(handler=_cmd_graph_h)
-
-    p = sub.add_parser("triple-h", help="Cheeger constant of a pairing triple")
-    common(p)
-    p.add_argument("--method", choices=["exhaustive", "coordinate"], default="exhaustive")
-    p.set_defaults(handler=_cmd_triple_h)
-
-    p = sub.add_parser("qvalence", help="q-valence of a pairing triple")
-    common(p)
-    p.add_argument("--method", choices=["exhaustive", "coordinate"], default="exhaustive")
-    p.set_defaults(handler=_cmd_qvalence)
-
-    p = sub.add_parser("connectedness", help="pairing-connectedness of a triple")
-    common(p)
-    p.set_defaults(handler=_cmd_connectedness)
-
-    p = sub.add_parser("build-triple", help="cup-product triple of a graph")
-    common(p)
-    p.set_defaults(handler=_cmd_build_triple)
-
-    p = sub.add_parser("augment", help="pivot augmentation of a triple")
-    common(p)
-    p.add_argument("--pivot", type=int, default=0)
-    p.set_defaults(handler=_cmd_augment)
-
-    p = sub.add_parser("verify-theorem", help="machine-check the dictionary on graphs")
-    common(p, fmt=("json", "csv", "human"), inputs=-1)
-    family_source(p)
-    p.add_argument("--verbose", action="store_true", help="list every item, not just failures")
-    p.set_defaults(handler=_cmd_verify_theorem)
-
-    p = sub.add_parser("verify-augmentation", help="check the pivot augmentation on graphs")
-    common(p, fmt=("json", "csv", "human"), inputs=-1)
-    family_source(p, all_graphs=False)
-    p.add_argument("--pivot", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(handler=_cmd_verify_augmentation)
-
-    p = sub.add_parser("verify-invariance", help="check field independence on graphs")
-    common(p, fmt=("json", "csv", "human"), inputs=-1)
-    family_source(p)
-    p.add_argument("--fields", nargs="+", default=["gf2", "gf3", "gf5"])
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(handler=_cmd_verify_invariance)
-
-    p = sub.add_parser("family-report", help="per-index expander bookkeeping")
-    common(p, fmt=("json", "csv", "human"), inputs=-1)
-    family_source(p, all_graphs=False)
-    p.add_argument("--kind", choices=["graph", "triple"], default="graph")
-    p.add_argument("--mode", choices=["exact", "spectral"], default="exact")
-    p.add_argument("--valence-bound", type=int, default=None)
-    p.set_defaults(handler=_cmd_family_report)
-
+    known = command in {name for name, *_ in _COMMANDS}
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if not known or name == command:
+            arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except _USAGE_ERRORS as err:

@@ -14,11 +14,14 @@ v -> (q(f_a, v))_a over a basis of F; the orthogonal complement C(F) is
 never formed.  It works on numpy batches of bases, the (k, rows) chunks of at
 most ``SUBSPACE_CHUNK`` subspaces that
 :func:`~raagcheeger.linalg.enumerate_subspaces` streams in canonical order:
-one matrix product builds every R_F of a batch and one column-by-column
+two matrix products build the matrices of a batch and one column-by-column
 elimination ranks them all, on rows packed into int64 and cleared by XOR
 over GF(2), on residues in the narrowest numpy integer type that cannot
 overflow over odd p, and on Python ints or Fractions in object arrays where
-int64 could overflow and over QQ.  The scans build a
+int64 could overflow and over QQ.  The products sum n terms below (p - 1)^2,
+so while n * (p - 1)^2 < 2^53 they run exactly as float64 BLAS products.
+Every reduction mod p is x - p * (x // p), whose intermediate p * (x // p)
+stays within [-p * (p - 1), x] on the kernel's values.  The scans build a
 :class:`Subspace` only for the minimizer they report.  Pairing-connectedness
 is decided as h > 0, which is exact for dim V >= 2 (see
 :func:`pairing_connected_from_report`).
@@ -41,7 +44,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
-from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces
+from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, reduce_mod
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -170,43 +173,56 @@ def _rank_kernel(pt: PairingTriple):
     kernel is C = C(F), so dim C = n - rank R_F, and F n C is the kernel of
     R_F restricted to F, so dim(F n C) = k - rank R_F|_F; hence
     k * h_F = rank R_F - rank R_F|_F.  Column c of R_F|_F is R_F f_c.  The
-    rows of an echelon basis have distinct leading columns, so replacing the
-    leading columns of R_F by the columns of R_F|_F is an invertible column
-    change: one column-by-column elimination of [R_F|_F | non-leading columns
-    of R_F] gives rank R_F|_F after k columns and rank R_F at the end.
+    rows of an echelon basis have distinct leading columns, so the rows of F
+    followed by the unit vectors of its n - k non-leading coordinates are a
+    basis S of V, and R_F S^T is R_F after an invertible column change whose
+    first k columns are R_F|_F: one column-by-column elimination of it gives
+    rank R_F|_F after k columns and rank R_F at the end.
 
-    Arithmetic is exact: residues in the narrowest numpy integer type that
-    holds n * (p - 1)^2, Python ints or Fractions in object arrays past int64
-    and over QQ.
+    Arithmetic is exact.  Residues live in the narrowest numpy integer type
+    that holds n * (p - 1)^2, and in object arrays of Python ints past int64
+    (Fractions over QQ).  Each of the two products sums n terms below
+    (p - 1)^2, so its partial sums are integers in [0, n * (p - 1)^2]; when
+    that bound is below 2^53 every one of them is a float64, and both
+    products run as float64 BLAS products cast back to the integer type.
+    Past it they stay integer or object products, the only exact ones there.
+    Reductions go through :func:`~raagcheeger.linalg.reduce_mod`: in the
+    elimination, rest -= pivot_row * column leaves entries in
+    [-(p - 1)^2, p - 1], where p * (x // p) reaches -p * (p - 1), and
+    p * (p - 1) <= n * (p - 1)^2 for n >= 2, so the type still holds every
+    intermediate.
     """
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
-    # no intermediate value exceeds n * (p - 1)^2 in absolute value
     bound = n * (p - 1) ** 2
     ints = (np.int8, np.int16, np.int32, np.int64)
     dtype = next((t for t in ints if p and bound <= np.iinfo(t).max), object)
-    # table[j * m + e, i] = q(b_i, b_j)_e: times a basis row f_a it gives
-    # column j of R_F at the rows (a, e), for every j at once
-    table = np.array(pt.tensor, dtype=dtype).reshape(n, n * m).T
+    ptype = np.float64 if p and bound < 2**53 else dtype
+    # table[i, e * n + j] = q(b_i, b_j)_e: a basis row f_a times it is row
+    # (a, e) of R_F at every column j, so the product reshapes to (B, k*m, n)
+    table = np.array(pt.tensor, dtype=ptype).transpose(0, 2, 1).reshape(n, m * n)
+
+    def residues(x: np.ndarray) -> np.ndarray:
+        x = x.astype(dtype, copy=False)
+        return reduce_mod(x, p) if p else x
 
     def ranks(rows) -> tuple[np.ndarray, np.ndarray]:
         rows = np.asarray(rows, dtype=dtype)
         count, k, _ = rows.shape
         if not m:
             return np.zeros(count, np.int64), np.zeros(count, np.int64)
-        # columns[b, j] is column j of R_F, its k*m entries ordered (e, a)
-        columns = (table @ rows.transpose(0, 2, 1)).reshape(count, n, m * k)
-        if p:
-            columns %= p
         at = np.arange(count)[:, None]
         leading = np.zeros((count, n), dtype=bool)
         leading[at, (rows != 0).argmax(axis=2)] = True
-        others = np.nonzero(~leading)[1].reshape(count, n - k)
-        restricted = rows @ columns
-        if p:
-            restricted %= p
-        columns = np.concatenate((restricted, columns[at, others]), axis=1)
-        return _column_ranks(columns, k, p)
+        # basis[b] is S for the b-th F
+        basis = np.zeros((count, n, n), ptype)
+        basis[:, :k] = rows
+        basis[at, range(k, n), np.nonzero(~leading)[1].reshape(count, n - k)] = 1
+        r_f = residues(basis[:, :k].reshape(count * k, n) @ table).reshape(count, k * m, n)
+        # columns[b, c] is column c of R_F S^T, its k*m entries ordered (a, e);
+        # the product is about twice as slow on a transposed view of r_f
+        r_t = r_f.transpose(0, 2, 1).astype(ptype, order="C", copy=False)
+        return _column_ranks(residues(basis @ r_t), k, p)
 
     return ranks
 
@@ -221,10 +237,10 @@ def _column_ranks(cols: np.ndarray, k: int, p: int) -> tuple[np.ndarray, np.ndar
     is a pivot twice.  Over GF(2) (with fewer than 64 columns) each row is
     packed into an int64 and cleared by XOR.  Otherwise the pivot row is
     scaled to a leading 1 (x^(p-2) is the inverse mod p) and subtracted;
-    residues are reduced mod p, QQ stays exact in Fractions.  ``cols`` is
-    overwritten.
+    residues are reduced mod p, QQ stays exact in Fractions.  ``cols`` may
+    be overwritten.
     """
-    count, n, _ = cols.shape
+    count, n, rows = cols.shape
     at = np.arange(count)
     rank = np.zeros(count, np.int64)
     restricted = rank  # becomes a copy once the first k columns are done
@@ -239,23 +255,28 @@ def _column_ranks(cols: np.ndarray, k: int, p: int) -> tuple[np.ndarray, np.ndar
             packed ^= has * packed[at, pivot][:, None]
             rank += has[at, pivot]
     else:
+        # with the batch axis last every step is a few numpy calls over
+        # contiguous blocks of B entries; pivots are flat positions in a
+        # (rows, B) block, and np.take keeps its results C-contiguous where
+        # fancy indexing would return them transposed
+        cols = np.ascontiguousarray(cols.transpose(1, 2, 0))
         for c in range(n):
             if c == k:
                 restricted = rank.copy()
-            column = cols[:, c]
-            has = column != 0
-            pivot = has.argmax(axis=1)
-            found = has[at, pivot]
+            column = cols[c]
+            at_pivot = (column != 0).argmax(axis=0) * count + at
+            lead = np.take(column, at_pivot)
+            found = lead != 0
             rank += found
             # column c is not read again, so only the columns right of it change
-            rest = cols[:, c + 1 :]
-            scale = _inverse(np.where(found, column[at, pivot], 1), p)
-            pivot_row = rest[at, :, pivot] * scale[:, None]
+            rest = cols[c + 1 :]
+            scale = _inverse(np.where(found, lead, 1), p)
+            pivot_row = np.take(rest.reshape(n - c - 1, rows * count), at_pivot, axis=1) * scale
             if p:
-                pivot_row %= p
-            rest -= pivot_row[:, :, None] * column[:, None, :]
+                reduce_mod(pivot_row, p)
+            rest -= pivot_row[:, None, :] * column
             if p:
-                rest %= p
+                reduce_mod(rest, p)
     return rank, restricted
 
 
@@ -268,9 +289,10 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
     e = p - 2
     while e:
         if e & 1:
-            out = out * x % p
-        x = x * x % p
+            out = reduce_mod(out * x, p)
         e >>= 1
+        if e:
+            x = reduce_mod(x * x, p)
     return out
 
 
@@ -394,9 +416,19 @@ def _projective_frame(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     reading point h as the normal of a hyperplane; and every projective basis
     as a row of n point indices, the n-subsets no hyperplane holds.
     """
-    grid = np.indices((p,) * n).reshape(n, -1).T
-    points = grid[grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)] == 1]
-    outside = points @ points.T % p != 0
+    # the points in lexicographic order: those with the leading 1 last come
+    # first, each block (0, .., 0, 1, tail) ordered by its tail, the base-p
+    # digits of the tail's index
+    blocks = []
+    for lead in reversed(range(n)):
+        width = n - 1 - lead
+        block = np.zeros((p**width, n), dtype=np.int64)
+        block[:, lead] = 1
+        digits = np.arange(p**width)[:, None] // p ** np.arange(width - 1, -1, -1)
+        block[:, lead + 1 :] = reduce_mod(digits, p)
+        blocks.append(block)
+    points = np.concatenate(blocks)
+    outside = reduce_mod(points @ points.T, p) != 0
     combos = itertools.combinations(range(len(points)), n)
     step = max(1, QVALENCE_CHUNK_BYTES // (len(points) * n))
     bases = []
@@ -458,8 +490,8 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     # images[x, e, j] = q(x, b_j)_e, then pairs[x, y] = (q(x, y) != 0); sums
     # stay below n * p^2, within int64 whenever the p^n points fit in memory
     table = np.array(pt.tensor, dtype=np.int64).reshape(n, n * m)
-    images = (points @ table % p).reshape(-1, n, m).transpose(0, 2, 1)
-    pairs = (images @ points.T % p).any(axis=1)
+    images = reduce_mod(points @ table, p).reshape(-1, n, m).transpose(0, 2, 1)
+    pairs = reduce_mod(images @ points.T, p).any(axis=1)
     # on[x, h] is all ones where point x lies on hyperplane h and 0 off it;
     # no weight exceeds n < 255, so OR-ing it in hides exactly the points on h
     on = np.where(outside, 0, 255).astype(np.uint8)

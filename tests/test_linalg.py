@@ -5,6 +5,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +225,18 @@ def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
         assert len(again) == len(batches)
         for (k, rows), (k2, rows2) in zip(batches, again):
             assert k == k2 and (rows == rows2).all()
+
+
+@pytest.mark.parametrize("p, n, dtype", [(5, 5, np.int8), (79, 5, np.int16), (101, 5, np.int32)])
+def test_reduce_mod_is_python_mod_over_the_kernel_range(p, n, dtype):
+    # the rank kernel reduces values in [-p(p - 1), n(p - 1)^2] in the
+    # narrowest type holding n(p - 1)^2; for n = 5, 79 is the largest prime
+    # that int16 holds
+    assert np.iinfo(dtype).max >= n * (p - 1) ** 2 and np.iinfo(dtype).min <= -p * (p - 1)
+    values = np.arange(-p * (p - 1), n * (p - 1) ** 2 + 1)
+    expected = [v % p for v in values.tolist()]
+    assert linalg.reduce_mod(values.astype(dtype), p).tolist() == expected
+    assert linalg.reduce_mod(values.astype(object), p).tolist() == expected
 
 
 def test_enumeration_rejects_rationals():

@@ -2,9 +2,11 @@ import ast
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raagcheeger
@@ -401,11 +403,16 @@ def test_kernel_with_zero_dimensional_w():
         cheeger_constant_exhaustive(build_triple(edgeless(4), Field.gf(2**61 - 1)))
 
 
-@pytest.mark.parametrize("p", [13, 101, 1_073_741_789, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("p", [
+    13, 101, 42_443_351, 42_443_377, 47_453_111, 47_453_149, 1_073_741_789, 2**31 - 1, 2**61 - 1,
+])
 def test_kernel_over_larger_primes_matches_public_formula(p):
     # for n = 4 and 5, n * (p - 1)^2 needs int16 at p = 13, int32 at p = 101
     # and int64 at the largest prime below 2^30, where (p - 1)^3 would not
-    # fit; for the two Mersenne primes the kernel works on Python ints
+    # fit; for the two Mersenne primes the kernel works on Python ints.  The
+    # products run in float64 while n * (p - 1)^2 < 2^53: 42443351 is the
+    # largest prime where that holds for n = 5 and 47453111 for n = 4, and
+    # at the next primes, 42443377 and 47453149, they run in int64
     field = Field.gf(p)
     rng = random.Random(p)
     triples = [build_triple(g, field) for g in (cycle(5), path(4), star(3))]
@@ -530,6 +537,37 @@ def test_q_valence_work_cap():
     line = PairingTriple.of(Field.gf(7919), 1, 1, [[(1,)]], "symmetric")
     assert q_valence_exhaustive(line) == 1
     assert q_valence_exhaustive(build_triple(edgeless(1), Field.gf(7919))) == 0
+
+
+@pytest.mark.parametrize("p, most", [(2, 4), (3, 4), (5, 2)])
+def test_projective_frame_matches_the_filtered_grid(p, most):
+    # the frame built block by block equals the one filtered out of the whole
+    # p^n grid: same points in the same order, and a basis is a set of n
+    # points with a nonzero determinant mod p
+    for n in range(1, most + 1):
+        grid = np.indices((p,) * n).reshape(n, -1).T
+        points = grid[grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)] == 1]
+        combos = np.array(list(itertools.combinations(range(len(points)), n)))
+        dets = np.rint(np.linalg.det(points[combos])).astype(np.int64)
+        got_points, got_outside, got_bases = pairing._projective_frame(n, p)
+        assert got_points.tolist() == points.tolist()
+        assert got_outside.tolist() == (points @ points.T % p != 0).tolist()
+        assert got_bases.tolist() == combos[dets % p != 0].tolist()
+
+
+def test_q_valence_frame_holds_only_the_points():
+    # GF(1000003)^1 has one projective point, so the frame must not hold the
+    # p^n vectors of the whole space
+    line = PairingTriple.of(Field.gf(1_000_003), 1, 1, [[(1,)]], "symmetric")
+    pairing._projective_frame.cache_clear()
+    tracemalloc.start()
+    try:
+        assert q_valence_exhaustive(line, Budgets(basis_dim=1)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pairing._projective_frame.cache_clear()
+    assert peak < 2**20
 
 
 def test_q_valence_refuses_a_large_prime_at_once():
