@@ -6,7 +6,8 @@ space, so equality, hashing and deduplication are structural and the
 minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
 lexicographically.  The subspace stream comes in numpy batches of RREF
-rows, the form the rank kernel in :mod:`raagcheeger.pairing` consumes.
+bases completed to bases of the whole space, the form the rank kernel in
+:mod:`raagcheeger.pairing` consumes.
 """
 
 from __future__ import annotations
@@ -146,15 +147,23 @@ def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-SUBSPACE_CHUNK = 256
-"""Most subspaces in one batch of :func:`enumerate_subspaces`.  With the
-float64 products of the rank kernel, numpy's per-call cost dominates, so
-larger batches run faster but hold larger temporaries.  Measured with
-perfbench (seed 1, ``--seconds 10``, two runs each, shared 2-vCPU machine):
-subspace-scan ``wall_s`` was 0.198-0.210 s at 256, 0.184-0.188 s at 512 and
-0.206-0.214 s at 1024, while ``peak_rss_mb`` rose by 0.5, 1.9 and 4.6 MB
-over 36.7 MB, and dictionary-sweep's by 0.8, 2.3 and 4.9 MB over 37.05 MB.
-512 would buy about 7% of time for more than 5% of memory."""
+def int_type(bound: int):
+    """The narrowest numpy integer type holding every integer in
+    [-bound, bound], or ``object`` (Python ints) past int64."""
+    return next(
+        (t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object
+    )
+
+
+SUBSPACE_CHUNK = 512
+"""Most subspaces in one batch of :func:`enumerate_subspaces`.  numpy's
+per-call cost dominates the rank kernel, so larger batches run faster but
+hold larger temporaries.  Measured with perfbench (seed 1, ``--seconds 10``,
+two runs each, shared 2-vCPU machine): subspace-scan ``wall_s`` was 0.133 s
+at 256, 0.115-0.121 s at 512 and 0.121-0.122 s at 1024, with
+``peak_rss_mb`` 36.6-36.8, 37.1-37.2 and 38.2 MB; dictionary-sweep's
+``peak_rss_mb`` was 37.5, 37.9-38.1 and 38.9 MB.  1024 buys no time for
+another megabyte."""
 
 
 def enumerate_subspaces(
@@ -165,14 +174,17 @@ def enumerate_subspaces(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream every subspace of each requested dimension exactly once, in batches.
 
-    Yields ``(k, rows)`` with ``rows`` an integer array of shape (B, k, n),
-    1 <= B <= :data:`SUBSPACE_CHUNK`; ``rows[b]`` is the canonical RREF basis
-    of one k-dimensional subspace.  The stream is deterministic: dimensions
-    ascending, then pivot-column sets in lexicographic order, then all
-    fillings of the free entries in lexicographic order.  A batch holds
-    consecutive subspaces of one dimension and may span several pivot sets.
-    Past the budgets (see :meth:`Budgets.check_subspaces`) the first ``next``
-    raises :class:`BudgetError` before any work.
+    Yields ``(k, bases)`` with ``bases`` an array of shape (B, n, n),
+    1 <= B <= :data:`SUBSPACE_CHUNK`, in the narrowest integer type holding
+    p - 1.  ``bases[b, :k]`` is the canonical RREF basis of one
+    k-dimensional subspace F, and ``bases[b, k:]`` are the unit vectors of
+    its non-leading coordinates in increasing order, so ``bases[b]`` is a
+    basis of V that starts with one of F.  The stream is deterministic:
+    dimensions ascending, then pivot-column sets in lexicographic order,
+    then all fillings of the free entries in lexicographic order.  A batch
+    holds consecutive subspaces of one dimension and may span several pivot
+    sets.  Past the budgets (see :meth:`Budgets.check_subspaces`) the first
+    ``next`` raises :class:`BudgetError` before any work.
     """
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
@@ -183,6 +195,7 @@ def enumerate_subspaces(
         if k < 0 or k > n:
             raise LinalgError(f"requested dimension {k} outside [0, {n}]")
     p = field.characteristic
+    dtype = int_type(p - 1)
     for k in dims:
         pending: list[np.ndarray] = []
         count = 0
@@ -194,19 +207,19 @@ def enumerate_subspaces(
             total = p ** len(free)
             # fill number i, written in base p with the first free entry most
             # significant, is the i-th fill in lexicographic order
-            dtype = np.int64 if total < 2**63 else object
-            powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=dtype)
-            base = np.zeros((k, n), dtype=dtype)
-            base[range(k), list(pivots)] = 1
+            ftype = np.int64 if total < 2**63 else object
+            powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=ftype)
+            base = np.zeros((n, n), dtype=dtype)
+            base[range(n), [*pivots, *(c for c in range(n) if c not in pivset)]] = 1
             free_rows = [r for r, _ in free]
             free_cols = [c for _, c in free]
             start = 0
             while start < total:
                 stop = min(total, start + SUBSPACE_CHUNK - count)
-                rows = np.repeat(base[None], stop - start, axis=0)
-                fills = np.arange(start, stop, dtype=dtype)[:, None] // powers
-                rows[:, free_rows, free_cols] = reduce_mod(fills, p)
-                pending.append(rows)
+                bases = np.repeat(base[None], stop - start, axis=0)
+                fills = np.arange(start, stop, dtype=ftype)[:, None] // powers
+                bases[:, free_rows, free_cols] = reduce_mod(fills, p)
+                pending.append(bases)
                 count += stop - start
                 start = stop
                 if count == SUBSPACE_CHUNK:

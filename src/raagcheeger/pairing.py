@@ -11,17 +11,19 @@ Verification code compares them explicitly.
 One rank kernel serves every subspace Cheeger computation:
 h_F = (rank R_F - rank R_F|_F) / dim F, with R_F the matrix of
 v -> (q(f_a, v))_a over a basis of F; the orthogonal complement C(F) is
-never formed.  It works on numpy batches of bases, the (k, rows) chunks of at
-most ``SUBSPACE_CHUNK`` subspaces that
+never formed.  It works on numpy batches of at most ``SUBSPACE_CHUNK``
+bases S of V, each starting with a basis of F, the (k, bases) chunks that
 :func:`~raagcheeger.linalg.enumerate_subspaces` streams in canonical order:
 two matrix products build the matrices of a batch and one column-by-column
-elimination ranks them all, on rows packed into int64 and cleared by XOR
+elimination ranks them all, on rows packed into integers and cleared by XOR
 over GF(2), on residues in the narrowest numpy integer type that cannot
-overflow over odd p, and on Python ints or Fractions in object arrays where
-int64 could overflow and over QQ.  The products sum n terms below (p - 1)^2,
-so while n * (p - 1)^2 < 2^53 they run exactly as float64 BLAS products.
-Every reduction mod p is x - p * (x // p), whose intermediate p * (x // p)
-stays within [-p * (p - 1), x] on the kernel's values.  The scans build a
+overflow over odd p, on Python ints in object arrays where int64 could
+overflow, and over QQ on Python ints too, after scaling the tensor and the
+rows of S to integers, by fraction-free elimination.  The products sum n
+terms below (p - 1)^2, so they run exactly as float32 BLAS products while
+n * (p - 1)^2 < 2^24 and as float64 ones while it is below 2^53.  Every
+reduction mod p is x - p * (x // p), whose intermediate p * (x // p) stays
+within [-p * (p - 1), x] on the kernel's values.  The scans build a
 :class:`Subspace` only for the minimizer they report.  Pairing-connectedness
 is decided as h > 0, which is exact for dim V >= 2 (see
 :func:`pairing_connected_from_report`).
@@ -34,6 +36,7 @@ graphs).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +47,9 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
-from .linalg import SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, reduce_mod
+from .linalg import (
+    SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, int_type, reduce_mod,
+)
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -165,135 +170,146 @@ def zero_triple(dim_v: int, dim_w: int, field: Field, symmetry: str = ANTISYMMET
 
 
 def _rank_kernel(pt: PairingTriple):
-    """The rank kernel of every subspace invariant, built once per call: a
-    batch of echelon bases, an array of shape (B, k, n), -> the arrays
-    (rank R_F, rank R_F|_F), one entry per basis.
+    """The rank kernel of every subspace invariant, built once per call:
+    (k, a batch of completed bases S, an array of shape (B, n, n)) -> the
+    arrays (rank R_F, rank R_F|_F), one entry per basis, F being the span of
+    the first k rows of S.
 
     R_F is the (k*m) x n matrix of the functionals v -> q(f_a, v)_e.  Its
     kernel is C = C(F), so dim C = n - rank R_F, and F n C is the kernel of
     R_F restricted to F, so dim(F n C) = k - rank R_F|_F; hence
-    k * h_F = rank R_F - rank R_F|_F.  Column c of R_F|_F is R_F f_c.  The
-    rows of an echelon basis have distinct leading columns, so the rows of F
-    followed by the unit vectors of its n - k non-leading coordinates are a
-    basis S of V, and R_F S^T is R_F after an invertible column change whose
-    first k columns are R_F|_F: one column-by-column elimination of it gives
-    rank R_F|_F after k columns and rank R_F at the end.
+    k * h_F = rank R_F - rank R_F|_F.  Column c of R_F|_F is R_F f_c.  S is a
+    basis of V whose first k rows span F, so R_F S^T is R_F after an
+    invertible column change whose first k columns are R_F|_F: one
+    column-by-column elimination of it gives rank R_F|_F after k columns and
+    rank R_F at the end.  A nonzero scale of the tensor or of a row of S
+    changes no rank, so over QQ both are scaled to integers.
 
     Arithmetic is exact.  Residues live in the narrowest numpy integer type
     that holds n * (p - 1)^2, and in object arrays of Python ints past int64
-    (Fractions over QQ).  Each of the two products sums n terms below
-    (p - 1)^2, so its partial sums are integers in [0, n * (p - 1)^2]; when
-    that bound is below 2^53 every one of them is a float64, and both
-    products run as float64 BLAS products cast back to the integer type.
-    Past it they stay integer or object products, the only exact ones there.
-    Reductions go through :func:`~raagcheeger.linalg.reduce_mod`: in the
-    elimination, rest -= pivot_row * column leaves entries in
-    [-(p - 1)^2, p - 1], where p * (x // p) reaches -p * (p - 1), and
-    p * (p - 1) <= n * (p - 1)^2 for n >= 2, so the type still holds every
-    intermediate.
+    and over QQ.  Each of the two products sums n terms below (p - 1)^2, so
+    its partial sums are integers in [0, n * (p - 1)^2]; they run as float32
+    BLAS products while that bound is below 2^24 and as float64 ones below
+    2^53, where every such integer is a float, and are cast back to the
+    integer type.  Past 2^53 they stay integer or object products, the only
+    exact ones there.
     """
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
     bound = n * (p - 1) ** 2
-    ints = (np.int8, np.int16, np.int32, np.int64)
-    dtype = next((t for t in ints if p and bound <= np.iinfo(t).max), object)
-    ptype = np.float64 if p and bound < 2**53 else dtype
+    dtype = int_type(bound) if p else object
+    ptype = dtype if not p or bound >= 2**53 else np.float32 if bound < 2**24 else np.float64
+    scale = math.lcm(*(x.denominator for row in pt.tensor for w in row for x in w))
     # table[i, e * n + j] = q(b_i, b_j)_e: a basis row f_a times it is row
     # (a, e) of R_F at every column j, so the product reshapes to (B, k*m, n)
-    table = np.array(pt.tensor, dtype=ptype).transpose(0, 2, 1).reshape(n, m * n)
+    table = np.array(
+        [[[int(x * scale) for x in w] for w in row] for row in pt.tensor], dtype=ptype
+    ).transpose(0, 2, 1).reshape(n, m * n)
 
-    def residues(x: np.ndarray) -> np.ndarray:
-        x = x.astype(dtype, copy=False)
-        return reduce_mod(x, p) if p else x
-
-    def ranks(rows) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.asarray(rows, dtype=dtype)
-        count, k, _ = rows.shape
+    def ranks(k: int, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = len(bases)
         if not m:
             return np.zeros(count, np.int64), np.zeros(count, np.int64)
-        at = np.arange(count)[:, None]
-        leading = np.zeros((count, n), dtype=bool)
-        leading[at, (rows != 0).argmax(axis=2)] = True
-        # basis[b] is S for the b-th F
-        basis = np.zeros((count, n, n), ptype)
-        basis[:, :k] = rows
-        basis[at, range(k, n), np.nonzero(~leading)[1].reshape(count, n - k)] = 1
-        r_f = residues(basis[:, :k].reshape(count * k, n) @ table).reshape(count, k * m, n)
-        # columns[b, c] is column c of R_F S^T, its k*m entries ordered (a, e);
-        # the product is about twice as slow on a transposed view of r_f
-        r_t = r_f.transpose(0, 2, 1).astype(ptype, order="C", copy=False)
-        return _column_ranks(residues(basis @ r_t), k, p)
+        s = bases.astype(ptype, copy=False)
+        r_f = s[:, :k].reshape(count * k, n) @ table
+        if p:
+            r_f = reduce_mod(r_f.astype(dtype, copy=False), p)
+        # r_t[b, j] is column j of R_F, its k*m entries ordered (a, e); the
+        # second product is about twice as slow on a transposed view
+        r_t = r_f.reshape(count, k * m, n).transpose(0, 2, 1).astype(ptype, order="C")
+        del r_f
+        # cols[b, c] is column c of R_F S^T for the b-th F
+        cols = s @ r_t
+        del r_t
+        return _column_ranks(cols, k, p, dtype)
 
     return ranks
 
 
-def _column_ranks(cols: np.ndarray, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _column_ranks(cols: np.ndarray, k: int, p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Forward elimination of a batch of matrices given column by column,
     shape (B, columns, rows), that only counts rank: (rank of all columns,
-    rank of the first k columns) per matrix.
+    rank of the first k columns) per matrix.  The entries are integers, in
+    any numeric type; they are reduced mod p into ``dtype`` first.
 
     A column's pivot row is its first row with a nonzero entry there; the
     pivot row clears that entry from every row, itself included, so no row
     is a pivot twice.  Over GF(2) (with fewer than 64 columns) each row is
-    packed into an int64 and cleared by XOR.  Otherwise the pivot row is
-    scaled to a leading 1 (x^(p-2) is the inverse mod p) and subtracted;
-    residues are reduced mod p, QQ stays exact in Fractions.  ``cols`` may
-    be overwritten.
+    packed into an integer and cleared by XOR.  Otherwise the pivot row,
+    with lead its entry in the column, clears the columns right of it as
+    rest <- lead * rest - column * pivot_row, fraction-free: scaling a row
+    by a nonzero lead changes no rank.  Residues are reduced mod p after
+    each step; lead * rest - column * pivot_row lies in
+    [-(p - 1)^2, (p - 1)^2], where p * (x // p) reaches -p * (p - 1), and
+    both bounds are at most n * (p - 1)^2 in size for n >= 2, so the residue
+    type of :func:`_rank_kernel` holds every intermediate.  Over QQ the
+    entries are Python ints, and each step divides exactly by the previous
+    pivot (Bareiss 1968), so every entry stays a minor of the input.
     """
     count, n, rows = cols.shape
     at = np.arange(count)
     rank = np.zeros(count, np.int64)
     restricted = rank  # becomes a copy once the first k columns are done
     if p == 2 and n < 64:
-        bits = np.int64(1) << np.arange(n, dtype=np.int64)
-        packed = np.einsum("j,bjr->br", bits, cols, dtype=np.int64)  # no int64 copy of cols
+        bits = (1 << np.arange(n)).astype(np.int8 if n < 8 else np.int64)
+        packed = np.einsum("j,bjr->br", bits, reduce_mod(cols.astype(dtype), 2))
         for c in range(n):
             if c == k:
                 restricted = rank.copy()
             has = (packed & bits[c]) != 0
             pivot = has.argmax(axis=1)
-            packed ^= has * packed[at, pivot][:, None]
             rank += has[at, pivot]
+            if c + 1 == n:
+                break
+            packed ^= has * packed[at, pivot][:, None]
+        return rank, restricted
+    # with the batch axis last every step is a few numpy calls over
+    # contiguous blocks of B entries; pivots are flat positions in a
+    # (rows, B) block, and np.take keeps its results C-contiguous where
+    # fancy indexing would return them transposed
+    block = np.empty((n, rows, count), dtype)
+    np.copyto(block.transpose(2, 0, 1), cols, casting="unsafe")
+    if p:
+        reduce_mod(block, p)
     else:
-        # with the batch axis last every step is a few numpy calls over
-        # contiguous blocks of B entries; pivots are flat positions in a
-        # (rows, B) block, and np.take keeps its results C-contiguous where
-        # fancy indexing would return them transposed
-        cols = np.ascontiguousarray(cols.transpose(1, 2, 0))
-        for c in range(n):
-            if c == k:
-                restricted = rank.copy()
-            column = cols[c]
-            at_pivot = (column != 0).argmax(axis=0) * count + at
-            lead = np.take(column, at_pivot)
-            found = lead != 0
-            rank += found
-            # column c is not read again, so only the columns right of it change
-            rest = cols[c + 1 :]
-            scale = _inverse(np.where(found, lead, 1), p)
-            pivot_row = np.take(rest.reshape(n - c - 1, rows * count), at_pivot, axis=1) * scale
-            if p:
-                reduce_mod(pivot_row, p)
-            rest -= pivot_row[:, None, :] * column
-            if p:
-                reduce_mod(rest, p)
+        divisor = np.ones(count, dtype=object)
+    for c in range(n):
+        if c == k:
+            restricted = rank.copy()
+        column = block[c]
+        at_pivot = (column != 0).argmax(axis=0) * count + at
+        lead = np.take(column, at_pivot)
+        found = lead != 0
+        rank += found
+        if c + 1 == n:
+            break
+        # column c is not read again, so only the columns right of it change
+        rest = block[c + 1 :]
+        pivot_row = np.take(rest.reshape(n - c - 1, rows * count), at_pivot, axis=1)
+        rest *= np.where(found, lead, 1)
+        rest -= pivot_row[:, None, :] * column
+        if p:
+            reduce_mod(rest, p)
+        else:
+            # a column without a pivot changes nothing, so nothing is divided
+            rest //= np.where(found, divisor, 1)
+            divisor = np.where(found, lead, divisor)
     return rank, restricted
 
 
-def _inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise inverse of nonzero scalars: 1/x over QQ, x^(p-2) mod p over
-    GF(p) by square-and-multiply."""
-    if not p:
-        return Fraction(1) / x
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = reduce_mod(out * x, p)
-        e >>= 1
-        if e:
-            x = reduce_mod(x * x, p)
-    return out
+def _completed_basis(subspace: Subspace) -> np.ndarray:
+    """S for one subspace, shaped (1, n, n) like a batch of the stream: its
+    basis rows, each scaled to integers by the lcm of its denominators, then
+    the unit vectors of its non-leading coordinates in increasing order."""
+    n = subspace.ambient_dim
+    leading = set()
+    rows = []
+    for row in subspace.basis:
+        leading.add(next(c for c, x in enumerate(row) if x))
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    rows += [[int(j == c) for j in range(n)] for c in range(n) if c not in leading]
+    return np.array([rows], dtype=object)
 
 
 def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
@@ -306,7 +322,7 @@ def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
         )
     if subspace.field != pt.field or subspace.ambient_dim != pt.dim_v:
         raise PairingError("subspace does not live in the triple's V")
-    rank, rank_restricted = _rank_kernel(pt)([subspace.basis])
+    rank, rank_restricted = _rank_kernel(pt)(j, _completed_basis(subspace))
     return Fraction(int(rank[0] - rank_restricted[0]), j)
 
 
@@ -344,17 +360,17 @@ def _first_minimum(
     best_num, best_dim = 0, 0
     best = None
     visited = 0
-    for k, rows in batches:
-        rank, rank_restricted = ranks(rows)
+    for k, bases in batches:
+        rank, rank_restricted = ranks(k, bases)
         nums = rank - rank_restricted
         i = int(nums.argmin())
         num = int(nums[i])
         if best is None or num * best_dim < best_num * k:
-            best_num, best_dim, best = num, k, rows[i]
+            best_num, best_dim, best = num, k, bases[i, :k]
             if not num:
                 visited += i + 1
                 break
-        visited += len(rows)
+        visited += len(bases)
     f = pt.field
     basis = tuple(tuple(f.element(x) for x in row) for row in best.tolist())
     return CheegerReport(Fraction(best_num, best_dim), Subspace(f, pt.dim_v, basis), method, visited)
@@ -391,13 +407,15 @@ def cheeger_constant_coordinate(t) -> CheegerReport:
 
 def _coordinate_batches(n: int):
     """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
-    at most SUBSPACE_CHUNK, in the order of itertools.combinations."""
+    at most SUBSPACE_CHUNK, in the order of itertools.combinations, each
+    completed like the stream by the unit vectors off its coordinates."""
     for k in range(1, n // 2 + 1):
         combos = itertools.combinations(range(n), k)
         while chunk := list(itertools.islice(combos, SUBSPACE_CHUNK)):
-            rows = np.zeros((len(chunk), k, n), dtype=np.int64)
-            rows[np.arange(len(chunk))[:, None], range(k), chunk] = 1
-            yield k, rows
+            order = [(*c, *(j for j in range(n) if j not in c)) for c in chunk]
+            bases = np.zeros((len(chunk), n, n), dtype=np.int8)
+            bases[np.arange(len(chunk))[:, None], range(n), order] = 1
+            yield k, bases
 
 
 # -- q-valence ---------------------------------------------------------------

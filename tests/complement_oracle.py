@@ -11,10 +11,13 @@ so the tests can compare the two routes on the same subspaces.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from raagcheeger import LinalgError, PairingError, Subspace
-from raagcheeger.linalg import _Echelon
+from raagcheeger.linalg import _Echelon, reduce_mod
 from raagcheeger.pairing import _pairing
 
 
@@ -30,6 +33,22 @@ def mul(field, a, b):
     field.check(a), field.check(b)
     p = field.characteristic
     return a * b % p if p else a * b
+
+
+def entrywise_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Entrywise inverse of an array of nonzero scalars: 1/x over QQ,
+    x^(p-2) mod p over GF(p) by square-and-multiply."""
+    if not p:
+        return Fraction(1) / x
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = reduce_mod(out * x, p)
+        e >>= 1
+        if e:
+            x = reduce_mod(x * x, p)
+    return out
 
 
 def null_space(field, n: int, rows) -> Subspace:

@@ -1,8 +1,9 @@
 """Test helpers: the batched subspace stream as one Subspace per subspace,
 and an independent enumeration of the same canonical order.
 
-``enumerate_subspaces`` yields (k, rows) batches of RREF bases; tests that
-want to compare, hash or print individual subspaces read it through here.
+``enumerate_subspaces`` yields (k, bases) batches of RREF bases completed to
+bases of the whole space; tests that want to compare, hash or print
+individual subspaces read the first k rows of each through here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from raagcheeger import DEFAULT_BUDGETS, Subspace, enumerate_subspaces
 
 def subspaces(ambient_dim, dims, field, budgets=DEFAULT_BUDGETS):
     """Every subspace of the stream, in stream order."""
-    for _, rows in enumerate_subspaces(ambient_dim, dims, field, budgets):
-        for basis in rows.tolist():
+    for k, bases in enumerate_subspaces(ambient_dim, dims, field, budgets):
+        for basis in bases[:, :k].tolist():
             yield Subspace(field, ambient_dim, tuple(map(tuple, basis)))
 
 

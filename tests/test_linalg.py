@@ -209,22 +209,31 @@ def test_enumeration_is_duplicate_free():
 @pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
 def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
     # batches pack consecutive pivot profiles of one dimension: every batch
-    # but the last of its dimension is full, and concatenated they are the
-    # canonical order; the stream repeats exactly
+    # but the last of its dimension is full, and concatenated their first k
+    # rows are the canonical order; the rows after them are the unit vectors
+    # of the non-leading coordinates, so each basis is invertible mod p; the
+    # stream repeats exactly
     monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
-    for n, dims, field in ((5, [1, 2], GF2), (4, [0, 1, 2, 4], GF3), (3, [1, 2], GF5)):
+    cases = ((5, [1, 2], GF2, np.int8), (4, [0, 1, 2, 4], GF3, np.int8),
+             (3, [1, 2], GF5, np.int8), (2, [1], Field.gf(257), np.int16))
+    for n, dims, field, dtype in cases:
         batches = list(enumerate_subspaces(n, dims, field))
-        flat = [basis for _, rows in batches for basis in rows.tolist()]
+        flat = [basis for k, bases in batches for basis in bases[:, :k].tolist()]
         assert flat == list(canonical_order(n, dims, field.characteristic))
         assert [k for k, _ in batches] == sorted(k for k, _ in batches)
-        for i, (k, rows) in enumerate(batches):
-            assert rows.shape[1:] == (k, n)
+        for i, (k, bases) in enumerate(batches):
+            assert bases.shape[1:] == (n, n) and bases.dtype == dtype
             last_of_dim = i + 1 == len(batches) or batches[i + 1][0] != k
-            assert 1 <= len(rows) <= chunk and (last_of_dim or len(rows) == chunk)
+            assert 1 <= len(bases) <= chunk and (last_of_dim or len(bases) == chunk)
+            for basis in bases.tolist():
+                leading = {row.index(1) for row in basis[:k]}
+                free = [c for c in range(n) if c not in leading]
+                assert basis[k:] == [[int(j == c) for j in range(n)] for c in free]
+                assert Subspace.from_vectors(field, n, basis).dim == n
         again = list(enumerate_subspaces(n, dims, field))
         assert len(again) == len(batches)
-        for (k, rows), (k2, rows2) in zip(batches, again):
-            assert k == k2 and (rows == rows2).all()
+        for (k, bases), (k2, bases2) in zip(batches, again):
+            assert k == k2 and (bases == bases2).all()
 
 
 @pytest.mark.parametrize("p, n, dtype", [(5, 5, np.int8), (79, 5, np.int16), (101, 5, np.int32)])

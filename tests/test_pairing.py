@@ -316,14 +316,29 @@ def test_coordinate_scan_over_rationals_matches_public_formula():
         assert rep.minimizer == coords[expected.index(low)]
         if hasattr(t, "graph"):
             assert rep.value == cheeger_graph_exact(t.graph).value
-    # non-coordinate rational subspaces, where pivots are not units
+    # non-coordinate rational subspaces, where pivots are not units, of the
+    # triple above and of a seeded antisymmetric triple on QQ^6 whose entries
+    # have denominators up to 7, so the kernel scales rows and tensor by
+    # different lcms and its elimination divides by several earlier pivots
     rng = random.Random(23)
-    for _ in range(60):
-        k = rng.randint(1, 2)
-        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)] for _ in range(k)]
-        f = Subspace.from_vectors(QQ, 4, rows)
-        if 0 < f.dim:
-            assert cheeger_of_subspace(fractional, f) == _h_by_complement(fractional, f)
+    grid = [[[Fraction(0)] * 3 for _ in range(6)] for _ in range(6)]
+    for i, j in itertools.combinations(range(6), 2):
+        grid[i][j] = [Fraction(rng.randint(-4, 4), rng.randint(1, 7)) for _ in range(3)]
+        grid[j][i] = [-x for x in grid[i][j]]
+    dense = PairingTriple.of(QQ, 6, 3, grid)
+    coords = _coordinate_subspaces(QQ, 6)
+    expected = [_h_by_complement(dense, f) for f in coords]
+    assert [cheeger_of_subspace(dense, f) for f in coords] == expected
+    rep = cheeger_constant_coordinate(dense)
+    assert (rep.value, rep.minimizer) == (min(expected), coords[expected.index(min(expected))])
+    for t, n in ((fractional, 4), (dense, 6)):
+        for _ in range(60):
+            k = rng.randint(1, n // 2)
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(k)]
+            f = Subspace.from_vectors(QQ, n, rows)
+            if 0 < f.dim:
+                assert cheeger_of_subspace(t, f) == _h_by_complement(t, f)
 
 
 def _scan_by_complement(t, subspaces):
@@ -383,6 +398,36 @@ def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == coordinate
 
 
+@pytest.mark.parametrize("p", [0, 3, 7])
+def test_column_elimination_matches_echelon_ranks(p):
+    # integer matrices, given column by column, where about half the columns
+    # are combinations of earlier ones, so columns without a pivot fall
+    # between pivots other than 1; over QQ the elimination divides by earlier
+    # pivots, over GF(p) it scales rows by them.  The rank of all columns and
+    # of the first k must be those of the RREF accumulator
+    field = Field.gf(p) if p else QQ
+    rng = random.Random(31 + p)
+    n_cols, n_rows, k = 7, 5, 3
+    mats = []
+    for _ in range(300):
+        cols = []
+        for c in range(n_cols):
+            if c and rng.random() < 0.5:
+                a, b = rng.choice(cols), rng.choice(cols)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                cols.append([s * x + t * y for x, y in zip(a, b)])
+            else:
+                cols.append([rng.randint(-5, 5) if rng.random() < 0.7 else 0 for _ in range(n_rows)])
+        mats.append([[x % p for x in col] for col in cols] if p else cols)
+    expected = [
+        tuple(Subspace.from_vectors(field, n_rows, cols[:j]).dim for j in (n_cols, k))
+        for cols in mats
+    ]
+    batch = np.array(mats, dtype=np.int64 if p else object)
+    rank, restricted = pairing._column_ranks(batch, k, p, np.int64 if p else object)
+    assert list(zip(rank.tolist(), restricted.tolist())) == expected
+
+
 def test_kernel_with_zero_dimensional_w():
     # dim W = 0: R_F has no rows, every h_F is 0 and both scans stop at once;
     # over GF(2^61 - 1) the first pivot set already has p^3 >= 2^63 fills,
@@ -404,15 +449,19 @@ def test_kernel_with_zero_dimensional_w():
 
 
 @pytest.mark.parametrize("p", [
-    13, 101, 42_443_351, 42_443_377, 47_453_111, 47_453_149, 1_073_741_789, 2**31 - 1, 2**61 - 1,
+    13, 101, 1831, 1847, 2039, 2053, 42_443_351, 42_443_377, 47_453_111, 47_453_149,
+    1_073_741_789, 2**31 - 1, 2**61 - 1,
 ])
 def test_kernel_over_larger_primes_matches_public_formula(p):
     # for n = 4 and 5, n * (p - 1)^2 needs int16 at p = 13, int32 at p = 101
     # and int64 at the largest prime below 2^30, where (p - 1)^3 would not
     # fit; for the two Mersenne primes the kernel works on Python ints.  The
-    # products run in float64 while n * (p - 1)^2 < 2^53: 42443351 is the
-    # largest prime where that holds for n = 5 and 47453111 for n = 4, and
-    # at the next primes, 42443377 and 47453149, they run in int64
+    # products run in float32 while n * (p - 1)^2 < 2^24 and in float64 while
+    # it is below 2^53.  1831 is the largest prime where the float32 bound
+    # holds for n = 5 and 2039 for n = 4, and at the next primes, 1847 and
+    # 2053, the products run in float64; 42443351 is the largest prime where
+    # the float64 bound holds for n = 5 and 47453111 for n = 4, and at the
+    # next primes, 42443377 and 47453149, they run in int64
     field = Field.gf(p)
     rng = random.Random(p)
     triples = [build_triple(g, field) for g in (cycle(5), path(4), star(3))]
