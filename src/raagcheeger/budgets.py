@@ -3,11 +3,11 @@
 The exhaustive searches grow like Gaussian binomials, so every oracle checks
 its input against its budget before enumerating.  This module decides and
 words every refusal: each check raises :class:`BudgetError` naming the CLI
-flag to set.  One rule applies.  A budget left at ``None`` caps the exact work
-of the search, computed before any work: the subspaces scanned, or the steps
-of the q-valence min-max over projective bases.  A budget set by its flag caps
-the ambient dimension alone.  The subset scan is capped by vertex count, which
-bounds its sum_{k <= n/2} C(n, k) subsets.
+flag to set.  One rule applies, whether a budget is left at its default or
+set by its flag: it caps the exact work of the search, computed before any
+work (the subspaces scanned, or the steps of the q-valence min-max over
+projective bases).  The subset scan is capped by vertex count, which bounds
+its sum_{k <= n/2} C(n, k) subsets.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from typing import Iterable
 
 from .fields import Field
 
-# Default caps on exact work: the subspaces of dimension 1..4 of GF(2)^8, and
-# the q-valence steps of GF(2)^4 (16 + 840 * 15^2).
-_SUBSPACE_WORK_DEFAULT = 308_992
-_BASIS_WORK_DEFAULT = 189_016
 # Counting stops at 2^_EXACT_BITS, so that a refusal stays cheap and its
 # message short however large the input.
 _EXACT_BITS = 400
@@ -52,14 +48,15 @@ class Budgets:
     """Caps for the three enumeration families.
 
     ``subset_vertices`` caps the vertex count of the exact graph scan.
-    ``subspace_dim`` and ``basis_dim`` left at ``None`` cap the exact work of
-    the subspace scan and of q-valence; an explicit int caps the ambient
-    dimension instead, for every field.
+    ``subspace_work`` caps the subspaces a scan visits, and ``basis_work`` the
+    steps of the q-valence min-max.  The defaults are the subspaces of
+    dimension 1..4 of GF(2)^8, and the q-valence steps of GF(2)^4
+    (16 + 840 * 15^2).
     """
 
     subset_vertices: int = 24
-    subspace_dim: int | None = None
-    basis_dim: int | None = None
+    subspace_work: int = 308_992
+    basis_work: int = 189_016
 
     def check_subsets(self, n: int) -> None:
         """Refuse the exact Cheeger scan of a graph on n vertices."""
@@ -71,26 +68,17 @@ class Budgets:
 
     def check_subspaces(self, field: Field, n: int, dims: Iterable[int]) -> None:
         """Refuse a scan of the subspaces of GF(p)^n of the given distinct dimensions."""
-        suffix = "; the coordinate fast path stays exact for cup-product triples"
-        cap = self.subspace_dim
-        if cap is not None:
-            if n > cap:
-                raise BudgetError(
-                    f"subspace enumeration over {field.name} is capped at ambient dimension "
-                    f"{cap} (requested {n}; raise with --budget-subspaces){suffix}"
-                )
-            return
         count = 0
         for k in dims:
             count += gaussian_binomial(n, k, field.characteristic)
             if count >= _EXACT_LIMIT:
                 break
-        if count > _SUBSPACE_WORK_DEFAULT:
+        if count > self.subspace_work:
             raise BudgetError(
                 f"subspace enumeration over {field.name} in dimension {n} would visit "
-                f"{_stated(count)} subspaces, past the default cap of "
-                f"{_SUBSPACE_WORK_DEFAULT} (set --budget-subspaces to cap by dimension "
-                f"alone){suffix}"
+                f"{_stated(count)} subspaces, past the cap of {self.subspace_work} "
+                f"(raise with --budget-subspaces); the coordinate fast path stays exact "
+                f"for cup-product triples"
             )
 
     def check_bases(self, field: Field, n: int) -> None:
@@ -100,15 +88,6 @@ class Budgets:
         every pair of a point and a hyperplane: p^n + bases * points^2, with
         points = (p^n - 1)/(p - 1) and bases = |GL(n, p)| / (n! (p - 1)^n).
         """
-        suffix = "; the coordinate upper bound is exact for cup-product triples"
-        cap = self.basis_dim
-        if cap is not None:
-            if n > cap:
-                raise BudgetError(
-                    f"unordered-basis enumeration over {field.name} is capped at dimension "
-                    f"{cap} (requested {n}; raise with --budget-bases){suffix}"
-                )
-            return
         p = field.characteristic
         points = (p**n - 1) // (p - 1)
         den = math.factorial(n) * (p - 1) ** n
@@ -119,12 +98,12 @@ class Budgets:
                 break
         bases = num // den
         count = p**n + bases * points**2
-        if count > _BASIS_WORK_DEFAULT:
+        if count > self.basis_work:
             raise BudgetError(
                 f"q-valence over {field.name} in dimension {n} would take {_stated(count)} "
                 f"steps ({_stated(bases)} projective bases, {_stated(points)} points), past "
-                f"the default cap of {_BASIS_WORK_DEFAULT} (set --budget-bases to cap by "
-                f"dimension alone){suffix}"
+                f"the cap of {self.basis_work} (raise with --budget-bases); the coordinate "
+                f"upper bound is exact for cup-product triples"
             )
 
 

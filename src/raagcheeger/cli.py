@@ -66,8 +66,8 @@ class RunConfig:
 def _config(args: argparse.Namespace) -> RunConfig:
     given = {
         "subset_vertices": args.budget_subsets,
-        "subspace_dim": args.budget_subspaces,
-        "basis_dim": args.budget_bases,
+        "subspace_work": args.budget_subspaces,
+        "basis_work": args.budget_bases,
     }
     budgets = Budgets(**{name: cap for name, cap in given.items() if cap is not None})
     return RunConfig(

@@ -7,7 +7,11 @@ minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
 lexicographically.  The subspace stream comes in numpy batches of RREF
 bases completed to bases of the whole space, the form the rank kernel in
-:mod:`raagcheeger.pairing` consumes.
+:mod:`raagcheeger.pairing` consumes.  The batches of one dimension depend
+only on (n, k, p) and the chunk size, so where they take at most
+:data:`BATCH_CACHE_BYTES` they are built once per process and served
+read-only from an lru cache (:func:`retained_batches`), which the coordinate
+scan shares; larger dimensions are streamed lazily, as they are built.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets, gaussian_binomial
 from .fields import Field, Scalar
 
 
@@ -185,6 +190,11 @@ def enumerate_subspaces(
     holds consecutive subspaces of one dimension and may span several pivot
     sets.  Past the budgets (see :meth:`Budgets.check_subspaces`) the first
     ``next`` raises :class:`BudgetError` before any work.
+
+    The batches depend only on (n, k, p) and the chunk, so a dimension whose
+    batches take at most :data:`BATCH_CACHE_BYTES` is built once per process
+    and served read-only from :func:`retained_batches` (one ``verify-theorem``
+    call scans many triples of one size); a larger one is streamed lazily.
     """
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
@@ -195,35 +205,69 @@ def enumerate_subspaces(
         if k < 0 or k > n:
             raise LinalgError(f"requested dimension {k} outside [0, {n}]")
     p = field.characteristic
-    dtype = int_type(p - 1)
+    itemsize = np.dtype(int_type(p - 1)).itemsize
     for k in dims:
-        pending: list[np.ndarray] = []
-        count = 0
-        for pivots in itertools.combinations(range(n), k):
-            pivset = set(pivots)
-            free = [
-                (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
-            ]
-            total = p ** len(free)
-            # fill number i, written in base p with the first free entry most
-            # significant, is the i-th fill in lexicographic order
-            ftype = np.int64 if total < 2**63 else object
-            powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=ftype)
-            base = np.zeros((n, n), dtype=dtype)
-            base[range(n), [*pivots, *(c for c in range(n) if c not in pivset)]] = 1
-            free_rows = [r for r, _ in free]
-            free_cols = [c for _, c in free]
-            start = 0
-            while start < total:
-                stop = min(total, start + SUBSPACE_CHUNK - count)
-                bases = np.repeat(base[None], stop - start, axis=0)
-                fills = np.arange(start, stop, dtype=ftype)[:, None] // powers
-                bases[:, free_rows, free_cols] = reduce_mod(fills, p)
-                pending.append(bases)
-                count += stop - start
-                start = stop
-                if count == SUBSPACE_CHUNK:
-                    yield k, np.concatenate(pending)
-                    pending, count = [], 0
-        if pending:
-            yield k, np.concatenate(pending)
+        size = gaussian_binomial(n, k, p) * n * n * itemsize
+        for bases in retained_batches(size, _subspace_batches, n, k, p, SUBSPACE_CHUNK):
+            yield k, bases
+
+
+def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray]:
+    """The batches of :func:`enumerate_subspaces` for one dimension k."""
+    dtype = int_type(p - 1)
+    pending: list[np.ndarray] = []
+    count = 0
+    for pivots in itertools.combinations(range(n), k):
+        pivset = set(pivots)
+        free = [
+            (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
+        ]
+        total = p ** len(free)
+        # fill number i, written in base p with the first free entry most
+        # significant, is the i-th fill in lexicographic order
+        ftype = np.int64 if total < 2**63 else object
+        powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=ftype)
+        base = np.zeros((n, n), dtype=dtype)
+        base[range(n), [*pivots, *(c for c in range(n) if c not in pivset)]] = 1
+        free_rows = [r for r, _ in free]
+        free_cols = [c for _, c in free]
+        start = 0
+        while start < total:
+            stop = min(total, start + chunk - count)
+            bases = np.repeat(base[None], stop - start, axis=0)
+            fills = np.arange(start, stop, dtype=ftype)[:, None] // powers
+            bases[:, free_rows, free_cols] = reduce_mod(fills, p)
+            pending.append(bases)
+            count += stop - start
+            start = stop
+            if count == chunk:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
+BATCH_CACHE_BYTES = 1 << 18
+"""Largest stream of batches, in bytes of its arrays, that
+:func:`retained_batches` keeps.  Every dimension of GF(2)^6 is kept (the
+largest takes 50 KB), and so are the coordinate subspaces of dimension 2 up
+to n = 20 (76 KB).  GF(2)^7 in dimension 3 (578 KB) and GF(3)^6 in
+dimension 2 (396 KB) are streamed.  At most 16 streams are kept, so the
+cache never holds more than 4 MB."""
+
+
+def retained_batches(size: int, batches, *args) -> Iterable[np.ndarray]:
+    """``batches(*args)``, a deterministic stream of arrays taking ``size``
+    bytes: built once and served read-only from a per-process lru cache when
+    ``size`` is at most :data:`BATCH_CACHE_BYTES`, otherwise streamed lazily."""
+    if size <= BATCH_CACHE_BYTES:
+        return _retained(batches, *args)
+    return batches(*args)
+
+
+@lru_cache(maxsize=16)
+def _retained(batches, *args) -> tuple[np.ndarray, ...]:
+    kept = tuple(batches(*args))
+    for array in kept:
+        array.flags.writeable = False
+    return kept

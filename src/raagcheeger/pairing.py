@@ -49,6 +49,7 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 from .linalg import (
     SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, int_type, reduce_mod,
+    retained_batches,
 )
 
 SYMMETRIC = "symmetric"
@@ -199,12 +200,13 @@ def _rank_kernel(pt: PairingTriple):
     bound = n * (p - 1) ** 2
     dtype = int_type(bound) if p else object
     ptype = dtype if not p or bound >= 2**53 else np.float32 if bound < 2**24 else np.float64
-    scale = math.lcm(*(x.denominator for row in pt.tensor for w in row for x in w))
+    tensor = pt.tensor
+    if not p:
+        scale = math.lcm(*(x.denominator for row in tensor for w in row for x in w))
+        tensor = [[[int(x * scale) for x in w] for w in row] for row in tensor]
     # table[i, e * n + j] = q(b_i, b_j)_e: a basis row f_a times it is row
     # (a, e) of R_F at every column j, so the product reshapes to (B, k*m, n)
-    table = np.array(
-        [[[int(x * scale) for x in w] for w in row] for row in pt.tensor], dtype=ptype
-    ).transpose(0, 2, 1).reshape(n, m * n)
+    table = np.array(tensor, dtype=ptype).transpose(0, 2, 1).reshape(n, m * n)
 
     def ranks(k: int, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         count = len(bases)
@@ -408,14 +410,22 @@ def cheeger_constant_coordinate(t) -> CheegerReport:
 def _coordinate_batches(n: int):
     """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
     at most SUBSPACE_CHUNK, in the order of itertools.combinations, each
-    completed like the stream by the unit vectors off its coordinates."""
+    completed like the stream by the unit vectors off its coordinates.  Like
+    the stream, a dimension within the cache cap is built once per process."""
     for k in range(1, n // 2 + 1):
-        combos = itertools.combinations(range(n), k)
-        while chunk := list(itertools.islice(combos, SUBSPACE_CHUNK)):
-            order = [(*c, *(j for j in range(n) if j not in c)) for c in chunk]
-            bases = np.zeros((len(chunk), n, n), dtype=np.int8)
-            bases[np.arange(len(chunk))[:, None], range(n), order] = 1
+        size = math.comb(n, k) * n * n
+        for bases in retained_batches(size, _coordinate_bases, n, k, SUBSPACE_CHUNK):
             yield k, bases
+
+
+def _coordinate_bases(n: int, k: int, chunk: int):
+    """The batches of :func:`_coordinate_batches` for one dimension k."""
+    combos = itertools.combinations(range(n), k)
+    while batch := list(itertools.islice(combos, chunk)):
+        order = [(*c, *(j for j in range(n) if j not in c)) for c in batch]
+        bases = np.zeros((len(batch), n, n), dtype=np.int8)
+        bases[np.arange(len(batch))[:, None], range(n), order] = 1
+        yield bases
 
 
 # -- q-valence ---------------------------------------------------------------

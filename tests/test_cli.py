@@ -173,7 +173,26 @@ def test_large_prime_is_refused_at_once(tmp_path, command, size, flag):
         capture_output=True, text=True, timeout=20,
     )
     assert res.returncode == 2
-    assert flag in res.stderr and "past the default cap" in res.stderr
+    assert flag in res.stderr and "past the cap of" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("triple-h", "--budget-subspaces"), ("qvalence", "--budget-bases")]
+)
+def test_explicit_budget_caps_the_work(tmp_path, command, flag):
+    # an explicit budget caps the subspaces or steps, not the dimension: 4
+    # refuses the triple on GF(1831)^4 at once, where a dimension cap of 4
+    # admitted a scan of about 1.1e13 subspaces
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(build_triple(path(4), Field.gf(1831)).to_json_dict()))
+    res = subprocess.run(
+        [sys.executable, "-m", "raagcheeger", command, "--input", str(f), "--method",
+         "exhaustive", flag, "4"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert res.returncode == 2
+    assert f"past the cap of 4 (raise with {flag})" in res.stderr
     assert "Traceback" not in res.stderr
 
 

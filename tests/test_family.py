@@ -103,7 +103,8 @@ def test_zero_pairing_family_is_not_expander():
 def test_budget_violations_are_inconclusive_not_fatal():
     report = triple_family_report(
         [build_triple(path(2), GF2), zero_triple(5, 1, GF2)],
-        budgets=Budgets(subspace_dim=4),
+        # admits GF(2)^4's 50 subspaces of dimension 1..2, refuses GF(2)^5's 186
+        budgets=Budgets(subspace_work=50),
     )
     assert report.entries[0].method == "exact"
     assert report.entries[1].method == "inconclusive"

@@ -194,7 +194,8 @@ def test_whole_space_is_unique():
 @pytest.mark.parametrize("p", [2, 3])
 def test_enumeration_counts_match_gaussian_binomials(p):
     field = Field.gf(p)
-    budgets = Budgets(subspace_dim=6)
+    # the largest request is GF(3)^6 in dimension 3
+    budgets = Budgets(subspace_work=gaussian_binomial(6, 3, 3))
     for n in range(7):
         for k in range(n + 1):
             got = sum(len(rows) for _, rows in enumerate_subspaces(n, [k], field, budgets))
@@ -202,7 +203,7 @@ def test_enumeration_counts_match_gaussian_binomials(p):
 
 
 def test_enumeration_is_duplicate_free():
-    subs = list(subspaces(4, [1, 2], GF3, Budgets(subspace_dim=4)))
+    subs = list(subspaces(4, [1, 2], GF3, Budgets(subspace_work=40 + 130)))
     assert len(subs) == len(set(subs))
 
 
@@ -256,7 +257,7 @@ def test_enumeration_rejects_rationals():
 
 
 def test_enumeration_budget_errors_name_the_flag():
-    # the default caps the work, not the dimension: the 511 lines of GF(2)^9
+    # the cap counts the work, not the dimension: the 511 lines of GF(2)^9
     # are admitted, its 4141728 subspaces of dimension 1..4 are not
     assert sum(len(rows) for _, rows in enumerate_subspaces(9, [1], GF2)) == 511
     with pytest.raises(BudgetError, match="4141728 subspaces.*--budget-subspaces"):
@@ -275,8 +276,8 @@ def test_subspace_count_cap_refuses_large_primes_at_once():
     count = gaussian_binomial(4, 1, p) + gaussian_binomial(4, 2, p)
     with pytest.raises(BudgetError, match=f"{count} subspaces"):
         next(enumerate_subspaces(4, [1, 2], Field.gf(p)))
-    # an explicit dimension cap replaces the count cap
-    assert next(enumerate_subspaces(8, range(9), GF2, Budgets(subspace_dim=8)))[0] == 0
+    # a cap raised to the count admits it
+    assert next(enumerate_subspaces(8, range(9), GF2, Budgets(subspace_work=417_199)))[0] == 0
 
 
 def test_astronomical_counts_are_refused_at_once():

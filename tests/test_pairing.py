@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import random
 import time
@@ -34,6 +35,8 @@ from raagcheeger import (
     complete,
     cycle,
     edgeless,
+    enumerate_subspaces,
+    gaussian_binomial,
     is_alternating,
     is_connected,
     is_pairing_connected_exhaustive,
@@ -238,9 +241,10 @@ def test_cheeger_undefined_below_dim_two():
 
 
 def test_exhaustive_cheeger_budget_message():
+    # GF(2)^4 has 15 + 35 subspaces of dimension 1..2
     t = zero_triple(4, 0, GF2)
-    with pytest.raises(BudgetError, match="coordinate"):
-        cheeger_constant_exhaustive(t, Budgets(subspace_dim=3))
+    with pytest.raises(BudgetError, match="50 subspaces, past the cap of 49.*coordinate"):
+        cheeger_constant_exhaustive(t, Budgets(subspace_work=49))
 
 
 def test_coordinate_cheeger_agrees_on_samples():
@@ -432,7 +436,7 @@ def test_kernel_with_zero_dimensional_w():
     # dim W = 0: R_F has no rows, every h_F is 0 and both scans stop at once;
     # over GF(2^61 - 1) the first pivot set already has p^3 >= 2^63 fills,
     # which the stream counts in Python ints.  The default budgets refuse that
-    # field by its subspace count, so it runs under an explicit dimension cap
+    # field by its subspace count, so it runs under a cap raised to that count
     for field in (GF2, GF3, QQ, Field.gf(2**61 - 1)):
         t = build_triple(edgeless(4), field)
         first = Subspace.from_vectors(field, 4, [[1, 0, 0, 0]])
@@ -440,11 +444,13 @@ def test_kernel_with_zero_dimensional_w():
         assert (rep.value, rep.minimizer, rep.subspaces_visited) == (0, first, 1)
         assert cheeger_of_subspace(t, span(field, 4, (1, 1, 0, 0), (0, 0, 1, 2))) == 0
         if field.is_prime_field:
-            budgets = Budgets(subspace_dim=4) if field.characteristic > 3 else DEFAULT_BUDGETS
+            p = field.characteristic
+            count = gaussian_binomial(4, 1, p) + gaussian_binomial(4, 2, p)
+            budgets = Budgets(subspace_work=count) if p > 3 else DEFAULT_BUDGETS
             rep = cheeger_constant_exhaustive(t, budgets)
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == (0, first, 1)
             assert not is_pairing_connected_exhaustive(t, budgets)
-    with pytest.raises(BudgetError, match="subspaces, past the default cap"):
+    with pytest.raises(BudgetError, match="subspaces, past the cap of 308992"):
         cheeger_constant_exhaustive(build_triple(edgeless(4), Field.gf(2**61 - 1)))
 
 
@@ -481,6 +487,157 @@ def test_kernel_over_larger_primes_matches_public_formula(p):
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, n // 2))]
             f = Subspace.from_vectors(field, n, rows)
             assert cheeger_of_subspace(t, f) == _h_by_complement(t, f)
+
+
+
+@pytest.mark.parametrize("p, n, past", [
+    (1831, 5, False), (1847, 5, True), (2039, 4, False), (2053, 4, True),
+    (42_443_351, 5, False), (42_443_377, 5, True), (47_453_111, 4, False), (47_453_149, 4, True),
+])
+def test_kernel_float_rungs_at_their_bounds(p, n, past):
+    # Dense, non-echelon bases S and tensors with entries just below p, fed
+    # to the kernel directly, drive both products to within a few (p - 1)
+    # of n * (p - 1)^2: past 2^24 (or 2^53) exactly at the primes where the
+    # kernel leaves float32 (or float64).  Entries of p - 1 alone would not
+    # test the rung: every product would be even, and float32 holds every
+    # even integer below 2^25.  The second W coordinate is twice the first,
+    # so R_F has rank at most k and a rounding error in either product
+    # raises a rank.  The dense tensor drives the first product, the
+    # identity tensor (R_F = F, entries near p) the second.
+    field = Field.gf(p)
+    rng = random.Random(p)
+    limit = 2**24 if p < 10**6 else 2**53
+
+    def near():
+        return p - rng.randint(1, 3)
+
+    dense = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            dense[i][j] = dense[j][i] = near()
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    bases = []
+    while len(bases) < 24:
+        basis = [[near() for _ in range(n)] for _ in range(n)]
+        if Subspace.from_vectors(field, n, basis).dim == n:
+            bases.append(basis)
+    batch = np.array(bases, dtype=np.int64)
+    reached = 0
+    for grid in (dense, identity):
+        doubled = [[2 * x % p for x in row] for row in grid]
+        t = PairingTriple.of(field, n, 2, [list(zip(*rows)) for rows in zip(grid, doubled)],
+                             "symmetric")
+        for k in (1, 2):
+            rank, restricted = pairing._rank_kernel(t)(k, batch)
+            expected_rank, expected_restricted = [], []
+            for basis in bases:
+                f = Subspace.from_vectors(field, n, basis[:k])
+                comp = orthogonal_complement(t, f)
+                expected_rank.append(n - comp.dim)
+                expected_restricted.append(k - subspace_intersection(comp, f).dim)
+            assert rank.tolist() == expected_rank
+            assert restricted.tolist() == expected_restricted
+            # the largest sums of the two products, in Python ints
+            s = batch.astype(object)
+            for table in (grid, doubled):
+                first = s[:, :k] @ np.array(table, dtype=object)
+                second = s @ (first % p).transpose(0, 2, 1)
+                reached = max(reached, first.max(), second.max())
+    assert (reached > limit) == past
+
+
+# -- the batch cache -----------------------------------------------------------------
+
+
+def _clear_caches():
+    # what a fresh process starts with: every lru cache of linalg and pairing
+    for module in (linalg, pairing):
+        for obj in list(vars(module).values()):
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def _scans(triples):
+    return [
+        (rep.value, rep.minimizer, rep.subspaces_visited)
+        for t in triples
+        for rep in (cheeger_constant_exhaustive(t), cheeger_constant_coordinate(t))
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
+def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
+    # the same scans streamed lazily, from a cold cache and from a warm one;
+    # the disconnected graphs stop early at h = 0
+    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+    monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
+    two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
+    triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
+    triples += [build_triple(path(6), GF2), random_triple(5, 2, GF3, 11),
+                random_triple(6, 3, GF2, 12, "symmetric")]
+    _clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
+            lazy = _scans(triples)
+            assert linalg._retained.cache_info().currsize == 0
+        cold = _scans(triples)
+        assert linalg._retained.cache_info().currsize > 0
+        assert _scans(triples) == cold == lazy
+        assert any(value == 0 for value, _, _ in lazy[::2])
+    finally:
+        _clear_caches()
+
+
+def test_cached_batches_are_read_only_and_cleared():
+    _clear_caches()
+    try:
+        kept = [bases for _, bases in enumerate_subspaces(4, [1, 2], GF3)]
+        kept += [bases for _, bases in pairing._coordinate_batches(6)]
+        assert linalg._retained.cache_info().currsize == 5
+        for bases in kept:
+            assert not bases.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bases[0, 0, 0] = 1
+        # dimension 3 of GF(2)^7 takes more than the cap and is streamed
+        streamed = [bases for _, bases in enumerate_subspaces(7, [3], GF2)]
+        assert linalg._retained.cache_info().currsize == 5
+        assert all(bases.flags.writeable for bases in streamed)
+    finally:
+        _clear_caches()
+    assert linalg._retained.cache_info().currsize == 0
+
+
+def _retained_bytes(scan) -> int:
+    """Bytes still allocated after draining the batches of ``scan()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in scan():
+            pass
+        del _
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_cache_retains_less_than_its_cap():
+    # GF(2)^8 keeps only its 255 lines (16 KB); n = 20 keeps its coordinate
+    # subspaces of dimension 1 and 2 (84 KB) and streams those of dimension 3
+    # (456 KB) and up
+    _clear_caches()
+    try:
+        scans = [
+            lambda: enumerate_subspaces(8, range(1, 5), GF2),
+            lambda: itertools.takewhile(lambda b: b[0] <= 3, pairing._coordinate_batches(20)),
+        ]
+        for scan in scans:
+            assert 0 < _retained_bytes(scan) < linalg.BATCH_CACHE_BYTES
+            _clear_caches()
+    finally:
+        _clear_caches()
 
 
 # -- q-valence -----------------------------------------------------------------------
@@ -566,19 +723,21 @@ def test_q_valence_gf2_dim5_in_seconds():
     t = random_triple(5, 3, GF2, 2024)
     pairing._projective_frame.cache_clear()
     start = time.perf_counter()
-    assert q_valence_exhaustive(t, Budgets(basis_dim=5)) == 3
+    assert q_valence_exhaustive(t, Budgets(basis_work=80_078_240)) == 3
     assert time.perf_counter() - start < 2
 
 
 def test_q_valence_work_cap():
     # the min-max takes p^2 + (p(p + 1)/2) * (p + 1)^2 steps on GF(p)^2:
     # 159505 at p = 23 pass the default cap of 189016 and 392341 at p = 29 do
-    # not; an explicit dimension cap replaces it
+    # not; a cap raised to that count admits it, one step less does not
     assert q_valence_exhaustive(build_triple(path(2), Field.gf(23))) == 1
     t = build_triple(path(2), Field.gf(29))
     with pytest.raises(BudgetError, match=r"392341 steps.*--budget-bases.*coordinate"):
         q_valence_exhaustive(t)
-    assert q_valence_exhaustive(t, Budgets(basis_dim=2)) == 1
+    assert q_valence_exhaustive(t, Budgets(basis_work=392_341)) == 1
+    with pytest.raises(BudgetError, match=r"392341 steps.*past the cap of 392340"):
+        q_valence_exhaustive(t, Budgets(basis_work=392_340))
     # the cap is GF(2)^4's count, 840 projective bases of 15 points, and admits it
     assert 2**4 + 840 * 15**2 == 189_016
     assert q_valence_exhaustive(build_triple(star(3), GF2)) == 3
@@ -611,7 +770,7 @@ def test_q_valence_frame_holds_only_the_points():
     pairing._projective_frame.cache_clear()
     tracemalloc.start()
     try:
-        assert q_valence_exhaustive(line, Budgets(basis_dim=1)) == 1
+        assert q_valence_exhaustive(line, Budgets(basis_work=1_000_004)) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -637,8 +796,8 @@ def test_q_valence_refusal_messages():
         q_valence_exhaustive(build_triple(cycle(5), GF2))
     assert str(err.value) == (
         "q-valence over gf2 in dimension 5 would take 80078240 steps "
-        "(83328 projective bases, 31 points), past the default cap of 189016 "
-        "(set --budget-bases to cap by dimension alone); "
+        "(83328 projective bases, 31 points), past the cap of 189016 "
+        "(raise with --budget-bases); "
         "the coordinate upper bound is exact for cup-product triples"
     )
     # dim W = 0 answers 0, but only inside the budget
