@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
+from .linalg import popcount
 
 
 class GraphError(ValueError):
@@ -308,7 +309,7 @@ def _least_boundary(k: int, low, high, s: int, n: int) -> tuple[int, tuple[int, 
         rows, cols = max(1, SUBSET_CHUNK // width), min(width, SUBSET_CHUNK)
         least = n + 1
         for r, c in itertools.product(range(0, lo.shape[1], rows), range(0, width, cols)):
-            sizes = _popcount(lo[1, r : r + rows, None] | hi[1, c : c + cols], n)
+            sizes = popcount(lo[1, r : r + rows, None] | hi[1, c : c + cols], n)
             at = sizes.argmin()
             if sizes.flat[at] < least:
                 least = int(sizes.flat[at])
@@ -318,27 +319,6 @@ def _least_boundary(k: int, low, high, s: int, n: int) -> tuple[int, tuple[int, 
                     break
         best = min(best, (least - k, tuple(v for v in range(n) if mask >> v & 1)))
     return best
-
-
-def _popcount(x: np.ndarray, n: int) -> np.ndarray:
-    """Entrywise popcount of nonnegative masks of at most n bits: lookups of
-    12 bits at a time on int64, int.bit_count on object arrays."""
-    if x.dtype == object:
-        return np.frompyfunc(int.bit_count, 1, 1)(x)
-    table = _popcount_table()
-    if n <= 12:
-        return table[x]
-    counts = table[x & 0xFFF]
-    for shift in range(12, n, 12):
-        counts += table[(x >> shift) & 0xFFF]
-    return counts
-
-
-@lru_cache(maxsize=None)
-def _popcount_table() -> np.ndarray:
-    """Popcounts of 0..4095, as sums over their three 4-bit digits."""
-    digit = np.array([bin(v).count("1") for v in range(16)], np.uint8)
-    return np.add.outer(np.add.outer(digit, digit), digit).ravel()
 
 
 def max_valence(graph: SimplicialGraph) -> int:

@@ -6,12 +6,15 @@ space, so equality, hashing and deduplication are structural and the
 minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
 lexicographically.  The subspace stream comes in numpy batches of RREF
-bases completed to bases of the whole space, the form the rank kernel in
-:mod:`raagcheeger.pairing` consumes.  The batches of one dimension depend
+bases completed to bases of the whole space, the form the kernels in
+:mod:`raagcheeger.pairing` and :mod:`raagcheeger.zerosets` consume.  The batches of one dimension depend
 only on (n, k, p) and the chunk size, so where they take at most
 :data:`BATCH_CACHE_BYTES` they are built once per process and served
 read-only from an lru cache (:func:`retained_batches`), which the coordinate
 scan shares; larger dimensions are streamed lazily, as they are built.
+The projective points of GF(p)^n and their codes, which the q-valence
+min-max and the zero-set kernel index by, are built once per (n, p) in
+small lru caches.
 """
 
 from __future__ import annotations
@@ -158,6 +161,78 @@ def int_type(bound: int):
     return next(
         (t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object
     )
+
+
+def product_types(n: int, p: int) -> tuple:
+    """(dtype, ptype) for exact products of n terms below (p - 1)^2 over
+    GF(p), or over QQ at p = 0: the narrowest integer type holding
+    n * (p - 1)^2 (object past int64 and over QQ), and the type the products
+    run in, float32 while that bound is below 2^24 and float64 while it is
+    below 2^53, where every integer up to it is a float, else the integer
+    type itself."""
+    bound = n * (p - 1) ** 2
+    dtype = int_type(bound) if p else object
+    ptype = dtype if not p or bound >= 2**53 else np.float32 if bound < 2**24 else np.float64
+    return dtype, ptype
+
+
+@lru_cache(maxsize=8)
+def projective_points(n: int, p: int) -> np.ndarray:
+    """The projective points of GF(p)^n, the vectors whose first nonzero
+    entry is 1, as a read-only (points, n) int64 array in lexicographic
+    order: those with the leading 1 last come first, each block
+    (0, .., 0, 1, tail) ordered by its tail, the base-p digits of the tail's
+    index.  Block w, of the points with w entries after the leading 1,
+    starts at row (p^w - 1)/(p - 1) with the unit vector e_{n-1-w}."""
+    blocks = []
+    for lead in reversed(range(n)):
+        width = n - 1 - lead
+        block = np.zeros((p**width, n), dtype=np.int64)
+        block[:, lead] = 1
+        digits = np.arange(p**width)[:, None] // p ** np.arange(width - 1, -1, -1)
+        block[:, lead + 1 :] = reduce_mod(digits, p)
+        blocks.append(block)
+    points = np.concatenate(blocks)
+    points.flags.writeable = False
+    return points
+
+
+@lru_cache(maxsize=8)
+def point_codes(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(powers, index, dims) for GF(p)^n: a vector's code is its residues
+    read as a base-p number, v @ powers, exact as a float32 product while
+    p^n < 2^24 and an int64 one beyond; index[code] is the row of a
+    projective point in :func:`projective_points`; dims[(p^d - 1)/(p - 1)]
+    is d, the dimension of a subspace with that many projective points."""
+    points = projective_points(n, p)
+    powers = p ** np.arange(n - 1, -1, -1)
+    index = np.zeros(p**n, np.intp)
+    index[points @ powers] = np.arange(len(points))
+    dims = np.zeros(len(points) + 1, np.int64)
+    dims[(p ** np.arange(n + 1) - 1) // (p - 1)] = np.arange(n + 1)
+    return powers.astype(np.float32 if p**n < 2**24 else np.int64), index, dims
+
+
+def popcount(x: np.ndarray, n: int) -> np.ndarray:
+    """Entrywise popcount of nonnegative masks of at most n bits: lookups of
+    12 bits at a time on int64 or uint64, int.bit_count on object arrays.
+    Works on numpy 1.x, which lacks ``numpy.bitwise_count``."""
+    if x.dtype == object:
+        return np.frompyfunc(int.bit_count, 1, 1)(x)
+    table = _popcount_table()
+    if n <= 12:
+        return table[x]
+    counts = table[x & 0xFFF]
+    for shift in range(12, n, 12):
+        counts += table[(x >> shift) & 0xFFF]
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _popcount_table() -> np.ndarray:
+    """Popcounts of 0..4095, as sums over their three 4-bit digits."""
+    digit = np.array([bin(v).count("1") for v in range(16)], np.uint8)
+    return np.add.outer(np.add.outer(digit, digit), digit).ravel()
 
 
 SUBSPACE_CHUNK = 512

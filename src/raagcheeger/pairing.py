@@ -8,25 +8,37 @@ hyperplane) and, where a distinguished basis makes it legitimate, a
 coordinate fast path restricted to that basis.
 Verification code compares them explicitly.
 
-One rank kernel serves every subspace Cheeger computation:
-h_F = (rank R_F - rank R_F|_F) / dim F, with R_F the matrix of
-v -> (q(f_a, v))_a over a basis of F; the orthogonal complement C(F) is
-never formed.  It works on numpy batches of at most ``SUBSPACE_CHUNK``
-bases S of V, each starting with a basis of F, the (k, bases) chunks that
-:func:`~raagcheeger.linalg.enumerate_subspaces` streams in canonical order:
-two matrix products build the matrices of a batch and one column-by-column
-elimination ranks them all, on rows packed into integers and cleared by XOR
-over GF(2), on residues in the narrowest numpy integer type that cannot
-overflow over odd p, on Python ints in object arrays where int64 could
-overflow, and over QQ on Python ints too, after scaling the tensor and the
-rows of S to integers, by fraction-free elimination.  The products sum n
-terms below (p - 1)^2, so they run exactly as float32 BLAS products while
-n * (p - 1)^2 < 2^24 and as float64 ones while it is below 2^53.  Every
-reduction mod p is x - p * (x // p), whose intermediate p * (x // p) stays
-within [-p * (p - 1), x] on the kernel's values.  The scans build a
-:class:`Subspace` only for the minimizer they report.  Pairing-connectedness
-is decided as h > 0, which is exact for dim V >= 2 (see
-:func:`pairing_connected_from_report`).
+Every subspace Cheeger computation goes through one contract,
+(k, bases) -> (rank R_F, rank R_F|_F), with
+h_F = (rank R_F - rank R_F|_F) / dim F and R_F the matrix of
+v -> (q(f_a, v))_a over a basis of F, on numpy batches of at most
+``SUBSPACE_CHUNK`` bases S of V, each starting with a basis of F, the
+(k, bases) chunks that :func:`~raagcheeger.linalg.enumerate_subspaces`
+streams in canonical order.  Two kernels implement it.
+
+The rank kernel eliminates, and never forms the orthogonal complement
+C(F): two matrix products build the matrices of a batch and one
+column-by-column elimination ranks them all, on rows packed into integers
+and cleared by XOR over GF(2), on residues in the narrowest numpy integer
+type that cannot overflow over odd p, on Python ints in object arrays where
+int64 could overflow, and over QQ on Python ints too, after scaling the
+tensor and the rows of S to integers, by fraction-free elimination.  The
+products sum n terms below (p - 1)^2, so they run exactly as float32 BLAS
+products while n * (p - 1)^2 < 2^24 and as float64 ones while it is below
+2^53.  Every reduction mod p is x - p * (x // p), whose intermediate
+p * (x // p) stays within [-p * (p - 1), x] on the kernel's values.
+
+The zero-set kernel of :mod:`raagcheeger.zerosets` counts instead, in
+bitsets over the projective points of V.  The exhaustive scan takes it
+when its gate, :func:`~raagcheeger.zerosets.zero_sets_pay`, admits it from
+exact counts before any work: a prime field with dim W > 0 and few
+projective points against the subspaces scanned.  QQ, large p, the
+coordinate scan and single subspaces stay on the rank kernel, which the
+tests also use to cross-check the zero-set kernel batch by batch.
+
+The scans build a :class:`Subspace` only for the minimizer they report.
+Pairing-connectedness is decided as h > 0, which is exact for dim V >= 2
+(see :func:`pairing_connected_from_report`).
 
 Functions accept either a bare :class:`PairingTriple` or any object carrying
 one in a ``pairing`` attribute (such as the cohomology triples built from
@@ -48,9 +60,10 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 from .linalg import (
-    SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, int_type, reduce_mod,
-    retained_batches,
+    SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, product_types,
+    projective_points, reduce_mod, retained_batches,
 )
+from .zerosets import pairs_blocks, zero_set_kernel, zero_sets_pay
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -171,10 +184,12 @@ def zero_triple(dim_v: int, dim_w: int, field: Field, symmetry: str = ANTISYMMET
 
 
 def _rank_kernel(pt: PairingTriple):
-    """The rank kernel of every subspace invariant, built once per call:
-    (k, a batch of completed bases S, an array of shape (B, n, n)) -> the
-    arrays (rank R_F, rank R_F|_F), one entry per basis, F being the span of
-    the first k rows of S.
+    """The eliminating kernel, built once per call: (k, a batch of completed
+    bases S, an array of shape (B, n, n)) -> the arrays (rank R_F,
+    rank R_F|_F), one entry per basis, F being the span of the first k rows
+    of S.  It serves every field and both scans; the exhaustive scan over a
+    small prime field takes :func:`~raagcheeger.zerosets.zero_set_kernel`
+    instead, and the tests check the two against each other.
 
     R_F is the (k*m) x n matrix of the functionals v -> q(f_a, v)_e.  Its
     kernel is C = C(F), so dim C = n - rank R_F, and F n C is the kernel of
@@ -197,9 +212,7 @@ def _rank_kernel(pt: PairingTriple):
     """
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
-    bound = n * (p - 1) ** 2
-    dtype = int_type(bound) if p else object
-    ptype = dtype if not p or bound >= 2**53 else np.float32 if bound < 2**24 else np.float64
+    dtype, ptype = product_types(n, p)
     tensor = pt.tensor
     if not p:
         scale = math.lcm(*(x.denominator for row in tensor for w in row for x in w))
@@ -351,18 +364,22 @@ class CheegerReport:
 
 
 def _first_minimum(
-    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str
+    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, kernel
 ) -> CheegerReport:
     """Scan a nonempty stream of (k, bases) batches for the least h_F, keeping
-    the first minimizer; h_F >= 0, so the scan stops at a zero.  Inside a
-    batch k is fixed, so the first argmin of the numerators is the batch's
-    first minimum; across batches quotients are compared as num / k by
-    cross-multiplication.  Only the reported minimizer becomes a Subspace."""
-    ranks = _rank_kernel(pt)
+    the first minimizer; h_F >= 0, so the scan stops at a zero.  ``kernel``
+    builds the ranks function once the first batch is in, so a refused
+    stream costs no kernel work.  Inside a batch k is fixed, so the first
+    argmin of the numerators is the batch's first minimum; across batches
+    quotients are compared as num / k by cross-multiplication.  Only the
+    reported minimizer becomes a Subspace."""
+    batches = iter(batches)
+    first = next(batches)
+    ranks = kernel(pt)
     best_num, best_dim = 0, 0
     best = None
     visited = 0
-    for k, bases in batches:
+    for k, bases in itertools.chain([first], batches):
         rank, rank_restricted = ranks(k, bases)
         nums = rank - rank_restricted
         i = int(nums.argmin())
@@ -389,9 +406,9 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "exhaustive", 0)
-    return _first_minimum(
-        pt, enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets), "exhaustive"
-    )
+    batches = enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets)
+    kernel = zero_set_kernel if zero_sets_pay(pt) else _rank_kernel
+    return _first_minimum(pt, batches, "exhaustive", kernel)
 
 
 def cheeger_constant_coordinate(t) -> CheegerReport:
@@ -404,7 +421,7 @@ def cheeger_constant_coordinate(t) -> CheegerReport:
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "coordinate", 0)
-    return _first_minimum(pt, _coordinate_batches(n), "coordinate")
+    return _first_minimum(pt, _coordinate_batches(n), "coordinate", _rank_kernel)
 
 
 def _coordinate_batches(n: int):
@@ -439,23 +456,13 @@ per numpy step are chunked to stay within it."""
 
 @lru_cache(maxsize=8)
 def _projective_frame(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, outside, bases) for GF(p)^n: the projective points, the
-    vectors whose first nonzero entry is 1; outside[h, x] = (h . x != 0),
-    reading point h as the normal of a hyperplane; and every projective basis
-    as a row of n point indices, the n-subsets no hyperplane holds.
+    """(points, outside, bases) for GF(p)^n: the projective points of
+    :func:`~raagcheeger.linalg.projective_points`; outside[h, x] =
+    (h . x != 0), reading point h as the normal of a hyperplane; and every
+    projective basis as a row of n point indices, the n-subsets no
+    hyperplane holds.
     """
-    # the points in lexicographic order: those with the leading 1 last come
-    # first, each block (0, .., 0, 1, tail) ordered by its tail, the base-p
-    # digits of the tail's index
-    blocks = []
-    for lead in reversed(range(n)):
-        width = n - 1 - lead
-        block = np.zeros((p**width, n), dtype=np.int64)
-        block[:, lead] = 1
-        digits = np.arange(p**width)[:, None] // p ** np.arange(width - 1, -1, -1)
-        block[:, lead + 1 :] = reduce_mod(digits, p)
-        blocks.append(block)
-    points = np.concatenate(blocks)
+    points = projective_points(n, p)
     outside = reduce_mod(points @ points.T, p) != 0
     combos = itertools.combinations(range(len(points)), n)
     step = max(1, QVALENCE_CHUNK_BYTES // (len(points) * n))
@@ -515,11 +522,7 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         return 0
     p = pt.field.characteristic
     points, outside, bases = _projective_frame(n, p)
-    # images[x, e, j] = q(x, b_j)_e, then pairs[x, y] = (q(x, y) != 0); sums
-    # stay below n * p^2, within int64 whenever the p^n points fit in memory
-    table = np.array(pt.tensor, dtype=np.int64).reshape(n, n * m)
-    images = reduce_mod(points @ table, p).reshape(-1, n, m).transpose(0, 2, 1)
-    pairs = reduce_mod(images @ points.T, p).any(axis=1)
+    pairs = np.concatenate(list(pairs_blocks(pt, points, QVALENCE_CHUNK_BYTES)))
     # on[x, h] is all ones where point x lies on hyperplane h and 0 off it;
     # no weight exceeds n < 255, so OR-ing it in hides exactly the points on h
     on = np.where(outside, 0, 255).astype(np.uint8)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import raagcheeger
-from raagcheeger import linalg, pairing
+from raagcheeger import linalg, pairing, zerosets
 from raagcheeger import (
     GF2,
     GF3,
@@ -185,6 +185,20 @@ def test_complement_oracle_stays_independent_of_the_rank_kernel():
     assert not (names | {name for _, name in imported}) & {"_rank_kernel", "_column_ranks"}
     for moved in ("apply_pairing", "orthogonal_complement", "subspace_intersection"):
         assert not any(hasattr(module, moved) for module in (raagcheeger, linalg, pairing))
+    # no test oracle names either kernel or the tables the zero-set kernel
+    # counts in, so the cross-checks of both kernels stay independent
+    kernels = {"zerosets", "_rank_kernel", "_column_ranks", "zero_set_kernel", "zero_sets_pay",
+               "pairs_blocks", "point_codes"}
+    oracles = sorted(Path(__file__).parent.glob("*_oracle.py")) + [
+        Path(__file__).with_name("subspace_stream.py")]
+    assert len(oracles) == 5
+    for oracle in oracles:
+        tree = ast.parse(oracle.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not names & kernels, oracle.name
 
 
 # -- subspace Cheeger ---------------------------------------------------------------
@@ -638,6 +652,143 @@ def test_batch_cache_retains_less_than_its_cap():
             _clear_caches()
     finally:
         _clear_caches()
+
+
+# -- the zero-set kernel -------------------------------------------------------------
+
+
+def _kernels_agree(t, batches) -> int:
+    """Assert that the zero-set kernel gives the rank kernel's (rank R_F,
+    rank R_F|_F) on every batch; return the number of batches compared."""
+    pt = getattr(t, "pairing", t)
+    zero_sets, ranks = zerosets.zero_set_kernel(pt), pairing._rank_kernel(pt)
+    compared = 0
+    for k, bases in batches:
+        got, want = zero_sets(k, bases), ranks(k, bases)
+        assert (got[0].tolist(), got[1].tolist()) == (want[0].tolist(), want[1].tolist()), (pt, k)
+        compared += 1
+    return compared
+
+
+def _exhaustive_stream(t):
+    pt = getattr(t, "pairing", t)
+    return enumerate_subspaces(pt.dim_v, range(1, pt.dim_v // 2 + 1), pt.field)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])
+def test_zero_set_kernel_matches_rank_kernel_on_every_graph(field):
+    # every labeled graph on 2..5 vertices with at least one edge (the gate
+    # refuses dim W = 0, where the rank kernel needs no work)
+    checked = 0
+    for n in range(2, 6):
+        for g in labeled_graphs(n):
+            if g.edges:
+                t = build_triple(g, field)
+                assert _kernels_agree(t, _exhaustive_stream(t))
+                checked += 1
+    assert checked == 1 + 7 + 63 + 1023
+
+
+def test_zero_set_kernel_matches_rank_kernel_on_random_triples():
+    # symmetric, antisymmetric and augmented (componentwise) triples over
+    # every (p, n) with n = 2..6 whose table fits the gate's cap: GF(7)^5
+    # and GF(5)^6 have 2801 and 3906 points and never take the kernel
+    rng = random.Random(12)
+    cases = 0
+    for p, most in ((2, 6), (3, 6), (5, 5), (7, 4)):
+        field = Field.gf(p)
+        for n in range(2, most + 1):
+            points = (p**n - 1) // (p - 1)
+            assert points * -(-points // 64) * 8 <= zerosets.ZERO_SET_BYTES // 2
+            symmetric = random_triple(n, rng.randint(1, 3), field, rng.randrange(2**32), "symmetric")
+            antisymmetric = random_triple(n, rng.randint(1, 3), field, rng.randrange(2**32))
+            for t in (symmetric, antisymmetric, augment_triple(antisymmetric, rng.randrange(n))):
+                assert _kernels_agree(t, _exhaustive_stream(t))
+                cases += 1
+    assert cases == 3 * (5 + 5 + 4 + 3)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
+def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
+    # the exhaustive scan reports what it reports on the rank kernel, from a
+    # cold and from a warm cache, and every batch of the stream gives both
+    # kernels' ranks; the two-edge graph stops early at h = 0
+    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+    monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
+    two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
+    triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
+    triples += [random_triple(5, 2, GF3, 11), random_triple(6, 3, GF2, 12, "symmetric")]
+    assert all(zerosets.zero_sets_pay(getattr(t, "pairing", t)) for t in triples)
+    _clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(pairing, "zero_sets_pay", lambda pt: False)
+            expected = [cheeger_constant_exhaustive(t) for t in triples]
+        _clear_caches()
+        for _ in ("cold", "warm"):
+            assert [cheeger_constant_exhaustive(t) for t in triples] == expected
+            assert linalg._retained.cache_info().currsize > 0
+            for t in triples:
+                assert _kernels_agree(t, _exhaustive_stream(t))
+        assert [rep.value for rep in expected].count(0) == 2
+    finally:
+        _clear_caches()
+
+
+@pytest.mark.parametrize("p, n, m, zero_sets", [
+    (1009, 2, 3, False), (31, 3, 3, False), (7, 4, 3, False),
+    (5, 5, 2, True), (3, 6, 3, True), (2, 8, 3, True),
+], ids=["gf1009^2", "gf31^3", "gf7^4", "gf5^5", "gf3^6", "gf2^8"])
+def test_zero_set_gate_pins_the_kernel(monkeypatch, p, n, m, zero_sets):
+    # the first three build more than ZERO_SET_WORK table entries per
+    # subspace, where the table costs more than elimination saves
+    t = random_triple(n, m, Field.gf(p), 7)
+    assert zerosets.zero_sets_pay(t) == zero_sets
+    built = []
+    for name in ("zero_set_kernel", "_rank_kernel"):
+        kernel = getattr(pairing, name)
+        monkeypatch.setattr(pairing, name, lambda pt, kernel=kernel, name=name: (
+            built.append(name), kernel(pt))[1])
+    rep = cheeger_constant_exhaustive(t)
+    assert built == ["zero_set_kernel" if zero_sets else "_rank_kernel"]
+    assert rep.subspaces_visited == sum(gaussian_binomial(n, k, p) for k in range(1, n // 2 + 1))
+
+
+def test_zero_set_gate_refusals():
+    # over QQ, for dim W = 0, and past the table's cap the scan eliminates
+    assert not zerosets.zero_sets_pay(build_triple(cycle(5), QQ).pairing)
+    assert not zerosets.zero_sets_pay(zero_triple(6, 0, GF2))
+    assert zerosets.zero_sets_pay(random_triple(10, 1, GF2, 3))  # 1023 points, 128 KB
+    assert not zerosets.zero_sets_pay(random_triple(11, 1, GF2, 3))  # 2047 points, 512 KB
+
+
+def test_zero_set_table_build_stays_under_its_cap():
+    # the table and the temporaries of its row-block build, measured with the
+    # points and codes of GF(p)^n already built (they are shared per (n, p))
+    for p, n, m in ((2, 8, 8), (3, 6, 6), (5, 5, 3)):
+        t = random_triple(n, m, Field.gf(p), 5)
+        linalg.point_codes(n, p)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            zerosets.zero_set_kernel(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak < zerosets.ZERO_SET_BYTES, (p, n, peak)
+
+
+def test_zero_set_kernel_without_bitwise_count(monkeypatch):
+    # numpy before 2.0 has no bitwise_count: the kernel counts bits with
+    # linalg.popcount, here on tables of 2, 6 and 13 words
+    triples = [random_triple(7, 3, GF2, 8), random_triple(6, 2, GF3, 9),
+               random_triple(5, 1, GF5, 10, "symmetric")]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for t in triples:
+        assert _kernels_agree(t, itertools.islice(_exhaustive_stream(t), 12))
+    words = np.array([0, 1, 2**63, 2**64 - 1, 0x8000_0000_0000_0001, 0x0123_4567_89AB_CDEF],
+                     dtype=np.uint64)
+    assert linalg.popcount(words, 64).tolist() == [bin(int(w)).count("1") for w in words]
 
 
 # -- q-valence -----------------------------------------------------------------------
