@@ -373,20 +373,24 @@ _COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is registered with its help
-    line; only ``command``'s subparser gets its arguments when ``command``
-    names one, since parsing a command line that starts with it reads no
-    other subparser.  Otherwise every subparser gets its arguments."""
+    """The command-line parser.  When ``command`` names a subcommand, only its
+    subparser is registered, since parsing a command line that starts with it
+    reads no other; the metavar keeps the usage line listing every command.
+    Otherwise every subparser is registered with its arguments."""
     parser = argparse.ArgumentParser(
         prog="raagcheeger",
         description="Exact Cheeger constants for graphs and cup-product pairing triples, "
                     "with brute-force verification of the dictionary between them.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    known = command in {name for name, *_ in _COMMANDS}
+    names = [name for name, *_ in _COMMANDS]
+    known = command in names
+    # on the full path a metavar would reword the errors of an unknown or
+    # missing command, so it is set only where one subparser is registered
+    metavar = {"metavar": "{" + ",".join(names) + "}"} if known else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
     for name, help_text, handler, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
         if not known or name == command:
+            p = sub.add_parser(name, help=help_text)
             arguments(p)
             p.set_defaults(handler=handler)
     return parser

@@ -12,7 +12,6 @@ any degree of parallelism.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import partial
@@ -505,5 +504,7 @@ def _pmap(fn: Callable, items: list, jobs: int) -> list:
     on the inputs, never on the worker count."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    import multiprocessing  # here, so that a call that starts no pool never imports it
+
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4)))

@@ -100,8 +100,11 @@ class PairingTriple:
         symmetry: str = ANTISYMMETRIC,
         signs: Sequence[int] | None = None,
     ) -> "PairingTriple":
+        # ints reduce inline; every other value takes Field.element's checks
+        p, element = field.characteristic, field.element
         grid = tuple(
-            tuple(tuple(field.element(x) for x in w) for w in row) for row in tensor
+            tuple(tuple(x % p if p and type(x) is int else element(x) for x in w) for w in row)
+            for row in tensor
         )
         if len(grid) != dim_v or any(len(row) != dim_v for row in grid):
             raise PairingError(f"tensor is not {dim_v} x {dim_v}")
@@ -124,17 +127,18 @@ class PairingTriple:
         return triple
 
     def _check_symmetry(self) -> None:
-        f = self.field
+        p = self.field.characteristic
+        keep = [self._sign(e) == 1 for e in range(self.dim_w)]
         for i in range(self.dim_v):
             for j in range(i, self.dim_v):
                 a, b = self.tensor[i][j], self.tensor[j][i]
-                for e in range(self.dim_w):
-                    want = a[e] if self._sign(e) == 1 else f.neg(a[e])
-                    if b[e] != want:
-                        raise PairingError(
-                            f"declared {self.symmetry} symmetry violated at entry ({i}, {j}), "
-                            f"W coordinate {e}"
-                        )
+                want = tuple(x if k else (-x % p if p else -x) for x, k in zip(a, keep))
+                if b != want:
+                    e = next(e for e in range(self.dim_w) if b[e] != want[e])
+                    raise PairingError(
+                        f"declared {self.symmetry} symmetry violated at entry ({i}, {j}), "
+                        f"W coordinate {e}"
+                    )
 
     def _sign(self, e: int) -> int:
         if self.symmetry == SYMMETRIC:

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +8,7 @@ import sys
 import pytest
 
 from raagcheeger import GF2, Field, SimplicialGraph, build_triple, cheeger_constant_exhaustive, cycle, path
-from raagcheeger.cli import main
+from raagcheeger.cli import _COMMANDS, build_parser, main
 from raagcheeger.family import VerificationRecord
 
 
@@ -262,3 +265,47 @@ def test_verify_invariance_command():
                   "--fields", "gf2", "gf3")
     assert res.returncode == 0
     assert json.loads(res.stdout)["failed"] == 0
+
+
+def _parsed(command, argv):
+    """Exit code, stdout, stderr and namespace of one parse, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(build_parser(command).parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in _COMMANDS])
+def test_parser_for_one_command_matches_the_full_parser(name):
+    # the parser built for the command argv names reads argv exactly as the
+    # parser with every subcommand does: help, errors and parsed values
+    corpus = [[name, "--help"], [name, "--no-such-flag"], [name, "--format", "nope"],
+              [name, "--seed", "x"], [name]]
+    if name == "gen":
+        corpus.append([name, "--family", "cycle", "--size", "4"])
+    outcomes = set()
+    for argv in corpus:
+        one, full = _parsed(name, argv), _parsed(None, argv)
+        assert one == full, argv
+        outcomes.add(one[0])
+    assert outcomes == {0, 2, None}
+
+
+def test_parser_for_one_command_registers_one_subparser():
+    def subparsers(parser):
+        [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(action.choices)
+
+    assert subparsers(build_parser("triple-h")) == ["triple-h"]
+    assert subparsers(build_parser(None)) == [name for name, *_ in _COMMANDS]
+    assert subparsers(build_parser("no-such-command")) == [name for name, *_ in _COMMANDS]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    code = "import sys, raagcheeger.cli; print('multiprocessing' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr

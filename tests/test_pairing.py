@@ -21,6 +21,7 @@ from raagcheeger import (
     BudgetError,
     Budgets,
     Field,
+    FieldError,
     LinalgError,
     PairingError,
     PairingTriple,
@@ -53,6 +54,7 @@ from complement_oracle import apply_pairing, orthogonal_complement, subspace_int
 from decomposition_oracle import pairing_connected_by_decomposition
 from qvalence_oracle import q_valence_by_basis_pairs
 from subspace_stream import canonical_order, subspaces as subspace_stream
+from triple_oracle import triple_by_scalars
 
 
 def p3_triple(field=GF2):
@@ -86,6 +88,102 @@ def test_triple_json_round_trip():
     assert PairingTriple.from_json_dict(t.to_json_dict()) == t
     aug = augment_triple(t, 1)
     assert PairingTriple.from_json_dict(aug.to_json_dict()) == aug
+
+
+def _built(build, *args):
+    """The triple with the type of each scalar, or the exception's type and message."""
+    try:
+        t = build(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return t, [type(x) for row in t.tensor for w in row for x in w]
+
+
+def _both_built(*args):
+    fast, oracle = _built(PairingTriple.of, *args), _built(triple_by_scalars, *args)
+    assert fast == oracle, args
+    return fast
+
+
+CONSTRUCTION_FIELDS = [GF2, GF3, Field.gf(7919), QQ]
+CONSTRUCTION_IDS = ["gf2", "gf3", "gf7919", "qq"]
+SYMMETRIES = [("symmetric", None), ("antisymmetric", None),
+              ("componentwise", (1, -1)), ("componentwise", (-1, 1))]
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_FIELDS, ids=CONSTRUCTION_IDS)
+def test_construction_matches_scalar_oracle_on_odd_scalars(field):
+    odd = [True, False, 1.0, 2.5, None, "3", "-4", " 5 ", "2/3", "x", -1, -7920,
+           2**63, 2**64 + 5, -(2**70) - 1, Fraction(1, 2), Fraction(4, 1)]
+    outcomes = set()
+    for value in odd:
+        for symmetry, signs in SYMMETRIES:
+            for places in ([(0, 1, 0), (1, 0, 0)], [(0, 0, 0)], [(1, 1, 1)], [(1, 0, 1)]):
+                tensor = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+                for i, j, e in places:
+                    tensor[i][j][e] = value
+                outcomes.add(_both_built(field, 2, 2, tensor, symmetry, signs)[0])
+    # the corpus reaches valid triples, coercion errors and symmetry violations
+    assert any(isinstance(o, PairingTriple) for o in outcomes)
+    assert {o for o in outcomes if isinstance(o, type)} >= {FieldError, PairingError}
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_FIELDS, ids=CONSTRUCTION_IDS)
+@pytest.mark.parametrize("symmetry, signs", SYMMETRIES)
+def test_construction_matches_scalar_oracle_on_every_violation(field, symmetry, signs):
+    # a valid random tensor, then one entry moved at every (i, j, e) in turn,
+    # the first and the last included
+    rng = random.Random(17)
+    p, n, m = field.characteristic, 3, 2
+    keep = signs or ((1,) * m if symmetry == "symmetric" else (-1,) * m)
+
+    def scalar():
+        if p:
+            return rng.randrange(-3 * p, 3 * p)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    tensor = [[[None] * m for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            for e in range(m):
+                a = scalar()
+                if i == j and keep[e] == -1 and p != 2:
+                    a = 0
+                tensor[i][j][e] = a
+                tensor[j][i][e] = (a if keep[e] == 1 else -a) + (p * rng.randint(-2, 2) if p else 0)
+    assert isinstance(_both_built(field, n, m, tensor, symmetry, signs)[0], PairingTriple)
+    violations = 0
+    for i, j, e in itertools.product(range(n), range(n), range(m)):
+        moved = [[list(w) for w in row] for row in tensor]
+        moved[i][j][e] += 1
+        violations += _both_built(field, n, m, moved, symmetry, signs)[0] is PairingError
+    assert violations >= n * (n - 1) * m
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_FIELDS, ids=CONSTRUCTION_IDS)
+def test_construction_matches_scalar_oracle_on_shapes(field):
+    cases = [
+        (2, 1, [[(0,), (1,)]]),
+        (2, 1, [[(0,), (1,)], [(1,)]]),
+        (2, 1, [[(0,), (1,)], [(1,), (0, 0)]]),
+        (2, 2, [[(0,), (1,)], [(1,), (0,)]]),
+        (1, 1, [[(0,)], [(0,)]]),
+        (1, 1, [[0]]),
+        (0, 0, []),
+        (2, 0, [[(), ()], [(), ()]]),
+    ]
+    for dim_v, dim_w, tensor in cases:
+        for symmetry, signs in SYMMETRIES + [("symmetric", [1]), ("componentwise", None),
+                                             ("componentwise", [0]), ("skew", None)]:
+            _both_built(field, dim_v, dim_w, tensor, symmetry, signs)
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_FIELDS, ids=CONSTRUCTION_IDS)
+def test_cup_product_triples_match_scalar_oracle(field):
+    for graph in (path(3), cycle(5), complete(4), edgeless(3)):
+        t = build_triple(graph, field).pairing
+        assert triple_by_scalars(field, t.dim_v, t.dim_w, t.tensor) == t
+        assert PairingTriple.from_json_dict(t.to_json_dict()) == t
 
 
 # -- apply_pairing ---------------------------------------------------------------
@@ -191,7 +289,7 @@ def test_complement_oracle_stays_independent_of_the_rank_kernel():
                "pairs_blocks", "point_codes"}
     oracles = sorted(Path(__file__).parent.glob("*_oracle.py")) + [
         Path(__file__).with_name("subspace_stream.py")]
-    assert len(oracles) == 5
+    assert len(oracles) == 6
     for oracle in oracles:
         tree = ast.parse(oracle.read_text())
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
