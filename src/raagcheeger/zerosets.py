@@ -5,9 +5,12 @@ Over GF(p) the orthogonal complement C(F) = {y : q(f, y) = 0 for f in F} is
 the intersection of the zero sets of F's RREF rows, and those rows are
 normalized projective points.  So the kernel tabulates, once per scan, the
 zero set of every projective point of V as a bitset, ANDs the bitsets of
-F's rows into C(F), and reads dim C and dim(F n C) off popcounts, where the
-rank kernel of :mod:`raagcheeger.pairing` eliminates.  The same points
-table, as q(x, y) != 0, is the q-valence min-max's (:func:`pairs_blocks`).
+F's rows into C(F), and reads dim C off popcounts and dim(F n C) off the
+bits of C at F's points, where the rank kernel of :mod:`raagcheeger.pairing`
+eliminates.  F n C lies in C, so F's points are built only for the F with
+C != 0: 2-3% of the subspaces of the cycle C6's triple and of a random
+triple over GF(3)^6.  The same points table, as q(x, y) != 0, is the
+q-valence min-max's (:func:`pairs_blocks`).
 
 The table costs points^2 * dim W entries to build, so
 :func:`zero_sets_pay` admits the kernel only where that is small against
@@ -29,19 +32,18 @@ ZERO_SET_BYTES = 1 << 18
 take together: the gate admits a table of at most half of it, and the table
 is built in row blocks whose temporaries fit in the rest."""
 
-ZERO_SET_WORK = 64
+ZERO_SET_WORK = 128
 """The gate admits the zero-set kernel while its table's points^2 * dim W
 entries are at most this many per subspace the scan visits.  Measured
-in-process on random triples, best of 5 on a shared 2-vCPU machine, the
-kernel against elimination: every scan of at least 1,000 subspaces that
-ran to the end gained up to a ratio of 60, from GF(5)^5 with dim W = 2
-(ratio 58, 10.8 -> 7.3 ms) to GF(2)^8 with dim W = 3 (ratio 0.6,
-344 -> 132 ms); from 87 to 250 the results were mixed, GF(7)^4 with
-dim W = 3 (ratio 148) losing 1.3 -> 1.7 ms; and from 394 on every scan
-lost, GF(31)^3 (ratio 2979) 0.28 -> 4.6 ms and GF(1009)^2 (ratio 3030)
-0.20 -> 6.1 ms, both with dim W = 3.  At any ratio a scan of a few dozen
-subspaces loses 10-50 us to the build, and one that stops early at h = 0
-pays for the whole table."""
+in-process on random triples (seeds 7-9), best of 7 interleaved on a shared
+2-vCPU machine, as the kernel's time over elimination's: every scan of at
+least 1,000 subspaces that ran to the end gained up to a ratio of 116, from
+GF(2)^8 (ratio 0.6, 0.25-0.31) to GF(3)^5, GF(5)^4 and GF(5)^5 (ratios
+110, 101 and 116, 0.52-0.53, 0.87-0.90 and 0.70-0.71); GF(7)^4 ran even at
+ratio 148 (0.96-1.12) and lost from 197 on (1.06-1.26), GF(5)^5 gained at
+289 (0.71-0.72), and GF(31)^3 and GF(1009)^2 took 17-34 times as long at
+2979 and 3030.  At any ratio a scan of a few dozen subspaces loses 10-60 us
+to the build, and one that stops early at h = 0 pays for the whole table."""
 
 
 def zero_sets_pay(pt) -> bool:
@@ -66,12 +68,14 @@ def zero_set_kernel(pt):
 
     Built once per scan: for every projective point x of V, the bitset, in
     little-endian uint64 words, of the points y with q(x, y) = 0.  The first
-    k rows of a stream basis are F's RREF rows, and C = C(F) is the AND of
-    their bitsets.  A subspace of dimension d has (p^d - 1)/(p - 1)
-    projective points, so the popcount of C gives dim C = n - rank R_F.  The
-    combinations c . F, c a projective point of GF(p)^k, are F's projective
-    points, each normalized since F is in RREF; the bits of C at them count
-    the points of F n C, which gives dim(F n C) = k - rank R_F|_F.
+    k rows of a stream basis are F's RREF rows, each a projective point found
+    by its code, and C = C(F) is the AND of their bitsets.  A subspace of
+    dimension d has (p^d - 1)/(p - 1) projective points, so the popcount of
+    C gives dim C = n - rank R_F.  The bits of C at F's points count the
+    points of F n C, which gives dim(F n C) = k - rank R_F|_F.  Where C = 0,
+    F n C = 0 and F's points are not built.  Elsewhere F's points are, at
+    k = 1, its row, and at k >= 2 the combinations c . F, c a projective
+    point of GF(p)^k, each normalized since F is in RREF.
     """
     p = pt.field.characteristic
     n = pt.dim_v
@@ -88,21 +92,31 @@ def zero_set_kernel(pt):
     bit_count = getattr(np, "bitwise_count", None) or (lambda x: popcount(x, 64))
 
     def ranks(k: int, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        count = len(bases)
-        # span[c, b * n + j] is entry j of coefficients[c] . F for the b-th
-        # F; F's own rows are the unit coefficient vectors, which open the
-        # blocks of projective_points
-        rows = bases[:, :k].transpose(1, 0, 2).reshape(k, count * n).astype(ptype)
-        span = projective_points(k, p).astype(ptype) @ rows
-        span = reduce_mod(span.astype(dtype), p).reshape(-1, n).astype(powers.dtype)
-        at = index[(span @ powers).astype(np.intp)].reshape(-1, count)
-        zero = table[at[0]]
-        for c in range(1, k):
-            zero &= table[at[(p**c - 1) // (p - 1)]]
+        # rows[b, a * n + j] is entry j of row a of the b-th F, and at[b, a]
+        # is that row's point
+        rows = bases.reshape(len(bases), -1)[:, : k * n].astype(ptype)
+        at = index[(rows.reshape(-1, n) @ powers).astype(np.intp)].reshape(-1, k)
+        zero = table[at[:, 0]]
+        for a in range(1, k):
+            zero &= table[at[:, a]]
         dim_c = dims[bit_count(zero).sum(axis=1, dtype=np.int64)]
-        at += np.arange(count) * (zero.shape[1] * 64)
+        # F n C lies in C, so only the F with C != 0 need F's points
+        dim_meet = np.zeros(len(bases), np.int64)
+        some = dim_c.nonzero()[0]
+        if not len(some):
+            return n - dim_c, k - dim_meet
+        if k == 1:
+            at = at[some].T
+        else:
+            # span[c, s * n + j] is entry j of coefficients[c] . F for the
+            # s-th F of some
+            span = rows[some].reshape(-1, k, n).transpose(1, 0, 2).reshape(k, -1)
+            span = projective_points(k, p).astype(ptype) @ span
+            span = reduce_mod(span.astype(dtype), p).reshape(-1, n).astype(powers.dtype)
+            at = index[(span @ powers).astype(np.intp)].reshape(-1, len(some))
+        at += some * (zero.shape[1] * 64)
         inside = np.take(zero.view(np.uint8), at >> 3) >> (at & 7) & 1
-        dim_meet = dims[inside.sum(axis=0)]
+        dim_meet[some] = dims[inside.sum(axis=0)]
         return n - dim_c, k - dim_meet
 
     return ranks

@@ -806,6 +806,60 @@ def test_zero_set_kernel_matches_rank_kernel_on_random_triples():
     assert cases == 3 * (5 + 5 + 4 + 3)
 
 
+def _bases_where(t, k, keep, most):
+    """One batch of the first ``most`` completed bases, in stream order, of
+    the k-dimensional subspaces whose rank-kernel (rank R_F, rank R_F|_F)
+    satisfy ``keep``."""
+    pt = getattr(t, "pairing", t)
+    ranks = pairing._rank_kernel(pt)
+    kept = [bases[keep(*ranks(k, bases))] for _, bases in enumerate_subspaces(pt.dim_v, [k], pt.field)]
+    batch = np.concatenate(kept)[:most]
+    assert len(batch) == most
+    return batch
+
+
+# random triples whose stream has C(F) = 0 and C(F) != 0 with F n C(F) != 0
+# in dimensions 2 and 3
+SPARSE_COMPLEMENTS = [(7, 5, GF2, 21, "antisymmetric"), (6, 3, GF3, 5, "antisymmetric"),
+                      (6, 4, GF3, 21, "symmetric")]
+
+
+@pytest.mark.parametrize("n, m, field, seed, symmetry", SPARSE_COMPLEMENTS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_zero_set_kernel_on_a_batch_with_every_complement_zero(n, m, field, seed, symmetry, k):
+    # rank R_F = n for every F, so no F needs its points
+    t = random_triple(n, m, field, seed, symmetry)
+    batch = _bases_where(t, k, lambda rank, restricted: rank == n, 60)
+    assert _kernels_agree(t, [(k, batch)]) == 1
+    assert zerosets.zero_set_kernel(t)(k, batch)[1].tolist() == [k] * 60
+
+
+@pytest.mark.parametrize("n, m, field, seed, symmetry", SPARSE_COMPLEMENTS[:2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_zero_set_kernel_on_a_batch_with_one_complement_in_the_middle(n, m, field, seed, symmetry, k):
+    # C(F) != 0 for the 31st F alone, and F n C(F) != 0 there
+    t = random_triple(n, m, field, seed, symmetry)
+    zero = _bases_where(t, k, lambda rank, restricted: rank == n, 60)
+    meet = _bases_where(t, k, lambda rank, restricted: (rank < n) & (restricted < k), 1)
+    batch = np.concatenate([zero[:30], meet, zero[30:]])
+    assert _kernels_agree(t, [(k, batch)]) == 1
+    rank, restricted = zerosets.zero_set_kernel(t)(k, batch)
+    assert np.flatnonzero(rank < n).tolist() == np.flatnonzero(restricted < k).tolist() == [30]
+
+
+@pytest.mark.parametrize("n, m, field, seed, counts", [
+    (4, 4, GF3, 14, (20, 3, 17)), (3, 3, GF5, 22, (21, 2, 8)),
+], ids=["gf3^4", "gf5^3"])
+def test_zero_set_kernel_on_points(n, m, field, seed, counts):
+    # F = <x>: F n C(F) = F where q(x, x) = 0 and 0 elsewhere; counts are the
+    # points with C(F) = 0, with q(x, x) = 0, and the rest
+    t = random_triple(n, m, field, seed, "symmetric")
+    (k, batch), = enumerate_subspaces(n, [1], field)
+    assert _kernels_agree(t, [(k, batch)]) == 1
+    rank, restricted = zerosets.zero_set_kernel(t)(k, batch)
+    assert ((rank == n).sum(), (restricted == 0).sum(), ((rank < n) & (restricted == 1)).sum()) == counts
+
+
 @pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
 def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
     # the exhaustive scan reports what it reports on the rank kernel, from a
@@ -835,11 +889,13 @@ def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
 
 @pytest.mark.parametrize("p, n, m, zero_sets", [
     (1009, 2, 3, False), (31, 3, 3, False), (7, 4, 3, False),
-    (5, 5, 2, True), (3, 6, 3, True), (2, 8, 3, True),
-], ids=["gf1009^2", "gf31^3", "gf7^4", "gf5^5", "gf3^6", "gf2^8"])
+    (5, 5, 2, True), (3, 6, 3, True), (2, 8, 3, True), (5, 5, 4, True), (3, 5, 10, True),
+], ids=["gf1009^2", "gf31^3", "gf7^4", "gf5^5", "gf3^6", "gf2^8", "gf5^5-dimw4", "gf3^5-dimw10"])
 def test_zero_set_gate_pins_the_kernel(monkeypatch, p, n, m, zero_sets):
     # the first three build more than ZERO_SET_WORK table entries per
-    # subspace, where the table costs more than elimination saves
+    # subspace (ratios 3030, 2979 and 148), where the table costs more than
+    # elimination saves; GF(5)^5 with dim W = 4 and GF(3)^5 with dim W = 10
+    # (ratios 116 and 110) sit just under the gate
     t = random_triple(n, m, Field.gf(p), 7)
     assert zerosets.zero_sets_pay(t) == zero_sets
     built = []
