@@ -32,18 +32,20 @@ ZERO_SET_BYTES = 1 << 18
 take together: the gate admits a table of at most half of it, and the table
 is built in row blocks whose temporaries fit in the rest."""
 
-ZERO_SET_WORK = 128
+ZERO_SET_WORK = 64
 """The gate admits the zero-set kernel while its table's points^2 * dim W
 entries are at most this many per subspace the scan visits.  Measured
-in-process on random triples (seeds 7-9), best of 7 interleaved on a shared
-2-vCPU machine, as the kernel's time over elimination's: every scan of at
-least 1,000 subspaces that ran to the end gained up to a ratio of 116, from
-GF(2)^8 (ratio 0.6, 0.25-0.31) to GF(3)^5, GF(5)^4 and GF(5)^5 (ratios
-110, 101 and 116, 0.52-0.53, 0.87-0.90 and 0.70-0.71); GF(7)^4 ran even at
-ratio 148 (0.96-1.12) and lost from 197 on (1.06-1.26), GF(5)^5 gained at
-289 (0.71-0.72), and GF(31)^3 and GF(1009)^2 took 17-34 times as long at
-2979 and 3030.  At any ratio a scan of a few dozen subspaces loses 10-60 us
-to the build, and one that stops early at h = 0 pays for the whole table."""
+in-process on random triples (seeds 7-9), best of 5-7 interleaved on a
+shared 2-vCPU machine, as the kernel's time over elimination's: every scan
+of at least 1,000 subspaces that ran to the end gained up to a ratio of 66,
+from GF(2)^8 (ratio 0.6, 0.25-0.32) to GF(5)^5 and GF(3)^5 (ratios 58 and
+66, 0.80-0.91 and 0.72-0.76).  From 76 to 228 the results are mixed:
+GF(5)^5 gains at 87 and 145 (0.70-0.86), GF(5)^4 at 76 and GF(7)^4 at 148
+run even or lose (0.93-0.99 and 1.01-1.31), and GF(7)^3, whose scans visit
+57 subspaces, loses at 114 and 228 (1.22-1.58).  GF(31)^3 and GF(1009)^2
+take 18-36 times as long at 2979 and 3030.  At any ratio a scan of a few
+dozen subspaces loses 10-60 us to the build, and one that stops early at
+h = 0 pays for the whole table."""
 
 
 def zero_sets_pay(pt) -> bool:
@@ -73,9 +75,9 @@ def zero_set_kernel(pt):
     dimension d has (p^d - 1)/(p - 1) projective points, so the popcount of
     C gives dim C = n - rank R_F.  The bits of C at F's points count the
     points of F n C, which gives dim(F n C) = k - rank R_F|_F.  Where C = 0,
-    F n C = 0 and F's points are not built.  Elsewhere F's points are, at
-    k = 1, its row, and at k >= 2 the combinations c . F, c a projective
-    point of GF(p)^k, each normalized since F is in RREF.
+    F n C = 0 and F's points are not built.  Elsewhere they are the
+    combinations c . F, c a projective point of GF(p)^k, each normalized
+    since F is in RREF.
     """
     p = pt.field.characteristic
     n = pt.dim_v
@@ -105,15 +107,12 @@ def zero_set_kernel(pt):
         some = dim_c.nonzero()[0]
         if not len(some):
             return n - dim_c, k - dim_meet
-        if k == 1:
-            at = at[some].T
-        else:
-            # span[c, s * n + j] is entry j of coefficients[c] . F for the
-            # s-th F of some
-            span = rows[some].reshape(-1, k, n).transpose(1, 0, 2).reshape(k, -1)
-            span = projective_points(k, p).astype(ptype) @ span
-            span = reduce_mod(span.astype(dtype), p).reshape(-1, n).astype(powers.dtype)
-            at = index[(span @ powers).astype(np.intp)].reshape(-1, len(some))
+        # span[c, s * n + j] is entry j of coefficients[c] . F for the s-th F
+        # of some
+        span = rows[some].reshape(-1, k, n).transpose(1, 0, 2).reshape(k, -1)
+        span = projective_points(k, p).astype(ptype) @ span
+        span = reduce_mod(span.astype(dtype), p).reshape(-1, n).astype(powers.dtype)
+        at = index[(span @ powers).astype(np.intp)].reshape(-1, len(some))
         at += some * (zero.shape[1] * 64)
         inside = np.take(zero.view(np.uint8), at >> 3) >> (at & 7) & 1
         dim_meet[some] = dims[inside.sum(axis=0)]
