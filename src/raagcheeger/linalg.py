@@ -5,11 +5,14 @@ Subspaces are canonicalized by the reduced row echelon form of their row
 space, so equality, hashing and deduplication are structural and the
 minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
-lexicographically.  The subspace stream comes in numpy batches of RREF
-bases completed to bases of the whole space, the form the kernels in
-:mod:`raagcheeger.pairing` and :mod:`raagcheeger.zerosets` consume.  The batches of one dimension depend
-only on (n, k, p) and the chunk size, so where they take at most
-:data:`BATCH_CACHE_BYTES` they are built once per process and served
+lexicographically, both streams taking their pivot sets from one helper.
+The subspace stream comes in numpy batches of RREF bases completed to bases
+of the whole space, the input of the rank kernel of
+:mod:`raagcheeger.pairing`; the point stream names each RREF row by its row
+in :func:`projective_points`, the input of the zero-set kernel of
+:mod:`raagcheeger.zerosets`, and builds no bases.  The batches of one
+dimension depend only on (n, k, p) and the batch size, so where they take at
+most :data:`BATCH_CACHE_BYTES` they are built once per process and served
 read-only from an lru cache (:func:`retained_batches`), which the coordinate
 scan shares; larger dimensions are streamed lazily, as they are built.
 The projective points of GF(p)^n and their codes, which the q-valence
@@ -20,6 +23,7 @@ small lru caches.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -236,14 +240,16 @@ def _popcount_table() -> np.ndarray:
 
 
 SUBSPACE_CHUNK = 512
-"""Most subspaces in one batch of :func:`enumerate_subspaces`.  numpy's
-per-call cost dominates the rank kernel, so larger batches run faster but
-hold larger temporaries.  Measured with perfbench (seed 1, ``--seconds 10``,
-two runs each, shared 2-vCPU machine): subspace-scan ``wall_s`` was 0.133 s
-at 256, 0.115-0.121 s at 512 and 0.121-0.122 s at 1024, with
-``peak_rss_mb`` 36.6-36.8, 37.1-37.2 and 38.2 MB; dictionary-sweep's
-``peak_rss_mb`` was 37.5, 37.9-38.1 and 38.9 MB.  1024 buys no time for
-another megabyte."""
+"""Most subspaces in one batch of :func:`enumerate_subspaces`, the rank
+kernel's batch (the zero-set kernel's stream is capped by
+:data:`POINT_BATCH_BYTES`).  numpy's per-call cost dominates the rank
+kernel, so larger batches run faster but hold larger temporaries.  Measured
+with perfbench (seed 1, ``--seconds 10``, two runs each, shared 2-vCPU
+machine) while the rank kernel ran every exhaustive scan: subspace-scan
+``wall_s`` was 0.133 s at 256, 0.115-0.121 s at 512 and 0.121-0.122 s at
+1024, with ``peak_rss_mb`` 36.6-36.8, 37.1-37.2 and 38.2 MB;
+dictionary-sweep's ``peak_rss_mb`` was 37.5, 37.9-38.1 and 38.9 MB.  1024
+buys no time for another megabyte."""
 
 
 def enumerate_subspaces(
@@ -271,15 +277,7 @@ def enumerate_subspaces(
     and served read-only from :func:`retained_batches` (one ``verify-theorem``
     call scans many triples of one size); a larger one is streamed lazily.
     """
-    if not field.is_prime_field:
-        raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
-    n = ambient_dim
-    dims = sorted(set(dims))
-    budgets.check_subspaces(field, n, dims)
-    for k in dims:
-        if k < 0 or k > n:
-            raise LinalgError(f"requested dimension {k} outside [0, {n}]")
-    p = field.characteristic
+    n, p, dims = _checked_request(ambient_dim, dims, field, budgets)
     itemsize = np.dtype(int_type(p - 1)).itemsize
     for k in dims:
         size = gaussian_binomial(n, k, p) * n * n * itemsize
@@ -287,23 +285,62 @@ def enumerate_subspaces(
             yield k, bases
 
 
+def enumerate_subspace_points(
+    ambient_dim: int,
+    dims: Iterable[int],
+    field: Field,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The subspaces of :func:`enumerate_subspaces`, in its order and under
+    its checks, as ``(k, points)``: ``points[b, r]`` is the row of
+    :func:`projective_points` holding row r of the b-th subspace's RREF
+    basis, in the narrowest integer type that indexes every point.  A batch
+    takes at most :data:`POINT_BATCH_BYTES` and is retained or streamed like
+    the bases."""
+    n, p, dims = _checked_request(ambient_dim, dims, field, budgets)
+    itemsize = np.dtype(int_type((p**n - 1) // (p - 1))).itemsize
+    for k in dims:
+        size = gaussian_binomial(n, k, p) * k * itemsize
+        for points in retained_batches(size, _point_batches, n, k, p, POINT_BATCH_BYTES):
+            yield k, points
+
+
+def _checked_request(n: int, dims: Iterable[int], field: Field, budgets: Budgets):
+    """(n, p, sorted dims) of a stream request, or the refusal of it."""
+    if not field.is_prime_field:
+        raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
+    dims = sorted(set(dims))
+    budgets.check_subspaces(field, n, dims)
+    for k in dims:
+        if k < 0 or k > n:
+            raise LinalgError(f"requested dimension {k} outside [0, {n}]")
+    return n, field.characteristic, dims
+
+
+def _pivot_sets(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """(pivots, free) for every RREF pivot-column set of dimension k, in
+    lexicographic order: free lists the (row, column) of each free entry,
+    the first one most significant in the lexicographic order of fills."""
+    for pivots in itertools.combinations(range(n), k):
+        pivset = set(pivots)
+        yield pivots, [
+            (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
+        ]
+
+
 def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray]:
     """The batches of :func:`enumerate_subspaces` for one dimension k."""
     dtype = int_type(p - 1)
     pending: list[np.ndarray] = []
     count = 0
-    for pivots in itertools.combinations(range(n), k):
-        pivset = set(pivots)
-        free = [
-            (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
-        ]
+    for pivots, free in _pivot_sets(n, k):
         total = p ** len(free)
         # fill number i, written in base p with the first free entry most
         # significant, is the i-th fill in lexicographic order
         ftype = np.int64 if total < 2**63 else object
         powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=ftype)
         base = np.zeros((n, n), dtype=dtype)
-        base[range(n), [*pivots, *(c for c in range(n) if c not in pivset)]] = 1
+        base[range(n), [*pivots, *(c for c in range(n) if c not in pivots)]] = 1
         free_rows = [r for r, _ in free]
         free_cols = [c for _, c in free]
         start = 0
@@ -320,6 +357,58 @@ def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray
                 pending, count = [], 0
     if pending:
         yield np.concatenate(pending)
+
+
+POINT_BATCH_BYTES = 1 << 14
+"""Largest batch of :func:`enumerate_subspace_points`, in bytes.  Batches of
+16-64 KB scanned C6/GF(3), C7/GF(2) and C8/GF(2) on the zero-set kernel
+equally fast, and 4-8 KB ones up to 1.8 times slower (best of 15,
+in-process, shared 2-vCPU machine)."""
+
+
+def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
+    """The batches of :func:`enumerate_subspace_points` for one dimension k.
+
+    Row r of a pivot set's subspaces runs through the p^{f_r} fills of its
+    f_r free entries, so tables[r] lists their points: a row whose leading 1
+    is at column c is the point (p^w - 1)/(p - 1) + tail of
+    :func:`projective_points`, w = n - 1 - c and tail its entries after c
+    read in base p.  The pivot set's subspaces are the Cartesian product of
+    the tables in C order, row 0 most significant, built by broadcasting.
+    A product past the cap is split along its leading rows, and pieces of
+    consecutive pivot sets are joined up to the cap.
+    """
+    dtype = int_type((p**n - 1) // (p - 1))
+    most = max(1, cap // (max(k, 1) * np.dtype(dtype).itemsize))
+    pending: list[np.ndarray] = []
+    count = 0
+    for pivots, free in _pivot_sets(n, k):
+        tables = []
+        for r, pc in enumerate(pivots):
+            table = np.array([(p ** (n - 1 - pc) - 1) // (p - 1)])
+            for c in (c for row, c in free if row == r):
+                table = (table[:, None] + np.arange(p) * p ** (n - 1 - c)).ravel()
+            tables.append(table.astype(dtype))
+        sizes = [len(t) for t in tables]
+        # the rows after row j fit a batch together: the rows before it take
+        # one combination at a time, and row j is sliced
+        j = next((j for j in range(k) if math.prod(sizes[j + 1 :]) <= most), 0)
+        step = most // math.prod(sizes[j + 1 :])
+        for fixed in itertools.product(*map(range, sizes[:j])):
+            for start in range(0, sizes[j] if k else 1, step):
+                parts = [t[i : i + 1] for t, i in zip(tables, fixed)]
+                parts += [t[start : start + step] for t in tables[j : j + 1]] + tables[j + 1 :]
+                shape = [len(t) for t in parts]
+                if count + math.prod(shape) > most:
+                    yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+                    pending, count = [], 0
+                block = np.empty((*shape, k), dtype)
+                for r, t in enumerate(parts):
+                    block[..., r] = t.reshape([-1 if a == r else 1 for a in range(k)])
+                pending.append(block.reshape(math.prod(shape), k))
+                count += math.prod(shape)
+    if pending:
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
 
 BATCH_CACHE_BYTES = 1 << 18

@@ -8,15 +8,16 @@ hyperplane) and, where a distinguished basis makes it legitimate, a
 coordinate fast path restricted to that basis.
 Verification code compares them explicitly.
 
-Every subspace Cheeger computation goes through one contract,
-(k, bases) -> (rank R_F, rank R_F|_F), with
-h_F = (rank R_F - rank R_F|_F) / dim F and R_F the matrix of
-v -> (q(f_a, v))_a over a basis of F, on numpy batches of at most
-``SUBSPACE_CHUNK`` bases S of V, each starting with a basis of F, the
-(k, bases) chunks that :func:`~raagcheeger.linalg.enumerate_subspaces`
-streams in canonical order.  Two kernels implement it.
+Every subspace Cheeger computation reads one pair of ranks per subspace F,
+(rank R_F, rank R_F|_F), with h_F = (rank R_F - rank R_F|_F) / dim F and
+R_F the matrix of v -> (q(f_a, v))_a over a basis of F.  Two kernels give
+it, each on batches of its own stream, both in the canonical order of
+:mod:`raagcheeger.linalg`.
 
-The rank kernel eliminates, and never forms the orthogonal complement
+The rank kernel takes (k, bases): batches of at most ``SUBSPACE_CHUNK``
+bases S of V, each starting with F's RREF basis, as
+:func:`~raagcheeger.linalg.enumerate_subspaces` streams them.  It
+eliminates, and never forms the orthogonal complement
 C(F): two matrix products build the matrices of a batch and one
 column-by-column elimination ranks them all, on rows packed into integers
 and cleared by XOR over GF(2), on residues in the narrowest numpy integer
@@ -28,11 +29,13 @@ products while n * (p - 1)^2 < 2^24 and as float64 ones while it is below
 2^53.  Every reduction mod p is x - p * (x // p), whose intermediate
 p * (x // p) stays within [-p * (p - 1), x] on the kernel's values.
 
-The zero-set kernel of :mod:`raagcheeger.zerosets` counts instead, in
-bitsets over the projective points of V.  The exhaustive scan takes it
-when its gate, :func:`~raagcheeger.zerosets.zero_sets_pay`, admits it from
-exact counts before any work: a prime field with dim W > 0 and few
-projective points against the subspaces scanned.  QQ, large p, the
+The zero-set kernel of :mod:`raagcheeger.zerosets` takes (k, points): F's
+RREF rows as projective points of V, as
+:func:`~raagcheeger.linalg.enumerate_subspace_points` streams them, and
+counts in bitsets over those points.  The exhaustive scan takes it, with
+its stream, when its gate, :func:`~raagcheeger.zerosets.zero_sets_pay`,
+admits it from exact counts before any work: a prime field with dim W > 0
+and few projective points against the subspaces scanned.  QQ, large p, the
 coordinate scan and single subspaces stay on the rank kernel, which the
 tests also use to cross-check the zero-set kernel batch by batch.
 
@@ -60,8 +63,8 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 from .linalg import (
-    SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspaces, product_types,
-    projective_points, reduce_mod, retained_batches,
+    SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspace_points, enumerate_subspaces,
+    product_types, projective_points, reduce_mod, retained_batches,
 )
 from .zerosets import pairs_blocks, zero_set_kernel, zero_sets_pay
 
@@ -370,31 +373,34 @@ class CheegerReport:
 def _first_minimum(
     pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, kernel
 ) -> CheegerReport:
-    """Scan a nonempty stream of (k, bases) batches for the least h_F, keeping
+    """Scan a nonempty stream of (k, batch) pairs for the least h_F, keeping
     the first minimizer; h_F >= 0, so the scan stops at a zero.  ``kernel``
     builds the ranks function once the first batch is in, so a refused
     stream costs no kernel work.  Inside a batch k is fixed, so the first
     argmin of the numerators is the batch's first minimum; across batches
     quotients are compared as num / k by cross-multiplication.  Only the
-    reported minimizer becomes a Subspace."""
+    reported minimizer becomes a Subspace, its rows read off the winning
+    entry: the first k rows of a basis, or k point indices."""
     batches = iter(batches)
     first = next(batches)
     ranks = kernel(pt)
     best_num, best_dim = 0, 0
     best = None
     visited = 0
-    for k, bases in itertools.chain([first], batches):
-        rank, rank_restricted = ranks(k, bases)
+    for k, batch in itertools.chain([first], batches):
+        rank, rank_restricted = ranks(k, batch)
         nums = rank - rank_restricted
         i = int(nums.argmin())
         num = int(nums[i])
         if best is None or num * best_dim < best_num * k:
-            best_num, best_dim, best = num, k, bases[i, :k]
+            best_num, best_dim, best = num, k, batch[i, :k]
             if not num:
                 visited += i + 1
                 break
-        visited += len(bases)
+        visited += len(batch)
     f = pt.field
+    if best.ndim == 1:
+        best = projective_points(pt.dim_v, f.characteristic)[best]
     basis = tuple(tuple(f.element(x) for x in row) for row in best.tolist())
     return CheegerReport(Fraction(best_num, best_dim), Subspace(f, pt.dim_v, basis), method, visited)
 
@@ -410,8 +416,11 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "exhaustive", 0)
-    batches = enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets)
-    kernel = zero_set_kernel if zero_sets_pay(pt) else _rank_kernel
+    stream, kernel = (
+        (enumerate_subspace_points, zero_set_kernel) if zero_sets_pay(pt)
+        else (enumerate_subspaces, _rank_kernel)
+    )
+    batches = stream(n, range(1, n // 2 + 1), pt.field, budgets)
     return _first_minimum(pt, batches, "exhaustive", kernel)
 
 

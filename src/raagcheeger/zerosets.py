@@ -3,14 +3,15 @@ prime field, by counting instead of eliminating.
 
 Over GF(p) the orthogonal complement C(F) = {y : q(f, y) = 0 for f in F} is
 the intersection of the zero sets of F's RREF rows, and those rows are
-normalized projective points.  So the kernel tabulates, once per scan, the
-zero set of every projective point of V as a bitset, ANDs the bitsets of
-F's rows into C(F), and reads dim C off popcounts and dim(F n C) off the
-bits of C at F's points, where the rank kernel of :mod:`raagcheeger.pairing`
-eliminates.  F n C lies in C, so F's points are built only for the F with
-C != 0: 2-3% of the subspaces of the cycle C6's triple and of a random
-triple over GF(3)^6.  The same points table, as q(x, y) != 0, is the
-q-valence min-max's (:func:`pairs_blocks`).
+normalized projective points, which the point stream of
+:mod:`raagcheeger.linalg` names by index.  So the kernel tabulates, once
+per scan, the zero set of every projective point of V as a bitset, ANDs the
+bitsets of F's rows into C(F), and reads dim C off popcounts and dim(F n C)
+off the bits of C at F's points, where the rank kernel of
+:mod:`raagcheeger.pairing` eliminates.  F n C lies in C, so F's points are
+built only for the F with C != 0: 2-3% of the subspaces of the cycle C6's
+triple and of a random triple over GF(3)^6.  The same points table, as
+q(x, y) != 0, is the q-valence min-max's (:func:`pairs_blocks`).
 
 The table costs points^2 * dim W entries to build, so
 :func:`zero_sets_pay` admits the kernel only where that is small against
@@ -28,9 +29,12 @@ from .budgets import gaussian_binomial
 from .linalg import point_codes, popcount, product_types, projective_points, reduce_mod
 
 ZERO_SET_BYTES = 1 << 18
-"""Most memory the zero-set kernel's table and the temporaries of its build
-take together: the gate admits a table of at most half of it, and the table
-is built in row blocks whose temporaries fit in the rest."""
+"""Most memory the zero-set kernel's table and its temporaries take
+together: the gate admits a table of at most half of it, and the table is
+built in row blocks whose temporaries fit in the rest.  A scan ranks its
+batches in slices whose AND temporaries take at most a quarter of it, and
+builds F's points for at most another quarter's worth of subspaces at a
+time."""
 
 ZERO_SET_WORK = 64
 """The gate admits the zero-set kernel while its table's points^2 * dim W
@@ -65,19 +69,22 @@ def zero_sets_pay(pt) -> bool:
 
 
 def zero_set_kernel(pt):
-    """The contract of the rank kernel, (k, bases) -> (rank R_F, rank R_F|_F),
-    for a triple ``pt`` over a prime field with dim W > 0.
+    """The rank kernel's (rank R_F, rank R_F|_F) for a triple ``pt`` over a
+    prime field with dim W > 0, taken as (k, points): the batches of
+    :func:`~raagcheeger.linalg.enumerate_subspace_points`, F's RREF rows
+    given as rows of :func:`~raagcheeger.linalg.projective_points`.
 
     Built once per scan: for every projective point x of V, the bitset, in
-    little-endian uint64 words, of the points y with q(x, y) = 0.  The first
-    k rows of a stream basis are F's RREF rows, each a projective point found
-    by its code, and C = C(F) is the AND of their bitsets.  A subspace of
-    dimension d has (p^d - 1)/(p - 1) projective points, so the popcount of
-    C gives dim C = n - rank R_F.  The bits of C at F's points count the
-    points of F n C, which gives dim(F n C) = k - rank R_F|_F.  Where C = 0,
+    little-endian uint64 words, of the points y with q(x, y) = 0.  C = C(F)
+    is the AND of the bitsets of F's rows.  A subspace of dimension d has
+    (p^d - 1)/(p - 1) projective points, so the popcount of C gives
+    dim C = n - rank R_F.  The bits of C at F's points count the points of
+    F n C, which gives dim(F n C) = k - rank R_F|_F.  Where C = 0,
     F n C = 0 and F's points are not built.  Elsewhere they are the
     combinations c . F, c a projective point of GF(p)^k, each normalized
-    since F is in RREF.
+    since F is in RREF.  A batch is ranked in slices whose AND temporaries
+    take at most a quarter of :data:`ZERO_SET_BYTES`, and F's points are
+    built for at most a quarter's worth of subspaces at a time.
     """
     p = pt.field.characteristic
     n = pt.dim_v
@@ -92,30 +99,35 @@ def zero_set_kernel(pt):
     dtype, ptype = product_types(n, p)
     powers, index, dims = point_codes(n, p)
     bit_count = getattr(np, "bitwise_count", None) or (lambda x: popcount(x, 64))
+    # the running AND and one gathered row of bitsets per subspace
+    step = max(1, ZERO_SET_BYTES // 4 // (2 * table[0].nbytes))
 
-    def ranks(k: int, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # rows[b, a * n + j] is entry j of row a of the b-th F, and at[b, a]
-        # is that row's point
-        rows = bases.reshape(len(bases), -1)[:, : k * n].astype(ptype)
-        at = index[(rows.reshape(-1, n) @ powers).astype(np.intp)].reshape(-1, k)
-        zero = table[at[:, 0]]
-        for a in range(1, k):
-            zero &= table[at[:, a]]
-        dim_c = dims[bit_count(zero).sum(axis=1, dtype=np.int64)]
-        # F n C lies in C, so only the F with C != 0 need F's points
-        dim_meet = np.zeros(len(bases), np.int64)
-        some = dim_c.nonzero()[0]
-        if not len(some):
-            return n - dim_c, k - dim_meet
+    def meet(coefficients: np.ndarray, at: np.ndarray, zero: np.ndarray) -> np.ndarray:
         # span[c, s * n + j] is entry j of coefficients[c] . F for the s-th F
-        # of some
-        span = rows[some].reshape(-1, k, n).transpose(1, 0, 2).reshape(k, -1)
-        span = projective_points(k, p).astype(ptype) @ span
-        span = reduce_mod(span.astype(dtype), p).reshape(-1, n).astype(powers.dtype)
-        at = index[(span @ powers).astype(np.intp)].reshape(-1, len(some))
-        at += some * (zero.shape[1] * 64)
-        inside = np.take(zero.view(np.uint8), at >> 3) >> (at & 7) & 1
-        dim_meet[some] = dims[inside.sum(axis=0)]
+        span = points[at].transpose(1, 0, 2).reshape(at.shape[1], -1).astype(ptype)
+        span = reduce_mod((coefficients @ span).astype(dtype), p).reshape(-1, n)
+        inner = index[(span.astype(powers.dtype) @ powers).astype(np.intp)].reshape(-1, len(at))
+        inner += np.arange(len(at)) * (zero.shape[1] * 64)
+        inside = np.take(zero.view(np.uint8), inner >> 3) >> (inner & 7) & 1
+        return dims[inside.sum(axis=0)]
+
+    def ranks(k: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        coefficients = projective_points(k, p).astype(ptype)
+        # F's points take about 16 bytes per entry while they are built
+        few = max(1, ZERO_SET_BYTES // 4 // (len(coefficients) * n * 16))
+        dim_c = np.empty(len(at), np.int64)
+        dim_meet = np.zeros(len(at), np.int64)
+        for start in range(0, len(at), step):
+            part = at[start : start + step]
+            zero = table[part[:, 0]]
+            for a in range(1, k):
+                zero &= table[part[:, a]]
+            dim_c[start : start + len(part)] = dims[bit_count(zero).sum(axis=1, dtype=np.int64)]
+            # F n C lies in C, so only the F with C != 0 need F's points
+            some = dim_c[start : start + len(part)].nonzero()[0]
+            for s in range(0, len(some), few):
+                chosen = some[s : s + few]
+                dim_meet[start + chosen] = meet(coefficients, part[chosen], zero[chosen])
         return n - dim_c, k - dim_meet
 
     return ranks

@@ -237,6 +237,60 @@ def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
             assert k == k2 and (bases == bases2).all()
 
 
+def _check_point_stream(n, k, field):
+    """The point stream of dimension k, checked against the bases stream:
+    the rows of projective_points it names are the first k rows of the
+    bases, in stream order.  Returns its batches."""
+    p = field.characteristic
+    points = linalg.projective_points(n, p)
+    batches = [at for _, at in linalg.enumerate_subspace_points(n, [k], field)]
+    for at in batches:
+        assert at.shape[1] == k and at.dtype == linalg.int_type(len(points))
+        assert 1 <= len(at) and len(at) * k * at.itemsize <= max(linalg.POINT_BATCH_BYTES, k * at.itemsize)
+    at = np.concatenate(batches)
+    start = 0
+    for _, bases in enumerate_subspaces(n, [k], field):
+        assert (points[at[start : start + len(bases)]] == bases[:, :k]).all(), (n, k, p, start)
+        start += len(bases)
+    assert start == len(at) == gaussian_binomial(n, k, p)
+    # the stream ends with the pivot set of the last k coordinates, which
+    # has no free entries
+    assert points[at[-1]].tolist() == np.eye(n, dtype=int)[n - k :].tolist()
+    return batches
+
+
+@pytest.mark.parametrize("p, most", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_point_stream_follows_the_bases_stream(p, most):
+    field = Field.gf(p)
+    for n in range(1, most + 1):
+        for k in range(n + 1):
+            batches = _check_point_stream(n, k, field)
+    if p == 2:
+        # GF(2)^8 in dimension 4 takes more than the batch cache's cap, so it
+        # is streamed, and its first pivot set, (0, 1, 2, 3) with 16^4 fills,
+        # is split across batches
+        batches = _check_point_stream(8, 4, field)
+        assert gaussian_binomial(8, 4, 2) * 4 * 2 > linalg.BATCH_CACHE_BYTES
+        assert all(at.flags.writeable for at in batches)
+        assert len(batches[0]) < 16**4 < sum(map(len, batches[:33]))
+
+
+@pytest.mark.parametrize("cap", [1, 10, 100])
+def test_point_stream_splits_pivot_sets_at_any_cap(monkeypatch, cap):
+    # at 10 bytes the (0, 1) pivot set of GF(3)^4 (9 * 9 fills, 5 per batch)
+    # slices row 1, and (0, 1, 2) in dimension 3 (3^3 fills, 3 per batch)
+    # fixes row 0 and takes row 1 one fill at a time
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", cap)
+    linalg._retained.cache_clear()
+    try:
+        for p, most in ((2, 5), (3, 4), (5, 3)):
+            for n in range(1, most + 1):
+                for k in range(n + 1):
+                    _check_point_stream(n, k, Field.gf(p))
+    finally:
+        linalg._retained.cache_clear()
+
+
 @pytest.mark.parametrize("p, n, dtype", [(5, 5, np.int8), (79, 5, np.int16), (101, 5, np.int32)])
 def test_reduce_mod_is_python_mod_over_the_kernel_range(p, n, dtype):
     # the rank kernel reduces values in [-p(p - 1), n(p - 1)^2] in the

@@ -755,14 +755,30 @@ def test_batch_cache_retains_less_than_its_cap():
 # -- the zero-set kernel -------------------------------------------------------------
 
 
+def _as_points(t, k, bases):
+    """The zero-set kernel's input for a batch of completed bases: the row of
+    projective_points holding each of the first k rows, found by its residues
+    read as a base-p number."""
+    pt = getattr(t, "pairing", t)
+    n, p = pt.dim_v, pt.field.characteristic
+    points = linalg.projective_points(n, p)
+    powers = p ** np.arange(n - 1, -1, -1)
+    row_of = np.full(p**n, -1)
+    row_of[points @ powers] = np.arange(len(points))
+    at = row_of[bases[:, :k].astype(np.int64) @ powers]
+    assert (at >= 0).all() and (points[at] == bases[:, :k]).all()
+    return at.astype(np.int16)
+
+
 def _kernels_agree(t, batches) -> int:
-    """Assert that the zero-set kernel gives the rank kernel's (rank R_F,
-    rank R_F|_F) on every batch; return the number of batches compared."""
+    """Assert that the zero-set kernel, fed the points of each batch of
+    completed bases, gives the rank kernel's (rank R_F, rank R_F|_F) on the
+    bases; return the number of batches compared."""
     pt = getattr(t, "pairing", t)
     zero_sets, ranks = zerosets.zero_set_kernel(pt), pairing._rank_kernel(pt)
     compared = 0
     for k, bases in batches:
-        got, want = zero_sets(k, bases), ranks(k, bases)
+        got, want = zero_sets(k, _as_points(pt, k, bases)), ranks(k, bases)
         assert (got[0].tolist(), got[1].tolist()) == (want[0].tolist(), want[1].tolist()), (pt, k)
         compared += 1
     return compared
@@ -831,7 +847,7 @@ def test_zero_set_kernel_on_a_batch_with_every_complement_zero(n, m, field, seed
     t = random_triple(n, m, field, seed, symmetry)
     batch = _bases_where(t, k, lambda rank, restricted: rank == n, 60)
     assert _kernels_agree(t, [(k, batch)]) == 1
-    assert zerosets.zero_set_kernel(t)(k, batch)[1].tolist() == [k] * 60
+    assert zerosets.zero_set_kernel(t)(k, _as_points(t, k, batch))[1].tolist() == [k] * 60
 
 
 @pytest.mark.parametrize("n, m, field, seed, symmetry", SPARSE_COMPLEMENTS[:2])
@@ -843,7 +859,7 @@ def test_zero_set_kernel_on_a_batch_with_one_complement_in_the_middle(n, m, fiel
     meet = _bases_where(t, k, lambda rank, restricted: (rank < n) & (restricted < k), 1)
     batch = np.concatenate([zero[:30], meet, zero[30:]])
     assert _kernels_agree(t, [(k, batch)]) == 1
-    rank, restricted = zerosets.zero_set_kernel(t)(k, batch)
+    rank, restricted = zerosets.zero_set_kernel(t)(k, _as_points(t, k, batch))
     assert np.flatnonzero(rank < n).tolist() == np.flatnonzero(restricted < k).tolist() == [30]
 
 
@@ -856,7 +872,7 @@ def test_zero_set_kernel_on_points(n, m, field, seed, counts):
     t = random_triple(n, m, field, seed, "symmetric")
     (k, batch), = enumerate_subspaces(n, [1], field)
     assert _kernels_agree(t, [(k, batch)]) == 1
-    rank, restricted = zerosets.zero_set_kernel(t)(k, batch)
+    rank, restricted = zerosets.zero_set_kernel(t)(k, _as_points(t, k, batch))
     assert ((rank == n).sum(), (restricted == 0).sum(), ((rank < n) & (restricted == 1)).sum()) == counts
 
 
@@ -867,6 +883,8 @@ def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
     # kernels' ranks; the two-edge graph stops early at h = 0
     monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
     monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
+    # batches of the point stream hold chunk bytes: 1 to chunk / k subspaces
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
     triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
     triples += [random_triple(5, 2, GF3, 11), random_triple(6, 3, GF2, 12, "symmetric")]
@@ -928,6 +946,42 @@ def test_zero_set_table_build_stays_under_its_cap():
         finally:
             tracemalloc.stop()
         assert 0 < peak < zerosets.ZERO_SET_BYTES, (p, n, peak)
+
+
+def test_point_stream_and_zero_set_scan_stay_under_their_caps():
+    # the point stream holds the batch its consumer has, the pieces of the
+    # next and their join: at most four batches; a zero-set scan adds the
+    # kernel's table and its slices, within ZERO_SET_BYTES, and what the
+    # batch cache keeps of the stream (GF(2)^8 in dimensions 1 and 2), which
+    # stays allocated after the scan.  Points and codes are shared per (n, p)
+    # and built before.
+    linalg.point_codes(8, 2)
+    for k in range(1, 5):
+        linalg.projective_points(k, 2)
+    c8 = build_triple(cycle(8), GF2)
+    assert zerosets.zero_sets_pay(c8.pairing)
+    scans = [
+        (lambda: linalg.enumerate_subspace_points(8, [4], GF2), 4 * linalg.POINT_BATCH_BYTES),
+        (lambda: [cheeger_constant_exhaustive(c8)],
+         zerosets.ZERO_SET_BYTES + 4 * linalg.POINT_BATCH_BYTES),
+    ]
+    _clear_caches()
+    try:
+        for scan, cap in scans:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for item in scan():
+                    del item
+                gc.collect()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept < linalg.BATCH_CACHE_BYTES and 0 < peak - kept < cap, (peak, kept, cap)
+            _clear_caches()
+            linalg.point_codes(8, 2)
+    finally:
+        _clear_caches()
 
 
 def test_zero_set_kernel_without_bitwise_count(monkeypatch):
