@@ -207,12 +207,13 @@ def point_codes(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     read as a base-p number, v @ powers, exact as a float32 product while
     p^n < 2^24 and an int64 one beyond; index[code] is the row of a
     projective point in :func:`projective_points`; dims[(p^d - 1)/(p - 1)]
-    is d, the dimension of a subspace with that many projective points."""
+    is d, as int8, the dimension of a subspace with that many projective
+    points."""
     points = projective_points(n, p)
     powers = p ** np.arange(n - 1, -1, -1)
     index = np.zeros(p**n, np.intp)
     index[points @ powers] = np.arange(len(points))
-    dims = np.zeros(len(points) + 1, np.int64)
+    dims = np.zeros(len(points) + 1, np.int8)
     dims[(p ** np.arange(n + 1) - 1) // (p - 1)] = np.arange(n + 1)
     return powers.astype(np.float32 if p**n < 2**24 else np.int64), index, dims
 
@@ -240,16 +241,15 @@ def _popcount_table() -> np.ndarray:
 
 
 SUBSPACE_CHUNK = 512
-"""Most subspaces in one batch of :func:`enumerate_subspaces`, the rank
-kernel's batch (the zero-set kernel's stream is capped by
-:data:`POINT_BATCH_BYTES`).  numpy's per-call cost dominates the rank
-kernel, so larger batches run faster but hold larger temporaries.  Measured
-with perfbench (seed 1, ``--seconds 10``, two runs each, shared 2-vCPU
-machine) while the rank kernel ran every exhaustive scan: subspace-scan
-``wall_s`` was 0.133 s at 256, 0.115-0.121 s at 512 and 0.121-0.122 s at
-1024, with ``peak_rss_mb`` 36.6-36.8, 37.1-37.2 and 38.2 MB;
-dictionary-sweep's ``peak_rss_mb`` was 37.5, 37.9-38.1 and 38.9 MB.  1024
-buys no time for another megabyte."""
+"""Most subspaces in one batch of :func:`enumerate_subspaces`, which only
+the rank kernel reads.  numpy's per-call cost dominates that kernel, so
+larger batches run faster but hold larger temporaries.  Measured with
+perfbench (seed 1, ``--seconds 10``, two runs each, shared 2-vCPU machine)
+while every exhaustive scan eliminated: subspace-scan ``wall_s`` was
+0.133 s at 256, 0.115-0.121 s at 512 and 0.121-0.122 s at 1024, with
+``peak_rss_mb`` 36.6-36.8, 37.1-37.2 and 38.2 MB; dictionary-sweep's
+``peak_rss_mb`` was 37.5, 37.9-38.1 and 38.9 MB.  1024 buys no time for
+another megabyte."""
 
 
 def enumerate_subspaces(
@@ -416,7 +416,9 @@ BATCH_CACHE_BYTES = 1 << 18
 :func:`retained_batches` keeps.  Every dimension of GF(2)^6 is kept (the
 largest takes 50 KB), and so are the coordinate subspaces of dimension 2 up
 to n = 20 (76 KB).  GF(2)^7 in dimension 3 (578 KB) and GF(3)^6 in
-dimension 2 (396 KB) are streamed.  At most 16 streams are kept, so the
+dimension 2 (396 KB) are streamed.  As points, every dimension of GF(2)^7
+and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes 203 KB), and GF(2)^8 in
+dimension 3 (583 KB) is streamed.  At most 16 streams are kept, so the
 cache never holds more than 4 MB."""
 
 

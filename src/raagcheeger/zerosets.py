@@ -32,9 +32,8 @@ ZERO_SET_BYTES = 1 << 18
 """Most memory the zero-set kernel's table and its temporaries take
 together: the gate admits a table of at most half of it, and the table is
 built in row blocks whose temporaries fit in the rest.  A scan ranks its
-batches in slices whose AND temporaries take at most a quarter of it, and
-builds F's points for at most another quarter's worth of subspaces at a
-time."""
+batches in slices whose AND temporaries take at most half of what the table
+leaves, and builds F's points in pieces of at most as much."""
 
 ZERO_SET_WORK = 64
 """The gate admits the zero-set kernel while its table's points^2 * dim W
@@ -82,9 +81,8 @@ def zero_set_kernel(pt):
     F n C, which gives dim(F n C) = k - rank R_F|_F.  Where C = 0,
     F n C = 0 and F's points are not built.  Elsewhere they are the
     combinations c . F, c a projective point of GF(p)^k, each normalized
-    since F is in RREF.  A batch is ranked in slices whose AND temporaries
-    take at most a quarter of :data:`ZERO_SET_BYTES`, and F's points are
-    built for at most a quarter's worth of subspaces at a time.
+    since F is in RREF.  A batch is ranked in slices, so that the table and
+    the temporaries stay within :data:`ZERO_SET_BYTES`.
     """
     p = pt.field.characteristic
     n = pt.dim_v
@@ -98,25 +96,32 @@ def zero_set_kernel(pt):
     table = table.view("<u8")
     dtype, ptype = product_types(n, p)
     powers, index, dims = point_codes(n, p)
+    rows = points.astype(ptype)
     bit_count = getattr(np, "bitwise_count", None) or (lambda x: popcount(x, 64))
-    # the running AND and one gathered row of bitsets per subspace
-    step = max(1, ZERO_SET_BYTES // 4 // (2 * table[0].nbytes))
+    # a slice's running AND and one gathered row of bitsets per subspace
+    # take at most half of what the table leaves, and so do F's points
+    spare = (ZERO_SET_BYTES - table.nbytes) // 2
+    step = max(1, spare // (2 * table[0].nbytes))
+    per_entry = np.dtype(ptype).itemsize + 3 * np.dtype(dtype).itemsize
 
-    def meet(coefficients: np.ndarray, at: np.ndarray, zero: np.ndarray) -> np.ndarray:
-        # span[c, s * n + j] is entry j of coefficients[c] . F for the s-th F
-        span = points[at].transpose(1, 0, 2).reshape(at.shape[1], -1).astype(ptype)
+    def meet(
+        coefficients: np.ndarray, at: np.ndarray, zero: np.ndarray, chosen: np.ndarray
+    ) -> np.ndarray:
+        # span[c, s * n + j] is entry j of coefficients[c] . F for the s-th
+        # chosen F, whose C is zero[chosen[s]]
+        span = rows[at[chosen]].transpose(1, 0, 2).reshape(at.shape[1], -1)
         span = reduce_mod((coefficients @ span).astype(dtype), p).reshape(-1, n)
-        inner = index[(span.astype(powers.dtype) @ powers).astype(np.intp)].reshape(-1, len(at))
-        inner += np.arange(len(at)) * (zero.shape[1] * 64)
+        inner = index[(span.astype(powers.dtype) @ powers).astype(np.intp)].reshape(-1, len(chosen))
+        inner += chosen * (zero.shape[1] * 64)
         inside = np.take(zero.view(np.uint8), inner >> 3) >> (inner & 7) & 1
         return dims[inside.sum(axis=0)]
 
     def ranks(k: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         coefficients = projective_points(k, p).astype(ptype)
-        # F's points take about 16 bytes per entry while they are built
-        few = max(1, ZERO_SET_BYTES // 4 // (len(coefficients) * n * 16))
-        dim_c = np.empty(len(at), np.int64)
-        dim_meet = np.zeros(len(at), np.int64)
+        # F's rows and points, n entries each, built in ptype, reduced in dtype
+        few = max(1, spare // ((len(coefficients) + k) * n * per_entry))
+        dim_c = np.empty(len(at), dims.dtype)
+        dim_meet = np.zeros(len(at), dims.dtype)
         for start in range(0, len(at), step):
             part = at[start : start + step]
             zero = table[part[:, 0]]
@@ -127,7 +132,7 @@ def zero_set_kernel(pt):
             some = dim_c[start : start + len(part)].nonzero()[0]
             for s in range(0, len(some), few):
                 chosen = some[s : s + few]
-                dim_meet[start + chosen] = meet(coefficients, part[chosen], zero[chosen])
+                dim_meet[start + chosen] = meet(coefficients, part, zero, chosen)
         return n - dim_c, k - dim_meet
 
     return ranks

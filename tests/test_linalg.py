@@ -304,8 +304,9 @@ def test_reduce_mod_is_python_mod_over_the_kernel_range(p, n, dtype):
 
 
 def test_enumeration_rejects_rationals():
-    with pytest.raises(LinalgError, match="non-enumerable"):
-        next(enumerate_subspaces(2, [1], QQ))
+    for stream in (enumerate_subspaces, linalg.enumerate_subspace_points):
+        with pytest.raises(LinalgError, match="non-enumerable"):
+            next(stream(2, [1], QQ))
     with pytest.raises(LinalgError, match="non-enumerable"):
         next(enumerate_unordered_bases(2, QQ))
 
@@ -314,8 +315,9 @@ def test_enumeration_budget_errors_name_the_flag():
     # the cap counts the work, not the dimension: the 511 lines of GF(2)^9
     # are admitted, its 4141728 subspaces of dimension 1..4 are not
     assert sum(len(rows) for _, rows in enumerate_subspaces(9, [1], GF2)) == 511
-    with pytest.raises(BudgetError, match="4141728 subspaces.*--budget-subspaces"):
-        next(enumerate_subspaces(9, range(1, 5), GF2))
+    for stream in (enumerate_subspaces, linalg.enumerate_subspace_points):
+        with pytest.raises(BudgetError, match="4141728 subspaces.*--budget-subspaces"):
+            next(stream(9, range(1, 5), GF2))
     with pytest.raises(BudgetError, match="--budget-bases"):
         next(enumerate_unordered_bases(5, GF2))
 

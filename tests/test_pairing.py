@@ -353,10 +353,13 @@ def test_cheeger_undefined_below_dim_two():
 
 
 def test_exhaustive_cheeger_budget_message():
-    # GF(2)^4 has 15 + 35 subspaces of dimension 1..2
-    t = zero_triple(4, 0, GF2)
-    with pytest.raises(BudgetError, match="50 subspaces, past the cap of 49.*coordinate"):
-        cheeger_constant_exhaustive(t, Budgets(subspace_work=49))
+    # GF(2)^4 has 15 + 35 subspaces of dimension 1..2; the zero triple's scan
+    # eliminates, and the 4-cycle's counts on the point stream
+    c4 = build_triple(cycle(4), GF2)
+    assert zerosets.zero_sets_pay(c4.pairing)
+    for t in (zero_triple(4, 0, GF2), c4):
+        with pytest.raises(BudgetError, match="50 subspaces, past the cap of 49.*coordinate"):
+            cheeger_constant_exhaustive(t, Budgets(subspace_work=49))
 
 
 def test_coordinate_cheeger_agrees_on_samples():
