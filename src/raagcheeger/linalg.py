@@ -277,7 +277,8 @@ def enumerate_subspaces(
     and served read-only from :func:`retained_batches` (one ``verify-theorem``
     call scans many triples of one size); a larger one is streamed lazily.
     """
-    n, p, dims = _checked_request(ambient_dim, dims, field, budgets)
+    n = ambient_dim
+    p, dims = _checked_request(n, dims, field, budgets)
     itemsize = np.dtype(int_type(p - 1)).itemsize
     for k in dims:
         size = gaussian_binomial(n, k, p) * n * n * itemsize
@@ -297,7 +298,8 @@ def enumerate_subspace_points(
     basis, in the narrowest integer type that indexes every point.  A batch
     takes at most :data:`POINT_BATCH_BYTES` and is retained or streamed like
     the bases."""
-    n, p, dims = _checked_request(ambient_dim, dims, field, budgets)
+    n = ambient_dim
+    p, dims = _checked_request(n, dims, field, budgets)
     itemsize = np.dtype(int_type((p**n - 1) // (p - 1))).itemsize
     for k in dims:
         size = gaussian_binomial(n, k, p) * k * itemsize
@@ -306,7 +308,7 @@ def enumerate_subspace_points(
 
 
 def _checked_request(n: int, dims: Iterable[int], field: Field, budgets: Budgets):
-    """(n, p, sorted dims) of a stream request, or the refusal of it."""
+    """(p, sorted dims) of a stream request, or the refusal of it."""
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
     dims = sorted(set(dims))
@@ -314,7 +316,7 @@ def _checked_request(n: int, dims: Iterable[int], field: Field, budgets: Budgets
     for k in dims:
         if k < 0 or k > n:
             raise LinalgError(f"requested dimension {k} outside [0, {n}]")
-    return n, field.characteristic, dims
+    return field.characteristic, dims
 
 
 def _pivot_sets(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
@@ -362,8 +364,8 @@ def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray
 POINT_BATCH_BYTES = 1 << 14
 """Largest batch of :func:`enumerate_subspace_points`, in bytes.  Batches of
 16-64 KB scanned C6/GF(3), C7/GF(2) and C8/GF(2) on the zero-set kernel
-equally fast, and 4-8 KB ones up to 1.8 times slower (best of 15,
-in-process, shared 2-vCPU machine)."""
+about equally fast; at 4 KB the C8 scan took 1.5-1.8 times as long (best of
+9-15, in-process, shared 2-vCPU machine)."""
 
 
 def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
@@ -399,14 +401,15 @@ def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
                 parts = [t[i : i + 1] for t, i in zip(tables, fixed)]
                 parts += [t[start : start + step] for t in tables[j : j + 1]] + tables[j + 1 :]
                 shape = [len(t) for t in parts]
-                if count + math.prod(shape) > most:
+                size = math.prod(shape)
+                if count + size > most:
                     yield pending[0] if len(pending) == 1 else np.concatenate(pending)
                     pending, count = [], 0
                 block = np.empty((*shape, k), dtype)
                 for r, t in enumerate(parts):
                     block[..., r] = t.reshape([-1 if a == r else 1 for a in range(k)])
-                pending.append(block.reshape(math.prod(shape), k))
-                count += math.prod(shape)
+                pending.append(block.reshape(size, k))
+                count += size
     if pending:
         yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 

@@ -38,17 +38,19 @@ leaves, and builds F's points in pieces of at most as much."""
 ZERO_SET_WORK = 64
 """The gate admits the zero-set kernel while its table's points^2 * dim W
 entries are at most this many per subspace the scan visits.  Measured
-in-process on random triples (seeds 7-9), best of 5-7 interleaved on a
-shared 2-vCPU machine, as the kernel's time over elimination's: every scan
-of at least 1,000 subspaces that ran to the end gained up to a ratio of 66,
-from GF(2)^8 (ratio 0.6, 0.25-0.32) to GF(5)^5 and GF(3)^5 (ratios 58 and
-66, 0.80-0.91 and 0.72-0.76).  From 76 to 228 the results are mixed:
-GF(5)^5 gains at 87 and 145 (0.70-0.86), GF(5)^4 at 76 and GF(7)^4 at 148
-run even or lose (0.93-0.99 and 1.01-1.31), and GF(7)^3, whose scans visit
-57 subspaces, loses at 114 and 228 (1.22-1.58).  GF(31)^3 and GF(1009)^2
-take 18-36 times as long at 2979 and 3030.  At any ratio a scan of a few
-dozen subspaces loses 10-60 us to the build, and one that stops early at
-h = 0 pays for the whole table."""
+in-process on random triples (seeds 7-9), caches cleared and point stream
+included, best of 7 interleaved on a shared 2-vCPU machine, as the
+kernel's time over elimination's: every scan up to a ratio of 66 gained,
+from GF(2)^8 and GF(3)^6 (ratios 0.6 and 9, 0.17-0.19 and 0.24-0.25) to
+GF(5)^5 and GF(3)^5 (ratios 58 and 66, 0.78-0.81 and 0.61-0.62).  From 76
+to 228 scans of at least 900 subspaces gain too: GF(5)^4 at 76 (0.82-0.87),
+GF(5)^5 at 87 and 145 (0.54-0.59) and GF(7)^4 at 148 (0.90-0.93); but
+GF(7)^3, whose scans visit 57 subspaces, loses at 114 and 228
+(1.33-1.46).  GF(31)^3 and GF(1009)^2 take 17-41 times as long at 2979 and
+3030.  At any ratio a scan of a few dozen subspaces loses 10-60 us to the
+build, and one that stops early at h = 0 pays for the whole table.  No
+benchmark workload lies between 64 and 228, so a larger gate is unmeasured
+there."""
 
 
 def zero_sets_pay(pt) -> bool:
