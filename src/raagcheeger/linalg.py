@@ -196,7 +196,7 @@ def projective_points(n: int, p: int) -> np.ndarray:
         digits = np.arange(p**width)[:, None] // p ** np.arange(width - 1, -1, -1)
         block[:, lead + 1 :] = reduce_mod(digits, p)
         blocks.append(block)
-    points = np.concatenate(blocks)
+    points = np.concatenate(blocks) if n else np.zeros((0, 0), np.int64)
     points.flags.writeable = False
     return points
 
@@ -219,11 +219,15 @@ def point_codes(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def popcount(x: np.ndarray, n: int) -> np.ndarray:
-    """Entrywise popcount of nonnegative masks of at most n bits: lookups of
-    12 bits at a time on int64 or uint64, int.bit_count on object arrays.
-    Works on numpy 1.x, which lacks ``numpy.bitwise_count``."""
+    """Entrywise popcount, as uint8, of nonnegative int64 or uint64 masks of
+    at most n bits, and of Python ints, by int.bit_count, on object arrays.
+    The package's one choice of how to count: ``numpy.bitwise_count`` where
+    numpy has it (2.0 on), else, on numpy 1.x, lookups of 12 bits at a time
+    in a table."""
     if x.dtype == object:
         return np.frompyfunc(int.bit_count, 1, 1)(x)
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(x)
     table = _popcount_table()
     if n <= 12:
         return table[x]

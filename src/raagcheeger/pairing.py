@@ -520,9 +520,11 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
 
     Scaling a vector changes neither w_B nor the basis property, so x, the
     vectors of B and the normals of H all range over projective points.
-    Every step is a numpy reduction over chunks of at most
-    :data:`QVALENCE_CHUNK_BYTES` entries.  Refuses over non-prime fields and
-    past the basis budgets (see :meth:`Budgets.check_bases`) before any work.
+    Per chunk of bases, the weights are n in-place adds of gathered columns
+    of q(x, y) != 0, and the min-max is a numpy reduction; temporaries take
+    at most :data:`QVALENCE_CHUNK_BYTES` entries.  Refuses over non-prime
+    fields and past the basis budgets (see :meth:`Budgets.check_bases`)
+    before any work.
     """
     pt = _pairing(t)
     n, m = pt.dim_v, pt.dim_w
@@ -535,15 +537,17 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         return 0
     p = pt.field.characteristic
     points, outside, bases = _projective_frame(n, p)
-    pairs = np.concatenate(list(pairs_blocks(pt, points, QVALENCE_CHUNK_BYTES)))
+    pairs = np.concatenate(list(pairs_blocks(pt, points, QVALENCE_CHUNK_BYTES))).view(np.uint8)
     # on[x, h] is all ones where point x lies on hyperplane h and 0 off it;
     # no weight exceeds n < 255, so OR-ing it in hides exactly the points on h
     on = np.where(outside, 0, 255).astype(np.uint8)
     best = n
     step = max(1, QVALENCE_CHUNK_BYTES // outside.size)
-    for start in range(0, len(bases), step):
+    for chunk in np.split(bases, range(step, len(bases), step)):
         # weights[x, c] = w_B(x) for the c-th basis B of the chunk
-        weights = pairs[:, bases[start : start + step]].sum(axis=2, dtype=np.uint8)
+        weights = np.take(pairs, chunk[:, 0], axis=1)
+        for column in chunk.T[1:]:
+            weights += np.take(pairs, column, axis=1)
         least_off = (weights[:, None, :] | on[:, :, None]).min(axis=0)
         best = min(best, int(least_off.max(axis=0).min()))
         if not best:

@@ -5,13 +5,14 @@ Over GF(p) the orthogonal complement C(F) = {y : q(f, y) = 0 for f in F} is
 the intersection of the zero sets of F's RREF rows, and those rows are
 normalized projective points, which the point stream of
 :mod:`raagcheeger.linalg` names by index.  So the kernel tabulates, once
-per scan, the zero set of every projective point of V as a bitset, ANDs the
-bitsets of F's rows into C(F), and reads dim C off popcounts and dim(F n C)
-off the bits of C at F's points, where the rank kernel of
-:mod:`raagcheeger.pairing` eliminates.  F n C lies in C, so F's points are
-built only for the F with C != 0: 2-3% of the subspaces of the cycle C6's
-triple and of a random triple over GF(3)^6.  The same points table, as
-q(x, y) != 0, is the q-valence min-max's (:func:`pairs_blocks`).
+per scan, the zero set of every projective point of V as a bitset, gathers
+the bitsets of F's rows and ANDs them in place into C(F), reads dim C off
+C's popcount, summed word by word, and dim(F n C) off the bits of C at F's
+points, where the rank kernel of :mod:`raagcheeger.pairing` eliminates.
+F n C lies in C, so F's points are built only for the F with C != 0: 2-3%
+of the subspaces of the cycle C6's triple and of a random triple over
+GF(3)^6.  The same points table, as q(x, y) != 0, is the q-valence
+min-max's (:func:`pairs_blocks`).
 
 The table costs points^2 * dim W entries to build, so
 :func:`zero_sets_pay` admits the kernel only where that is small against
@@ -50,7 +51,9 @@ GF(7)^3, whose scans visit 57 subspaces, loses at 114 and 228
 3030.  At any ratio a scan of a few dozen subspaces loses 10-60 us to the
 build, and one that stops early at h = 0 pays for the whole table.  No
 benchmark workload lies between 64 and 228, so a larger gate is unmeasured
-there."""
+there.  These ratios were measured on the kernel as it was before it
+gathered rows with ``np.take`` and summed popcounts word by word, and the
+gate was not measured again since."""
 
 
 def zero_sets_pay(pt) -> bool:
@@ -77,14 +80,16 @@ def zero_set_kernel(pt):
 
     Built once per scan: for every projective point x of V, the bitset, in
     little-endian uint64 words, of the points y with q(x, y) = 0.  C = C(F)
-    is the AND of the bitsets of F's rows.  A subspace of dimension d has
-    (p^d - 1)/(p - 1) projective points, so the popcount of C gives
-    dim C = n - rank R_F.  The bits of C at F's points count the points of
-    F n C, which gives dim(F n C) = k - rank R_F|_F.  Where C = 0,
-    F n C = 0 and F's points are not built.  Elsewhere they are the
-    combinations c . F, c a projective point of GF(p)^k, each normalized
-    since F is in RREF.  A batch is ranked in slices, so that the table and
-    the temporaries stay within :data:`ZERO_SET_BYTES`.
+    is the AND of the bitsets of F's rows, gathered by ``np.take`` and
+    ANDed in place.  A subspace of dimension d has (p^d - 1)/(p - 1)
+    projective points, so the popcount of C, the
+    :func:`~raagcheeger.linalg.popcount` of each word added into one count
+    per subspace, gives dim C = n - rank R_F.  The bits of C at F's points
+    count the points of F n C, which gives dim(F n C) = k - rank R_F|_F.
+    Where C = 0, F n C = 0 and F's points are not built.  Elsewhere they
+    are the combinations c . F, c a projective point of GF(p)^k, each
+    normalized since F is in RREF.  A batch is ranked in slices, so that
+    the table and the temporaries stay within :data:`ZERO_SET_BYTES`.
     """
     p = pt.field.characteristic
     n = pt.dim_v
@@ -99,7 +104,6 @@ def zero_set_kernel(pt):
     dtype, ptype = product_types(n, p)
     powers, index, dims = point_codes(n, p)
     rows = points.astype(ptype)
-    bit_count = getattr(np, "bitwise_count", None) or (lambda x: popcount(x, 64))
     # a slice's running AND and one gathered row of bitsets per subspace
     # take at most half of what the table leaves, and so do F's points
     spare = (ZERO_SET_BYTES - table.nbytes) // 2
@@ -126,10 +130,13 @@ def zero_set_kernel(pt):
         dim_meet = np.zeros(len(at), dims.dtype)
         for start in range(0, len(at), step):
             part = at[start : start + step]
-            zero = table[part[:, 0]]
+            zero = np.take(table, part[:, 0], axis=0)
             for a in range(1, k):
-                zero &= table[part[:, a]]
-            dim_c[start : start + len(part)] = dims[bit_count(zero).sum(axis=1, dtype=np.int64)]
+                zero &= np.take(table, part[:, a], axis=0)
+            count = np.zeros(len(part), np.intp)
+            for word in zero.T:
+                count += popcount(word, 64)
+            dim_c[start : start + len(part)] = dims[count]
             # F n C lies in C, so only the F with C != 0 need F's points
             some = dim_c[start : start + len(part)].nonzero()[0]
             for s in range(0, len(some), few):

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from raagcheeger import (
@@ -28,7 +29,7 @@ from raagcheeger import (
     spectral_cheeger_bounds,
     star,
 )
-from raagcheeger import graphs
+from raagcheeger import graphs, linalg
 from raagcheeger.graphs import laplacian_second_eigenvalue
 
 from graph_subset_oracle import cheeger_by_subset_loop
@@ -239,6 +240,24 @@ def test_exact_scan_matches_subset_loop_across_chunk_boundaries(monkeypatch):
         monkeypatch.setattr(graphs, "SUBSET_CHUNK", chunk)
         for g, want in zip(cases, expected):
             assert _outcome(cheeger_graph_exact(g)) == want, (chunk, g)
+
+
+def test_popcount_and_exact_scan_without_bitwise_count(monkeypatch):
+    # numpy before 2.0 has no bitwise_count: linalg.popcount then looks up
+    # 12 bits at a time, once for masks of up to 12 bits and two to six
+    # times for wider ones, as the scan's masks of 14 and 20 vertices are
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    rng = random.Random(5)
+    for bits in range(1, 64):
+        masks = [rng.getrandbits(bits) for _ in range(50)] + [2**bits - 1]
+        counts = linalg.popcount(np.array(masks, np.int64), bits).tolist()
+        assert counts == [bin(x).count("1") for x in masks], bits
+    words = [rng.getrandbits(64) for _ in range(50)] + [0, 2**63, 2**64 - 1]
+    counts = linalg.popcount(np.array(words, np.uint64), 64).tolist()
+    assert counts == [bin(x).count("1") for x in words]
+    for n in (8, 14, 20):
+        g = random_regular(n, 3, seed=n + 1)
+        assert _outcome(cheeger_graph_exact(g)) == _outcome(cheeger_by_subset_loop(g)), n
 
 
 def test_exact_scan_on_graphs_wider_than_64_bits():

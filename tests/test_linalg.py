@@ -273,6 +273,16 @@ def test_point_stream_follows_the_bases_stream(p, most):
                 assert len(batches[0]) < 16**4
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_points_of_the_zero_space(p):
+    # GF(p)^0 has no projective points, and its one subspace no rows
+    points = linalg.projective_points(0, p)
+    assert points.shape == (0, 0) and not points.flags.writeable
+    powers, index, dims = linalg.point_codes(0, p)
+    assert (powers.shape, index.tolist(), dims.tolist()) == ((0,), [0], [0])
+    assert [at.shape for at in _check_point_stream(0, 0, Field.gf(p))] == [(1, 0)]
+
+
 @pytest.mark.parametrize("cap", [1, 10, 100])
 def test_point_stream_splits_pivot_sets_at_any_cap(monkeypatch, cap):
     # at 10 bytes the (0, 1) pivot set of GF(3)^4 (9 * 9 fills, 5 per batch)
