@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .budgets import BudgetError, Budgets
@@ -52,42 +51,13 @@ from .raag import RaagTriple, build_triple
 _USAGE_ERRORS = (GraphError, FieldError, PairingError, LinalgError, BudgetError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    inputs: tuple[str, ...]
-    field: Field
-    budgets: Budgets
-    seed: int
-    output_format: str
-    jobs: int
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    given = {
-        "subset_vertices": args.budget_subsets,
-        "subspace_work": args.budget_subspaces,
-        "basis_work": args.budget_bases,
-    }
-    budgets = Budgets(**{name: cap for name, cap in given.items() if cap is not None})
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "input", None) or ()),
-        field=Field.from_name(args.field),
-        budgets=budgets,
-        seed=args.seed,
-        output_format=getattr(args, "format", "json"),
-        jobs=args.jobs,
-    )
-
-
 # -- I/O helpers ---------------------------------------------------------------
 
 
-def _one_input(cfg: RunConfig) -> str:
-    if len(cfg.inputs) != 1:
-        raise GraphError(f"command {cfg.command!r} needs exactly one --input file")
-    return cfg.inputs[0]
+def _one_input(args: argparse.Namespace) -> str:
+    if not args.input:
+        raise GraphError(f"command {args.command!r} needs exactly one --input file")
+    return args.input[0]
 
 
 def _load_graph(path_str: str) -> SimplicialGraph:
@@ -130,12 +100,10 @@ def _human_scalar(v) -> str:
     return str(v)
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_text: str | None = None) -> None:
-    if cfg.output_format == "csv":
-        if csv_text is None:
-            raise GraphError(f"command {cfg.command!r} has no CSV form")
+def _emit(args: argparse.Namespace, payload: dict, csv_text: str | None = None) -> None:
+    if args.format == "csv":
         sys.stdout.write(csv_text)
-    elif cfg.output_format == "human":
+    elif args.format == "human":
         print("\n".join(_human_lines(payload)))
     else:
         print(json.dumps(payload, indent=2))
@@ -161,33 +129,29 @@ def _family_graph(name: str, size: int, degree: int | None, seed: int) -> Simpli
     return random_regular(size, degree, seed)
 
 
-def _family_graphs(args: argparse.Namespace, cfg: RunConfig) -> list[SimplicialGraph]:
+def _family_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
     return [
-        _family_graph(args.family, size, args.degree, cfg.seed + pos)
+        _family_graph(args.family, size, args.degree, args.seed + pos)
         for pos, size in enumerate(args.sizes)
     ]
 
 
-def _resolve_graphs(args: argparse.Namespace, cfg: RunConfig) -> list[SimplicialGraph]:
-    sources = sum(
-        1 for flag in (cfg.inputs, getattr(args, "all_graphs", None), getattr(args, "family", None))
-        if flag
-    )
-    if sources != 1:
+def _resolve_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
+    all_graphs = getattr(args, "all_graphs", None)
+    if sum(1 for flag in (args.input, all_graphs, args.family) if flag) != 1:
         raise GraphError("give exactly one of --input, --all-graphs, or --family/--sizes")
-    if cfg.inputs:
-        return [_load_graph(p) for p in cfg.inputs]
-    if getattr(args, "all_graphs", None):
-        return list(labeled_graphs(args.all_graphs))
-    return _family_graphs(args, cfg)
+    if args.input:
+        return [_load_graph(p) for p in args.input]
+    if all_graphs:
+        return list(labeled_graphs(all_graphs))
+    return _family_graphs(args)
 
 
 # -- command handlers ----------------------------------------------------------
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graph = _family_graph(args.family, args.size, args.degree, cfg.seed)
+    graph = _family_graph(args.family, args.size, args.degree, args.seed)
     if args.format == "edgelist":
         sys.stdout.write(graph.to_edgelist())
     else:
@@ -196,89 +160,79 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_h(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graph = _load_graph(_one_input(cfg))
-    _emit(cfg, cheeger_graph_exact(graph, cfg.budgets).to_json_dict())
+    graph = _load_graph(_one_input(args))
+    _emit(args, cheeger_graph_exact(graph, args.budgets).to_json_dict())
     return 0
 
 
 def _cmd_triple_h(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    triple = _load_triple(_one_input(cfg))
+    triple = _load_triple(_one_input(args))
     if args.method == "coordinate":
         report = cheeger_constant_coordinate(triple)
     else:
-        report = cheeger_constant_exhaustive(triple, cfg.budgets)
-    _emit(cfg, report.to_json_dict())
+        report = cheeger_constant_exhaustive(triple, args.budgets)
+    _emit(args, report.to_json_dict())
     return 0
 
 
 def _cmd_qvalence(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    triple = _load_triple(_one_input(cfg))
+    triple = _load_triple(_one_input(args))
     if args.method == "coordinate":
-        value, method = q_valence_coordinate(triple), "coordinate"
+        value = q_valence_coordinate(triple)
     else:
-        value, method = q_valence_exhaustive(triple, cfg.budgets), "exhaustive"
-    _emit(cfg, {"q_valence": value, "method": method})
+        value = q_valence_exhaustive(triple, args.budgets)
+    _emit(args, {"q_valence": value, "method": args.method})
     return 0
 
 
 def _cmd_connectedness(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    triple = _load_triple(_one_input(cfg))
-    _emit(cfg, {"pairing_connected": is_pairing_connected_exhaustive(triple, cfg.budgets)})
+    triple = _load_triple(_one_input(args))
+    _emit(args, {"pairing_connected": is_pairing_connected_exhaustive(triple, args.budgets)})
     return 0
 
 
 def _cmd_build_triple(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graph = _load_graph(_one_input(cfg))
-    _emit(cfg, build_triple(graph, cfg.field).to_json_dict())
+    graph = _load_graph(_one_input(args))
+    _emit(args, build_triple(graph, args.field).to_json_dict())
     return 0
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    triple = _load_triple(_one_input(cfg))
-    _emit(cfg, augment_triple(triple, args.pivot).to_json_dict())
+    triple = _load_triple(_one_input(args))
+    _emit(args, augment_triple(triple, args.pivot).to_json_dict())
     return 0
 
 
-def _cmd_verify_theorem(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graphs = _resolve_graphs(args, cfg)
-    record = verify_main_theorem(graphs, cfg.field, cfg.budgets, jobs=cfg.jobs)
-    _emit(cfg, record.to_json_dict(verbose=args.verbose), record.to_csv())
+def _verified(args: argparse.Namespace, record) -> int:
+    _emit(args, record.to_json_dict(verbose=args.verbose), record.to_csv())
     return 0 if record.passed else 1
+
+
+def _cmd_verify_theorem(args: argparse.Namespace) -> int:
+    graphs = _resolve_graphs(args)
+    return _verified(args, verify_main_theorem(graphs, args.field, args.budgets, jobs=args.jobs))
 
 
 def _cmd_verify_augmentation(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graphs = _resolve_graphs(args, cfg)
-    record = verify_augmentation(graphs, cfg.field, args.pivot, cfg.budgets, jobs=cfg.jobs)
-    _emit(cfg, record.to_json_dict(verbose=args.verbose), record.to_csv())
-    return 0 if record.passed else 1
+    graphs = _resolve_graphs(args)
+    record = verify_augmentation(graphs, args.field, args.pivot, args.budgets, jobs=args.jobs)
+    return _verified(args, record)
 
 
 def _cmd_verify_invariance(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graphs = _resolve_graphs(args, cfg)
+    graphs = _resolve_graphs(args)
     fields = [Field.from_name(name) for name in args.fields]
-    record = field_invariance_check(graphs, fields, cfg.budgets, jobs=cfg.jobs)
-    _emit(cfg, record.to_json_dict(verbose=args.verbose), record.to_csv())
-    return 0 if record.passed else 1
+    return _verified(args, field_invariance_check(graphs, fields, args.budgets, jobs=args.jobs))
 
 
 def _cmd_family_report(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graphs = _resolve_graphs(args, cfg)
+    graphs = _resolve_graphs(args)
     if args.kind == "triple":
-        triples = [build_triple(g, cfg.field) for g in graphs]
-        report = triple_family_report(triples, cfg.budgets, args.valence_bound, jobs=cfg.jobs)
+        triples = [build_triple(g, args.field) for g in graphs]
+        report = triple_family_report(triples, args.budgets, args.valence_bound, jobs=args.jobs)
     else:
-        report = graph_family_report(graphs, args.mode, cfg.budgets, args.valence_bound, jobs=cfg.jobs)
-    _emit(cfg, report.to_json_dict(), report.to_csv())
+        report = graph_family_report(graphs, args.mode, args.budgets, args.valence_bound, jobs=args.jobs)
+    _emit(args, report.to_json_dict(), report.to_csv())
     return 0
 
 
@@ -400,6 +354,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        # every command parses --field and the budgets, before any input is read
+        args.field = Field.from_name(args.field)
+        given = {
+            "subset_vertices": args.budget_subsets,
+            "subspace_work": args.budget_subspaces,
+            "basis_work": args.budget_bases,
+        }
+        args.budgets = Budgets(**{name: cap for name, cap in given.items() if cap is not None})
         return args.handler(args)
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

@@ -69,19 +69,8 @@ class FamilyEntry:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "field": self.field,
-            "size": self.size,
-            "valence": self.valence,
-            "valence_method": self.valence_method,
-            "cheeger": None if self.cheeger is None else str(self.cheeger),
-            "cheeger_lower": self.cheeger_lower,
-            "cheeger_upper": self.cheeger_upper,
-            "method": self.method,
-            "note": self.note,
-        }
+        # vars lists the fields in declaration order, uncopied
+        return {**vars(self), "cheeger": None if self.cheeger is None else str(self.cheeger)}
 
 
 @dataclass(frozen=True)
@@ -95,11 +84,9 @@ class FamilyReport:
     def to_json_dict(self) -> dict:
         inf = self.prefix_infimum
         return {
+            **vars(self),
             "entries": [e.to_json_dict() for e in self.entries],
             "prefix_infimum": str(inf) if isinstance(inf, Fraction) else inf,
-            "prefix_infimum_kind": self.prefix_infimum_kind,
-            "valence_bound": self.valence_bound,
-            "verdict": self.verdict,
         }
 
     def to_csv(self) -> str:
@@ -121,6 +108,7 @@ class FamilyReport:
 
 
 def _assemble_report(entries: list[FamilyEntry], valence_bound: int | None) -> FamilyReport:
+    entries = [replace(e, index=i) for i, e in enumerate(entries)]
     best = None
     best_kind = None
     disproved = False
@@ -173,10 +161,7 @@ def graph_family_report(
     if mode not in ("exact", "spectral"):
         raise ValueError(f"unknown mode {mode!r}")
     worker = partial(_graph_entry, mode=mode, budgets=budgets)
-    entries = [
-        replace(e, index=i) for i, e in enumerate(_pmap(worker, list(graphs), jobs))
-    ]
-    return _assemble_report(entries, valence_bound)
+    return _assemble_report(_pmap(worker, list(graphs), jobs), valence_bound)
 
 
 def _graph_entry(graph: SimplicialGraph, mode: str, budgets: Budgets) -> FamilyEntry:
@@ -212,10 +197,7 @@ def triple_family_report(
     is recorded as an inconclusive entry rather than failing the report.
     """
     worker = partial(_triple_entry, budgets=budgets)
-    entries = [
-        replace(e, index=i) for i, e in enumerate(_pmap(worker, list(triples), jobs))
-    ]
-    return _assemble_report(entries, valence_bound)
+    return _assemble_report(_pmap(worker, list(triples), jobs), valence_bound)
 
 
 def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
@@ -288,6 +270,7 @@ class ItemVerification:
 @dataclass(frozen=True)
 class VerificationRecord:
     kind: str
+    field: str                     # the field's name, or the fields' joined by "+"
     checked: int
     failed: int
     items: tuple[ItemVerification, ...]
@@ -299,6 +282,7 @@ class VerificationRecord:
     def to_json_dict(self, verbose: bool = False) -> dict:
         out = {
             "kind": self.kind,
+            "field": self.field,
             "checked": self.checked,
             "failed": self.failed,
             "failures": [it.to_json_dict() for it in self.items if not it.passed],
@@ -341,12 +325,12 @@ def _fmt(v) -> str:
     return "undefined" if v is None else str(v)
 
 
-def _record(kind: str, items: list[ItemVerification]) -> VerificationRecord:
+def _record(kind: str, field: str, items: list[ItemVerification]) -> VerificationRecord:
     items = [
         ItemVerification(i, it.label, it.checks, it.data) for i, it in enumerate(items)
     ]
     failed = sum(1 for it in items if not it.passed)
-    return VerificationRecord(kind, len(items), failed, tuple(items))
+    return VerificationRecord(kind, field, len(items), failed, tuple(items))
 
 
 def verify_main_theorem(
@@ -362,7 +346,7 @@ def verify_main_theorem(
     gate; failures carry witnesses.
     """
     worker = partial(_verify_one_graph, field=field, budgets=budgets)
-    return _record("main-theorem", _pmap(worker, list(graphs), jobs))
+    return _record("main-theorem", field.name, _pmap(worker, list(graphs), jobs))
 
 
 def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) -> ItemVerification:
@@ -412,7 +396,7 @@ def verify_augmentation(
     if field is None:
         field = Field.gf(2)
     worker = partial(_verify_one_augmentation, field=field, pivot=pivot, budgets=budgets)
-    return _record("augmentation", _pmap(worker, list(graphs), jobs))
+    return _record("augmentation", field.name, _pmap(worker, list(graphs), jobs))
 
 
 def _verify_one_augmentation(
@@ -460,7 +444,8 @@ def field_invariance_check(
     if not fields:
         raise ValueError("field_invariance_check needs at least one field")
     worker = partial(_verify_one_invariance, fields=tuple(fields), budgets=budgets)
-    return _record("field-invariance", _pmap(worker, list(graphs), jobs))
+    names = "+".join(f.name for f in fields)
+    return _record("field-invariance", names, _pmap(worker, list(graphs), jobs))
 
 
 def _verify_one_invariance(

@@ -204,18 +204,17 @@ def projective_points(n: int, p: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def point_codes(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(powers, index, dims) for GF(p)^n: a vector's code is its residues
-    read as a base-p number, v @ powers, exact as a float32 product while
-    p^n < 2^24 and an int64 one beyond; index[code] is the row of a
-    projective point in :func:`projective_points`; dims[(p^d - 1)/(p - 1)]
-    is d, as int8, the dimension of a subspace with that many projective
-    points."""
+    read as a base-p number, v @ powers, an exact intp product;
+    index[code] is the row of a projective point in
+    :func:`projective_points`; dims[(p^d - 1)/(p - 1)] is d, as int8, the
+    dimension of a subspace with that many projective points."""
     points = projective_points(n, p)
-    powers = p ** np.arange(n - 1, -1, -1)
+    powers = p ** np.arange(n - 1, -1, -1, dtype=np.intp)
     index = np.zeros(p**n, np.intp)
     index[points @ powers] = np.arange(len(points))
     dims = np.zeros(len(points) + 1, np.int8)
     dims[(p ** np.arange(n + 1) - 1) // (p - 1)] = np.arange(n + 1)
-    return powers.astype(np.float32 if p**n < 2**24 else np.int64), index, dims
+    return powers, index, dims
 
 
 def popcount(x: np.ndarray, n: int) -> np.ndarray:

@@ -108,7 +108,11 @@ def zero_set_kernel(pt):
     # take at most half of what the table leaves, and so do F's points
     spare = (ZERO_SET_BYTES - table.nbytes) // 2
     step = max(1, spare // (2 * table[0].nbytes))
-    per_entry = np.dtype(ptype).itemsize + 3 * np.dtype(dtype).itemsize
+    # an entry of F's points is a residue, alive with the ptype product it
+    # comes from, then with reduce_mod's two temporaries, then with its intp
+    # copy for the codes
+    size = np.dtype(dtype).itemsize
+    per_entry = size + max(np.dtype(ptype).itemsize, 2 * size, np.dtype(np.intp).itemsize)
 
     def meet(
         coefficients: np.ndarray, at: np.ndarray, zero: np.ndarray, chosen: np.ndarray
@@ -117,14 +121,14 @@ def zero_set_kernel(pt):
         # chosen F, whose C is zero[chosen[s]]
         span = rows[at[chosen]].transpose(1, 0, 2).reshape(at.shape[1], -1)
         span = reduce_mod((coefficients @ span).astype(dtype), p).reshape(-1, n)
-        inner = index[(span.astype(powers.dtype) @ powers).astype(np.intp)].reshape(-1, len(chosen))
+        inner = index[span.astype(np.intp) @ powers].reshape(-1, len(chosen))
         inner += chosen * (zero.shape[1] * 64)
         inside = np.take(zero.view(np.uint8), inner >> 3) >> (inner & 7) & 1
         return dims[inside.sum(axis=0)]
 
     def ranks(k: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         coefficients = projective_points(k, p).astype(ptype)
-        # F's rows and points, n entries each, built in ptype, reduced in dtype
+        # F's rows and points, n entries each
         few = max(1, spare // ((len(coefficients) + k) * n * per_entry))
         dim_c = np.empty(len(at), dims.dtype)
         dim_meet = np.zeros(len(at), dims.dtype)

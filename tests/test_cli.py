@@ -240,6 +240,7 @@ def test_check_failure_maps_to_exit_one(monkeypatch, capsys):
 
     fake = VerificationRecord(
         kind="main-theorem",
+        field="gf2",
         checked=1,
         failed=1,
         items=(
@@ -250,6 +251,41 @@ def test_check_failure_maps_to_exit_one(monkeypatch, capsys):
     rc = main(["verify-theorem", "--all-graphs", "2"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["failed"] == 1
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in _COMMANDS])
+def test_bad_field_is_refused_before_any_input_is_read(tmp_path, name, capsys):
+    # main parses --field for every command, before a handler opens --input
+    argv = [name, "--field", "gf4"]
+    if name == "gen":
+        argv += ["--family", "cycle", "--size", "4"]
+    else:
+        argv += ["--input", str(tmp_path / "missing.json")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: prime field characteristic must be prime, got 4\n")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["verify-theorem", "--all-graphs", "2", "--field", "gf3"], "gf3"),
+        (["verify-augmentation", "--family", "path", "--sizes", "3", "--field", "gf5"], "gf5"),
+        (["verify-invariance", "--all-graphs", "2"], "gf2+gf3+gf5"),
+        (["verify-invariance", "--family", "path", "--sizes", "3", "--fields", "gf3", "gf2"],
+         "gf3+gf2"),
+    ],
+)
+def test_verify_commands_name_their_field(argv, field, capsys):
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out)[:2] == ["kind", "field"] and out["field"] == field
+    assert main([*argv, "--format", "human"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"field: {field}"
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "index,n,dimV,valence,qvalence,h_graph,h_triple,method,checks_passed"
+    )
 
 
 def test_seed_controls_random_regular():
