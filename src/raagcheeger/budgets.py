@@ -48,9 +48,10 @@ class Budgets:
     """Caps for the three enumeration families.
 
     ``subset_vertices`` caps the vertex count of the exact graph scan.
-    ``subspace_work`` caps the subspaces a scan visits, and ``basis_work`` the
-    steps of the q-valence min-max.  The defaults are the subspaces of
-    dimension 1..4 of GF(2)^8, and the q-valence steps of GF(2)^4
+    ``subspace_work`` caps the subspaces a scan visits, exhaustive or
+    coordinate, and ``basis_work`` the steps of the q-valence min-max.  The
+    defaults are the subspaces of dimension 1..4 of GF(2)^8, which admit the
+    coordinate scans up to dimension 19, and the q-valence steps of GF(2)^4
     (16 + 840 * 15^2).
     """
 
@@ -79,6 +80,20 @@ class Budgets:
                 f"{_stated(count)} subspaces, past the cap of {self.subspace_work} "
                 f"(raise with --budget-subspaces); the coordinate fast path stays exact "
                 f"for cup-product triples"
+            )
+
+    def check_coordinates(self, n: int) -> None:
+        """Refuse a scan of the coordinate subspaces of dimension 1..n/2 of an
+        n-dimensional space over any field: sum_{k <= n/2} C(n, k) subspaces."""
+        count = 0
+        for k in range(1, n // 2 + 1):
+            count += math.comb(n, k)
+            if count >= _EXACT_LIMIT:
+                break
+        if count > self.subspace_work:
+            raise BudgetError(
+                f"coordinate subspace scan in dimension {n} would visit {_stated(count)} "
+                f"subspaces, past the cap of {self.subspace_work} (raise with --budget-subspaces)"
             )
 
     def check_bases(self, field: Field, n: int) -> None:

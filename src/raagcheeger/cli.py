@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .budgets import BudgetError, Budgets
 from .fields import Field, FieldError
@@ -100,9 +101,9 @@ def _human_scalar(v) -> str:
     return str(v)
 
 
-def _emit(args: argparse.Namespace, payload: dict, csv_text: str | None = None) -> None:
+def _emit(args: argparse.Namespace, payload: dict, to_csv: Callable[[], str] | None = None) -> None:
     if args.format == "csv":
-        sys.stdout.write(csv_text)
+        sys.stdout.write(to_csv())
     elif args.format == "human":
         print("\n".join(_human_lines(payload)))
     else:
@@ -168,7 +169,7 @@ def _cmd_graph_h(args: argparse.Namespace) -> int:
 def _cmd_triple_h(args: argparse.Namespace) -> int:
     triple = _load_triple(_one_input(args))
     if args.method == "coordinate":
-        report = cheeger_constant_coordinate(triple)
+        report = cheeger_constant_coordinate(triple, args.budgets)
     else:
         report = cheeger_constant_exhaustive(triple, args.budgets)
     _emit(args, report.to_json_dict())
@@ -204,7 +205,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _verified(args: argparse.Namespace, record) -> int:
-    _emit(args, record.to_json_dict(verbose=args.verbose), record.to_csv())
+    _emit(args, record.to_json_dict(verbose=args.verbose), record.to_csv)
     return 0 if record.passed else 1
 
 
@@ -232,7 +233,7 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
         report = triple_family_report(triples, args.budgets, args.valence_bound, jobs=args.jobs)
     else:
         report = graph_family_report(graphs, args.mode, args.budgets, args.valence_bound, jobs=args.jobs)
-    _emit(args, report.to_json_dict(), report.to_csv())
+    _emit(args, report.to_json_dict(), report.to_csv)
     return 0
 
 

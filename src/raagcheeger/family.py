@@ -12,7 +12,7 @@ any degree of parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -50,13 +50,18 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _CSV_HEADER = "index,n,dimV,valence,qvalence,h_graph,h_triple,method,checks_passed"
 
 
-def _format_value(v: Fraction | None) -> str:
+def _format_value(v: Fraction | int | None) -> str:
     return "" if v is None else str(v)
+
+
+def _csv(rows: Iterable[list[str]]) -> str:
+    """The rows under _CSV_HEADER, each led by its position as the index."""
+    lines = [_CSV_HEADER, *(",".join([str(i), *row]) for i, row in enumerate(rows))]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class FamilyEntry:
-    index: int
     kind: str                      # "graph" or "triple"
     field: str | None
     size: int                      # vertex count or dim V
@@ -85,30 +90,25 @@ class FamilyReport:
         inf = self.prefix_infimum
         return {
             **vars(self),
-            "entries": [e.to_json_dict() for e in self.entries],
+            "entries": [{"index": i, **e.to_json_dict()} for i, e in enumerate(self.entries)],
             "prefix_infimum": str(inf) if isinstance(inf, Fraction) else inf,
         }
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
+        rows = []
         for e in self.entries:
             if e.kind == "graph":
                 h = _format_value(e.cheeger)
                 if e.cheeger is None and e.cheeger_lower is not None:
                     h = f"[{e.cheeger_lower!r};{e.cheeger_upper!r}]"
-                row = [str(e.index), str(e.size), "", str(e.valence or 0), "", h, "", e.method, ""]
+                rows.append([str(e.size), "", str(e.valence or 0), "", h, "", e.method, ""])
             else:
-                row = [
-                    str(e.index), "", str(e.size),
-                    "", "" if e.valence is None else str(e.valence),
-                    "", _format_value(e.cheeger), e.method, "",
-                ]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+                rows.append(["", str(e.size), "", _format_value(e.valence), "",
+                             _format_value(e.cheeger), e.method, ""])
+        return _csv(rows)
 
 
 def _assemble_report(entries: list[FamilyEntry], valence_bound: int | None) -> FamilyReport:
-    entries = [replace(e, index=i) for i, e in enumerate(entries)]
     best = None
     best_kind = None
     disproved = False
@@ -168,20 +168,20 @@ def _graph_entry(graph: SimplicialGraph, mode: str, budgets: Budgets) -> FamilyE
     n = graph.n_vertices
     val = max_valence(graph)
     if n < 2:
-        return FamilyEntry(0, "graph", None, n, val, "graph", None, method="undefined",
+        return FamilyEntry("graph", None, n, val, "graph", None, method="undefined",
                            note="no admissible subset")
     if not is_connected(graph):
-        return FamilyEntry(0, "graph", None, n, val, "graph", Fraction(0),
+        return FamilyEntry("graph", None, n, val, "graph", Fraction(0),
                            method="exact", note="disconnected")
     if mode == "exact":
         try:
             res = cheeger_graph_exact(graph, budgets)
-            return FamilyEntry(0, "graph", None, n, val, "graph", res.value, method="exact")
+            return FamilyEntry("graph", None, n, val, "graph", res.value, method="exact")
         except BudgetError:
             pass
     lower, upper = spectral_cheeger_bounds(graph)
     note = "budget exceeded; spectral fallback" if mode == "exact" else ""
-    return FamilyEntry(0, "graph", None, n, val, "graph", None,
+    return FamilyEntry("graph", None, n, val, "graph", None,
                        cheeger_lower=lower, cheeger_upper=upper, method="spectral", note=note)
 
 
@@ -207,12 +207,12 @@ def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
     try:
         report = cheeger_constant_exhaustive(pt, budgets)
     except BudgetError as err:
-        return FamilyEntry(0, "triple", pt.field.name, n, qval, qmethod, None,
+        return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None,
                            method="inconclusive", note=str(err))
     if report.value is None:
-        return FamilyEntry(0, "triple", pt.field.name, n, qval, qmethod, None,
+        return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None,
                            method="undefined", note="dim V < 2")
-    return FamilyEntry(0, "triple", pt.field.name, n, qval, qmethod, report.value,
+    return FamilyEntry("triple", pt.field.name, n, qval, qmethod, report.value,
                        method="exact")
 
 
@@ -228,90 +228,67 @@ def _q_valence(t, budgets: Budgets) -> tuple[int, str]:
 # -- verification records ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-def _check(name: str, passed: bool, witness: dict) -> CheckResult:
+def _check(name: str, passed: bool, witness: dict) -> dict:
     """A check that carries its witness only when it fails."""
-    return CheckResult(name, passed, None if passed else witness)
+    check = {"name": name, "passed": passed}
+    if not passed:
+        check["witness"] = witness
+    return check
 
 
-@dataclass(frozen=True)
-class ItemVerification:
-    index: int
-    label: str
-    checks: tuple[CheckResult, ...]
-    data: dict = dc_field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "passed": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "data": self.data,
-        }
+def _item(graph: SimplicialGraph, checks: list[dict], data: dict) -> dict:
+    """One graph's verification, as printed but for its index."""
+    edges = ";".join(f"{u}-{v}" for u, v in graph.edges)
+    return {
+        "label": f"n={graph.n_vertices}[{edges}]",
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
+        "data": data,
+    }
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
     kind: str
     field: str                     # the field's name, or the fields' joined by "+"
-    checked: int
-    failed: int
-    items: tuple[ItemVerification, ...]
+    items: tuple[dict, ...]        # from _item, in input order
+
+    @property
+    def checked(self) -> int:
+        return len(self.items)
+
+    @property
+    def failed(self) -> int:
+        return sum(1 for it in self.items if not it["passed"])
 
     @property
     def passed(self) -> bool:
         return self.failed == 0
 
     def to_json_dict(self, verbose: bool = False) -> dict:
+        items = [{"index": i, **it} for i, it in enumerate(self.items)]
         out = {
             "kind": self.kind,
             "field": self.field,
             "checked": self.checked,
             "failed": self.failed,
-            "failures": [it.to_json_dict() for it in self.items if not it.passed],
+            "failures": [it for it in items if not it["passed"]],
         }
         if verbose:
-            out["items"] = [it.to_json_dict() for it in self.items]
+            out["items"] = items
         return out
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
+        rows = []
         for it in self.items:
-            d = it.data
-            lines.append(",".join([
-                str(it.index),
-                str(d.get("n", "")),
-                str(d.get("dimV", "")),
-                str(d.get("valence", "")),
-                str(d.get("qvalence", "")),
-                d.get("h_graph", ""),
-                d.get("h_triple", ""),
-                d.get("method", ""),
-                f"{sum(1 for c in it.checks if c.passed)}/{len(it.checks)}",
-            ]))
-        return "\n".join(lines) + "\n"
-
-
-def _graph_label(graph: SimplicialGraph) -> str:
-    edges = ";".join(f"{u}-{v}" for u, v in graph.edges)
-    return f"n={graph.n_vertices}[{edges}]"
+            d = it["data"]
+            passed = sum(1 for c in it["checks"] if c["passed"])
+            rows.append([
+                *(str(d.get(key, "")) for key in
+                  ("n", "dimV", "valence", "qvalence", "h_graph", "h_triple", "method")),
+                f"{passed}/{len(it['checks'])}",
+            ])
+        return _csv(rows)
 
 
 def _exact_or_none(graph: SimplicialGraph, budgets: Budgets) -> Fraction | None:
@@ -323,14 +300,6 @@ def _exact_or_none(graph: SimplicialGraph, budgets: Budgets) -> Fraction | None:
 
 def _fmt(v) -> str:
     return "undefined" if v is None else str(v)
-
-
-def _record(kind: str, field: str, items: list[ItemVerification]) -> VerificationRecord:
-    items = [
-        ItemVerification(i, it.label, it.checks, it.data) for i, it in enumerate(items)
-    ]
-    failed = sum(1 for it in items if not it.passed)
-    return VerificationRecord(kind, field, len(items), failed, tuple(items))
 
 
 def verify_main_theorem(
@@ -346,15 +315,15 @@ def verify_main_theorem(
     gate; failures carry witnesses.
     """
     worker = partial(_verify_one_graph, field=field, budgets=budgets)
-    return _record("main-theorem", field.name, _pmap(worker, list(graphs), jobs))
+    return VerificationRecord("main-theorem", field.name, tuple(_pmap(worker, list(graphs), jobs)))
 
 
-def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) -> ItemVerification:
+def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) -> dict:
     triple = build_triple(graph, field)
     n = graph.n_vertices
     h_graph = _exact_or_none(graph, budgets)
     exh = cheeger_constant_exhaustive(triple, budgets)
-    coord = cheeger_constant_coordinate(triple)
+    coord = cheeger_constant_coordinate(triple, budgets)
     qval, qmethod = _q_valence(triple, budgets)
     connected = is_connected(graph)
     p_connected = pairing_connected_from_report(exh)
@@ -380,7 +349,7 @@ def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) ->
         "h_triple": _fmt(exh.value),
         "method": f"exhaustive+{qmethod}",
     }
-    return ItemVerification(0, _graph_label(graph), tuple(checks), data)
+    return _item(graph, checks, data)
 
 
 def verify_augmentation(
@@ -396,12 +365,12 @@ def verify_augmentation(
     if field is None:
         field = Field.gf(2)
     worker = partial(_verify_one_augmentation, field=field, pivot=pivot, budgets=budgets)
-    return _record("augmentation", field.name, _pmap(worker, list(graphs), jobs))
+    return VerificationRecord("augmentation", field.name, tuple(_pmap(worker, list(graphs), jobs)))
 
 
 def _verify_one_augmentation(
     graph: SimplicialGraph, field: Field, pivot: int, budgets: Budgets
-) -> ItemVerification:
+) -> dict:
     triple = build_triple(graph, field)
     augmented = augment_triple(triple, pivot)
     h_orig = cheeger_constant_exhaustive(triple, budgets).value
@@ -430,7 +399,7 @@ def _verify_one_augmentation(
         "h_triple": _fmt(h_aug),
         "method": "exhaustive",
     }
-    return ItemVerification(0, _graph_label(graph), tuple(checks), data)
+    return _item(graph, checks, data)
 
 
 def field_invariance_check(
@@ -445,12 +414,12 @@ def field_invariance_check(
         raise ValueError("field_invariance_check needs at least one field")
     worker = partial(_verify_one_invariance, fields=tuple(fields), budgets=budgets)
     names = "+".join(f.name for f in fields)
-    return _record("field-invariance", names, _pmap(worker, list(graphs), jobs))
+    return VerificationRecord("field-invariance", names, tuple(_pmap(worker, list(graphs), jobs)))
 
 
 def _verify_one_invariance(
     graph: SimplicialGraph, fields: tuple[Field, ...], budgets: Budgets
-) -> ItemVerification:
+) -> dict:
     h_by_field = {}
     d_by_field = {}
     conn_by_field = {}
@@ -478,7 +447,7 @@ def _verify_one_invariance(
         "h_triple": _fmt(h_by_field[first]),
         "method": "+".join(f.name for f in fields),
     }
-    return ItemVerification(0, _graph_label(graph), tuple(checks), data)
+    return _item(graph, checks, data)
 
 
 # -- parallel fold -----------------------------------------------------------

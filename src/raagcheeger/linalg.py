@@ -13,8 +13,9 @@ in :func:`projective_points`, the input of the zero-set kernel of
 :mod:`raagcheeger.zerosets`, and builds no bases.  The batches of one
 dimension depend only on (n, k, p) and the batch size, so where they take at
 most :data:`BATCH_CACHE_BYTES` they are built once per process and served
-read-only from an lru cache (:func:`retained_batches`), which the coordinate
-scan shares; larger dimensions are streamed lazily, as they are built.
+read-only from an lru cache (:func:`retained_batches`), as are those of the
+coordinate subspaces that the coordinate scan reads, completed the same way;
+larger dimensions are streamed lazily, as they are built.
 The projective points of GF(p)^n and their codes, which the q-valence
 min-max and the zero-set kernel index by, are built once per (n, p) in
 small lru caches.
@@ -244,15 +245,17 @@ def _popcount_table() -> np.ndarray:
 
 
 SUBSPACE_CHUNK = 512
-"""Most subspaces in one batch of :func:`enumerate_subspaces`, which only
-the rank kernel reads.  numpy's per-call cost dominates that kernel, so
-larger batches run faster but hold larger temporaries.  Measured with
-perfbench (seed 1, ``--seconds 10``, two runs each, shared 2-vCPU machine)
-while every exhaustive scan eliminated: subspace-scan ``wall_s`` was
-0.133 s at 256, 0.115-0.121 s at 512 and 0.121-0.122 s at 1024, with
-``peak_rss_mb`` 36.6-36.8, 37.1-37.2 and 38.2 MB; dictionary-sweep's
-``peak_rss_mb`` was 37.5, 37.9-38.1 and 38.9 MB.  1024 buys no time for
-another megabyte."""
+"""Most subspaces in one batch of :func:`enumerate_subspaces` and of the
+coordinate stream, which only the rank kernel reads.  numpy's per-call cost
+dominates that kernel, so larger batches run faster but hold larger
+temporaries.  The chunk now serves the coordinate scans and the exhaustive
+scans the zero-set gate refuses; the kernel's third input, a single
+subspace, is a batch of one.  The figures below were measured with perfbench
+(seed 1, ``--seconds 10``, two runs each, shared 2-vCPU machine) when every
+exhaustive scan still eliminated: subspace-scan ``wall_s`` was 0.133 s at
+256, 0.115-0.121 s at 512 and 0.121-0.122 s at 1024, with ``peak_rss_mb``
+36.6-36.8, 37.1-37.2 and 38.2 MB; dictionary-sweep's ``peak_rss_mb`` was
+37.5, 37.9-38.1 and 38.9 MB.  1024 bought no time for another megabyte."""
 
 
 def enumerate_subspaces(
@@ -415,6 +418,27 @@ def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
                 count += size
     if pending:
         yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
+def _coordinate_batches(n: int):
+    """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
+    at most SUBSPACE_CHUNK, in the order of itertools.combinations, each
+    completed like the stream by the unit vectors off its coordinates.  Like
+    the stream, a dimension within the cache cap is built once per process."""
+    for k in range(1, n // 2 + 1):
+        size = math.comb(n, k) * n * n
+        for bases in retained_batches(size, _coordinate_bases, n, k, SUBSPACE_CHUNK):
+            yield k, bases
+
+
+def _coordinate_bases(n: int, k: int, chunk: int):
+    """The batches of :func:`_coordinate_batches` for one dimension k."""
+    combos = itertools.combinations(range(n), k)
+    while batch := list(itertools.islice(combos, chunk)):
+        order = [(*c, *(j for j in range(n) if j not in c)) for c in batch]
+        bases = np.zeros((len(batch), n, n), dtype=np.int8)
+        bases[np.arange(len(batch))[:, None], range(n), order] = 1
+        yield bases
 
 
 BATCH_CACHE_BYTES = 1 << 18

@@ -63,8 +63,8 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 from .linalg import (
-    SUBSPACE_CHUNK, LinalgError, Subspace, enumerate_subspace_points, enumerate_subspaces,
-    product_types, projective_points, reduce_mod, retained_batches,
+    LinalgError, Subspace, _coordinate_batches, enumerate_subspace_points, enumerate_subspaces,
+    product_types, projective_points, reduce_mod,
 )
 from .zerosets import pairs_blocks, zero_set_kernel, zero_sets_pay
 
@@ -424,38 +424,20 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     return _first_minimum(pt, batches, "exhaustive", kernel)
 
 
-def cheeger_constant_coordinate(t) -> CheegerReport:
+def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
     """Minimum of h_F over coordinate subspaces of the distinguished basis.
 
     For cup-product triples this equals the exhaustive minimum; for a general
-    triple it is only an upper bound.
+    triple it is only an upper bound.  Past the budgets (see
+    :meth:`Budgets.check_coordinates`) it raises :class:`BudgetError` before
+    any work.
     """
     pt = _pairing(t)
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "coordinate", 0)
+    budgets.check_coordinates(n)
     return _first_minimum(pt, _coordinate_batches(n), "coordinate", _rank_kernel)
-
-
-def _coordinate_batches(n: int):
-    """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
-    at most SUBSPACE_CHUNK, in the order of itertools.combinations, each
-    completed like the stream by the unit vectors off its coordinates.  Like
-    the stream, a dimension within the cache cap is built once per process."""
-    for k in range(1, n // 2 + 1):
-        size = math.comb(n, k) * n * n
-        for bases in retained_batches(size, _coordinate_bases, n, k, SUBSPACE_CHUNK):
-            yield k, bases
-
-
-def _coordinate_bases(n: int, k: int, chunk: int):
-    """The batches of :func:`_coordinate_batches` for one dimension k."""
-    combos = itertools.combinations(range(n), k)
-    while batch := list(itertools.islice(combos, chunk)):
-        order = [(*c, *(j for j in range(n) if j not in c)) for c in batch]
-        bases = np.zeros((len(batch), n, n), dtype=np.int8)
-        bases[np.arange(len(batch))[:, None], range(n), order] = 1
-        yield bases
 
 
 # -- q-valence ---------------------------------------------------------------

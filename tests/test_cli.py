@@ -236,21 +236,43 @@ def test_unknown_command_is_usage_error():
 
 def test_check_failure_maps_to_exit_one(monkeypatch, capsys):
     from raagcheeger import cli as cli_module
-    from raagcheeger.family import CheckResult, ItemVerification
 
     fake = VerificationRecord(
         kind="main-theorem",
         field="gf2",
-        checked=1,
-        failed=1,
         items=(
-            ItemVerification(0, "fake", (CheckResult("h-graph-equals-h-triple", False, {}),)),
+            {"label": "fake", "passed": False, "data": {},
+             "checks": [{"name": "h-graph-equals-h-triple", "passed": False, "witness": {}}]},
         ),
     )
     monkeypatch.setattr(cli_module, "verify_main_theorem", lambda *a, **k: fake)
     rc = main(["verify-theorem", "--all-graphs", "2"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["failed"] == 1
+
+
+def test_failed_item_keeps_its_index_witness_and_check_count(monkeypatch, capsys):
+    # a wrong centralizer rank on P3 fails one of the five checks of item 1 of 3
+    from raagcheeger import family
+
+    rank = family.max_centralizer_rank
+    monkeypatch.setattr(family, "max_centralizer_rank", lambda g: rank(g) + (g.n_vertices == 3))
+    argv = ["verify-theorem", "--family", "path", "--sizes", "2", "3", "4"]
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["checked"], out["failed"]) == (3, 1)
+    [failure] = out["failures"]
+    assert (failure["index"], failure["label"], failure["passed"]) == (1, "n=3[v0-v1;v1-v2]", False)
+    assert [c for c in failure["checks"] if "witness" in c] == [{
+        "name": "centralizer-rank-equals-qvalence-plus-1",
+        "passed": False,
+        "witness": {"max_centralizer_rank": 4, "q_valence": 2, "q_valence_method": "exhaustive"},
+    }]
+    assert main([*argv, "--format", "csv"]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [(row.split(",")[0], row.split(",")[-1]) for row in rows] == [
+        ("0", "5/5"), ("1", "4/5"), ("2", "5/5"),
+    ]
 
 
 @pytest.mark.parametrize("name", [name for name, *_ in _COMMANDS])

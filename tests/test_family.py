@@ -143,13 +143,13 @@ def test_main_theorem_p3_over_gf3():
     record = verify_main_theorem([path(3)], GF3)
     assert record.passed
     item = record.items[0]
-    assert item.data["h_graph"] == item.data["h_triple"] == "1"
+    assert item["data"]["h_graph"] == item["data"]["h_triple"] == "1"
 
 
 def test_main_theorem_star_centralizer_data():
     record = verify_main_theorem([star(3)], GF2)
     assert record.passed
-    assert record.items[0].data["qvalence"] == 3
+    assert record.items[0]["data"]["qvalence"] == 3
 
 
 def test_main_theorem_sampled_six_vertex_graphs():
@@ -168,16 +168,16 @@ def test_augmentation_on_cycles():
 def test_augmentation_on_degenerate_graphs():
     record = verify_augmentation([edgeless(2), path(2)], GF2)
     assert record.failed == 0
-    assert record.items[0].data["h_graph"] == "0"  # stays zero after augmenting
+    assert record.items[0]["data"]["h_graph"] == "0"  # stays zero after augmenting
 
 
 def test_field_invariance_small():
     record = field_invariance_check([path(4), complete_triangle()], [GF2, GF3, GF5])
     assert record.failed == 0
     p4 = record.items[0]
-    assert p4.data["h_triple"] == "1/2"
+    assert p4["data"]["h_triple"] == "1/2"
     k3 = record.items[1]
-    assert k3.data["qvalence"] == 2
+    assert k3["data"]["qvalence"] == 2
 
 
 def complete_triangle() -> SimplicialGraph:

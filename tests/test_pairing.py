@@ -362,6 +362,16 @@ def test_exhaustive_cheeger_budget_message():
             cheeger_constant_exhaustive(t, Budgets(subspace_work=49))
 
 
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_coordinate_cheeger_budget_counts_its_subspaces(field):
+    # GF(2)^6 and QQ^6 both have 6 + 15 + 20 coordinate subspaces of dimension 1..3
+    t = build_triple(cycle(6), field)
+    with pytest.raises(BudgetError, match=r"visit 41 subspaces, past the cap of 40 \(raise with --budget-subspaces\)$"):
+        cheeger_constant_coordinate(t, Budgets(subspace_work=40))
+    rep = cheeger_constant_coordinate(t, Budgets(subspace_work=41))
+    assert (rep.value, rep.subspaces_visited) == (Fraction(2, 3), 41)
+
+
 def test_coordinate_cheeger_agrees_on_samples():
     for g in [path(3), cycle(4), star(3), edgeless(3),
               SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])]:
@@ -510,7 +520,6 @@ def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
         assert exhaustive[2] == visits
         for chunk in (1, 7, linalg.SUBSPACE_CHUNK):
             monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
-            monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
             rep = cheeger_constant_exhaustive(t)
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == exhaustive
             rep = cheeger_constant_coordinate(t)
@@ -685,7 +694,6 @@ def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
     # the same scans streamed lazily, from a cold cache and from a warm one;
     # the disconnected graphs stop early at h = 0
     monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
-    monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
     triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
     triples += [build_triple(path(6), GF2), random_triple(5, 2, GF3, 11),
@@ -708,7 +716,7 @@ def test_cached_batches_are_read_only_and_cleared():
     _clear_caches()
     try:
         kept = [bases for _, bases in enumerate_subspaces(4, [1, 2], GF3)]
-        kept += [bases for _, bases in pairing._coordinate_batches(6)]
+        kept += [bases for _, bases in linalg._coordinate_batches(6)]
         assert linalg._retained.cache_info().currsize == 5
         for bases in kept:
             assert not bases.flags.writeable
@@ -746,7 +754,7 @@ def test_batch_cache_retains_less_than_its_cap():
     try:
         scans = [
             lambda: enumerate_subspaces(8, range(1, 5), GF2),
-            lambda: itertools.takewhile(lambda b: b[0] <= 3, pairing._coordinate_batches(20)),
+            lambda: itertools.takewhile(lambda b: b[0] <= 3, linalg._coordinate_batches(20)),
         ]
         for scan in scans:
             assert 0 < _retained_bytes(scan) < linalg.BATCH_CACHE_BYTES
@@ -885,7 +893,6 @@ def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
     # cold and from a warm cache, and every batch of the stream gives both
     # kernels' ranks; the two-edge graph stops early at h = 0
     monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
-    monkeypatch.setattr(pairing, "SUBSPACE_CHUNK", chunk)
     # batches of the point stream hold chunk bytes: 1 to chunk / k subspaces
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
