@@ -43,6 +43,17 @@ def _stated(count: int) -> str:
     return str(count) if count < _EXACT_LIMIT else f"at least 2^{_EXACT_BITS}"
 
 
+def _coordinate_count(n: int) -> int:
+    """sum_{k <= n/2} C(n, k), the coordinate subspaces of dimension 1..n/2,
+    counted up to 2^_EXACT_BITS."""
+    count = 0
+    for k in range(1, n // 2 + 1):
+        count += math.comb(n, k)
+        if count >= _EXACT_LIMIT:
+            break
+    return count
+
+
 @dataclass(frozen=True)
 class Budgets:
     """Caps for the three enumeration families.
@@ -75,21 +86,19 @@ class Budgets:
             if count >= _EXACT_LIMIT:
                 break
         if count > self.subspace_work:
+            advice = ""
+            if _coordinate_count(n) <= self.subspace_work:
+                advice = "; the coordinate fast path stays exact for cup-product triples"
             raise BudgetError(
                 f"subspace enumeration over {field.name} in dimension {n} would visit "
                 f"{_stated(count)} subspaces, past the cap of {self.subspace_work} "
-                f"(raise with --budget-subspaces); the coordinate fast path stays exact "
-                f"for cup-product triples"
+                f"(raise with --budget-subspaces){advice}"
             )
 
     def check_coordinates(self, n: int) -> None:
         """Refuse a scan of the coordinate subspaces of dimension 1..n/2 of an
         n-dimensional space over any field: sum_{k <= n/2} C(n, k) subspaces."""
-        count = 0
-        for k in range(1, n // 2 + 1):
-            count += math.comb(n, k)
-            if count >= _EXACT_LIMIT:
-                break
+        count = _coordinate_count(n)
         if count > self.subspace_work:
             raise BudgetError(
                 f"coordinate subspace scan in dimension {n} would visit {_stated(count)} "

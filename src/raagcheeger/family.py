@@ -27,6 +27,7 @@ from .graphs import (
     max_valence,
     spectral_cheeger_bounds,
 )
+from .linalg import LinalgError
 from .pairing import (
     PairingTriple,
     augment_triple,
@@ -193,8 +194,9 @@ def triple_family_report(
 ) -> FamilyReport:
     """Per-triple dim V, q-valence and Cheeger value over a finite prefix.
 
-    Fields may differ across indices.  A triple past the enumeration budgets
-    is recorded as an inconclusive entry rather than failing the report.
+    Fields may differ across indices.  A triple past the enumeration budgets,
+    or over the rationals, which the exhaustive scan cannot enumerate, is
+    recorded as an inconclusive entry rather than failing the report.
     """
     worker = partial(_triple_entry, budgets=budgets)
     return _assemble_report(_pmap(worker, list(triples), jobs), valence_bound)
@@ -206,7 +208,7 @@ def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
     qval, qmethod = _q_valence(pt, budgets)
     try:
         report = cheeger_constant_exhaustive(pt, budgets)
-    except BudgetError as err:
+    except (BudgetError, LinalgError) as err:
         return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None,
                            method="inconclusive", note=str(err))
     if report.value is None:
@@ -217,11 +219,12 @@ def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
 
 
 def _q_valence(t, budgets: Budgets) -> tuple[int, str]:
-    """The exhaustive q-valence within budget, else the coordinate value,
-    which is exact for cup-product triples; with the method used."""
+    """The exhaustive q-valence within budget and over a prime field, else
+    the coordinate value, which is exact for cup-product triples; with the
+    method used."""
     try:
         return q_valence_exhaustive(t, budgets), "exhaustive"
-    except BudgetError:
+    except (BudgetError, LinalgError):
         return q_valence_coordinate(t), "coordinate"
 
 

@@ -5,14 +5,15 @@ Subspaces are canonicalized by the reduced row echelon form of their row
 space, so equality, hashing and deduplication are structural and the
 minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
-lexicographically, both streams taking their pivot sets from one helper.
-The subspace stream comes in numpy batches of RREF bases completed to bases
-of the whole space, the input of the rank kernel of
-:mod:`raagcheeger.pairing`; the point stream names each RREF row by its row
-in :func:`projective_points`, the input of the zero-set kernel of
-:mod:`raagcheeger.zerosets`, and builds no bases.  The batches of one
-dimension depend only on (n, k, p) and the batch size, so where they take at
-most :data:`BATCH_CACHE_BYTES` they are built once per process and served
+lexicographically.  The subspace stream comes in numpy batches of RREF bases
+completed to bases of the whole space, the input of the rank kernel of
+:mod:`raagcheeger.pairing`, built pivot set by pivot set.  The point stream
+names each RREF row by its row in :func:`projective_points`, the input of
+the zero-set kernel of :mod:`raagcheeger.zerosets`; it builds no bases, and
+is assembled from the point streams of smaller spaces by the recursion of
+the Gaussian binomials.  The batches of one dimension depend only on
+(n, k, p) and the batch size, so where they take at most
+:data:`BATCH_CACHE_BYTES` they are built once per process and served
 read-only from an lru cache (:func:`retained_batches`), as are those of the
 coordinate subspaces that the coordinate scan reads, completed the same way;
 larger dimensions are streamed lazily, as they are built.
@@ -303,12 +304,19 @@ def enumerate_subspace_points(
     :func:`projective_points` holding row r of the b-th subspace's RREF
     basis, in the narrowest integer type that indexes every point.  A batch
     takes at most :data:`POINT_BATCH_BYTES` and is retained or streamed like
-    the bases."""
+    the bases.
+
+    The stream of dimension k of GF(p)^n is built from those of GF(p)^{n-1}
+    (:func:`_point_batches`): first the subspaces with a pivot at column 0,
+    row 0's p^(n-k) fills times the (n - 1, k - 1) stream, then the
+    (n - 1, k) stream as it is.  The smaller streams within
+    :data:`BATCH_CACHE_BYTES` are kept, so the dimensions of one request,
+    and of later ones, share them.
+    """
     n = ambient_dim
     p, dims = _checked_request(n, dims, field, budgets)
-    itemsize = np.dtype(int_type((p**n - 1) // (p - 1))).itemsize
     for k in dims:
-        size = gaussian_binomial(n, k, p) * k * itemsize
+        size = _point_bytes(n, k, p)
         for points in retained_batches(size, _point_batches, n, k, p, POINT_BATCH_BYTES):
             yield k, points
 
@@ -368,56 +376,140 @@ def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray
 
 
 POINT_BATCH_BYTES = 1 << 14
-"""Largest batch of :func:`enumerate_subspace_points`, in bytes.  Batches of
-16-64 KB scanned C6/GF(3), C7/GF(2) and C8/GF(2) on the zero-set kernel
-about equally fast; at 4 KB the C8 scan took 1.5-1.8 times as long (best of
-9-15, in-process, shared 2-vCPU machine)."""
+"""Largest batch of :func:`enumerate_subspace_points`, in bytes.  Each batch
+is written at its own size from the pieces that fit, so a streamed
+dimension holds the batch being written beside the one its reader has."""
+
+
+@lru_cache(maxsize=16)
+def _point_type(n: int, p: int) -> np.dtype:
+    """The narrowest integer type indexing every projective point of GF(p)^n."""
+    return np.dtype(int_type((p**n - 1) // (p - 1)))
+
+
+def _point_bytes(n: int, k: int, p: int) -> int:
+    return gaussian_binomial(n, k, p) * k * _point_type(n, p).itemsize
 
 
 def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
-    """The batches of :func:`enumerate_subspace_points` for one dimension k.
+    """The batches of :func:`enumerate_subspace_points` for one dimension k,
+    of at most ``cap`` bytes, by first pivot column c = 0, 1, .., n - k.
 
-    Row r of a pivot set's subspaces runs through the p^{f_r} fills of its
-    f_r free entries, so tables[r] lists their points: a row whose leading 1
-    is at column c is the point (p^w - 1)/(p - 1) + tail of
-    :func:`projective_points`, w = n - 1 - c and tail its entries after c
-    read in base p.  The pivot set's subspaces are the Cartesian product of
-    the tables in C order, row 0 most significant, built by broadcasting.
-    A product past the cap is split along its leading rows, and pieces of
-    consecutive pivot sets are joined up to the cap.
+    The subspaces whose first pivot is c are the leading part of
+    GF(p)^{n-c}, whose point indices do not change when the c leading zeros
+    are dropped.  A batch takes the pieces (:func:`_leading_pieces`) that fit
+    in ``cap`` bytes and is written at its own size.  The smaller spaces'
+    whole streams that the pieces read are kept (:func:`_point_stream`), so
+    the dimensions of one request share them.
     """
-    dtype = int_type((p**n - 1) // (p - 1))
-    most = max(1, cap // (max(k, 1) * np.dtype(dtype).itemsize))
-    pending: list[np.ndarray] = []
-    count = 0
-    for pivots, free in _pivot_sets(n, k):
-        tables = []
-        for r, pc in enumerate(pivots):
-            table = np.array([(p ** (n - 1 - pc) - 1) // (p - 1)])
-            for c in (c for row, c in free if row == r):
-                table = (table[:, None] + np.arange(p) * p ** (n - 1 - c)).ravel()
-            tables.append(table.astype(dtype))
-        sizes = [len(t) for t in tables]
-        # the rows after row j fit a batch together: the rows before it take
-        # one combination at a time, and row j is sliced
-        j = next((j for j in range(k) if math.prod(sizes[j + 1 :]) <= most), 0)
-        step = most // math.prod(sizes[j + 1 :])
-        for fixed in itertools.product(*map(range, sizes[:j])):
-            for start in range(0, sizes[j] if k else 1, step):
-                parts = [t[i : i + 1] for t, i in zip(tables, fixed)]
-                parts += [t[start : start + step] for t in tables[j : j + 1]] + tables[j + 1 :]
-                shape = [len(t) for t in parts]
-                size = math.prod(shape)
-                if count + size > most:
-                    yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-                    pending, count = [], 0
-                block = np.empty((*shape, k), dtype)
-                for r, t in enumerate(parts):
-                    block[..., r] = t.reshape([-1 if a == r else 1 for a in range(k)])
-                pending.append(block.reshape(size, k))
-                count += size
-    if pending:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+    dtype = _point_type(n, p)
+    if not k:
+        yield np.zeros((1, 0), dtype)
+        return
+    most = max(1, cap // (k * dtype.itemsize))
+    pieces, count = [], 0
+    for m in range(n, k - 1, -1):
+        for row0, rows in _leading_pieces(m, k, p, most):
+            size = len(row0) * len(rows)
+            if count + size > most:
+                yield _write(np.empty((count, k), dtype), pieces)
+                pieces, count = [], 0
+            pieces.append((row0, rows))
+            count += size
+    yield _write(np.empty((count, k), dtype), pieces)
+
+
+def _point_stream(n: int, k: int, p: int) -> np.ndarray:
+    """The point stream of dimension k of GF(p)^n as one read-only array,
+    kept once per process within :data:`BATCH_CACHE_BYTES`, else built for
+    the caller alone."""
+    if k == 0 or k > n:
+        return np.zeros((gaussian_binomial(n, k, p), k), _point_type(n, p))
+    if _point_bytes(n, k, p) <= BATCH_CACHE_BYTES:
+        return _kept_point_stream(n, k, p)
+    return _built_point_stream(n, k, p)
+
+
+def _built_point_stream(n: int, k: int, p: int) -> np.ndarray:
+    """The recursion [n, k] = p^(n-k) [n-1, k-1] + [n-1, k], for 0 < k <= n.
+
+    In lexicographic order the pivot sets holding column 0 come first: the
+    leading part (:func:`_leading_pieces`), written whole.  The others are
+    the subspaces of the last n - 1 coordinates, and a vector with a leading
+    0 has the same point index in GF(p)^n and GF(p)^{n-1}, so the (n - 1, k)
+    stream follows as it is.
+    """
+    out = np.empty((gaussian_binomial(n, k, p), k), _point_type(n, p))
+    tail = _point_stream(n - 1, k, p)
+    _write(out[: len(out) - len(tail)], _leading_pieces(n, k, p, len(out)))
+    out[len(out) - len(tail) :] = tail
+    out.flags.writeable = False
+    return out
+
+
+_kept_point_stream = lru_cache(maxsize=32)(_built_point_stream)
+
+
+def _leading_pieces(n: int, k: int, p: int, most: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The subspaces of GF(p)^n whose first pivot is column 0, in stream
+    order, as pieces (row0, rows) of at most ``most`` subspaces: subspace
+    (f, j) of a piece has row 0 at point row0[f] and rows 1.. at rows[j].
+
+    Rows 1.. run through the (n - 1, k - 1) stream one pivot set at a time;
+    under each pivot set row 0 runs through its p^(n-k) fills
+    (:func:`_groups`), the first fill first, and each fill takes the whole
+    group.  A piece holds as many fills as fit, or a slice of a group past
+    ``most`` under one fill.
+    """
+    sub = _point_stream(n - 1, k - 1, p)
+    sizes, heads = _groups(n - 1, k - 1, p)[0], _groups(n, k, p)[1]
+    start = 0
+    for group, size in enumerate(sizes.tolist()):
+        rows = sub[start : start + size]
+        start += size
+        step = max(1, most // size)
+        for f in range(0, len(heads), step):
+            for j in range(0, size, most):
+                yield heads[f : f + step, group], rows[j : j + most]
+
+
+@lru_cache(maxsize=64)
+def _groups(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, heads) for the (n, k) stream, 0 <= k <= n: sizes[g] is the
+    size p^free of its g-th pivot set, and heads[f, g] the point index of
+    row 0 = e_0 + the f-th fill of the columns off the g-th pivot set Q of
+    the (n - 1, k - 1) stream, the first free column most significant.
+
+    Both follow the recursion of :func:`_built_point_stream`.  The groups
+    are those of the leading part, p^(n-k) times those of (n - 1, k - 1),
+    then those of (n - 1, k).  The sets Q holding column 1 come first, and
+    their heads are those of the (n - 1, k - 1) leading part, moved by the
+    difference p^(n-2) of the two leading parts' first points.  For the
+    others column 1 is free, and its digit d, the most significant, adds
+    d * p^(n-2) to the heads of the (n - 1, k) leading part, moved alike.
+    """
+    if k == 0:
+        return np.ones(1, np.int64), np.zeros((p**n, 0), np.int64)
+    if k == n:
+        return np.ones(1, np.int64), np.array([[(p ** (n - 1) - 1) // (p - 1)]])
+    sub_sizes, sub_heads = _groups(n - 1, k - 1, p)
+    rest_sizes, rest_heads = _groups(n - 1, k, p)
+    sizes = np.concatenate([p ** (n - k) * sub_sizes, rest_sizes])
+    spread = (np.arange(p) * p ** (n - 2))[:, None, None] + rest_heads
+    heads = np.concatenate([sub_heads, spread.reshape(p ** (n - k), -1)], axis=1)
+    return sizes, heads + p ** (n - 2)
+
+
+def _write(out: np.ndarray, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Write pieces of :func:`_leading_pieces` into consecutive rows of
+    ``out``, two broadcast assignments each, and return ``out``."""
+    start = 0
+    for row0, rows in pieces:
+        block = out[start : start + len(row0) * len(rows)].reshape(len(row0), len(rows), -1)
+        block[..., 0] = row0[:, None]
+        block[..., 1:] = rows
+        start += len(row0) * len(rows)
+    return out
 
 
 def _coordinate_batches(n: int):
@@ -448,8 +540,12 @@ largest takes 50 KB), and so are the coordinate subspaces of dimension 2 up
 to n = 20 (76 KB).  GF(2)^7 in dimension 3 (578 KB) and GF(3)^6 in
 dimension 2 (396 KB) are streamed.  As points, every dimension of GF(2)^7
 and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes 203 KB), and GF(2)^8 in
-dimension 3 (583 KB) is streamed.  At most 16 streams are kept, so the
-cache never holds more than 4 MB."""
+dimension 3 (583 KB) is streamed.  At most 16 streams of batches are kept,
+and at most 32 whole point streams of smaller spaces (:func:`_point_stream`),
+each within this cap, so together they never hold more than 12 MB.  Beside
+them the recursion keeps at most 64 pairs of group tables (:func:`_groups`),
+one integer per pivot set and per fill and pivot set of a leading part:
+25 KB in all after a scan of GF(2)^8."""
 
 
 def retained_batches(size: int, batches, *args) -> Iterable[np.ndarray]:

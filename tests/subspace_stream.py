@@ -29,8 +29,9 @@ def canonical_order(n, dims, p):
             free = [
                 (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivots
             ]
+            units = [[int(c == pc) for c in range(n)] for pc in pivots]
             for fill in itertools.product(range(p), repeat=len(free)):
-                rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+                rows = [row[:] for row in units]
                 for (r, c), v in zip(free, fill):
                     rows[r][c] = v
                 yield rows

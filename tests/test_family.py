@@ -6,6 +6,7 @@ from raagcheeger import (
     GF2,
     GF3,
     GF5,
+    QQ,
     Budgets,
     SimplicialGraph,
     build_triple,
@@ -108,6 +109,17 @@ def test_budget_violations_are_inconclusive_not_fatal():
     )
     assert report.entries[0].method == "exact"
     assert report.entries[1].method == "inconclusive"
+    assert report.verdict == VERDICT_INCONCLUSIVE
+
+
+def test_rational_triples_are_inconclusive_not_fatal():
+    # the exhaustive scans enumerate prime fields only: over the rationals
+    # q-valence falls back to the coordinate value, exact for cup-product
+    # triples, and the Cheeger value is left open
+    report = triple_family_report([build_triple(cycle(n), QQ) for n in (4, 5)])
+    assert [(e.size, e.valence, e.valence_method, e.cheeger, e.method) for e in report.entries] == [
+        (4, 2, "coordinate", None, "inconclusive"), (5, 2, "coordinate", None, "inconclusive")]
+    assert all("non-enumerable field" in e.note for e in report.entries)
     assert report.verdict == VERDICT_INCONCLUSIVE
 
 

@@ -299,6 +299,51 @@ def test_point_stream_splits_pivot_sets_at_any_cap(monkeypatch, cap):
         linalg._retained.cache_clear()
 
 
+@pytest.mark.parametrize("p, most", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
+    # the rows the stream names are the library-free order, row for row; the
+    # first p^(n-k) [n-1, k-1] subspaces have a pivot at column 0 and the
+    # others none, as the recursion builds them.  Streamed with the cache cap
+    # at 0, and for the small spaces in batches of 10 bytes, so that pieces
+    # split groups and fills, the stream names the same rows
+    def stream(n, k):
+        batches = [at for _, at in linalg.enumerate_subspace_points(n, [k], Field.gf(p))]
+        assert all(at.dtype == linalg.int_type(len(linalg.projective_points(n, p))) for at in batches)
+        return np.concatenate(batches)
+
+    linalg._retained.cache_clear()
+    linalg._kept_point_stream.cache_clear()
+    kept = {}
+    try:
+        for n in range(most + 1):
+            for k in range(n + 1):
+                if n:
+                    assert gaussian_binomial(n, k, p) == (
+                        p ** (n - k) * gaussian_binomial(n - 1, k - 1, p) + gaussian_binomial(n - 1, k, p))
+                kept[n, k] = at = stream(n, k)
+                rows = linalg.projective_points(n, p)[at]
+                canon = canonical_order(n, [k], p)
+                for start in range(0, len(rows), 4096):
+                    chunk = list(itertools.islice(canon, 4096))
+                    assert rows[start : start + 4096].tolist() == chunk, (n, k, p, start)
+                assert next(canon, None) is None
+                lead = p ** (n - k) * gaussian_binomial(n - 1, k - 1, p)
+                column0 = rows[..., :1].any(axis=(1, 2))
+                assert column0[:lead].all() and not column0[lead:].any()
+        linalg._kept_point_stream.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "BATCH_CACHE_BYTES", 0)
+            for cap, largest in ((linalg.POINT_BATCH_BYTES, most), (10, min(most, 5))):
+                m.setattr(linalg, "POINT_BATCH_BYTES", cap)
+                for n in range(largest + 1):
+                    for k in range(n + 1):
+                        assert (stream(n, k) == kept[n, k]).all(), (n, k, p, cap)
+            assert linalg._kept_point_stream.cache_info().currsize == 0
+    finally:
+        linalg._retained.cache_clear()
+        linalg._kept_point_stream.cache_clear()
+
+
 @pytest.mark.parametrize("p, n, dtype", [(5, 5, np.int8), (79, 5, np.int16), (101, 5, np.int32)])
 def test_reduce_mod_is_python_mod_over_the_kernel_range(p, n, dtype):
     # the rank kernel reduces values in [-p(p - 1), n(p - 1)^2] in the

@@ -362,6 +362,20 @@ def test_exhaustive_cheeger_budget_message():
             cheeger_constant_exhaustive(t, Budgets(subspace_work=49))
 
 
+def test_exhaustive_refusal_advises_the_coordinate_scan_only_where_admitted():
+    # GF(2)^9 has 255 coordinate subspaces of dimension 1..4, within the
+    # default cap; C20's triple has 616,665 of dimension 1..10, past it, so
+    # its refusal gives no advice that a second refusal would contradict
+    with pytest.raises(BudgetError, match="; the coordinate fast path stays exact"):
+        cheeger_constant_exhaustive(random_triple(9, 2, GF2, 1))
+    assert cheeger_constant_coordinate(random_triple(9, 2, GF2, 1)).subspaces_visited == 255
+    c20 = build_triple(cycle(20), GF2)
+    with pytest.raises(BudgetError, match=r"\(raise with --budget-subspaces\)$"):
+        cheeger_constant_exhaustive(c20)
+    with pytest.raises(BudgetError, match="visit 616665 subspaces"):
+        cheeger_constant_coordinate(c20)
+
+
 @pytest.mark.parametrize("field", [GF2, QQ])
 def test_coordinate_cheeger_budget_counts_its_subspaces(field):
     # GF(2)^6 and QQ^6 both have 6 + 15 + 20 coordinate subspaces of dimension 1..3
