@@ -139,12 +139,14 @@ def _family_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
 
 def _resolve_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
     all_graphs = getattr(args, "all_graphs", None)
-    if sum(1 for flag in (args.input, all_graphs, args.family) if flag) != 1:
+    if sum(source is not None for source in (args.input, all_graphs, args.family)) != 1:
         raise GraphError("give exactly one of --input, --all-graphs, or --family/--sizes")
-    if args.input:
+    if args.input is not None:
         return [_load_graph(p) for p in args.input]
-    if all_graphs:
+    if all_graphs is not None:
         return list(labeled_graphs(all_graphs))
+    if not args.sizes:
+        raise GraphError(f"--family {args.family} needs at least one size in --sizes")
     return _family_graphs(args)
 
 

@@ -10,9 +10,9 @@ completed to bases of the whole space, the input of the rank kernel of
 :mod:`raagcheeger.pairing`, built pivot set by pivot set.  The point stream
 names each RREF row by its row in :func:`projective_points`, the input of
 the zero-set kernel of :mod:`raagcheeger.zerosets`; it builds no bases, and
-is assembled from the point streams of smaller spaces by the recursion of
-the Gaussian binomials.  The batches of one dimension depend only on
-(n, k, p) and the batch size, so where they take at most
+every part of it is read from one smaller stream, that of GF(p)^{n-1} in
+dimension k - 1.  The batches of one dimension depend only on (n, k, p)
+and the batch size, so where they take at most
 :data:`BATCH_CACHE_BYTES` they are built once per process and served
 read-only from an lru cache (:func:`retained_batches`), as are those of the
 coordinate subspaces that the coordinate scan reads, completed the same way;
@@ -247,16 +247,10 @@ def _popcount_table() -> np.ndarray:
 
 SUBSPACE_CHUNK = 512
 """Most subspaces in one batch of :func:`enumerate_subspaces` and of the
-coordinate stream, which only the rank kernel reads.  numpy's per-call cost
-dominates that kernel, so larger batches run faster but hold larger
-temporaries.  The chunk now serves the coordinate scans and the exhaustive
-scans the zero-set gate refuses; the kernel's third input, a single
-subspace, is a batch of one.  The figures below were measured with perfbench
-(seed 1, ``--seconds 10``, two runs each, shared 2-vCPU machine) when every
-exhaustive scan still eliminated: subspace-scan ``wall_s`` was 0.133 s at
-256, 0.115-0.121 s at 512 and 0.121-0.122 s at 1024, with ``peak_rss_mb``
-36.6-36.8, 37.1-37.2 and 38.2 MB; dictionary-sweep's ``peak_rss_mb`` was
-37.5, 37.9-38.1 and 38.9 MB.  1024 bought no time for another megabyte."""
+coordinate stream, which only the rank kernel reads: the coordinate scans,
+the exhaustive scans the zero-set gate refuses and, as a batch of one, a
+single subspace.  numpy's per-call cost dominates that kernel, so a larger
+chunk pays fewer numpy calls per batch but holds larger temporaries."""
 
 
 def enumerate_subspaces(
@@ -306,12 +300,14 @@ def enumerate_subspace_points(
     takes at most :data:`POINT_BATCH_BYTES` and is retained or streamed like
     the bases.
 
-    The stream of dimension k of GF(p)^n is built from those of GF(p)^{n-1}
-    (:func:`_point_batches`): first the subspaces with a pivot at column 0,
-    row 0's p^(n-k) fills times the (n - 1, k - 1) stream, then the
-    (n - 1, k) stream as it is.  The smaller streams within
-    :data:`BATCH_CACHE_BYTES` are kept, so the dimensions of one request,
-    and of later ones, share them.
+    The stream of dimension k of GF(p)^n is read from the (n - 1, k - 1)
+    stream (:func:`_pieces`): the subspaces whose first pivot is column c
+    are row 0's p^(n-k-c) fills times the tail of that stream that is the
+    (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is kept when it
+    takes at most :data:`BATCH_CACHE_BYTES`, so the dimensions of one
+    request, and of later ones, share it; past that cap it is built whole
+    for the dimension that streams it, and held while that dimension
+    streams.
     """
     n = ambient_dim
     p, dims = _checked_request(n, dims, field, budgets)
@@ -393,29 +389,21 @@ def _point_bytes(n: int, k: int, p: int) -> int:
 
 def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
     """The batches of :func:`enumerate_subspace_points` for one dimension k,
-    of at most ``cap`` bytes, by first pivot column c = 0, 1, .., n - k.
-
-    The subspaces whose first pivot is c are the leading part of
-    GF(p)^{n-c}, whose point indices do not change when the c leading zeros
-    are dropped.  A batch takes the pieces (:func:`_leading_pieces`) that fit
-    in ``cap`` bytes and is written at its own size.  The smaller spaces'
-    whole streams that the pieces read are kept (:func:`_point_stream`), so
-    the dimensions of one request share them.
-    """
+    of at most ``cap`` bytes, each written at its own size from the pieces
+    (:func:`_pieces`) that fit."""
     dtype = _point_type(n, p)
     if not k:
         yield np.zeros((1, 0), dtype)
         return
     most = max(1, cap // (k * dtype.itemsize))
     pieces, count = [], 0
-    for m in range(n, k - 1, -1):
-        for row0, rows in _leading_pieces(m, k, p, most):
-            size = len(row0) * len(rows)
-            if count + size > most:
-                yield _write(np.empty((count, k), dtype), pieces)
-                pieces, count = [], 0
-            pieces.append((row0, rows))
-            count += size
+    for row0, rows in _pieces(n, k, p, most):
+        size = len(row0) * len(rows)
+        if count + size > most:
+            yield _write(np.empty((count, k), dtype), pieces)
+            pieces, count = [], 0
+        pieces.append((row0, rows))
+        count += size
     yield _write(np.empty((count, k), dtype), pieces)
 
 
@@ -423,26 +411,18 @@ def _point_stream(n: int, k: int, p: int) -> np.ndarray:
     """The point stream of dimension k of GF(p)^n as one read-only array,
     kept once per process within :data:`BATCH_CACHE_BYTES`, else built for
     the caller alone."""
-    if k == 0 or k > n:
-        return np.zeros((gaussian_binomial(n, k, p), k), _point_type(n, p))
+    if k == 0:
+        return np.zeros((1, 0), _point_type(n, p))
     if _point_bytes(n, k, p) <= BATCH_CACHE_BYTES:
         return _kept_point_stream(n, k, p)
     return _built_point_stream(n, k, p)
 
 
 def _built_point_stream(n: int, k: int, p: int) -> np.ndarray:
-    """The recursion [n, k] = p^(n-k) [n-1, k-1] + [n-1, k], for 0 < k <= n.
-
-    In lexicographic order the pivot sets holding column 0 come first: the
-    leading part (:func:`_leading_pieces`), written whole.  The others are
-    the subspaces of the last n - 1 coordinates, and a vector with a leading
-    0 has the same point index in GF(p)^n and GF(p)^{n-1}, so the (n - 1, k)
-    stream follows as it is.
-    """
+    """The point stream of dimension k of GF(p)^n, 0 < k <= n, written whole
+    from its pieces."""
     out = np.empty((gaussian_binomial(n, k, p), k), _point_type(n, p))
-    tail = _point_stream(n - 1, k, p)
-    _write(out[: len(out) - len(tail)], _leading_pieces(n, k, p, len(out)))
-    out[len(out) - len(tail) :] = tail
+    _write(out, _pieces(n, k, p, len(out)))
     out.flags.writeable = False
     return out
 
@@ -450,27 +430,32 @@ def _built_point_stream(n: int, k: int, p: int) -> np.ndarray:
 _kept_point_stream = lru_cache(maxsize=32)(_built_point_stream)
 
 
-def _leading_pieces(n: int, k: int, p: int, most: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The subspaces of GF(p)^n whose first pivot is column 0, in stream
-    order, as pieces (row0, rows) of at most ``most`` subspaces: subspace
-    (f, j) of a piece has row 0 at point row0[f] and rows 1.. at rows[j].
+def _pieces(n: int, k: int, p: int, most: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (n, k) stream, 0 < k <= n, in order, as pieces (row0, rows) of at
+    most ``most`` subspaces: subspace (f, j) of a piece has row 0 at point
+    row0[f] and rows 1.. at rows[j].
 
-    Rows 1.. run through the (n - 1, k - 1) stream one pivot set at a time;
-    under each pivot set row 0 runs through its p^(n-k) fills
-    (:func:`_groups`), the first fill first, and each fill takes the whole
-    group.  A piece holds as many fills as fit, or a slice of a group past
-    ``most`` under one fill.
+    The subspaces whose first pivot is column n - m, m = n, n - 1, .., k, are
+    those of GF(p)^m with a pivot at column 0: point indices do not change
+    when leading zeros are dropped.  Their rows 1.. run through the
+    (m - 1, k - 1) stream, the tail of the (n - 1, k - 1) one, one pivot set
+    at a time; under each pivot set row 0 runs through its p^(m-k) fills
+    (:func:`_groups`), and each fill takes the whole group.  A piece holds
+    as many fills as fit, or a slice of a group past ``most`` under one fill.
     """
     sub = _point_stream(n - 1, k - 1, p)
-    sizes, heads = _groups(n - 1, k - 1, p)[0], _groups(n, k, p)[1]
-    start = 0
-    for group, size in enumerate(sizes.tolist()):
-        rows = sub[start : start + size]
-        start += size
-        step = max(1, most // size)
-        for f in range(0, len(heads), step):
-            for j in range(0, size, most):
-                yield heads[f : f + step, group], rows[j : j + most]
+    sub_sizes = _groups(n - 1, k - 1, p)[0]
+    for m in range(n, k - 1, -1):
+        sizes = sub_sizes[-math.comb(m - 1, k - 1) :]
+        heads = _groups(m, k, p)[1]
+        start = len(sub) - gaussian_binomial(m - 1, k - 1, p)
+        for group, size in enumerate(sizes.tolist()):
+            rows = sub[start : start + size]
+            start += size
+            step = max(1, most // size)
+            for f in range(0, len(heads), step):
+                for j in range(0, size, most):
+                    yield heads[f : f + step, group], rows[j : j + most]
 
 
 @lru_cache(maxsize=64)
@@ -480,9 +465,10 @@ def _groups(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     row 0 = e_0 + the f-th fill of the columns off the g-th pivot set Q of
     the (n - 1, k - 1) stream, the first free column most significant.
 
-    Both follow the recursion of :func:`_built_point_stream`.  The groups
-    are those of the leading part, p^(n-k) times those of (n - 1, k - 1),
-    then those of (n - 1, k).  The sets Q holding column 1 come first, and
+    Both follow the recursion [n, k] = p^(n-k) [n-1, k-1] + [n-1, k] of
+    the stream: the groups are those of the leading part, whose pivot sets
+    hold column 0, p^(n-k) times those of (n - 1, k - 1), then those of
+    (n - 1, k).  The sets Q holding column 1 come first, and
     their heads are those of the (n - 1, k - 1) leading part, moved by the
     difference p^(n-2) of the two leading parts' first points.  For the
     others column 1 is free, and its digit d, the most significant, adds
@@ -501,7 +487,7 @@ def _groups(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write(out: np.ndarray, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Write pieces of :func:`_leading_pieces` into consecutive rows of
+    """Write pieces of :func:`_pieces` into consecutive rows of
     ``out``, two broadcast assignments each, and return ``out``."""
     start = 0
     for row0, rows in pieces:
@@ -542,10 +528,14 @@ dimension 2 (396 KB) are streamed.  As points, every dimension of GF(2)^7
 and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes 203 KB), and GF(2)^8 in
 dimension 3 (583 KB) is streamed.  At most 16 streams of batches are kept,
 and at most 32 whole point streams of smaller spaces (:func:`_point_stream`),
-each within this cap, so together they never hold more than 12 MB.  Beside
-them the recursion keeps at most 64 pairs of group tables (:func:`_groups`),
-one integer per pivot set and per fill and pivot set of a leading part:
-25 KB in all after a scan of GF(2)^8."""
+each within this cap, so together the kept arrays never hold more than
+12 MB; a scan of dimensions 1..4 of GF(2)^8 keeps 6 of them.  Beside them
+the recursion keeps at most 64 pairs of group tables (:func:`_groups`), one
+integer per pivot set and per fill and pivot set of a leading part: 25 KB
+in all after a scan of GF(2)^8.  A streamed dimension also holds its
+(n - 1, k - 1) stream whole while it streams: 4.7 MB for dimension 4 of
+GF(2)^10 (past the default budget), at most 35 KB (GF(2)^7 in dimension 3)
+in the scans up to n/2 that the default budget admits."""
 
 
 def retained_batches(size: int, batches, *args) -> Iterable[np.ndarray]:

@@ -310,6 +310,22 @@ def test_verify_commands_name_their_field(argv, field, capsys):
     )
 
 
+@pytest.mark.parametrize("name", ["verify-theorem", "family-report"])
+def test_family_without_sizes_is_refused(name, capsys):
+    # a family with no size names no graph: a check of none would pass and
+    # a report of none would print a verdict
+    assert main([name, "--family", "cycle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--sizes" in err
+
+
+def test_all_graphs_zero_checks_the_graph_on_no_vertices(capsys):
+    # N = 0 is a source of one graph, not an absent flag
+    assert main(["verify-theorem", "--all-graphs", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["checked"], out["failed"]) == (1, 0)
+
+
 def test_seed_controls_random_regular():
     a = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")
     b = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")

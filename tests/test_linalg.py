@@ -330,6 +330,7 @@ def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
                 lead = p ** (n - k) * gaussian_binomial(n - 1, k - 1, p)
                 column0 = rows[..., :1].any(axis=(1, 2))
                 assert column0[:lead].all() and not column0[lead:].any()
+                assert k == n or np.array_equal(at[lead:], kept[n - 1, k]), (n, k, p)
         linalg._kept_point_stream.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(linalg, "BATCH_CACHE_BYTES", 0)
@@ -339,6 +340,30 @@ def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
                     for k in range(n + 1):
                         assert (stream(n, k) == kept[n, k]).all(), (n, k, p, cap)
             assert linalg._kept_point_stream.cache_info().currsize == 0
+    finally:
+        linalg._retained.cache_clear()
+        linalg._kept_point_stream.cache_clear()
+
+
+def test_point_stream_keeps_only_the_streams_it_reads():
+    # dimension k of GF(2)^8 reads the (7, k - 1) stream, which reads
+    # (6, k - 2), down to dimension 1; every other smaller stream is a tail
+    # of one of these, so none is built.  Asking for the kept ones again
+    # hits the cache each time and adds nothing to it
+    streams = {4: [(7, 3), (6, 2), (5, 1)], 3: [(7, 2), (6, 1)], 2: [(7, 1)], 1: []}
+    linalg._retained.cache_clear()
+    try:
+        for dims in ([4], [1, 2, 3, 4]):
+            linalg._kept_point_stream.cache_clear()
+            for _ in linalg.enumerate_subspace_points(8, dims, GF2):
+                pass
+            kept = [key for k in dims for key in streams[k]]
+            before = linalg._kept_point_stream.cache_info()
+            for n, k in kept:
+                linalg._kept_point_stream(n, k, 2)
+            after = linalg._kept_point_stream.cache_info()
+            assert before.currsize == after.currsize == len(kept), dims
+            assert after.hits - before.hits == len(kept), dims
     finally:
         linalg._retained.cache_clear()
         linalg._kept_point_stream.cache_clear()
