@@ -21,7 +21,6 @@ from .graphs import (
     max_valence,
     path,
     random_regular,
-    sample_labeled_graphs,
     spectral_cheeger_bounds,
     star,
 )
@@ -38,10 +37,8 @@ from .pairing import (
     is_pairing_connected_exhaustive,
     q_valence_coordinate,
     q_valence_exhaustive,
-    random_triple,
-    zero_triple,
 )
-from .raag import RaagTriple, build_triple, max_centralizer_rank, vertex_centralizer_rank
+from .raag import RaagTriple, build_triple, max_centralizer_rank
 from .family import (
     FamilyEntry,
     FamilyReport,

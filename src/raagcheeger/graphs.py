@@ -87,30 +87,10 @@ class SimplicialGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: str) -> int:
-        if v not in self.index:
-            raise GraphError(f"unknown vertex {v!r}")
-        return len(self.adjacency[v])
-
     def edge_index_pairs(self) -> tuple[tuple[int, int], ...]:
         """Edges as (i, j) index pairs with i < j, in canonical order."""
         idx = self.index
         return tuple((idx[u], idx[v]) for u, v in self.edges)
-
-    def induced(self, labels: Iterable[str]) -> "SimplicialGraph":
-        """The full subgraph on ``labels`` (in this graph's vertex order)."""
-        keep = set(labels)
-        for v in keep:
-            if v not in self.index:
-                raise GraphError(f"unknown vertex {v!r}")
-        verts = [v for v in self.vertices if v in keep]
-        edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
-        return SimplicialGraph.of(verts, edges)
-
-    def relabeled(self, mapping: dict[str, str]) -> "SimplicialGraph":
-        verts = [mapping[v] for v in self.vertices]
-        edges = [(mapping[u], mapping[v]) for u, v in self.edges]
-        return SimplicialGraph.of(verts, edges)
 
     # -- serialization -----------------------------------------------------
 
@@ -487,22 +467,11 @@ def margulis_like(m: int) -> SimplicialGraph:
 
 def labeled_graphs(n: int) -> Iterator[SimplicialGraph]:
     """All 2^C(n,2) labeled graphs on vertices v0..v{n-1}, by ascending edge mask."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
     vs = _labels(n)
     pairs = list(itertools.combinations(vs, 2))
-    for mask in range(1 << len(pairs)):
-        yield SimplicialGraph.of(vs, [e for k, e in enumerate(pairs) if (mask >> k) & 1])
-
-
-def sample_labeled_graphs(n: int, count: int, seed: int) -> list[SimplicialGraph]:
-    """Seeded sample of distinct labeled n-vertex graphs, without replacement."""
-    vs = _labels(n)
-    pairs = list(itertools.combinations(vs, 2))
-    total = 1 << len(pairs)
-    if count > total:
-        raise GraphError(f"cannot sample {count} distinct graphs from {total}")
-    rng = random.Random(seed)
-    masks = rng.sample(range(total), count)
-    return [
+    return (
         SimplicialGraph.of(vs, [e for k, e in enumerate(pairs) if (mask >> k) & 1])
-        for mask in masks
-    ]
+        for mask in range(1 << len(pairs))
+    )

@@ -112,6 +112,8 @@ class Subspace:
     Two subspaces are equal iff their spans are equal iff the dataclasses
     compare equal.  Direct construction trusts the caller to pass RREF rows;
     use :meth:`from_vectors` for arbitrary generating sets.
+    :func:`~raagcheeger.pairing.cheeger_of_subspace` refuses a basis that is
+    not canonical.
     """
 
     field: Field

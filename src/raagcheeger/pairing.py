@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -178,13 +177,6 @@ class PairingTriple:
 
 def _pairing(t) -> PairingTriple:
     return getattr(t, "pairing", t)
-
-
-def zero_triple(dim_v: int, dim_w: int, field: Field, symmetry: str = ANTISYMMETRIC) -> PairingTriple:
-    z = field.zero
-    w = tuple(z for _ in range(dim_w))
-    tensor = tuple(tuple(w for _ in range(dim_v)) for _ in range(dim_v))
-    return PairingTriple.of(field, dim_v, dim_w, tensor, symmetry)
 
 
 # -- the rank kernel ---------------------------------------------------------
@@ -335,8 +327,12 @@ def _completed_basis(subspace: Subspace) -> np.ndarray:
 
 
 def cheeger_of_subspace(t, subspace: Subspace) -> Fraction:
-    """(dim V - dim F - dim C + dim(C n F)) / dim F for 0 < dim F <= (dim V)/2."""
+    """(dim V - dim F - dim C + dim(C n F)) / dim F for 0 < dim F <= (dim V)/2.
+
+    Refuses a subspace whose basis is not its own canonical RREF."""
     pt = _pairing(t)
+    if Subspace.from_vectors(subspace.field, subspace.ambient_dim, subspace.basis) != subspace:
+        raise PairingError("subspace basis is not canonical RREF: build it with Subspace.from_vectors")
     j = subspace.dim
     if j == 0 or 2 * j > pt.dim_v:
         raise PairingError(
@@ -610,42 +606,3 @@ def is_alternating(t) -> bool:
             if any(b[e] != f.neg(a[e]) for e in range(pt.dim_w)):
                 return False
     return True
-
-
-# -- random triples ----------------------------------------------------------
-
-
-def random_triple(
-    dim_v: int,
-    dim_w: int,
-    field: Field,
-    seed,
-    symmetry: str = ANTISYMMETRIC,
-) -> PairingTriple:
-    """Seeded random triple with the declared symmetry, over a prime field.
-
-    Antisymmetry forces a zero diagonal in odd characteristic; over GF(2)
-    the diagonal is free and sampled like any other entry.
-    """
-    if not field.is_prime_field:
-        raise PairingError("random triples are generated over prime fields only")
-    if symmetry not in (SYMMETRIC, ANTISYMMETRIC):
-        raise PairingError(f"unsupported symmetry for random triples: {symmetry!r}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    p = field.characteristic
-    grid = [[None] * dim_v for _ in range(dim_v)]
-    for i in range(dim_v):
-        for j in range(i, dim_v):
-            w = tuple(rng.randrange(p) for _ in range(dim_w))
-            if i == j:
-                if symmetry == ANTISYMMETRIC and p != 2:
-                    w = tuple(0 for _ in range(dim_w))
-                grid[i][i] = w
-            else:
-                grid[i][j] = w
-                if symmetry == SYMMETRIC:
-                    grid[j][i] = w
-                else:
-                    grid[j][i] = tuple((-x) % p for x in w)
-    tensor = tuple(tuple(row) for row in grid)
-    return PairingTriple.of(field, dim_v, dim_w, tensor, symmetry)

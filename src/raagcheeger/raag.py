@@ -77,14 +77,6 @@ def build_triple(graph: SimplicialGraph, field: Field) -> RaagTriple:
     return RaagTriple(pairing, graph, vertex_basis, edge_basis)
 
 
-def vertex_centralizer_rank(graph: SimplicialGraph, v: str) -> int:
-    """Rank of the centralizer of a vertex generator: the vertex itself plus
-    the group on its link, so 1 + valence."""
-    if v not in graph.index:
-        raise GraphError(f"unknown vertex {v!r}")
-    return 1 + graph.degree(v)
-
-
 def max_centralizer_rank(graph: SimplicialGraph) -> int:
     """Largest centralizer rank over nontrivial elements: max valence + 1,
     realized on a vertex generator of maximum degree."""

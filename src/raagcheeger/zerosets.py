@@ -38,22 +38,13 @@ leaves, and builds F's points in pieces of at most as much."""
 
 ZERO_SET_WORK = 64
 """The gate admits the zero-set kernel while its table's points^2 * dim W
-entries are at most this many per subspace the scan visits.  Measured
-in-process on random triples (seeds 7-9), caches cleared and point stream
-included, best of 7 interleaved on a shared 2-vCPU machine, as the
-kernel's time over elimination's: every scan up to a ratio of 66 gained,
-from GF(2)^8 and GF(3)^6 (ratios 0.6 and 9, 0.17-0.19 and 0.24-0.25) to
-GF(5)^5 and GF(3)^5 (ratios 58 and 66, 0.78-0.81 and 0.61-0.62).  From 76
-to 228 scans of at least 900 subspaces gain too: GF(5)^4 at 76 (0.82-0.87),
-GF(5)^5 at 87 and 145 (0.54-0.59) and GF(7)^4 at 148 (0.90-0.93); but
-GF(7)^3, whose scans visit 57 subspaces, loses at 114 and 228
-(1.33-1.46).  GF(31)^3 and GF(1009)^2 take 17-41 times as long at 2979 and
-3030.  At any ratio a scan of a few dozen subspaces loses 10-60 us to the
-build, and one that stops early at h = 0 pays for the whole table.  No
-benchmark workload lies between 64 and 228, so a larger gate is unmeasured
-there.  These ratios were measured on the kernel as it was before it
-gathered rows with ``np.take`` and summed popcounts word by word, and the
-gate was not measured again since."""
+entries are at most this many per subspace the scan visits.  It trades the
+table, built once per scan, against elimination's cost per subspace: the
+longer the scan, the more of the build it repays.  It does not see two
+losses: a scan that stops early at h = 0 pays for the whole table, and a
+scan of a few dozen subspaces loses to the build at any ratio.  The
+ratios behind 64 were measured on an earlier form of the kernel and are
+recorded in CHANGES.md; the gate has not been measured again."""
 
 
 def zero_sets_pay(pt) -> bool:

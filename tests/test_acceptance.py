@@ -39,14 +39,13 @@ from raagcheeger import (
     q_valence_coordinate,
     q_valence_exhaustive,
     random_regular,
-    random_triple,
-    sample_labeled_graphs,
     spectral_cheeger_bounds,
     star,
 )
 from raagcheeger.pairing import augment_triple
 
 from decomposition_oracle import pairing_connected_by_decomposition
+from generators import random_triple, sample_labeled_graphs
 
 pytestmark = pytest.mark.acceptance
 

@@ -326,6 +326,16 @@ def test_all_graphs_zero_checks_the_graph_on_no_vertices(capsys):
     assert (out["checked"], out["failed"]) == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify-theorem", "--all-graphs", "-1"], ["verify-invariance", "--all-graphs", "-2"]]
+)
+def test_negative_all_graphs_is_refused(argv, capsys):
+    # a negative vertex count names no graph, not the graph on no vertices
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "nonnegative" in err
+
+
 def test_seed_controls_random_regular():
     a = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")
     b = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")

@@ -18,18 +18,18 @@ from raagcheeger import (
     labeled_graphs,
     margulis_like,
     path,
-    sample_labeled_graphs,
     star,
     triple_family_report,
     verify_augmentation,
     verify_main_theorem,
-    zero_triple,
 )
 from raagcheeger.family import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_EXPANDER,
 )
+
+from generators import sample_labeled_graphs, zero_triple
 
 VERDICTS = {VERDICT_CONSISTENT, VERDICT_NOT_EXPANDER, VERDICT_INCONCLUSIVE}
 

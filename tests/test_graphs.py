@@ -152,7 +152,8 @@ def test_cheeger_invariant_under_relabeling():
         names = [f"x{i}" for i in range(g.n_vertices)]
         rng.shuffle(names)
         h1 = cheeger_graph_exact(g).value
-        h2 = cheeger_graph_exact(g.relabeled(dict(zip(g.vertices, names)))).value
+        to = dict(zip(g.vertices, names))
+        h2 = cheeger_graph_exact(SimplicialGraph.of(names, [(to[u], to[v]) for u, v in g.edges])).value
         assert h1 == h2
 
 
@@ -348,7 +349,7 @@ def test_spectral_rejects_disconnected_and_tiny():
 def test_cycle_generator():
     g = cycle(4)
     assert g.n_vertices == 4 and g.n_edges == 4
-    assert all(g.degree(v) == 2 for v in g.vertices)
+    assert all(len(g.adjacency[v]) == 2 for v in g.vertices)
     with pytest.raises(GraphError):
         cycle(2)
 
@@ -356,7 +357,7 @@ def test_cycle_generator():
 def test_margulis_like_shape():
     g = margulis_like(3)
     assert g.n_vertices == 9
-    assert all(g.degree(v) <= 8 for v in g.vertices)
+    assert all(len(g.adjacency[v]) <= 8 for v in g.vertices)
     assert is_connected(g)
     with pytest.raises(GraphError):
         margulis_like(1)
@@ -364,11 +365,11 @@ def test_margulis_like_shape():
 
 def test_random_regular_structure():
     g = random_regular(6, 2, seed=7)
-    assert all(g.degree(v) == 2 for v in g.vertices)
+    assert all(len(g.adjacency[v]) == 2 for v in g.vertices)
     assert g.n_edges == 6
     assert random_regular(6, 2, seed=7) == g  # deterministic
     g3 = random_regular(8, 3, seed=1)
-    assert all(g3.degree(v) == 3 for v in g3.vertices)
+    assert all(len(g3.adjacency[v]) == 3 for v in g3.vertices)
     with pytest.raises(GraphError, match="unsatisfiable"):
         random_regular(5, 3, seed=0)
     with pytest.raises(GraphError, match="unsatisfiable"):
@@ -378,6 +379,12 @@ def test_random_regular_structure():
 def test_star_and_edgeless():
     assert star(3).n_vertices == 4 and max_valence(star(3)) == 3
     assert edgeless(4).n_edges == 0
+
+
+def test_labeled_graphs_refuse_a_negative_vertex_count():
+    with pytest.raises(GraphError, match="nonnegative"):
+        labeled_graphs(-1)
+    assert [g.n_vertices for g in labeled_graphs(0)] == [0]
 
 
 # -- serialization -------------------------------------------------------------------

@@ -45,12 +45,11 @@ from raagcheeger import (
     path,
     q_valence_coordinate,
     q_valence_exhaustive,
-    random_triple,
     star,
-    zero_triple,
 )
 
 from complement_oracle import apply_pairing, orthogonal_complement, subspace_intersection
+from generators import random_triple, zero_triple
 from decomposition_oracle import pairing_connected_by_decomposition
 from qvalence_oracle import q_valence_by_basis_pairs
 from subspace_stream import canonical_order, subspaces as subspace_stream
@@ -325,6 +324,16 @@ def test_h_precondition_enforced():
     with pytest.raises(PairingError):
         # dim 2 > 3/2: not admissible
         cheeger_of_subspace(t, span(GF2, 3, (1, 0, 0), (0, 0, 1)))
+
+
+def test_h_refuses_a_basis_that_is_not_canonical():
+    # a directly built Subspace is trusted to hold RREF rows: the repeated
+    # row spans <e0>, whose h is 2, and the zero row has no leading entry
+    t = build_triple(cycle(4), GF2)
+    for rows in (((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 1, 0, 0), (0, 0, 0, 0))):
+        with pytest.raises(PairingError, match="Subspace.from_vectors"):
+            cheeger_of_subspace(t, Subspace(GF2, 4, rows))
+    assert cheeger_of_subspace(t, span(GF2, 4, (1, 0, 0, 0), (1, 0, 0, 0))) == 2
 
 
 def test_exhaustive_cheeger_p3():
