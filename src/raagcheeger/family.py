@@ -38,7 +38,7 @@ from .pairing import (
     q_valence_coordinate,
     q_valence_exhaustive,
 )
-from .raag import RaagTriple, build_triple, max_centralizer_rank
+from .raag import build_triple, max_centralizer_rank
 
 VERDICT_CONSISTENT = "consistent-with-expander"
 VERDICT_NOT_EXPANDER = "not-expander"

@@ -11,12 +11,12 @@ completed to bases of the whole space, the input of the rank kernel of
 names each RREF row by its row in :func:`projective_points`, the input of
 the zero-set kernel of :mod:`raagcheeger.zerosets`; it builds no bases, and
 every part of it is read from one smaller stream, that of GF(p)^{n-1} in
-dimension k - 1.  The batches of one dimension depend only on (n, k, p)
-and the batch size, so where they take at most
-:data:`BATCH_CACHE_BYTES` they are built once per process and served
-read-only from an lru cache (:func:`retained_batches`), as are those of the
-coordinate subspaces that the coordinate scan reads, completed the same way;
-larger dimensions are streamed lazily, as they are built.
+dimension k - 1.  A dimension's stream depends only on (n, k, p), so one
+that takes at most :data:`BATCH_CACHE_BYTES` is built once per process as
+one read-only array in an lru cache, and its batches are views of that
+array; so is the smaller stream the point stream reads, and the coordinate
+subspaces that the coordinate scan reads, completed the same way.  Larger
+dimensions are streamed lazily, as they are built.
 The projective points of GF(p)^n and their codes, which the q-valence
 min-max and the zero-set kernel index by, are built once per (n, p) in
 small lru caches.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -275,17 +276,17 @@ def enumerate_subspaces(
     sets.  Past the budgets (see :meth:`Budgets.check_subspaces`) the first
     ``next`` raises :class:`BudgetError` before any work.
 
-    The batches depend only on (n, k, p) and the chunk, so a dimension whose
-    batches take at most :data:`BATCH_CACHE_BYTES` is built once per process
-    and served read-only from :func:`retained_batches` (one ``verify-theorem``
-    call scans many triples of one size); a larger one is streamed lazily.
+    A dimension that takes at most :data:`BATCH_CACHE_BYTES` is built once
+    per process and its batches are read-only views of the kept array (one
+    ``verify-theorem`` call scans many triples of one size); a larger one is
+    streamed lazily.
     """
     n = ambient_dim
     p, dims = _checked_request(n, dims, field, budgets)
     itemsize = np.dtype(int_type(p - 1)).itemsize
     for k in dims:
         size = gaussian_binomial(n, k, p) * n * n * itemsize
-        for bases in retained_batches(size, _subspace_batches, n, k, p, SUBSPACE_CHUNK):
+        for bases in _stream(size, SUBSPACE_CHUNK, _subspace_batches, n, k, p):
             yield k, bases
 
 
@@ -299,23 +300,24 @@ def enumerate_subspace_points(
     its checks, as ``(k, points)``: ``points[b, r]`` is the row of
     :func:`projective_points` holding row r of the b-th subspace's RREF
     basis, in the narrowest integer type that indexes every point.  A batch
-    takes at most :data:`POINT_BATCH_BYTES` and is retained or streamed like
+    takes at most :data:`POINT_BATCH_BYTES` and is kept or streamed like
     the bases.
 
     The stream of dimension k of GF(p)^n is read from the (n - 1, k - 1)
     stream (:func:`_pieces`): the subspaces whose first pivot is column c
     are row 0's p^(n-k-c) fills times the tail of that stream that is the
-    (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is kept when it
-    takes at most :data:`BATCH_CACHE_BYTES`, so the dimensions of one
-    request, and of later ones, share it; past that cap it is built whole
-    for the dimension that streams it, and held while that dimension
-    streams.
+    (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is kept in the
+    same cache when it takes at most :data:`BATCH_CACHE_BYTES`, so the
+    dimensions of one request, and of later ones, share it, and a dimension
+    scanned in one space is the same array as the one read for the next
+    larger space; past that cap it is built whole for the dimension that
+    streams it, and held while that dimension streams.
     """
     n = ambient_dim
     p, dims = _checked_request(n, dims, field, budgets)
     for k in dims:
-        size = _point_bytes(n, k, p)
-        for points in retained_batches(size, _point_batches, n, k, p, POINT_BATCH_BYTES):
+        most = max(1, POINT_BATCH_BYTES // (max(k, 1) * _point_type(n, p).itemsize))
+        for points in _stream(_point_bytes(n, k, p), most, _point_batches, n, k, p):
             yield k, points
 
 
@@ -342,8 +344,9 @@ def _pivot_sets(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[in
         ]
 
 
-def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray]:
-    """The batches of :func:`enumerate_subspaces` for one dimension k."""
+def _subspace_batches(n: int, k: int, p: int, most: int) -> Iterator[np.ndarray]:
+    """The batches of :func:`enumerate_subspaces` for one dimension k, of
+    ``most`` subspaces but the last."""
     dtype = int_type(p - 1)
     pending: list[np.ndarray] = []
     count = 0
@@ -359,14 +362,14 @@ def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray
         free_cols = [c for _, c in free]
         start = 0
         while start < total:
-            stop = min(total, start + chunk - count)
+            stop = min(total, start + most - count)
             bases = np.repeat(base[None], stop - start, axis=0)
             fills = np.arange(start, stop, dtype=ftype)[:, None] // powers
             bases[:, free_rows, free_cols] = reduce_mod(fills, p)
             pending.append(bases)
             count += stop - start
             start = stop
-            if count == chunk:
+            if count == most:
                 yield np.concatenate(pending)
                 pending, count = [], 0
     if pending:
@@ -374,9 +377,10 @@ def _subspace_batches(n: int, k: int, p: int, chunk: int) -> Iterator[np.ndarray
 
 
 POINT_BATCH_BYTES = 1 << 14
-"""Largest batch of :func:`enumerate_subspace_points`, in bytes.  Each batch
-is written at its own size from the pieces that fit, so a streamed
-dimension holds the batch being written beside the one its reader has."""
+"""Largest batch of :func:`enumerate_subspace_points`, in bytes.  A kept
+dimension serves slices of as many subspaces as fit; a streamed one writes
+each batch at its own size from the pieces that fit, so it holds the batch
+being written beside the one its reader has."""
 
 
 @lru_cache(maxsize=16)
@@ -389,15 +393,14 @@ def _point_bytes(n: int, k: int, p: int) -> int:
     return gaussian_binomial(n, k, p) * k * _point_type(n, p).itemsize
 
 
-def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
+def _point_batches(n: int, k: int, p: int, most: int) -> Iterator[np.ndarray]:
     """The batches of :func:`enumerate_subspace_points` for one dimension k,
-    of at most ``cap`` bytes, each written at its own size from the pieces
-    (:func:`_pieces`) that fit."""
+    of at most ``most`` subspaces, each written at its own size from the
+    pieces (:func:`_pieces`) that fit."""
     dtype = _point_type(n, p)
     if not k:
         yield np.zeros((1, 0), dtype)
         return
-    most = max(1, cap // (k * dtype.itemsize))
     pieces, count = [], 0
     for row0, rows in _pieces(n, k, p, most):
         size = len(row0) * len(rows)
@@ -407,29 +410,6 @@ def _point_batches(n: int, k: int, p: int, cap: int) -> Iterator[np.ndarray]:
         pieces.append((row0, rows))
         count += size
     yield _write(np.empty((count, k), dtype), pieces)
-
-
-def _point_stream(n: int, k: int, p: int) -> np.ndarray:
-    """The point stream of dimension k of GF(p)^n as one read-only array,
-    kept once per process within :data:`BATCH_CACHE_BYTES`, else built for
-    the caller alone."""
-    if k == 0:
-        return np.zeros((1, 0), _point_type(n, p))
-    if _point_bytes(n, k, p) <= BATCH_CACHE_BYTES:
-        return _kept_point_stream(n, k, p)
-    return _built_point_stream(n, k, p)
-
-
-def _built_point_stream(n: int, k: int, p: int) -> np.ndarray:
-    """The point stream of dimension k of GF(p)^n, 0 < k <= n, written whole
-    from its pieces."""
-    out = np.empty((gaussian_binomial(n, k, p), k), _point_type(n, p))
-    _write(out, _pieces(n, k, p, len(out)))
-    out.flags.writeable = False
-    return out
-
-
-_kept_point_stream = lru_cache(maxsize=32)(_built_point_stream)
 
 
 def _pieces(n: int, k: int, p: int, most: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -445,7 +425,8 @@ def _pieces(n: int, k: int, p: int, most: int) -> Iterator[tuple[np.ndarray, np.
     (:func:`_groups`), and each fill takes the whole group.  A piece holds
     as many fills as fit, or a slice of a group past ``most`` under one fill.
     """
-    sub = _point_stream(n - 1, k - 1, p)
+    # one batch of the whole (n - 1, k - 1) stream
+    (sub,) = _stream(_point_bytes(n - 1, k - 1, p), sys.maxsize, _point_batches, n - 1, k - 1, p)
     sub_sizes = _groups(n - 1, k - 1, p)[0]
     for m in range(n, k - 1, -1):
         sizes = sub_sizes[-math.comb(m - 1, k - 1) :]
@@ -506,15 +487,14 @@ def _coordinate_batches(n: int):
     completed like the stream by the unit vectors off its coordinates.  Like
     the stream, a dimension within the cache cap is built once per process."""
     for k in range(1, n // 2 + 1):
-        size = math.comb(n, k) * n * n
-        for bases in retained_batches(size, _coordinate_bases, n, k, SUBSPACE_CHUNK):
+        for bases in _stream(math.comb(n, k) * n * n, SUBSPACE_CHUNK, _coordinate_bases, n, k):
             yield k, bases
 
 
-def _coordinate_bases(n: int, k: int, chunk: int):
+def _coordinate_bases(n: int, k: int, most: int):
     """The batches of :func:`_coordinate_batches` for one dimension k."""
     combos = itertools.combinations(range(n), k)
-    while batch := list(itertools.islice(combos, chunk)):
+    while batch := list(itertools.islice(combos, most)):
         order = [(*c, *(j for j in range(n) if j not in c)) for c in batch]
         bases = np.zeros((len(batch), n, n), dtype=np.int8)
         bases[np.arange(len(batch))[:, None], range(n), order] = 1
@@ -522,36 +502,38 @@ def _coordinate_bases(n: int, k: int, chunk: int):
 
 
 BATCH_CACHE_BYTES = 1 << 18
-"""Largest stream of batches, in bytes of its arrays, that
-:func:`retained_batches` keeps.  Every dimension of GF(2)^6 is kept (the
-largest takes 50 KB), and so are the coordinate subspaces of dimension 2 up
-to n = 20 (76 KB).  GF(2)^7 in dimension 3 (578 KB) and GF(3)^6 in
-dimension 2 (396 KB) are streamed.  As points, every dimension of GF(2)^7
-and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes 203 KB), and GF(2)^8 in
-dimension 3 (583 KB) is streamed.  At most 16 streams of batches are kept,
-and at most 32 whole point streams of smaller spaces (:func:`_point_stream`),
-each within this cap, so together the kept arrays never hold more than
-12 MB; a scan of dimensions 1..4 of GF(2)^8 keeps 6 of them.  Beside them
-the recursion keeps at most 64 pairs of group tables (:func:`_groups`), one
-integer per pivot set and per fill and pivot set of a leading part: 25 KB
-in all after a scan of GF(2)^8.  A streamed dimension also holds its
-(n - 1, k - 1) stream whole while it streams: 4.7 MB for dimension 4 of
-GF(2)^10 (past the default budget), at most 35 KB (GF(2)^7 in dimension 3)
-in the scans up to n/2 that the default budget admits."""
+"""Largest stream, in bytes, that :func:`_stream` keeps whole.  Every
+dimension of GF(2)^6 is kept as bases (the largest takes 50 KB), and so are
+the coordinate subspaces of dimension 2 up to n = 20 (76 KB).  GF(2)^7 in
+dimension 3 (578 KB) and GF(3)^6 in dimension 2 (396 KB) are streamed.  As
+points, every dimension of GF(2)^7 and GF(3)^6 is kept (GF(3)^6 in
+dimension 3 takes 203 KB), and GF(2)^8 in dimension 3 (583 KB) is streamed.
+The kept streams share one lru cache (:func:`_kept`) of at most 48
+arrays, each at most 256 KB, so together they never hold more than 12 MB;
+a point scan of dimensions 1..4 of GF(2)^8 keeps 12 of them, four of them
+empty.  Beside them the recursion keeps at most 64 pairs of group tables
+(:func:`_groups`), one integer per pivot set and per fill and pivot set of
+a leading part: 25 KB in all after a scan of GF(2)^8.  A streamed dimension
+also holds its (n - 1, k - 1) stream whole while it streams: 4.7 MB for
+dimension 4 of GF(2)^10 (past the default budget), at most 35 KB (GF(2)^7
+in dimension 3) in the scans up to n/2 that the default budget admits."""
 
 
-def retained_batches(size: int, batches, *args) -> Iterable[np.ndarray]:
-    """``batches(*args)``, a deterministic stream of arrays taking ``size``
-    bytes: built once and served read-only from a per-process lru cache when
-    ``size`` is at most :data:`BATCH_CACHE_BYTES`, otherwise streamed lazily."""
-    if size <= BATCH_CACHE_BYTES:
-        return _retained(batches, *args)
-    return batches(*args)
+def _stream(size: int, most: int, batches, *args) -> Iterator[np.ndarray]:
+    """``batches(*args, most)``, a deterministic stream of subspaces taking
+    ``size`` bytes, in batches of at most ``most`` subspaces: views of the
+    array :func:`_kept` keeps when ``size`` is at most
+    :data:`BATCH_CACHE_BYTES`, otherwise streamed lazily."""
+    if size > BATCH_CACHE_BYTES:
+        return batches(*args, most)
+    whole = _kept(batches, *args)
+    return (whole[i : i + most] for i in range(0, len(whole), most))
 
 
-@lru_cache(maxsize=16)
-def _retained(batches, *args) -> tuple[np.ndarray, ...]:
-    kept = tuple(batches(*args))
-    for array in kept:
-        array.flags.writeable = False
-    return kept
+@lru_cache(maxsize=48)
+def _kept(batches, *args) -> np.ndarray:
+    """The whole stream of ``batches(*args, most)``, built as one batch,
+    read-only and kept once per process."""
+    (whole,) = batches(*args, sys.maxsize)
+    whole.flags.writeable = False
+    return whole

@@ -287,16 +287,14 @@ def test_points_of_the_zero_space(p):
 def test_point_stream_splits_pivot_sets_at_any_cap(monkeypatch, cap):
     # at 10 bytes the (0, 1) pivot set of GF(3)^4 (9 * 9 fills, 5 per batch)
     # slices row 1, and (0, 1, 2) in dimension 3 (3^3 fills, 3 per batch)
-    # fixes row 0 and takes row 1 one fill at a time
+    # fixes row 0 and takes row 1 one fill at a time; every dimension is
+    # streamed, so that its pieces, not slices of a kept array, are the batches
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", cap)
-    linalg._retained.cache_clear()
-    try:
-        for p, most in ((2, 5), (3, 4), (5, 3)):
-            for n in range(1, most + 1):
-                for k in range(n + 1):
-                    _check_point_stream(n, k, Field.gf(p))
-    finally:
-        linalg._retained.cache_clear()
+    monkeypatch.setattr(linalg, "BATCH_CACHE_BYTES", -1)
+    for p, most in ((2, 5), (3, 4), (5, 3)):
+        for n in range(1, most + 1):
+            for k in range(n + 1):
+                _check_point_stream(n, k, Field.gf(p))
 
 
 @pytest.mark.parametrize("p, most", [(2, 8), (3, 6), (5, 4), (7, 3)])
@@ -304,15 +302,14 @@ def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
     # the rows the stream names are the library-free order, row for row; the
     # first p^(n-k) [n-1, k-1] subspaces have a pivot at column 0 and the
     # others none, as the recursion builds them.  Streamed with the cache cap
-    # at 0, and for the small spaces in batches of 10 bytes, so that pieces
+    # below 0, and for the small spaces in batches of 10 bytes, so that pieces
     # split groups and fills, the stream names the same rows
     def stream(n, k):
         batches = [at for _, at in linalg.enumerate_subspace_points(n, [k], Field.gf(p))]
         assert all(at.dtype == linalg.int_type(len(linalg.projective_points(n, p))) for at in batches)
         return np.concatenate(batches)
 
-    linalg._retained.cache_clear()
-    linalg._kept_point_stream.cache_clear()
+    linalg._kept.cache_clear()
     kept = {}
     try:
         for n in range(most + 1):
@@ -331,42 +328,78 @@ def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
                 column0 = rows[..., :1].any(axis=(1, 2))
                 assert column0[:lead].all() and not column0[lead:].any()
                 assert k == n or np.array_equal(at[lead:], kept[n - 1, k]), (n, k, p)
-        linalg._kept_point_stream.cache_clear()
+        linalg._kept.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(linalg, "BATCH_CACHE_BYTES", 0)
+            m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
             for cap, largest in ((linalg.POINT_BATCH_BYTES, most), (10, min(most, 5))):
                 m.setattr(linalg, "POINT_BATCH_BYTES", cap)
                 for n in range(largest + 1):
                     for k in range(n + 1):
                         assert (stream(n, k) == kept[n, k]).all(), (n, k, p, cap)
-            assert linalg._kept_point_stream.cache_info().currsize == 0
+            assert linalg._kept.cache_info().currsize == 0
     finally:
-        linalg._retained.cache_clear()
-        linalg._kept_point_stream.cache_clear()
+        linalg._kept.cache_clear()
 
 
 def test_point_stream_keeps_only_the_streams_it_reads():
     # dimension k of GF(2)^8 reads the (7, k - 1) stream, which reads
-    # (6, k - 2), down to dimension 1; every other smaller stream is a tail
-    # of one of these, so none is built.  Asking for the kept ones again
+    # (6, k - 2), down to dimension 0; every other smaller stream is a tail
+    # of one of these, so none is built.  Of GF(2)^8 itself only dimensions 1
+    # and 2 are within the cap, and kept.  Asking for the kept ones again
     # hits the cache each time and adds nothing to it
-    streams = {4: [(7, 3), (6, 2), (5, 1)], 3: [(7, 2), (6, 1)], 2: [(7, 1)], 1: []}
-    linalg._retained.cache_clear()
+    streams = {4: [(7, 3), (6, 2), (5, 1), (4, 0)], 3: [(7, 2), (6, 1), (5, 0)],
+               2: [(8, 2), (7, 1), (6, 0)], 1: [(8, 1), (7, 0)]}
     try:
         for dims in ([4], [1, 2, 3, 4]):
-            linalg._kept_point_stream.cache_clear()
+            linalg._kept.cache_clear()
             for _ in linalg.enumerate_subspace_points(8, dims, GF2):
                 pass
             kept = [key for k in dims for key in streams[k]]
-            before = linalg._kept_point_stream.cache_info()
+            before = linalg._kept.cache_info()
             for n, k in kept:
-                linalg._kept_point_stream(n, k, 2)
-            after = linalg._kept_point_stream.cache_info()
+                linalg._kept(linalg._point_batches, n, k, 2)
+            after = linalg._kept.cache_info()
             assert before.currsize == after.currsize == len(kept), dims
             assert after.hits - before.hits == len(kept), dims
     finally:
-        linalg._retained.cache_clear()
-        linalg._kept_point_stream.cache_clear()
+        linalg._kept.cache_clear()
+
+
+@pytest.mark.parametrize("most", [1, 7, 100, linalg.SUBSPACE_CHUNK])
+def test_kept_batches_are_views_of_one_array(monkeypatch, most):
+    # a kept dimension of each stream is one read-only array, and its batches
+    # of most subspaces are views of it that concatenate to it; so the
+    # stream, as it is built when streamed, starts at any offset s as whole[s:]
+    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", most)
+    # GF(3)^6 in dimension 3 names its rows as int16: 6 bytes a subspace
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", 6 * most)
+    cases = [
+        (lambda: [b for _, b in enumerate_subspaces(5, [2], GF2)], (linalg._subspace_batches, 5, 2, 2)),
+        (lambda: [b for _, b in linalg.enumerate_subspace_points(6, [3], GF3)],
+         (linalg._point_batches, 6, 3, 3)),
+        (lambda: [b for k, b in linalg._coordinate_batches(8) if k == 3], (linalg._coordinate_bases, 8, 3)),
+    ]
+    rng = random.Random(most)
+    linalg._kept.cache_clear()
+    try:
+        for batches, key in cases:
+            got = batches()
+            before = linalg._kept.cache_info()
+            whole = linalg._kept(*key)
+            assert linalg._kept.cache_info().hits == before.hits + 1, key
+            assert not whole.flags.writeable
+            assert all(np.shares_memory(b, whole) and not b.flags.writeable for b in got), key
+            assert all(len(b) == most for b in got[:-1]) and 1 <= len(got[-1]) <= most
+            assert np.array_equal(np.concatenate(got), whole)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
+                streamed = batches()
+            assert not any(np.shares_memory(b, whole) for b in streamed)
+            streamed = np.concatenate(streamed)
+            for s in {0, 1, len(whole) - 1, len(whole), *rng.sample(range(len(whole)), 5)}:
+                assert np.array_equal(whole[s:], streamed[s:]), (key, s)
+    finally:
+        linalg._kept.cache_clear()
 
 
 @pytest.mark.parametrize("p, n, dtype", [(5, 5, np.int8), (79, 5, np.int16), (101, 5, np.int32)])

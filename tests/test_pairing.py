@@ -726,9 +726,9 @@ def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
         with monkeypatch.context() as m:
             m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
             lazy = _scans(triples)
-            assert linalg._retained.cache_info().currsize == 0
+            assert linalg._kept.cache_info().currsize == 0
         cold = _scans(triples)
-        assert linalg._retained.cache_info().currsize > 0
+        assert linalg._kept.cache_info().currsize > 0
         assert _scans(triples) == cold == lazy
         assert any(value == 0 for value, _, _ in lazy[::2])
     finally:
@@ -740,18 +740,18 @@ def test_cached_batches_are_read_only_and_cleared():
     try:
         kept = [bases for _, bases in enumerate_subspaces(4, [1, 2], GF3)]
         kept += [bases for _, bases in linalg._coordinate_batches(6)]
-        assert linalg._retained.cache_info().currsize == 5
+        assert linalg._kept.cache_info().currsize == 5
         for bases in kept:
             assert not bases.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 bases[0, 0, 0] = 1
         # dimension 3 of GF(2)^7 takes more than the cap and is streamed
         streamed = [bases for _, bases in enumerate_subspaces(7, [3], GF2)]
-        assert linalg._retained.cache_info().currsize == 5
+        assert linalg._kept.cache_info().currsize == 5
         assert all(bases.flags.writeable for bases in streamed)
     finally:
         _clear_caches()
-    assert linalg._retained.cache_info().currsize == 0
+    assert linalg._kept.cache_info().currsize == 0
 
 
 def _retained_bytes(scan) -> int:
@@ -930,7 +930,7 @@ def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
         _clear_caches()
         for _ in ("cold", "warm"):
             assert [cheeger_constant_exhaustive(t) for t in triples] == expected
-            assert linalg._retained.cache_info().currsize > 0
+            assert linalg._kept.cache_info().currsize > 0
             for t in triples:
                 assert _kernels_agree(t, _exhaustive_stream(t))
         assert [rep.value for rep in expected].count(0) == 2
