@@ -2,14 +2,19 @@
 and verification suites, emit JSON/CSV/human output.
 
 Exit codes: 0 on success with all checks passed, 1 when a verification ran
-and failed, 2 on usage, parse, or budget errors.  All output is deterministic
-for a fixed invocation, including under --jobs parallelism.
+and failed, 2 on usage, parse, or budget errors, and 141 (128 + SIGPIPE, the
+status a shell gives a writer killed by a closed pipe) when stdout is closed
+before the output is written, as by ``| head -1``; that case prints nothing
+on stderr.  Each command takes only the flags it reads, so any other flag
+exits 2.  All output is deterministic for a fixed invocation, including
+under --jobs parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -124,6 +129,8 @@ _FAMILIES = {
 
 def _family_graph(name: str, size: int, degree: int | None, seed: int) -> SimplicialGraph:
     if name != "random-regular":
+        if degree is not None:
+            raise GraphError(f"--degree applies only to --family random-regular, not {name}")
         return _FAMILIES[name](size)
     if degree is None:
         raise GraphError("--family random-regular needs --degree")
@@ -242,90 +249,72 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _common_args(p: argparse.ArgumentParser, fmt=("json", "human"), inputs: int | None = 1):
-    if inputs == 1:
-        p.add_argument("--input", nargs=1, help="input file")
-    elif inputs == -1:
-        p.add_argument("--input", nargs="+", help="input files")
-    p.add_argument("--field", default="gf2", help="gf<p> or rational (default gf2)")
-    p.add_argument("--budget-subsets", type=int, default=None, metavar="N")
-    p.add_argument("--budget-subspaces", type=int, default=None, metavar="N")
-    p.add_argument("--budget-bases", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=fmt, default="json")
-    p.add_argument("--jobs", type=int, default=1)
+# every flag but --input, --format and --jobs, defined once; each command
+# takes the ones its handler reads
+_FLAGS = {
+    "--field": {"default": "gf2", "help": "gf<p> or rational (default gf2)"},
+    "--budget-subsets": {"type": int, "metavar": "N"},
+    "--budget-subspaces": {"type": int, "metavar": "N"},
+    "--budget-bases": {"type": int, "metavar": "N"},
+    "--method": {"choices": ["exhaustive", "coordinate"], "default": "exhaustive"},
+    "--pivot": {"type": int, "default": 0},
+    "--all-graphs": {"type": int, "metavar": "N", "help": "every labeled graph on N vertices"},
+    "--family": {"choices": list(_FAMILIES)},
+    "--sizes": {"type": int, "nargs": "+", "default": []},
+    "--degree": {"type": int},
+    "--seed": {"type": int, "default": 0},
+    "--fields": {"nargs": "+", "default": ["gf2", "gf3", "gf5"]},
+    "--kind": {"choices": ["graph", "triple"], "default": "graph"},
+    "--mode": {"choices": ["exact", "spectral"], "default": "exact"},
+    "--valence-bound": {"type": int},
+    "--verbose": {"action": "store_true", "help": "list every item, not just failures"},
+}
+_BUDGETS = ("--budget-subsets", "--budget-subspaces", "--budget-bases")
+_SOURCES = ("--family", "--sizes", "--degree", "--seed")
+_REPORT = ("json", "csv", "human")
 
 
-def _family_source_args(p: argparse.ArgumentParser, all_graphs: bool = True):
-    if all_graphs:
-        p.add_argument("--all-graphs", type=int, metavar="N",
-                       help="every labeled graph on N vertices")
-    p.add_argument("--family", choices=list(_FAMILIES))
-    p.add_argument("--sizes", type=int, nargs="+", default=[])
-    p.add_argument("--degree", type=int, default=None)
+def _args(*flags: str, inputs: int | str | None = 1, fmt=("json", "human")):
+    """The arguments of a command: --input with ``inputs`` files (none when
+    None), each of ``flags`` as :data:`_FLAGS` defines it, then --format and
+    --jobs, which every command takes."""
+    def arguments(p: argparse.ArgumentParser):
+        if inputs is not None:
+            p.add_argument("--input", nargs=inputs, help="input file" if inputs == 1 else "input files")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--format", choices=fmt, default="json")
+        p.add_argument("--jobs", type=int, default=1)
+    return arguments
 
 
 def _gen_args(p: argparse.ArgumentParser):
-    _common_args(p, fmt=("json", "edgelist"), inputs=None)
-    p.add_argument("--family", required=True, choices=list(_FAMILIES))
+    p.add_argument("--family", required=True, **_FLAGS["--family"])
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
-
-
-def _method_args(p: argparse.ArgumentParser):
-    _common_args(p)
-    p.add_argument("--method", choices=["exhaustive", "coordinate"], default="exhaustive")
-
-
-def _augment_args(p: argparse.ArgumentParser):
-    _common_args(p)
-    p.add_argument("--pivot", type=int, default=0)
-
-
-def _verify_theorem_args(p: argparse.ArgumentParser):
-    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
-    _family_source_args(p)
-    p.add_argument("--verbose", action="store_true", help="list every item, not just failures")
-
-
-def _verify_augmentation_args(p: argparse.ArgumentParser):
-    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
-    _family_source_args(p, all_graphs=False)
-    p.add_argument("--pivot", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-
-
-def _verify_invariance_args(p: argparse.ArgumentParser):
-    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
-    _family_source_args(p)
-    p.add_argument("--fields", nargs="+", default=["gf2", "gf3", "gf5"])
-    p.add_argument("--verbose", action="store_true")
-
-
-def _family_report_args(p: argparse.ArgumentParser):
-    _common_args(p, fmt=("json", "csv", "human"), inputs=-1)
-    _family_source_args(p, all_graphs=False)
-    p.add_argument("--kind", choices=["graph", "triple"], default="graph")
-    p.add_argument("--mode", choices=["exact", "spectral"], default="exact")
-    p.add_argument("--valence-bound", type=int, default=None)
+    _args("--degree", "--seed", inputs=None, fmt=("json", "edgelist"))(p)
 
 
 # (name, help, handler, arguments), in the order --help lists them
 _COMMANDS = (
     ("gen", "generate a graph from a named family", _cmd_gen, _gen_args),
-    ("graph-h", "exact graph Cheeger constant", _cmd_graph_h, _common_args),
-    ("triple-h", "Cheeger constant of a pairing triple", _cmd_triple_h, _method_args),
-    ("qvalence", "q-valence of a pairing triple", _cmd_qvalence, _method_args),
-    ("connectedness", "pairing-connectedness of a triple", _cmd_connectedness, _common_args),
-    ("build-triple", "cup-product triple of a graph", _cmd_build_triple, _common_args),
-    ("augment", "pivot augmentation of a triple", _cmd_augment, _augment_args),
-    ("verify-theorem", "machine-check the dictionary on graphs",
-     _cmd_verify_theorem, _verify_theorem_args),
-    ("verify-augmentation", "check the pivot augmentation on graphs",
-     _cmd_verify_augmentation, _verify_augmentation_args),
-    ("verify-invariance", "check field independence on graphs",
-     _cmd_verify_invariance, _verify_invariance_args),
-    ("family-report", "per-index expander bookkeeping", _cmd_family_report, _family_report_args),
+    ("graph-h", "exact graph Cheeger constant", _cmd_graph_h, _args("--budget-subsets")),
+    ("triple-h", "Cheeger constant of a pairing triple", _cmd_triple_h,
+     _args("--method", "--budget-subspaces")),
+    ("qvalence", "q-valence of a pairing triple", _cmd_qvalence, _args("--method", "--budget-bases")),
+    ("connectedness", "pairing-connectedness of a triple", _cmd_connectedness,
+     _args("--budget-subspaces")),
+    ("build-triple", "cup-product triple of a graph", _cmd_build_triple, _args("--field")),
+    ("augment", "pivot augmentation of a triple", _cmd_augment, _args("--pivot")),
+    ("verify-theorem", "machine-check the dictionary on graphs", _cmd_verify_theorem,
+     _args("--field", *_BUDGETS, "--all-graphs", *_SOURCES, "--verbose", inputs="+", fmt=_REPORT)),
+    ("verify-augmentation", "check the pivot augmentation on graphs", _cmd_verify_augmentation,
+     _args("--field", "--budget-subspaces", *_SOURCES, "--pivot", "--verbose", inputs="+", fmt=_REPORT)),
+    ("verify-invariance", "check field independence on graphs", _cmd_verify_invariance,
+     _args("--budget-subspaces", "--all-graphs", *_SOURCES, "--fields", "--verbose", inputs="+",
+           fmt=_REPORT)),
+    ("family-report", "per-index expander bookkeeping", _cmd_family_report,
+     _args("--field", *_BUDGETS, *_SOURCES, "--kind", "--mode", "--valence-bound", inputs="+",
+           fmt=_REPORT)),
 )
 
 
@@ -347,7 +336,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, **metavar)
     for name, help_text, handler, arguments in _COMMANDS:
         if not known or name == command:
-            p = sub.add_parser(name, help=help_text)
+            # no abbreviations: verify-invariance would read --field as --fields
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
             arguments(p)
             p.set_defaults(handler=handler)
     return parser
@@ -357,15 +347,24 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        # every command parses --field and the budgets, before any input is read
-        args.field = Field.from_name(args.field)
+        # --field and the budget flags are resolved only where a command takes
+        # them, before any input is read
+        if "field" in args:
+            args.field = Field.from_name(args.field)
         given = {
-            "subset_vertices": args.budget_subsets,
-            "subspace_work": args.budget_subspaces,
-            "basis_work": args.budget_bases,
+            "subset_vertices": getattr(args, "budget_subsets", None),
+            "subspace_work": getattr(args, "budget_subspaces", None),
+            "basis_work": getattr(args, "budget_bases", None),
         }
         args.budgets = Budgets(**{name: cap for name, cap in given.items() if cap is not None})
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left: stdout goes to devnull, so that the interpreter's
+        # last flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -510,8 +510,7 @@ points, every dimension of GF(2)^7 and GF(3)^6 is kept (GF(3)^6 in
 dimension 3 takes 203 KB), and GF(2)^8 in dimension 3 (583 KB) is streamed.
 The kept streams share one lru cache (:func:`_kept`) of at most 48
 arrays, each at most 256 KB, so together they never hold more than 12 MB;
-a point scan of dimensions 1..4 of GF(2)^8 keeps 12 of them, four of them
-empty.  Beside them the recursion keeps at most 64 pairs of group tables
+a point scan of dimensions 1..4 of GF(2)^8 keeps 8 of them.  Beside them the recursion keeps at most 64 pairs of group tables
 (:func:`_groups`), one integer per pivot set and per fill and pivot set of
 a leading part: 25 KB in all after a scan of GF(2)^8.  A streamed dimension
 also holds its (n - 1, k - 1) stream whole while it streams: 4.7 MB for
@@ -523,8 +522,10 @@ def _stream(size: int, most: int, batches, *args) -> Iterator[np.ndarray]:
     """``batches(*args, most)``, a deterministic stream of subspaces taking
     ``size`` bytes, in batches of at most ``most`` subspaces: views of the
     array :func:`_kept` keeps when ``size`` is at most
-    :data:`BATCH_CACHE_BYTES`, otherwise streamed lazily."""
-    if size > BATCH_CACHE_BYTES:
+    :data:`BATCH_CACHE_BYTES`, otherwise streamed lazily.  An empty stream,
+    the dimension-0 points that every dimension 1 reads, is built again on
+    each read rather than take a cache entry."""
+    if not 0 < size <= BATCH_CACHE_BYTES:
         return batches(*args, most)
     whole = _kept(batches, *args)
     return (whole[i : i + most] for i in range(0, len(whole), most))

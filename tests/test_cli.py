@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -200,15 +201,16 @@ def test_explicit_budget_caps_the_work(tmp_path, command, flag):
 
 
 def test_field_past_the_witness_bound_is_refused(p3_file):
-    # every command parses --field, so an unprovable prime must be refused
+    # build-triple parses --field, so an unprovable prime must be refused
     res = subprocess.run(
-        [sys.executable, "-m", "raagcheeger", "graph-h", "--input", p3_file,
+        [sys.executable, "-m", "raagcheeger", "build-triple", "--input", p3_file,
          "--field", "gf618970019642690137449562111"],
         capture_output=True, text=True, timeout=20,
     )
     assert res.returncode == 2
     assert "3317044064679887385961981" in res.stderr
     assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_gf7_five_dimensional_scan_answers(tmp_path, capsys):
@@ -275,17 +277,97 @@ def test_failed_item_keeps_its_index_witness_and_check_count(monkeypatch, capsys
     ]
 
 
-@pytest.mark.parametrize("name", [name for name, *_ in _COMMANDS])
-def test_bad_field_is_refused_before_any_input_is_read(tmp_path, name, capsys):
-    # main parses --field for every command, before a handler opens --input
-    argv = [name, "--field", "gf4"]
+# the flags each command takes besides --help: those its handler or main reads
+COMMAND_FLAGS = {
+    "gen": ["--family", "--size", "--degree", "--seed", "--format", "--jobs"],
+    "graph-h": ["--input", "--budget-subsets", "--format", "--jobs"],
+    "triple-h": ["--input", "--method", "--budget-subspaces", "--format", "--jobs"],
+    "qvalence": ["--input", "--method", "--budget-bases", "--format", "--jobs"],
+    "connectedness": ["--input", "--budget-subspaces", "--format", "--jobs"],
+    "build-triple": ["--input", "--field", "--format", "--jobs"],
+    "augment": ["--input", "--pivot", "--format", "--jobs"],
+    "verify-theorem": ["--input", "--field", "--budget-subsets", "--budget-subspaces",
+                       "--budget-bases", "--all-graphs", "--family", "--sizes", "--degree",
+                       "--seed", "--verbose", "--format", "--jobs"],
+    "verify-augmentation": ["--input", "--field", "--budget-subspaces", "--family", "--sizes",
+                            "--degree", "--seed", "--pivot", "--verbose", "--format", "--jobs"],
+    "verify-invariance": ["--input", "--budget-subspaces", "--all-graphs", "--family", "--sizes",
+                          "--degree", "--seed", "--fields", "--verbose", "--format", "--jobs"],
+    "family-report": ["--input", "--field", "--budget-subsets", "--budget-subspaces",
+                      "--budget-bases", "--family", "--sizes", "--degree", "--seed", "--kind",
+                      "--mode", "--valence-bound", "--format", "--jobs"],
+}
+# the flags every command took, whether it read them or not
+ONCE_COMMON = ["--field", "--budget-subsets", "--budget-subspaces", "--budget-bases", "--seed"]
+
+
+def _parsable_argv(name, tmp_path):
+    """A command line of ``name`` that parses; its --input names a missing file."""
     if name == "gen":
-        argv += ["--family", "cycle", "--size", "4"]
-    else:
-        argv += ["--input", str(tmp_path / "missing.json")]
-    assert main(argv) == 2
+        return [name, "--family", "cycle", "--size", "4"]
+    return [name, "--input", str(tmp_path / "missing.json")]
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    for name, *_ in _COMMANDS:
+        [action] = [a for a in build_parser(name)._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = [flag for a in action.choices[name]._actions for flag in a.option_strings]
+        assert sorted(flags) == sorted(["-h", "--help", *COMMAND_FLAGS[name]]), name
+    assert sum(map(len, COMMAND_FLAGS.values())) == 81
+
+
+@pytest.mark.parametrize("name", [name for name, flags in COMMAND_FLAGS.items() if "--field" in flags])
+def test_bad_field_is_refused_before_any_input_is_read(tmp_path, name, capsys):
+    # main parses --field where a command takes it, before a handler opens --input
+    assert main([*_parsable_argv(name, tmp_path), "--field", "gf4"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: prime field characteristic must be prime, got 4\n")
+
+
+@pytest.mark.parametrize(
+    "name, flag",
+    [(name, flag) for name, flags in COMMAND_FLAGS.items() for flag in ONCE_COMMON if flag not in flags],
+)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, name, flag, capsys):
+    # --field is refused as a whole word where only --fields is taken, not
+    # read as its abbreviation
+    value = "gf7" if flag == "--field" else "1"
+    with pytest.raises(SystemExit) as exit_:
+        main([*_parsable_argv(name, tmp_path), flag, value])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "cycle", "--size", "5", "--degree", "3"],
+        ["verify-theorem", "--family", "path", "--sizes", "4", "--degree", "2"],
+        ["family-report", "--family", "cycle", "--sizes", "4", "--degree", "2"],
+    ],
+)
+def test_degree_without_random_regular_is_refused(argv, capsys):
+    # only random-regular reads --degree; another family would ignore it
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --degree applies only to --family random-regular, not {argv[2]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-theorem", "--all-graphs", "4", "--verbose"], ["gen", "--family", "cycle", "--size", "4"]]
+)
+def test_closed_stdout_is_not_an_input_error(argv):
+    # the reader of stdout is gone before the command writes: a large output
+    # fails as it is printed, a small one only at the last flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", "raagcheeger", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (141, "")
 
 
 @pytest.mark.parametrize(

@@ -343,12 +343,12 @@ def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
 
 def test_point_stream_keeps_only_the_streams_it_reads():
     # dimension k of GF(2)^8 reads the (7, k - 1) stream, which reads
-    # (6, k - 2), down to dimension 0; every other smaller stream is a tail
-    # of one of these, so none is built.  Of GF(2)^8 itself only dimensions 1
-    # and 2 are within the cap, and kept.  Asking for the kept ones again
-    # hits the cache each time and adds nothing to it
-    streams = {4: [(7, 3), (6, 2), (5, 1), (4, 0)], 3: [(7, 2), (6, 1), (5, 0)],
-               2: [(8, 2), (7, 1), (6, 0)], 1: [(8, 1), (7, 0)]}
+    # (6, k - 2), down to dimension 0, which is empty and not kept; every
+    # other smaller stream is a tail of one of these, so none is built.  Of
+    # GF(2)^8 itself only dimensions 1 and 2 are within the cap, and kept.
+    # Asking for the kept ones again hits the cache each time and adds
+    # nothing to it
+    streams = {4: [(7, 3), (6, 2), (5, 1)], 3: [(7, 2), (6, 1)], 2: [(8, 2), (7, 1)], 1: [(8, 1)]}
     try:
         for dims in ([4], [1, 2, 3, 4]):
             linalg._kept.cache_clear()
