@@ -139,7 +139,7 @@ def _family_graph(name: str, size: int, degree: int | None, seed: int) -> Simpli
 
 def _family_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
     return [
-        _family_graph(args.family, size, args.degree, args.seed + pos)
+        _family_graph(args.family, size, args.degree, (args.seed or 0) + pos)
         for pos, size in enumerate(args.sizes)
     ]
 
@@ -148,6 +148,10 @@ def _resolve_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
     all_graphs = getattr(args, "all_graphs", None)
     if sum(source is not None for source in (args.input, all_graphs, args.family)) != 1:
         raise GraphError("give exactly one of --input, --all-graphs, or --family/--sizes")
+    if args.family is None:
+        for flag in _SOURCES[1:]:
+            if getattr(args, flag[2:]) is not None:
+                raise GraphError(f"{flag} applies only to a --family source")
     if args.input is not None:
         return [_load_graph(p) for p in args.input]
     if all_graphs is not None:
@@ -236,12 +240,22 @@ def _cmd_verify_invariance(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_report(args: argparse.Namespace) -> int:
+    # each --kind refuses the flags only the other reads
+    if args.kind == "graph":
+        unread = {"--field": args.field_name, "--budget-subspaces": args.budget_subspaces,
+                  "--budget-bases": args.budget_bases}
+    else:
+        unread = {"--mode": args.mode, "--budget-subsets": args.budget_subsets}
+    for flag, value in unread.items():
+        if value is not None:
+            raise GraphError(f"{flag} does not apply to --kind {args.kind}")
     graphs = _resolve_graphs(args)
     if args.kind == "triple":
         triples = [build_triple(g, args.field) for g in graphs]
         report = triple_family_report(triples, args.budgets, args.valence_bound, jobs=args.jobs)
     else:
-        report = graph_family_report(graphs, args.mode, args.budgets, args.valence_bound, jobs=args.jobs)
+        report = graph_family_report(
+            graphs, args.mode or "exact", args.budgets, args.valence_bound, jobs=args.jobs)
     _emit(args, report.to_json_dict(), report.to_csv)
     return 0
 
@@ -252,7 +266,7 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
 # every flag but --input, --format and --jobs, defined once; each command
 # takes the ones its handler reads
 _FLAGS = {
-    "--field": {"default": "gf2", "help": "gf<p> or rational (default gf2)"},
+    "--field": {"dest": "field_name", "metavar": "FIELD", "help": "gf<p> or rational (default gf2)"},
     "--budget-subsets": {"type": int, "metavar": "N"},
     "--budget-subspaces": {"type": int, "metavar": "N"},
     "--budget-bases": {"type": int, "metavar": "N"},
@@ -260,12 +274,12 @@ _FLAGS = {
     "--pivot": {"type": int, "default": 0},
     "--all-graphs": {"type": int, "metavar": "N", "help": "every labeled graph on N vertices"},
     "--family": {"choices": list(_FAMILIES)},
-    "--sizes": {"type": int, "nargs": "+", "default": []},
+    "--sizes": {"type": int, "nargs": "+"},
     "--degree": {"type": int},
-    "--seed": {"type": int, "default": 0},
+    "--seed": {"type": int},
     "--fields": {"nargs": "+", "default": ["gf2", "gf3", "gf5"]},
     "--kind": {"choices": ["graph", "triple"], "default": "graph"},
-    "--mode": {"choices": ["exact", "spectral"], "default": "exact"},
+    "--mode": {"choices": ["exact", "spectral"]},
     "--valence-bound": {"type": int},
     "--verbose": {"action": "store_true", "help": "list every item, not just failures"},
 }
@@ -292,6 +306,7 @@ def _gen_args(p: argparse.ArgumentParser):
     p.add_argument("--family", required=True, **_FLAGS["--family"])
     p.add_argument("--size", type=int, required=True)
     _args("--degree", "--seed", inputs=None, fmt=("json", "edgelist"))(p)
+    p.set_defaults(seed=0)
 
 
 # (name, help, handler, arguments), in the order --help lists them
@@ -348,9 +363,9 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # --field and the budget flags are resolved only where a command takes
-        # them, before any input is read
-        if "field" in args:
-            args.field = Field.from_name(args.field)
+        # them, before any input is read; their given values stay on args
+        if "field_name" in args:
+            args.field = Field.from_name(args.field_name or "gf2")
         given = {
             "subset_vertices": getattr(args, "budget_subsets", None),
             "subspace_work": getattr(args, "budget_subspaces", None),

@@ -18,9 +18,6 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-PRIME_FIELD = "prime-field"
-RATIONALS = "rationals"
-
 
 class FieldError(ValueError):
     """Invalid field construction or foreign scalar."""
@@ -62,35 +59,30 @@ class Field:
     ``characteristic`` is ``p`` for prime fields and ``0`` for the rationals.
     """
 
-    kind: str
     characteristic: int
 
     def __post_init__(self) -> None:
-        if self.kind == PRIME_FIELD:
-            if self.characteristic >= _WITNESS_BOUND:
-                raise FieldError(
-                    f"prime field characteristic must be below {_WITNESS_BOUND}, where "
-                    f"primality is decided exactly, got {self.characteristic}"
-                )
-            if not _is_prime(self.characteristic):
-                raise FieldError(
-                    f"prime field characteristic must be prime, got {self.characteristic}"
-                )
-        elif self.kind == RATIONALS:
-            if self.characteristic != 0:
-                raise FieldError("the rationals have characteristic 0")
-        else:
-            raise FieldError(f"unknown field kind: {self.kind!r}")
+        if not self.characteristic:
+            return
+        if self.characteristic >= _WITNESS_BOUND:
+            raise FieldError(
+                f"prime field characteristic must be below {_WITNESS_BOUND}, where "
+                f"primality is decided exactly, got {self.characteristic}"
+            )
+        if not _is_prime(self.characteristic):
+            raise FieldError(f"prime field characteristic must be prime, got {self.characteristic}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def gf(p: int) -> "Field":
-        return Field(PRIME_FIELD, p)
+        if not p:
+            raise FieldError(f"prime field characteristic must be prime, got {p}")
+        return Field(p)
 
     @staticmethod
     def rationals() -> "Field":
-        return Field(RATIONALS, 0)
+        return Field(0)
 
     @staticmethod
     def from_name(name: str) -> "Field":
@@ -108,13 +100,11 @@ class Field:
 
     @property
     def name(self) -> str:
-        if self.kind == PRIME_FIELD:
-            return f"gf{self.characteristic}"
-        return "rational"
+        return f"gf{self.characteristic}" if self.characteristic else "rational"
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind == PRIME_FIELD
+        return self.characteristic != 0
 
     def __repr__(self) -> str:
         return f"Field({self.name})"

@@ -34,10 +34,11 @@ RREF rows as projective points of V, as
 :func:`~raagcheeger.linalg.enumerate_subspace_points` streams them, and
 counts in bitsets over those points.  The exhaustive scan takes it, with
 its stream, when its gate, :func:`~raagcheeger.zerosets.zero_sets_pay`,
-admits it from exact counts before any work: a prime field with dim W > 0
-and few projective points against the subspaces scanned.  QQ, large p, the
-coordinate scan and single subspaces stay on the rank kernel, which the
-tests also use to cross-check the zero-set kernel batch by batch.
+admits it before any work: a prime field, dim W > 0, dim V >= 4, where the
+scan visits more subspaces than V has projective points, and a table that
+fits its cap.  QQ, large p, dim V <= 3, the coordinate scan and single
+subspaces stay on the rank kernel, which the tests also use to
+cross-check the zero-set kernel batch by batch.
 
 The scans build a :class:`Subspace` only for the minimizer they report.
 Pairing-connectedness is decided as h > 0, which is exact for dim V >= 2

@@ -14,10 +14,14 @@ of the subspaces of the cycle C6's triple and of a random triple over
 GF(3)^6.  The same points table, as q(x, y) != 0, is the q-valence
 min-max's (:func:`pairs_blocks`).
 
-The table costs points^2 * dim W entries to build, so
-:func:`zero_sets_pay` admits the kernel only where that is small against
-the subspaces scanned, and only while the table fits
-:data:`ZERO_SET_BYTES`.
+The table, one row per projective point, is built once per scan, so
+:func:`zero_sets_pay` admits the kernel from dim V = 4, where the scan
+reaches dimension 2 and visits more subspaces than the table has rows.
+Below, random triples over GF(2) to GF(31) took 0.04-0.11 ms by
+elimination and 0.06-0.17 ms by counting.  From there the long scans repay
+the table at any dim W: the GF(3)^5 and GF(5)^5 cup-product triples of the
+five-vertex graphs took 0.5 and 0.7 of elimination's time.  Measured
+losses remain: GF(7)^4 (1.15 times) and scans that stop early at h = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .budgets import gaussian_binomial
 from .linalg import point_codes, popcount, product_types, projective_points, reduce_mod
 
 ZERO_SET_BYTES = 1 << 18
@@ -36,31 +39,20 @@ built in row blocks whose temporaries fit in the rest.  A scan ranks its
 batches in slices whose AND temporaries take at most half of what the table
 leaves, and builds F's points in pieces of at most as much."""
 
-ZERO_SET_WORK = 64
-"""The gate admits the zero-set kernel while its table's points^2 * dim W
-entries are at most this many per subspace the scan visits.  It trades the
-table, built once per scan, against elimination's cost per subspace: the
-longer the scan, the more of the build it repays.  It does not see two
-losses: a scan that stops early at h = 0 pays for the whole table, and a
-scan of a few dozen subspaces loses to the build at any ratio.  The
-ratios behind 64 were measured on an earlier form of the kernel and are
-recorded in CHANGES.md; the gate has not been measured again."""
-
 
 def zero_sets_pay(pt) -> bool:
     """Whether the exhaustive scan of the triple ``pt`` takes
-    :func:`zero_set_kernel`, decided from exact counts before any work: a
-    prime field, dim W > 0, a table of at most ZERO_SET_BYTES / 2, and at
-    most ZERO_SET_WORK table entries per subspace scanned."""
+    :func:`zero_set_kernel`, from four facts the scan can see before any
+    work: a prime field, whose projective points the table indexes; dim W >
+    0, since a zero pairing has h = 0 at the first subspace; dim V >= 4, so
+    that the scan reaches dimension 2 and visits more subspaces than the
+    table has rows; and a table of at most ZERO_SET_BYTES / 2."""
     p = pt.field.characteristic
-    n, m = pt.dim_v, pt.dim_w
-    if not pt.field.is_prime_field or not m:
+    n = pt.dim_v
+    if not pt.field.is_prime_field or not pt.dim_w or n < 4:
         return False
     points = (p**n - 1) // (p - 1)
-    if points * -(-points // 64) * 8 > ZERO_SET_BYTES // 2:
-        return False
-    count = sum(gaussian_binomial(n, k, p) for k in range(1, n // 2 + 1))
-    return points * points * m <= ZERO_SET_WORK * count
+    return points * -(-points // 64) * 8 <= ZERO_SET_BYTES // 2
 
 
 def zero_set_kernel(pt):

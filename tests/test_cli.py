@@ -401,6 +401,47 @@ def test_family_without_sizes_is_refused(name, capsys):
     assert out == "" and "--sizes" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-theorem", "--all-graphs", "2", "--sizes", "9", "--seed", "4", "--degree", "3"], "--sizes"),
+        (["verify-theorem", "--all-graphs", "2", "--seed", "0"], "--seed"),
+        (["verify-invariance", "--input", "g.json", "--degree", "3"], "--degree"),
+        (["verify-augmentation", "--input", "g.json", "--sizes", "4"], "--sizes"),
+        (["family-report", "--input", "g.json", "--seed", "1"], "--seed"),
+    ],
+)
+def test_family_flags_beside_another_source_are_refused(argv, flag, capsys):
+    # --sizes, --degree and --seed name graphs of a --family source only;
+    # the refusal comes before any input is read
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag} applies only to a --family source\n")
+
+
+def test_seed_defaults_to_zero(capsys):
+    for name, size in (("gen", ["--size", "8"]), ("verify-theorem", ["--sizes", "6", "8"])):
+        argv = [name, "--family", "random-regular", *size, "--degree", "3"]
+        assert main(argv) == 0
+        unseeded = capsys.readouterr().out
+        assert main([*argv, "--seed", "0"]) == 0
+        assert capsys.readouterr().out == unseeded
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [("graph", "--field", "gf7"), ("graph", "--field", "gf2"), ("graph", "--budget-subspaces", "3"),
+     ("graph", "--budget-bases", "3"), ("triple", "--mode", "spectral"), ("triple", "--mode", "exact"),
+     ("triple", "--budget-subsets", "3")],
+)
+def test_family_report_refuses_the_flags_of_the_other_kind(kind, flag, value, capsys):
+    argv = ["family-report", "--kind", kind, "--family", "cycle", "--sizes", "4"]
+    assert main([*argv, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag} does not apply to --kind {kind}\n")
+    assert main(argv) == 0
+
+
 def test_all_graphs_zero_checks_the_graph_on_no_vertices(capsys):
     # N = 0 is a source of one graph, not an absent flag
     assert main(["verify-theorem", "--all-graphs", "0"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -58,6 +59,20 @@ def test_characteristic_past_the_witness_bound_is_refused_at_once():
     with pytest.raises(FieldError, match=f"below {bound}"):
         Field.from_name("gf618970019642690137449562111")
     assert time.perf_counter() - start < 1
+
+
+def test_a_field_is_its_characteristic():
+    # 0 is the rationals, any other value a prime
+    assert [f.name for f in dataclasses.fields(Field)] == ["characteristic"]
+    assert Field.rationals() == QQ == Field.from_name("rational") == Field(0)
+    assert (QQ.characteristic, QQ.is_prime_field, repr(QQ)) == (0, False, "Field(rational)")
+    assert Field.gf(7) == Field.from_name("gf7") == Field(7) != Field.gf(5)
+    assert (GF5.is_prime_field, repr(GF5)) == (True, "Field(gf5)")
+    assert len({GF2, Field.gf(2), QQ, Field.rationals()}) == 2
+    with pytest.raises(FieldError, match="must be prime, got 0"):
+        Field.gf(0)
+    with pytest.raises(FieldError, match="must be prime, got 4"):
+        Field(4)
 
 
 def test_from_name_round_trip():

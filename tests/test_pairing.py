@@ -856,6 +856,22 @@ def test_zero_set_kernel_matches_rank_kernel_on_random_triples():
     assert cases == 3 * (5 + 5 + 4 + 3)
 
 
+def test_zero_set_kernel_matches_rank_kernel_over_gf5_and_gf7():
+    # the cup-product triples over GF(7)^4 of every graph on 4 vertices with
+    # two or more edges, over GF(5)^5 of every 31st graph on 5 vertices with
+    # three or more, and random triples with as large a dim W
+    gf5, gf7 = Field.gf(5), Field.gf(7)
+    triples = [build_triple(g, gf7) for g in labeled_graphs(4) if len(g.edges) >= 2]
+    triples += [build_triple(g, gf5) for g in labeled_graphs(5) if len(g.edges) >= 3][::31]
+    for m in (2, 3, 4):
+        triples.append(random_triple(4, m, gf7, m, "symmetric"))
+        triples.append(random_triple(5, m + 1, gf5, m))
+    for t in triples:
+        assert zerosets.zero_sets_pay(getattr(t, "pairing", t))
+        assert _kernels_agree(t, _exhaustive_stream(t))
+    assert len(triples) == 57 + 32 + 6
+
+
 def _bases_where(t, k, keep, most):
     """One batch of the first ``most`` completed bases, in stream order, of
     the k-dimensional subspaces whose rank-kernel (rank R_F, rank R_F|_F)
@@ -939,12 +955,14 @@ def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("p, n, m, zero_sets", [
-    (1009, 2, 3, False), (31, 3, 3, False), (7, 4, 3, False),
-    (5, 5, 2, True), (3, 6, 3, True), (2, 8, 3, True),
-], ids=["gf1009^2", "gf31^3", "gf7^4", "gf5^5", "gf3^6", "gf2^8"])
+    (1009, 2, 3, False), (31, 3, 3, False), (2, 3, 3, False),
+    (7, 4, 3, True), (5, 5, 3, True), (3, 6, 22, True), (2, 8, 3, True),
+], ids=["gf1009^2", "gf31^3", "gf2^3", "gf7^4", "gf5^5", "gf3^6", "gf2^8"])
 def test_zero_set_gate_pins_the_kernel(monkeypatch, p, n, m, zero_sets):
-    # the first three build more than ZERO_SET_WORK table entries per
-    # subspace, where the table costs more than elimination saves
+    # the first three scan lines alone (dim V <= 3), one subspace per row of
+    # the table, and eliminate, whatever the table's size (GF(1009)^2's fits
+    # in 128 KB); from dim V = 4 every prime field whose table fits counts,
+    # at any dim W
     t = random_triple(n, m, Field.gf(p), 7)
     assert zerosets.zero_sets_pay(t) == zero_sets
     built = []
