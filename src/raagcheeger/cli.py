@@ -6,8 +6,9 @@ and failed, 2 on usage, parse, or budget errors, and 141 (128 + SIGPIPE, the
 status a shell gives a writer killed by a closed pipe) when stdout is closed
 before the output is written, as by ``| head -1``; that case prints nothing
 on stderr.  Each command takes only the flags it reads, so any other flag
-exits 2.  All output is deterministic for a fixed invocation, including
-under --jobs parallelism.
+exits 2, and so does a --jobs below 1 or above the CPU count.  All output
+is deterministic for a fixed invocation, including under --jobs
+parallelism.
 """
 
 from __future__ import annotations
@@ -361,6 +362,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # one worker per CPU at most, checked before any input is read or any
+    # pool starts
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"error: --jobs must be between 1 and {cpus}, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         # --field and the budget flags are resolved only where a command takes
         # them, before any input is read; their given values stay on args

@@ -5,21 +5,20 @@ Subspaces are canonicalized by the reduced row echelon form of their row
 space, so equality, hashing and deduplication are structural and the
 minimizers reported by the oracles are reproducible.  Enumeration order is
 fixed: pivot-column sets lexicographically, then free entries filled
-lexicographically.  The subspace stream comes in numpy batches of RREF bases
-completed to bases of the whole space, the input of the rank kernel of
-:mod:`raagcheeger.pairing`, built pivot set by pivot set.  The point stream
-names each RREF row by its row in :func:`projective_points`, the input of
-the zero-set kernel of :mod:`raagcheeger.zerosets`; it builds no bases, and
-every part of it is read from one smaller stream, that of GF(p)^{n-1} in
-dimension k - 1.  A dimension's stream depends only on (n, k, p), so one
-that takes at most :data:`BATCH_CACHE_BYTES` is built once per process as
-one read-only array in an lru cache, and its batches are views of that
-array; so is the smaller stream the point stream reads, and the coordinate
-subspaces that the coordinate scan reads, completed the same way.  Larger
-dimensions are streamed lazily, as they are built.
-The projective points of GF(p)^n and their codes, which the q-valence
-min-max and the zero-set kernel index by, are built once per (n, p) in
-small lru caches.
+lexicographically.  The one subspace stream names each RREF row by its row
+in :func:`projective_points`; both kernels of the exhaustive scan read it,
+the zero-set kernel of :mod:`raagcheeger.zerosets` as it is and the rank
+kernel of :mod:`raagcheeger.pairing` after completing each subspace's rows
+to a basis of the whole space.  Every part of the stream is read from one
+smaller stream, that of GF(p)^{n-1} in dimension k - 1.  A dimension's
+stream depends only on (n, k, p), so one that takes at most
+:data:`BATCH_CACHE_BYTES` is built once per process as one read-only array
+in an lru cache, and its batches are views of that array; so is the
+smaller stream it reads, and the coordinate subspaces that the coordinate
+scan reads, completed to bases by unit vectors.  Larger dimensions are
+streamed lazily, as they are built.  The projective points of GF(p)^n and
+their codes, which the q-valence min-max and both kernels index by, are
+built once per (n, p) in small lru caches.
 """
 
 from __future__ import annotations
@@ -172,6 +171,7 @@ def int_type(bound: int):
     )
 
 
+@lru_cache(maxsize=16)
 def product_types(n: int, p: int) -> tuple:
     """(dtype, ptype) for exact products of n terms below (p - 1)^2 over
     GF(p), or over QQ at p = 0: the narrowest integer type holding
@@ -248,14 +248,6 @@ def _popcount_table() -> np.ndarray:
     return np.add.outer(np.add.outer(digit, digit), digit).ravel()
 
 
-SUBSPACE_CHUNK = 512
-"""Most subspaces in one batch of :func:`enumerate_subspaces` and of the
-coordinate stream, which only the rank kernel reads: the coordinate scans,
-the exhaustive scans the zero-set gate refuses and, as a batch of one, a
-single subspace.  numpy's per-call cost dominates that kernel, so a larger
-chunk pays fewer numpy calls per batch but holds larger temporaries."""
-
-
 def enumerate_subspaces(
     ambient_dim: int,
     dims: Iterable[int],
@@ -264,65 +256,32 @@ def enumerate_subspaces(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream every subspace of each requested dimension exactly once, in batches.
 
-    Yields ``(k, bases)`` with ``bases`` an array of shape (B, n, n),
-    1 <= B <= :data:`SUBSPACE_CHUNK`, in the narrowest integer type holding
-    p - 1.  ``bases[b, :k]`` is the canonical RREF basis of one
-    k-dimensional subspace F, and ``bases[b, k:]`` are the unit vectors of
-    its non-leading coordinates in increasing order, so ``bases[b]`` is a
-    basis of V that starts with one of F.  The stream is deterministic:
-    dimensions ascending, then pivot-column sets in lexicographic order,
-    then all fillings of the free entries in lexicographic order.  A batch
-    holds consecutive subspaces of one dimension and may span several pivot
-    sets.  Past the budgets (see :meth:`Budgets.check_subspaces`) the first
-    ``next`` raises :class:`BudgetError` before any work.
+    Yields ``(k, points)``: ``points[b, r]`` is the row of
+    :func:`projective_points` holding row r of the canonical RREF basis of
+    the b-th k-dimensional subspace F, in the narrowest integer type that
+    indexes every point.  The stream is deterministic: dimensions
+    ascending, then pivot-column sets in lexicographic order, then all
+    fillings of the free entries in lexicographic order.  A batch holds
+    consecutive subspaces of one dimension, may span several pivot sets
+    and takes at most :data:`POINT_BATCH_BYTES`.  A field that is not
+    prime, or a request past the budgets (see
+    :meth:`Budgets.check_subspaces`), is refused by the call, before any
+    work.
 
     A dimension that takes at most :data:`BATCH_CACHE_BYTES` is built once
     per process and its batches are read-only views of the kept array (one
     ``verify-theorem`` call scans many triples of one size); a larger one is
-    streamed lazily.
+    streamed lazily.  The stream of dimension k of GF(p)^n is read from the
+    (n - 1, k - 1) stream (:func:`_pieces`): the subspaces whose first pivot
+    is column c are row 0's p^(n-k-c) fills times the tail of that stream
+    that is the (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is
+    kept in the same cache when it takes at most :data:`BATCH_CACHE_BYTES`,
+    so the dimensions of one request, and of later ones, share it, and a
+    dimension scanned in one space is the same array as the one read for
+    the next larger space; past that cap it is built whole for the
+    dimension that streams it, and held while that dimension streams.
     """
     n = ambient_dim
-    p, dims = _checked_request(n, dims, field, budgets)
-    itemsize = np.dtype(int_type(p - 1)).itemsize
-    for k in dims:
-        size = gaussian_binomial(n, k, p) * n * n * itemsize
-        for bases in _stream(size, SUBSPACE_CHUNK, _subspace_batches, n, k, p):
-            yield k, bases
-
-
-def enumerate_subspace_points(
-    ambient_dim: int,
-    dims: Iterable[int],
-    field: Field,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The subspaces of :func:`enumerate_subspaces`, in its order and under
-    its checks, as ``(k, points)``: ``points[b, r]`` is the row of
-    :func:`projective_points` holding row r of the b-th subspace's RREF
-    basis, in the narrowest integer type that indexes every point.  A batch
-    takes at most :data:`POINT_BATCH_BYTES` and is kept or streamed like
-    the bases.
-
-    The stream of dimension k of GF(p)^n is read from the (n - 1, k - 1)
-    stream (:func:`_pieces`): the subspaces whose first pivot is column c
-    are row 0's p^(n-k-c) fills times the tail of that stream that is the
-    (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is kept in the
-    same cache when it takes at most :data:`BATCH_CACHE_BYTES`, so the
-    dimensions of one request, and of later ones, share it, and a dimension
-    scanned in one space is the same array as the one read for the next
-    larger space; past that cap it is built whole for the dimension that
-    streams it, and held while that dimension streams.
-    """
-    n = ambient_dim
-    p, dims = _checked_request(n, dims, field, budgets)
-    for k in dims:
-        most = max(1, POINT_BATCH_BYTES // (max(k, 1) * _point_type(n, p).itemsize))
-        for points in _stream(_point_bytes(n, k, p), most, _point_batches, n, k, p):
-            yield k, points
-
-
-def _checked_request(n: int, dims: Iterable[int], field: Field, budgets: Budgets):
-    """(p, sorted dims) of a stream request, or the refusal of it."""
     if not field.is_prime_field:
         raise LinalgError("non-enumerable field: subspace enumeration needs a prime field")
     dims = sorted(set(dims))
@@ -330,54 +289,19 @@ def _checked_request(n: int, dims: Iterable[int], field: Field, budgets: Budgets
     for k in dims:
         if k < 0 or k > n:
             raise LinalgError(f"requested dimension {k} outside [0, {n}]")
-    return field.characteristic, dims
+    return _dimensions(n, dims, field.characteristic)
 
 
-def _pivot_sets(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """(pivots, free) for every RREF pivot-column set of dimension k, in
-    lexicographic order: free lists the (row, column) of each free entry,
-    the first one most significant in the lexicographic order of fills."""
-    for pivots in itertools.combinations(range(n), k):
-        pivset = set(pivots)
-        yield pivots, [
-            (r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivset
-        ]
-
-
-def _subspace_batches(n: int, k: int, p: int, most: int) -> Iterator[np.ndarray]:
-    """The batches of :func:`enumerate_subspaces` for one dimension k, of
-    ``most`` subspaces but the last."""
-    dtype = int_type(p - 1)
-    pending: list[np.ndarray] = []
-    count = 0
-    for pivots, free in _pivot_sets(n, k):
-        total = p ** len(free)
-        # fill number i, written in base p with the first free entry most
-        # significant, is the i-th fill in lexicographic order
-        ftype = np.int64 if total < 2**63 else object
-        powers = np.array([p**e for e in range(len(free) - 1, -1, -1)], dtype=ftype)
-        base = np.zeros((n, n), dtype=dtype)
-        base[range(n), [*pivots, *(c for c in range(n) if c not in pivots)]] = 1
-        free_rows = [r for r, _ in free]
-        free_cols = [c for _, c in free]
-        start = 0
-        while start < total:
-            stop = min(total, start + most - count)
-            bases = np.repeat(base[None], stop - start, axis=0)
-            fills = np.arange(start, stop, dtype=ftype)[:, None] // powers
-            bases[:, free_rows, free_cols] = reduce_mod(fills, p)
-            pending.append(bases)
-            count += stop - start
-            start = stop
-            if count == most:
-                yield np.concatenate(pending)
-                pending, count = [], 0
-    if pending:
-        yield np.concatenate(pending)
+def _dimensions(n: int, dims: list[int], p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The batches of :func:`enumerate_subspaces`, dimension by dimension."""
+    for k in dims:
+        most = max(1, POINT_BATCH_BYTES // (max(k, 1) * _point_type(n, p).itemsize))
+        for points in _stream(_point_bytes(n, k, p), most, _point_batches, n, k, p):
+            yield k, points
 
 
 POINT_BATCH_BYTES = 1 << 14
-"""Largest batch of :func:`enumerate_subspace_points`, in bytes.  A kept
+"""Largest batch of :func:`enumerate_subspaces`, in bytes.  A kept
 dimension serves slices of as many subspaces as fit; a streamed one writes
 each batch at its own size from the pieces that fit, so it holds the batch
 being written beside the one its reader has."""
@@ -394,7 +318,7 @@ def _point_bytes(n: int, k: int, p: int) -> int:
 
 
 def _point_batches(n: int, k: int, p: int, most: int) -> Iterator[np.ndarray]:
-    """The batches of :func:`enumerate_subspace_points` for one dimension k,
+    """The batches of :func:`enumerate_subspaces` for one dimension k,
     of at most ``most`` subspaces, each written at its own size from the
     pieces (:func:`_pieces`) that fit."""
     dtype = _point_type(n, p)
@@ -481,6 +405,13 @@ def _write(out: np.ndarray, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> 
     return out
 
 
+SUBSPACE_CHUNK = 512
+"""Most subspaces in one batch of the coordinate stream
+(:func:`_coordinate_batches`), which the rank kernel reads.  numpy's
+per-call cost dominates that kernel, so a larger chunk pays fewer numpy
+calls per batch but holds larger temporaries."""
+
+
 def _coordinate_batches(n: int):
     """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
     at most SUBSPACE_CHUNK, in the order of itertools.combinations, each
@@ -503,19 +434,18 @@ def _coordinate_bases(n: int, k: int, most: int):
 
 BATCH_CACHE_BYTES = 1 << 18
 """Largest stream, in bytes, that :func:`_stream` keeps whole.  Every
-dimension of GF(2)^6 is kept as bases (the largest takes 50 KB), and so are
-the coordinate subspaces of dimension 2 up to n = 20 (76 KB).  GF(2)^7 in
-dimension 3 (578 KB) and GF(3)^6 in dimension 2 (396 KB) are streamed.  As
-points, every dimension of GF(2)^7 and GF(3)^6 is kept (GF(3)^6 in
-dimension 3 takes 203 KB), and GF(2)^8 in dimension 3 (583 KB) is streamed.
-The kept streams share one lru cache (:func:`_kept`) of at most 48
-arrays, each at most 256 KB, so together they never hold more than 12 MB;
-a point scan of dimensions 1..4 of GF(2)^8 keeps 8 of them.  Beside them the recursion keeps at most 64 pairs of group tables
-(:func:`_groups`), one integer per pivot set and per fill and pivot set of
-a leading part: 25 KB in all after a scan of GF(2)^8.  A streamed dimension
-also holds its (n - 1, k - 1) stream whole while it streams: 4.7 MB for
-dimension 4 of GF(2)^10 (past the default budget), at most 35 KB (GF(2)^7
-in dimension 3) in the scans up to n/2 that the default budget admits."""
+dimension of GF(2)^7 and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes
+203 KB), and GF(2)^8 in dimension 3 (583 KB) is streamed; so are the
+coordinate subspaces of dimension 2 up to n = 20 (76 KB).  The kept
+streams share one lru cache (:func:`_kept`) of at most 48 arrays, each at
+most 256 KB, so together they never hold more than 12 MB; a scan of
+dimensions 1..4 of GF(2)^8 keeps 8 of them.  Beside them the recursion
+keeps at most 64 pairs of group tables (:func:`_groups`), one integer per
+pivot set and per fill and pivot set of a leading part: 25 KB in all after
+a scan of GF(2)^8.  A streamed dimension also holds its (n - 1, k - 1)
+stream whole while it streams: 4.7 MB for dimension 4 of GF(2)^10 (past
+the default budget), at most 35 KB (GF(2)^7 in dimension 3) in the scans
+up to n/2 that the default budget admits."""
 
 
 def _stream(size: int, most: int, batches, *args) -> Iterator[np.ndarray]:

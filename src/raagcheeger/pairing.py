@@ -11,12 +11,16 @@ Verification code compares them explicitly.
 Every subspace Cheeger computation reads one pair of ranks per subspace F,
 (rank R_F, rank R_F|_F), with h_F = (rank R_F - rank R_F|_F) / dim F and
 R_F the matrix of v -> (q(f_a, v))_a over a basis of F.  Two kernels give
-it, each on batches of its own stream, both in the canonical order of
-:mod:`raagcheeger.linalg`.
+it, both on batches of the one stream of
+:func:`~raagcheeger.linalg.enumerate_subspaces`, (k, points): F's RREF rows
+as projective points of V, in the canonical order.
 
-The rank kernel takes (k, bases): batches of at most ``SUBSPACE_CHUNK``
-bases S of V, each starting with F's RREF basis, as
-:func:`~raagcheeger.linalg.enumerate_subspaces` streams them.  It
+The rank kernel completes each F's rows to a basis S of V, by the unit
+vectors off F's pivot columns, with one decode per batch: F's rows and
+those unit vectors are gathered from tables indexed by point and by pivot
+set.  It takes a batch in slices whose bases hold at most
+``POINT_BATCH_BYTES`` entries.  The coordinate scan hands it completed
+bases directly, in batches of at most ``SUBSPACE_CHUNK``.  It
 eliminates, and never forms the orthogonal complement
 C(F): two matrix products build the matrices of a batch and one
 column-by-column elimination ranks them all, on rows packed into integers
@@ -29,16 +33,16 @@ products while n * (p - 1)^2 < 2^24 and as float64 ones while it is below
 2^53.  Every reduction mod p is x - p * (x // p), whose intermediate
 p * (x // p) stays within [-p * (p - 1), x] on the kernel's values.
 
-The zero-set kernel of :mod:`raagcheeger.zerosets` takes (k, points): F's
-RREF rows as projective points of V, as
-:func:`~raagcheeger.linalg.enumerate_subspace_points` streams them, and
-counts in bitsets over those points.  The exhaustive scan takes it, with
-its stream, when its gate, :func:`~raagcheeger.zerosets.zero_sets_pay`,
+The zero-set kernel of :mod:`raagcheeger.zerosets` reads the point batches
+as they are and counts in bitsets over those points.  The exhaustive scan
+takes it when its gate, :func:`~raagcheeger.zerosets.zero_sets_pay`,
 admits it before any work: a prime field, dim W > 0, dim V >= 4, where the
 scan visits more subspaces than V has projective points, and a table that
-fits its cap.  QQ, large p, dim V <= 3, the coordinate scan and single
-subspaces stay on the rank kernel, which the tests also use to
-cross-check the zero-set kernel batch by batch.
+fits its cap.  Large p, dim V <= 3, the coordinate scan and single
+subspaces stay on the rank kernel, which the tests also use to cross-check
+the zero-set kernel batch by batch.  A zero pairing, dim W = 0, has h = 0
+at the first subspace, and its exhaustive scan reports that subspace
+without building a batch.
 
 The scans build a :class:`Subspace` only for the minimizer they report.
 Pairing-connectedness is decided as h > 0, which is exact for dim V >= 2
@@ -60,10 +64,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field, Scalar
 from .linalg import (
-    LinalgError, Subspace, _coordinate_batches, enumerate_subspace_points, enumerate_subspaces,
+    LinalgError, Subspace, _coordinate_batches, enumerate_subspaces,
     product_types, projective_points, reduce_mod,
 )
 from .zerosets import pairs_blocks, zero_set_kernel, zero_sets_pay
@@ -184,12 +189,15 @@ def _pairing(t) -> PairingTriple:
 
 
 def _rank_kernel(pt: PairingTriple):
-    """The eliminating kernel, built once per call: (k, a batch of completed
-    bases S, an array of shape (B, n, n)) -> the arrays (rank R_F,
-    rank R_F|_F), one entry per basis, F being the span of the first k rows
-    of S.  It serves every field and both scans; the exhaustive scan over a
-    small prime field takes :func:`~raagcheeger.zerosets.zero_set_kernel`
-    instead, and the tests check the two against each other.
+    """The eliminating kernel, built once per call: (k, a batch) -> the
+    arrays (rank R_F, rank R_F|_F), one entry per subspace F.  A batch of
+    shape (B, n, n) holds completed bases S, F being the span of the first
+    k rows of S; one of shape (B, k), a batch of the exhaustive stream,
+    holds F's RREF rows as projective points, which one decode completes
+    to the same S (:func:`_completion`).  It serves every field and both
+    scans; the exhaustive scan over a small prime field takes
+    :func:`~raagcheeger.zerosets.zero_set_kernel` instead, and the tests
+    check the two against each other.
 
     R_F is the (k*m) x n matrix of the functionals v -> q(f_a, v)_e.  Its
     kernel is C = C(F), so dim C = n - rank R_F, and F n C is the kernel of
@@ -221,12 +229,19 @@ def _rank_kernel(pt: PairingTriple):
     # (a, e) of R_F at every column j, so the product reshapes to (B, k*m, n)
     table = np.array(tensor, dtype=ptype).transpose(0, 2, 1).reshape(n, m * n)
 
-    def ranks(k: int, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        count = len(bases)
+    def ranks(k: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = len(batch)
         if not m:
             return np.zeros(count, np.int64), np.zeros(count, np.int64)
-        s = bases.astype(ptype, copy=False)
-        r_f = s[:, :k].reshape(count * k, n) @ table
+        if batch.ndim == 2:
+            rows, bits, units = _completion(n, p)
+            f = rows.take(batch, axis=0)
+            s = units.take(bits.take(batch.T).sum(axis=0), axis=0)
+            s[:, :k] = f
+        else:
+            s = batch.astype(ptype, copy=False)
+            f = s[:, :k]
+        r_f = f.reshape(count * k, n) @ table
         if p:
             r_f = reduce_mod(r_f.astype(dtype, copy=False), p)
         # r_t[b, j] is column j of R_F, its k*m entries ordered (a, e); the
@@ -239,6 +254,27 @@ def _rank_kernel(pt: PairingTriple):
         return _column_ranks(cols, k, p, dtype)
 
     return ranks
+
+
+@lru_cache(maxsize=8)
+def _completion(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, bits, units) that complete a point batch of GF(p)^n to bases
+    S of V, in the rank kernel's product type.  rows are the
+    :func:`~raagcheeger.linalg.projective_points`.  bits[x] = 2^c for the
+    leading column c of point x, which is n - 1 - w in block w.  For a set
+    P of columns, given by its bitmask, units[P] holds the unit vectors of
+    the columns on P, then those off P, each in increasing order.  F's RREF
+    rows lead at its k pivot columns, so the bits of its points sum to its
+    pivot set's mask, and rows k.. of units[mask] are the unit vectors
+    that complete F's basis.  From n = 4 on, the 2^n masks are no more
+    than the [n, n/2]_p >= p^(floor(n/2) ceil(n/2)) subspaces of the scan's
+    largest dimension; below, they are at most 8."""
+    ptype = product_types(n, p)[1]
+    rows = projective_points(n, p).astype(ptype)
+    bits = np.repeat(1 << np.arange(n - 1, -1, -1), [p**w for w in range(n)])
+    off = 1 - (np.arange(2**n)[:, None] >> np.arange(n) & 1)
+    units = np.eye(n, dtype=ptype)[np.argsort(off, axis=1, kind="stable")]
+    return rows, bits, units
 
 
 def _column_ranks(cols: np.ndarray, k: int, p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -368,23 +404,19 @@ class CheegerReport:
 
 
 def _first_minimum(
-    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, kernel
+    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, ranks
 ) -> CheegerReport:
-    """Scan a nonempty stream of (k, batch) pairs for the least h_F, keeping
-    the first minimizer; h_F >= 0, so the scan stops at a zero.  ``kernel``
-    builds the ranks function once the first batch is in, so a refused
-    stream costs no kernel work.  Inside a batch k is fixed, so the first
+    """Scan a nonempty stream of (k, batch) pairs with the kernel's
+    ``ranks`` for the least h_F, keeping the first minimizer; h_F >= 0, so
+    the scan stops at a zero.  Inside a batch k is fixed, so the first
     argmin of the numerators is the batch's first minimum; across batches
     quotients are compared as num / k by cross-multiplication.  Only the
     reported minimizer becomes a Subspace, its rows read off the winning
     entry: the first k rows of a basis, or k point indices."""
-    batches = iter(batches)
-    first = next(batches)
-    ranks = kernel(pt)
     best_num, best_dim = 0, 0
     best = None
     visited = 0
-    for k, batch in itertools.chain([first], batches):
+    for k, batch in batches:
         rank, rank_restricted = ranks(k, batch)
         nums = rank - rank_restricted
         i = int(nums.argmin())
@@ -413,12 +445,21 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     n = pt.dim_v
     if n < 2:
         return CheegerReport(None, None, "exhaustive", 0)
-    stream, kernel = (
-        (enumerate_subspace_points, zero_set_kernel) if zero_sets_pay(pt)
-        else (enumerate_subspaces, _rank_kernel)
-    )
-    batches = stream(n, range(1, n // 2 + 1), pt.field, budgets)
-    return _first_minimum(pt, batches, "exhaustive", kernel)
+    batches = enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets)
+    if not pt.dim_w:
+        # a zero pairing has h_F = 0 at the first subspace, the line of e_0;
+        # over a field as large as GF(2^61 - 1) no point batch can be built
+        first = Subspace(pt.field, n, ((1,) + (0,) * (n - 1),))
+        return CheegerReport(Fraction(0), first, "exhaustive", 1)
+    if zero_sets_pay(pt):
+        return _first_minimum(pt, batches, "exhaustive", zero_set_kernel(pt))
+    # the rank kernel takes a point batch in slices whose completed bases
+    # hold at most POINT_BATCH_BYTES entries, 1,820 subspaces at n = 3 and
+    # 1,024 at n = 4: whole batches of up to 16 K subspaces outgrow the
+    # cache, and slices of 512 pay the decode's fixed cost too often
+    step = max(1, linalg.POINT_BATCH_BYTES // (n * n))
+    slices = ((k, points[i : i + step]) for k, points in batches for i in range(0, len(points), step))
+    return _first_minimum(pt, slices, "exhaustive", _rank_kernel(pt))
 
 
 def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -434,7 +475,7 @@ def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     if n < 2:
         return CheegerReport(None, None, "coordinate", 0)
     budgets.check_coordinates(n)
-    return _first_minimum(pt, _coordinate_batches(n), "coordinate", _rank_kernel)
+    return _first_minimum(pt, _coordinate_batches(n), "coordinate", _rank_kernel(pt))
 
 
 # -- q-valence ---------------------------------------------------------------

@@ -3,12 +3,13 @@ prime field, by counting instead of eliminating.
 
 Over GF(p) the orthogonal complement C(F) = {y : q(f, y) = 0 for f in F} is
 the intersection of the zero sets of F's RREF rows, and those rows are
-normalized projective points, which the point stream of
+normalized projective points, which the subspace stream of
 :mod:`raagcheeger.linalg` names by index.  So the kernel tabulates, once
 per scan, the zero set of every projective point of V as a bitset, gathers
 the bitsets of F's rows and ANDs them in place into C(F), reads dim C off
 C's popcount, summed word by word, and dim(F n C) off the bits of C at F's
-points, where the rank kernel of :mod:`raagcheeger.pairing` eliminates.
+points, where the rank kernel of :mod:`raagcheeger.pairing` completes the
+same rows to bases and eliminates.
 F n C lies in C, so F's points are built only for the F with C != 0: 2-3%
 of the subspaces of the cycle C6's triple and of a random triple over
 GF(3)^6.  The same points table, as q(x, y) != 0, is the q-valence
@@ -58,8 +59,8 @@ def zero_sets_pay(pt) -> bool:
 def zero_set_kernel(pt):
     """The rank kernel's (rank R_F, rank R_F|_F) for a triple ``pt`` over a
     prime field with dim W > 0, taken as (k, points): the batches of
-    :func:`~raagcheeger.linalg.enumerate_subspace_points`, F's RREF rows
-    given as rows of :func:`~raagcheeger.linalg.projective_points`.
+    :func:`~raagcheeger.linalg.enumerate_subspaces`, F's RREF rows given as
+    rows of :func:`~raagcheeger.linalg.projective_points`.
 
     Built once per scan: for every projective point x of V, the bitset, in
     little-endian uint64 words, of the points y with q(x, y) = 0.  C = C(F)

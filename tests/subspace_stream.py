@@ -1,9 +1,9 @@
 """Test helpers: the batched subspace stream as one Subspace per subspace,
 and an independent enumeration of the same canonical order.
 
-``enumerate_subspaces`` yields (k, bases) batches of RREF bases completed to
-bases of the whole space; tests that want to compare, hash or print
-individual subspaces read the first k rows of each through here.
+``enumerate_subspaces`` yields (k, points) batches, each RREF row named by
+its row in ``projective_points``; tests that want to compare, hash or print
+individual subspaces read those rows through here.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import itertools
 
 from raagcheeger import DEFAULT_BUDGETS, Subspace, enumerate_subspaces
+from raagcheeger.linalg import projective_points
 
 
 def subspaces(ambient_dim, dims, field, budgets=DEFAULT_BUDGETS):
     """Every subspace of the stream, in stream order."""
-    for k, bases in enumerate_subspaces(ambient_dim, dims, field, budgets):
-        for basis in bases[:, :k].tolist():
+    points = projective_points(ambient_dim, field.characteristic)
+    for _, at in enumerate_subspaces(ambient_dim, dims, field, budgets):
+        for basis in points[at].tolist():
             yield Subspace(field, ambient_dim, tuple(map(tuple, basis)))
 
 

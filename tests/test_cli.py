@@ -459,6 +459,16 @@ def test_negative_all_graphs_is_refused(argv, capsys):
     assert out == "" and "nonnegative" in err
 
 
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_jobs_outside_one_to_the_cpu_count_is_refused(tmp_path, jobs, capsys):
+    # refused before the input is read (it does not exist) and before any
+    # pool starts, with nothing on stdout
+    for argv in (["verify-theorem", "--all-graphs", "2"], ["triple-h", "--input", str(tmp_path / "none")]):
+        assert main([*argv, "--jobs", str(jobs)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: --jobs must be between 1 and {os.cpu_count() or 1}, got {jobs}\n")
+
+
 def test_seed_controls_random_regular():
     a = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")
     b = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")

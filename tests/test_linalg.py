@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raagcheeger import linalg
+from raagcheeger import linalg, pairing
 from raagcheeger import (
     GF2,
     GF3,
@@ -207,60 +207,94 @@ def test_enumeration_is_duplicate_free():
     assert len(subs) == len(set(subs))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
+def _completed_bases(n, p, k, at):
+    """The bases S the rank kernel completes a point batch to, decoded as
+    it decodes them, checked: the first k rows of S are F's rows
+    projective_points[at], which lead at distinct pivot columns with the
+    identity there, and the others are the unit vectors of the columns off
+    those pivots in increasing order.  So S, its columns ordered pivots
+    first, is block unitriangular, and invertible mod p.  Returns S."""
+    rows, bits, units = pairing._completion(n, p)
+    s = units.take(bits.take(at.T).sum(axis=0), axis=0)
+    s[:, :k] = rows.take(at, axis=0)
+    f = linalg.projective_points(n, p)[at]
+    assert (s[:, :k] == f).all()
+    if not n:
+        return s
+    lead = (f != 0).argmax(axis=2)
+    assert (np.diff(lead, axis=1) > 0).all()
+    assert (np.take_along_axis(f, lead[:, None, :], axis=2) == np.eye(k)).all()
+    off = np.ones((len(at), n), bool)
+    np.put_along_axis(off, lead, False, axis=1)
+    free = np.nonzero(off)[1].reshape(len(at), n - k)
+    assert (s[:, k:] == np.eye(n)[free]).all()
+    return s
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
-    # batches pack consecutive pivot profiles of one dimension: every batch
-    # but the last of its dimension is full, and concatenated their first k
-    # rows are the canonical order; the rows after them are the unit vectors
-    # of the non-leading coordinates, so each basis is invertible mod p; the
-    # stream repeats exactly
-    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+    # batches of chunk bytes pack consecutive pivot profiles of one
+    # dimension: every batch but the last of its dimension is full, and
+    # concatenated the rows they name are the canonical order; each decodes
+    # to bases S whose first k rows are those rows and whose others are the
+    # unit vectors of the non-leading coordinates, so each S is invertible
+    # mod p; the stream repeats exactly
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     cases = ((5, [1, 2], GF2, np.int8), (4, [0, 1, 2, 4], GF3, np.int8),
              (3, [1, 2], GF5, np.int8), (2, [1], Field.gf(257), np.int16))
     for n, dims, field, dtype in cases:
+        p = field.characteristic
+        points = linalg.projective_points(n, p)
         batches = list(enumerate_subspaces(n, dims, field))
-        flat = [basis for k, bases in batches for basis in bases[:, :k].tolist()]
-        assert flat == list(canonical_order(n, dims, field.characteristic))
+        flat = [basis for _, at in batches for basis in points[at].tolist()]
+        assert flat == list(canonical_order(n, dims, p))
         assert [k for k, _ in batches] == sorted(k for k, _ in batches)
-        for i, (k, bases) in enumerate(batches):
-            assert bases.shape[1:] == (n, n) and bases.dtype == dtype
+        for i, (k, at) in enumerate(batches):
+            assert at.shape[1] == k and at.dtype == dtype
+            most = max(1, chunk // (max(k, 1) * at.itemsize))
             last_of_dim = i + 1 == len(batches) or batches[i + 1][0] != k
-            assert 1 <= len(bases) <= chunk and (last_of_dim or len(bases) == chunk)
-            for basis in bases.tolist():
-                leading = {row.index(1) for row in basis[:k]}
-                free = [c for c in range(n) if c not in leading]
-                assert basis[k:] == [[int(j == c) for j in range(n)] for c in free]
+            assert 1 <= len(at) <= most and (last_of_dim or len(at) == most)
+            for basis in _completed_bases(n, p, k, at).astype(int).tolist():
                 assert Subspace.from_vectors(field, n, basis).dim == n
         again = list(enumerate_subspaces(n, dims, field))
         assert len(again) == len(batches)
-        for (k, bases), (k2, bases2) in zip(batches, again):
-            assert k == k2 and (bases == bases2).all()
+        for (k, at), (k2, at2) in zip(batches, again):
+            assert k == k2 and (at == at2).all()
 
 
 def _check_point_stream(n, k, field):
-    """The point stream of dimension k, checked against the bases stream:
-    the rows of projective_points it names are the first k rows of the
-    bases, in stream order.  Returns its batches."""
+    """The stream of dimension k, checked batch by batch in size and type
+    and decoded to the rank kernel's bases (:func:`_completed_bases`, which
+    also checks that every subspace is a valid RREF basis), and checked to
+    be the canonical order without enumerating it: its RREF bases strictly
+    increase in (pivot columns, rows read row by row), the canonical order's
+    key, and there are [n, k]_p of them.  Returns its batches."""
     p = field.characteristic
-    points = linalg.projective_points(n, p)
-    batches = [at for _, at in linalg.enumerate_subspace_points(n, [k], field)]
+    points = linalg.projective_points(n, p).astype(np.int16)
+    batches = [at for _, at in enumerate_subspaces(n, [k], field)]
     for at in batches:
         assert at.shape[1] == k and at.dtype == linalg.int_type(len(points))
         assert 1 <= len(at) * max(k, 1) * at.itemsize <= max(linalg.POINT_BATCH_BYTES, k * at.itemsize)
-    at = np.concatenate(batches)
-    start = 0
-    for _, bases in enumerate_subspaces(n, [k], field):
-        assert (points[at[start : start + len(bases)]] == bases[:, :k]).all(), (n, k, p, start)
-        start += len(bases)
-    assert start == len(at) == gaussian_binomial(n, k, p)
+        _completed_bases(n, p, k, at)
+    bases = points[np.concatenate(batches)]
+    assert len(bases) == gaussian_binomial(n, k, p)
+    rows = bases.reshape(len(bases), k * n)
+    if k:
+        key = np.concatenate([(bases != 0).argmax(axis=2), rows], axis=1)
+        step = key[1:] != key[:-1]
+        first = step.argmax(axis=1)[:, None]
+        assert step.any(axis=1).all()
+        assert (np.take_along_axis(key[1:], first, 1) > np.take_along_axis(key[:-1], first, 1)).all()
     # the stream ends with the pivot set of the last k coordinates, which
     # has no free entries
-    assert points[at[-1]].tolist() == np.eye(n, dtype=int)[n - k :].tolist()
+    assert rows[-1].tolist() == np.eye(n, dtype=int)[n - k :].ravel().tolist()
     return batches
 
 
 @pytest.mark.parametrize("p, most", [(2, 8), (3, 6), (5, 4), (7, 3)])
 def test_point_stream_follows_the_bases_stream(p, most):
+    # every dimension up to GF(p)^most is the canonical order, and each of
+    # its batches decodes to the bases S that the rank kernel eliminates
     field = Field.gf(p)
     for n in range(1, most + 1):
         for k in range(n + 1):
@@ -305,7 +339,7 @@ def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
     # below 0, and for the small spaces in batches of 10 bytes, so that pieces
     # split groups and fills, the stream names the same rows
     def stream(n, k):
-        batches = [at for _, at in linalg.enumerate_subspace_points(n, [k], Field.gf(p))]
+        batches = [at for _, at in enumerate_subspaces(n, [k], Field.gf(p))]
         assert all(at.dtype == linalg.int_type(len(linalg.projective_points(n, p))) for at in batches)
         return np.concatenate(batches)
 
@@ -352,7 +386,7 @@ def test_point_stream_keeps_only_the_streams_it_reads():
     try:
         for dims in ([4], [1, 2, 3, 4]):
             linalg._kept.cache_clear()
-            for _ in linalg.enumerate_subspace_points(8, dims, GF2):
+            for _ in enumerate_subspaces(8, dims, GF2):
                 pass
             kept = [key for k in dims for key in streams[k]]
             before = linalg._kept.cache_info()
@@ -374,9 +408,7 @@ def test_kept_batches_are_views_of_one_array(monkeypatch, most):
     # GF(3)^6 in dimension 3 names its rows as int16: 6 bytes a subspace
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", 6 * most)
     cases = [
-        (lambda: [b for _, b in enumerate_subspaces(5, [2], GF2)], (linalg._subspace_batches, 5, 2, 2)),
-        (lambda: [b for _, b in linalg.enumerate_subspace_points(6, [3], GF3)],
-         (linalg._point_batches, 6, 3, 3)),
+        (lambda: [b for _, b in enumerate_subspaces(6, [3], GF3)], (linalg._point_batches, 6, 3, 3)),
         (lambda: [b for k, b in linalg._coordinate_batches(8) if k == 3], (linalg._coordinate_bases, 8, 3)),
     ]
     rng = random.Random(most)
@@ -415,9 +447,8 @@ def test_reduce_mod_is_python_mod_over_the_kernel_range(p, n, dtype):
 
 
 def test_enumeration_rejects_rationals():
-    for stream in (enumerate_subspaces, linalg.enumerate_subspace_points):
-        with pytest.raises(LinalgError, match="non-enumerable"):
-            next(stream(2, [1], QQ))
+    with pytest.raises(LinalgError, match="non-enumerable"):
+        next(enumerate_subspaces(2, [1], QQ))
     with pytest.raises(LinalgError, match="non-enumerable"):
         next(enumerate_unordered_bases(2, QQ))
 
@@ -426,9 +457,8 @@ def test_enumeration_budget_errors_name_the_flag():
     # the cap counts the work, not the dimension: the 511 lines of GF(2)^9
     # are admitted, its 4141728 subspaces of dimension 1..4 are not
     assert sum(len(rows) for _, rows in enumerate_subspaces(9, [1], GF2)) == 511
-    for stream in (enumerate_subspaces, linalg.enumerate_subspace_points):
-        with pytest.raises(BudgetError, match="4141728 subspaces.*--budget-subspaces"):
-            next(stream(9, range(1, 5), GF2))
+    with pytest.raises(BudgetError, match="4141728 subspaces.*--budget-subspaces"):
+        next(enumerate_subspaces(9, range(1, 5), GF2))
     with pytest.raises(BudgetError, match="--budget-bases"):
         next(enumerate_unordered_bases(5, GF2))
 

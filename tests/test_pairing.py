@@ -517,18 +517,21 @@ def _coordinate_subspaces(field, n):
 
 def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
     # (triple, subspaces the exhaustive scan visits).  Batches restart at each
-    # dimension; the comments place the first zero within its dimension
+    # dimension; the comments place the first zero within its dimension and
+    # within the point batches of 7, 14 or 512 bytes, whose rows take one
+    # byte over GF(2) and GF(3) and two over GF(5).  With the gate refused
+    # the rank kernel reads the same batches in slices of at most 512 / n^2
     cases = [
         (random_triple(6, 1, GF2, 6), 3),  # dim 1, 3rd: inside the first batch
         (random_triple(6, 2, GF2, 5), 49),  # dim 1, 49th: last of a 7-batch
         (random_triple(6, 1, GF2, 53), 64),  # dim 2, 1st: first of a batch at every size
         (random_triple(6, 2, GF2, 144), 320),  # dim 2, 257th: first of a 256-batch
         (random_triple(5, 1, GF3, 6), 78),  # dim 1, 78th: first of a 7-batch
-        (random_triple(5, 2, GF3, 64), 628),  # dim 2, 507th: inside both
+        (random_triple(5, 2, GF3, 64), 628),  # dim 2, 507th: last of a 3-batch
         (random_triple(5, 3, GF3, 87), 1024),  # dim 2, 903rd: last of a 7-batch
         (random_triple(4, 1, GF5, 79), 8),  # dim 1, 8th: first of a 7-batch
         (random_triple(4, 1, GF5, 58), 14),  # dim 1, 14th: last of a 7-batch
-        (random_triple(4, 2, GF5, 1), 578),  # dim 2, 422nd: inside a 256-batch
+        (random_triple(4, 2, GF5, 1), 578),  # dim 2, 422nd: inside a 128-batch
         (build_triple(cycle(6), GF2), 2109),  # h > 0: the whole stream
         (build_triple(cycle(5), GF3), 1331),
         (build_triple(path(4), GF5), 962),
@@ -541,9 +544,14 @@ def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
         exhaustive = _scan_by_complement(t, stream)
         coordinate = _scan_by_complement(t, _coordinate_subspaces(field, n))
         assert exhaustive[2] == visits
-        for chunk in (1, 7, linalg.SUBSPACE_CHUNK):
+        for chunk in (1, 7, 14, 512):
             monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+            monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
             rep = cheeger_constant_exhaustive(t)
+            assert (rep.value, rep.minimizer, rep.subspaces_visited) == exhaustive
+            with monkeypatch.context() as m:
+                m.setattr(pairing, "zero_sets_pay", lambda pt: False)
+                rep = cheeger_constant_exhaustive(t)
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == exhaustive
             rep = cheeger_constant_coordinate(t)
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == coordinate
@@ -712,11 +720,13 @@ def _scans(triples):
     ]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
-    # the same scans streamed lazily, from a cold cache and from a warm one;
-    # the disconnected graphs stop early at h = 0
+    # the same scans streamed lazily, from a cold cache and from a warm one,
+    # in coordinate batches of chunk subspaces and point batches of chunk
+    # bytes; the disconnected graphs stop early at h = 0
     monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
     triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
     triples += [build_triple(path(6), GF2), random_triple(5, 2, GF3, 11),
@@ -736,19 +746,22 @@ def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
 
 
 def test_cached_batches_are_read_only_and_cleared():
+    # GF(3)^4 keeps its dimensions 1 and 2 and the (3, 1) stream that
+    # dimension 2 reads; the coordinate scan of n = 6 keeps dimensions 1..3
     _clear_caches()
     try:
-        kept = [bases for _, bases in enumerate_subspaces(4, [1, 2], GF3)]
+        kept = [points for _, points in enumerate_subspaces(4, [1, 2], GF3)]
         kept += [bases for _, bases in linalg._coordinate_batches(6)]
-        assert linalg._kept.cache_info().currsize == 5
-        for bases in kept:
-            assert not bases.flags.writeable
+        assert linalg._kept.cache_info().currsize == 6
+        for batch in kept:
+            assert not batch.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                bases[0, 0, 0] = 1
-        # dimension 3 of GF(2)^7 takes more than the cap and is streamed
-        streamed = [bases for _, bases in enumerate_subspaces(7, [3], GF2)]
-        assert linalg._kept.cache_info().currsize == 5
-        assert all(bases.flags.writeable for bases in streamed)
+                batch[(0,) * batch.ndim] = 1
+        # dimension 3 of GF(2)^8 takes more than the cap and is streamed;
+        # only the (7, 2) and (6, 1) streams it reads are kept
+        streamed = [points for _, points in enumerate_subspaces(8, [3], GF2)]
+        assert linalg._kept.cache_info().currsize == 8
+        assert all(points.flags.writeable for points in streamed)
     finally:
         _clear_caches()
     assert linalg._kept.cache_info().currsize == 0
@@ -770,9 +783,11 @@ def _retained_bytes(scan) -> int:
 
 
 def test_batch_cache_retains_less_than_its_cap():
-    # GF(2)^8 keeps only its 255 lines (16 KB); n = 20 keeps its coordinate
-    # subspaces of dimension 1 and 2 (84 KB) and streams those of dimension 3
-    # (456 KB) and up
+    # GF(2)^8 keeps its dimensions 1 and 2 and the smaller streams that
+    # dimensions 2..4 read (86 KB of arrays, 131 KB retained with the group
+    # tables and the cache); n = 20 keeps its coordinate subspaces
+    # of dimension 1 and 2 (84 KB) and streams those of dimension 3 (456 KB)
+    # and up
     _clear_caches()
     try:
         scans = [
@@ -789,30 +804,15 @@ def test_batch_cache_retains_less_than_its_cap():
 # -- the zero-set kernel -------------------------------------------------------------
 
 
-def _as_points(t, k, bases):
-    """The zero-set kernel's input for a batch of completed bases: the row of
-    projective_points holding each of the first k rows, found by its residues
-    read as a base-p number."""
-    pt = getattr(t, "pairing", t)
-    n, p = pt.dim_v, pt.field.characteristic
-    points = linalg.projective_points(n, p)
-    powers = p ** np.arange(n - 1, -1, -1)
-    row_of = np.full(p**n, -1)
-    row_of[points @ powers] = np.arange(len(points))
-    at = row_of[bases[:, :k].astype(np.int64) @ powers]
-    assert (at >= 0).all() and (points[at] == bases[:, :k]).all()
-    return at.astype(np.int16)
-
-
 def _kernels_agree(t, batches) -> int:
-    """Assert that the zero-set kernel, fed the points of each batch of
-    completed bases, gives the rank kernel's (rank R_F, rank R_F|_F) on the
-    bases; return the number of batches compared."""
+    """Assert that the zero-set kernel and the rank kernel give the same
+    (rank R_F, rank R_F|_F) on each (k, points) batch; return the number of
+    batches compared."""
     pt = getattr(t, "pairing", t)
     zero_sets, ranks = zerosets.zero_set_kernel(pt), pairing._rank_kernel(pt)
     compared = 0
-    for k, bases in batches:
-        got, want = zero_sets(k, _as_points(pt, k, bases)), ranks(k, bases)
+    for k, points in batches:
+        got, want = zero_sets(k, points), ranks(k, points)
         assert (got[0].tolist(), got[1].tolist()) == (want[0].tolist(), want[1].tolist()), (pt, k)
         compared += 1
     return compared
@@ -872,13 +872,12 @@ def test_zero_set_kernel_matches_rank_kernel_over_gf5_and_gf7():
     assert len(triples) == 57 + 32 + 6
 
 
-def _bases_where(t, k, keep, most):
-    """One batch of the first ``most`` completed bases, in stream order, of
-    the k-dimensional subspaces whose rank-kernel (rank R_F, rank R_F|_F)
-    satisfy ``keep``."""
+def _points_where(t, k, keep, most):
+    """One batch of the first ``most`` k-dimensional subspaces, in stream
+    order, whose rank-kernel (rank R_F, rank R_F|_F) satisfy ``keep``."""
     pt = getattr(t, "pairing", t)
     ranks = pairing._rank_kernel(pt)
-    kept = [bases[keep(*ranks(k, bases))] for _, bases in enumerate_subspaces(pt.dim_v, [k], pt.field)]
+    kept = [at[keep(*ranks(k, at))] for _, at in enumerate_subspaces(pt.dim_v, [k], pt.field)]
     batch = np.concatenate(kept)[:most]
     assert len(batch) == most
     return batch
@@ -895,9 +894,9 @@ SPARSE_COMPLEMENTS = [(7, 5, GF2, 21, "antisymmetric"), (6, 3, GF3, 5, "antisymm
 def test_zero_set_kernel_on_a_batch_with_every_complement_zero(n, m, field, seed, symmetry, k):
     # rank R_F = n for every F, so no F needs its points
     t = random_triple(n, m, field, seed, symmetry)
-    batch = _bases_where(t, k, lambda rank, restricted: rank == n, 60)
+    batch = _points_where(t, k, lambda rank, restricted: rank == n, 60)
     assert _kernels_agree(t, [(k, batch)]) == 1
-    assert zerosets.zero_set_kernel(t)(k, _as_points(t, k, batch))[1].tolist() == [k] * 60
+    assert zerosets.zero_set_kernel(t)(k, batch)[1].tolist() == [k] * 60
 
 
 @pytest.mark.parametrize("n, m, field, seed, symmetry", SPARSE_COMPLEMENTS[:2])
@@ -905,11 +904,11 @@ def test_zero_set_kernel_on_a_batch_with_every_complement_zero(n, m, field, seed
 def test_zero_set_kernel_on_a_batch_with_one_complement_in_the_middle(n, m, field, seed, symmetry, k):
     # C(F) != 0 for the 31st F alone, and F n C(F) != 0 there
     t = random_triple(n, m, field, seed, symmetry)
-    zero = _bases_where(t, k, lambda rank, restricted: rank == n, 60)
-    meet = _bases_where(t, k, lambda rank, restricted: (rank < n) & (restricted < k), 1)
+    zero = _points_where(t, k, lambda rank, restricted: rank == n, 60)
+    meet = _points_where(t, k, lambda rank, restricted: (rank < n) & (restricted < k), 1)
     batch = np.concatenate([zero[:30], meet, zero[30:]])
     assert _kernels_agree(t, [(k, batch)]) == 1
-    rank, restricted = zerosets.zero_set_kernel(t)(k, _as_points(t, k, batch))
+    rank, restricted = zerosets.zero_set_kernel(t)(k, batch)
     assert np.flatnonzero(rank < n).tolist() == np.flatnonzero(restricted < k).tolist() == [30]
 
 
@@ -922,16 +921,15 @@ def test_zero_set_kernel_on_points(n, m, field, seed, counts):
     t = random_triple(n, m, field, seed, "symmetric")
     (k, batch), = enumerate_subspaces(n, [1], field)
     assert _kernels_agree(t, [(k, batch)]) == 1
-    rank, restricted = zerosets.zero_set_kernel(t)(k, _as_points(t, k, batch))
+    rank, restricted = zerosets.zero_set_kernel(t)(k, batch)
     assert ((rank == n).sum(), (restricted == 0).sum(), ((rank < n) & (restricted == 1)).sum()) == counts
 
 
-@pytest.mark.parametrize("chunk", [1, 7, linalg.SUBSPACE_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
     # the exhaustive scan reports what it reports on the rank kernel, from a
     # cold and from a warm cache, and every batch of the stream gives both
     # kernels' ranks; the two-edge graph stops early at h = 0
-    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
     # batches of the point stream hold chunk bytes: 1 to chunk / k subspaces
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
@@ -1012,7 +1010,7 @@ def test_point_stream_and_zero_set_scan_stay_under_their_caps():
     c8 = build_triple(cycle(8), GF2)
     assert zerosets.zero_sets_pay(c8.pairing)
     scans = [
-        (lambda: linalg.enumerate_subspace_points(8, [4], GF2), 4 * linalg.POINT_BATCH_BYTES),
+        (lambda: enumerate_subspaces(8, [4], GF2), 4 * linalg.POINT_BATCH_BYTES),
         (lambda: [cheeger_constant_exhaustive(c8)],
          zerosets.ZERO_SET_BYTES + 4 * linalg.POINT_BATCH_BYTES),
     ]
