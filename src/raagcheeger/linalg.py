@@ -15,7 +15,7 @@ stream depends only on (n, k, p), so one that takes at most
 :data:`BATCH_CACHE_BYTES` is built once per process as one read-only array
 in an lru cache, and its batches are views of that array; so is the
 smaller stream it reads, and the coordinate subspaces that the coordinate
-scan reads, completed to bases by unit vectors.  Larger dimensions are
+scan reads, as the orders of their coordinates.  Larger dimensions are
 streamed lazily, as they are built.  The projective points of GF(p)^n and
 their codes, which the q-valence min-max and both kernels index by, are
 built once per (n, p) in small lru caches.
@@ -185,6 +185,80 @@ def product_types(n: int, p: int) -> tuple:
     return dtype, ptype
 
 
+def _column_ranks(cols: np.ndarray, k: int, p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination of a batch of matrices given column by column,
+    shape (B, columns, rows), that only counts rank: (rank of all columns,
+    rank of the first k columns) per matrix.  The entries are integers, in
+    any numeric type; they are reduced mod p into ``dtype`` first.
+
+    A column's pivot row is its first row with a nonzero entry there; the
+    pivot row clears that entry from every row, itself included, so no row
+    is a pivot twice.  Over GF(2) (with fewer than 64 columns) each row is
+    packed into an integer and cleared by XOR.  Otherwise the pivot row,
+    with lead its entry in the column, clears the columns right of it as
+    rest <- lead * rest - column * pivot_row, fraction-free: scaling a row
+    by a nonzero lead changes no rank.  Residues are reduced mod p after
+    each step; lead * rest - column * pivot_row lies in
+    [-(p - 1)^2, (p - 1)^2], where p * (x // p) reaches -p * (p - 1), and
+    both bounds are at most n * (p - 1)^2 in size for n >= 2, so the integer
+    type of :func:`product_types` holds every intermediate.  Over QQ the
+    entries are Python ints, and each step divides exactly by the previous
+    pivot (Bareiss 1968), so every entry stays a minor of the input.
+    """
+    count, n, rows = cols.shape
+    at = np.arange(count)
+    rank = np.zeros(count, np.int64)
+    restricted = rank  # becomes a copy once the first k columns are done
+    if not rows:
+        return rank, restricted
+    if p == 2 and n < 64:
+        bits = (1 << np.arange(n)).astype(np.int8 if n < 8 else np.int64)
+        packed = np.einsum("j,bjr->br", bits, reduce_mod(cols.astype(dtype), 2))
+        for c in range(n):
+            if c == k:
+                restricted = rank.copy()
+            has = (packed & bits[c]) != 0
+            pivot = has.argmax(axis=1)
+            rank += has[at, pivot]
+            if c + 1 == n:
+                break
+            packed ^= has * packed[at, pivot][:, None]
+        return rank, restricted
+    # with the batch axis last every step is a few numpy calls over
+    # contiguous blocks of B entries; pivots are flat positions in a
+    # (rows, B) block, and np.take keeps its results C-contiguous where
+    # fancy indexing would return them transposed
+    block = np.empty((n, rows, count), dtype)
+    np.copyto(block.transpose(2, 0, 1), cols, casting="unsafe")
+    if p:
+        reduce_mod(block, p)
+    else:
+        divisor = np.ones(count, dtype=object)
+    for c in range(n):
+        if c == k:
+            restricted = rank.copy()
+        column = block[c]
+        at_pivot = (column != 0).argmax(axis=0) * count + at
+        lead = np.take(column, at_pivot)
+        found = lead != 0
+        rank += found
+        if c + 1 == n:
+            break
+        # column c is not read again, so only the columns right of it change
+        rest = block[c + 1 :]
+        pivot_row = np.take(rest.reshape(n - c - 1, rows * count), at_pivot, axis=1)
+        rest *= np.where(found, lead, 1)
+        rest -= pivot_row[:, None, :] * column
+        if p:
+            reduce_mod(rest, p)
+        else:
+            # a column without a pivot changes nothing, so nothing is divided
+            rest //= np.where(found, divisor, 1)
+            divisor = np.where(found, lead, divisor)
+    return rank, restricted
+
+
+
 @lru_cache(maxsize=8)
 def projective_points(n: int, p: int) -> np.ndarray:
     """The projective points of GF(p)^n, the vectors whose first nonzero
@@ -266,7 +340,8 @@ def enumerate_subspaces(
     and takes at most :data:`POINT_BATCH_BYTES`.  A field that is not
     prime, or a request past the budgets (see
     :meth:`Budgets.check_subspaces`), is refused by the call, before any
-    work.
+    work, and a space of more vectors than a numpy array indexes at the
+    first batch.
 
     A dimension that takes at most :data:`BATCH_CACHE_BYTES` is built once
     per process and its batches are read-only views of the kept array (one
@@ -294,6 +369,8 @@ def enumerate_subspaces(
 
 def _dimensions(n: int, dims: list[int], p: int) -> Iterator[tuple[int, np.ndarray]]:
     """The batches of :func:`enumerate_subspaces`, dimension by dimension."""
+    if p**n > sys.maxsize:
+        raise LinalgError(f"gf{p}^{n} has more vectors than a numpy array can index")
     for k in dims:
         most = max(1, POINT_BATCH_BYTES // (max(k, 1) * _point_type(n, p).itemsize))
         for points in _stream(_point_bytes(n, k, p), most, _point_batches, n, k, p):
@@ -405,38 +482,33 @@ def _write(out: np.ndarray, pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> 
     return out
 
 
-SUBSPACE_CHUNK = 512
-"""Most subspaces in one batch of the coordinate stream
-(:func:`_coordinate_batches`), which the rank kernel reads.  numpy's
-per-call cost dominates that kernel, so a larger chunk pays fewer numpy
-calls per batch but holds larger temporaries."""
-
-
 def _coordinate_batches(n: int):
-    """The coordinate subspaces of dimension 1..n/2 as (k, bases) batches of
-    at most SUBSPACE_CHUNK, in the order of itertools.combinations, each
-    completed like the stream by the unit vectors off its coordinates.  Like
-    the stream, a dimension within the cache cap is built once per process."""
+    """The coordinate subspaces of dimension 1..n/2 in the order of
+    itertools.combinations, as (k, orders) batches of at most
+    :data:`POINT_BATCH_BYTES`: row b of orders holds the b-th subspace's k
+    coordinates, then the others, as int8 up to n = 127.  Like the point
+    stream, a dimension within the cache cap is built once per process."""
+    most = max(1, POINT_BATCH_BYTES // n)
     for k in range(1, n // 2 + 1):
-        for bases in _stream(math.comb(n, k) * n * n, SUBSPACE_CHUNK, _coordinate_bases, n, k):
-            yield k, bases
+        for orders in _stream(math.comb(n, k) * n, most, _coordinate_orders, n, k):
+            yield k, orders
 
 
-def _coordinate_bases(n: int, k: int, most: int):
+def _coordinate_orders(n: int, k: int, most: int):
     """The batches of :func:`_coordinate_batches` for one dimension k."""
     combos = itertools.combinations(range(n), k)
-    while batch := list(itertools.islice(combos, most)):
-        order = [(*c, *(j for j in range(n) if j not in c)) for c in batch]
-        bases = np.zeros((len(batch), n, n), dtype=np.int8)
-        bases[np.arange(len(batch))[:, None], range(n), order] = 1
-        yield bases
+    while chosen := list(itertools.islice(combos, most)):
+        off = np.ones((len(chosen), n), bool)
+        off[np.arange(len(chosen))[:, None], chosen] = False
+        yield np.argsort(off, axis=1, kind="stable").astype(int_type(n))
 
 
 BATCH_CACHE_BYTES = 1 << 18
 """Largest stream, in bytes, that :func:`_stream` keeps whole.  Every
 dimension of GF(2)^7 and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes
 203 KB), and GF(2)^8 in dimension 3 (583 KB) is streamed; so are the
-coordinate subspaces of dimension 2 up to n = 20 (76 KB).  The kept
+coordinate orders of n = 17 in dimension 8 (413 KB) and of n = 20 from
+dimension 5 (310 KB).  The kept
 streams share one lru cache (:func:`_kept`) of at most 48 arrays, each at
 most 256 KB, so together they never hold more than 12 MB; a scan of
 dimensions 1..4 of GF(2)^8 keeps 8 of them.  Beside them the recursion

@@ -15,23 +15,14 @@ it, both on batches of the one stream of
 :func:`~raagcheeger.linalg.enumerate_subspaces`, (k, points): F's RREF rows
 as projective points of V, in the canonical order.
 
-The rank kernel completes each F's rows to a basis S of V, by the unit
-vectors off F's pivot columns, with one decode per batch: F's rows and
-those unit vectors are gathered from tables indexed by point and by pivot
-set.  It takes a batch in slices whose bases hold at most
-``POINT_BATCH_BYTES`` entries.  The coordinate scan hands it completed
-bases directly, in batches of at most ``SUBSPACE_CHUNK``.  It
-eliminates, and never forms the orthogonal complement
-C(F): two matrix products build the matrices of a batch and one
-column-by-column elimination ranks them all, on rows packed into integers
-and cleared by XOR over GF(2), on residues in the narrowest numpy integer
-type that cannot overflow over odd p, on Python ints in object arrays where
-int64 could overflow, and over QQ on Python ints too, after scaling the
-tensor and the rows of S to integers, by fraction-free elimination.  The
-products sum n terms below (p - 1)^2, so they run exactly as float32 BLAS
-products while n * (p - 1)^2 < 2^24 and as float64 ones while it is below
-2^53.  Every reduction mod p is x - p * (x // p), whose intermediate
-p * (x // p) stays within [-p * (p - 1), x] on the kernel's values.
+The rank kernel completes each F's rows to a basis S of V, with one decode
+per batch, and never forms the orthogonal complement C(F): two exact
+matrix products with the triple's integer tensor build the matrices of a
+batch, and one column-by-column elimination ranks them all
+(:func:`_rank_kernel`).  The coordinate scan's S permutes the basis, so
+its matrices are gathered from the tensor with no product and go to the
+same elimination.  Both scans read their batches in slices of at most
+``POINT_BATCH_BYTES // n^2`` subspaces.
 
 The zero-set kernel of :mod:`raagcheeger.zerosets` reads the point batches
 as they are and counts in bitsets over those points.  The exhaustive scan
@@ -59,16 +50,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .fields import Field, Scalar
+from .fields import Field
 from .linalg import (
-    LinalgError, Subspace, _coordinate_batches, enumerate_subspaces,
+    LinalgError, Subspace, _column_ranks, _coordinate_batches, enumerate_subspaces,
     product_types, projective_points, reduce_mod,
 )
 from .zerosets import pairs_blocks, zero_set_kernel, zero_sets_pay
@@ -82,22 +73,27 @@ class PairingError(ValueError):
     """Malformed triple, foreign vector, or violated precondition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingTriple:
     """A W-valued bilinear pairing on V in tensor form.
 
-    ``tensor[i][j]`` is the W-coordinate vector q(b_i, b_j) in the
-    distinguished basis.  ``symmetry`` declares how the two slots interact;
-    ``componentwise`` carries one sign per W coordinate in ``signs`` and is
-    what the pivot augmentation produces in odd characteristic.
+    ``tensor[i, j]`` is q(b_i, b_j) in the distinguished basis of W, times
+    ``denominator``, in a read-only (dim V, dim V, dim W) integer array:
+    residues over GF(p), int64 while p - 1 fits and Python ints past that;
+    Python ints over QQ, with the lcm of the reduced denominators.  Equality
+    reads every field and the array's shape and values.  ``symmetry``
+    declares how the two slots interact; ``componentwise`` carries one sign
+    per W coordinate in ``signs`` and is what the pivot augmentation
+    produces in odd characteristic.
     """
 
     field: Field
     dim_v: int
     dim_w: int
-    tensor: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    tensor: np.ndarray
     symmetry: str = ANTISYMMETRIC
     signs: tuple[int, ...] | None = None
+    denominator: int = 1
 
     @staticmethod
     def of(
@@ -110,10 +106,10 @@ class PairingTriple:
     ) -> "PairingTriple":
         # ints reduce inline; every other value takes Field.element's checks
         p, element = field.characteristic, field.element
-        grid = tuple(
-            tuple(tuple(x % p if p and type(x) is int else element(x) for x in w) for w in row)
+        grid = [
+            [[x % p if p and type(x) is int else element(x) for x in w] for w in row]
             for row in tensor
-        )
+        ]
         if len(grid) != dim_v or any(len(row) != dim_v for row in grid):
             raise PairingError(f"tensor is not {dim_v} x {dim_v}")
         for row in grid:
@@ -123,49 +119,62 @@ class PairingTriple:
         if symmetry == COMPONENTWISE:
             if signs is None or len(signs) != dim_w or any(s not in (1, -1) for s in signs):
                 raise PairingError("componentwise symmetry needs a +-1 sign per W coordinate")
-            sign_tuple: tuple[int, ...] | None = tuple(signs)
+            signs = tuple(signs)
         elif symmetry in (SYMMETRIC, ANTISYMMETRIC):
             if signs is not None:
                 raise PairingError(f"{symmetry} symmetry does not take a sign list")
-            sign_tuple = None
         else:
             raise PairingError(f"unknown symmetry {symmetry!r}")
-        triple = PairingTriple(field, dim_v, dim_w, grid, symmetry, sign_tuple)
-        triple._check_symmetry()
-        return triple
+        denominator = 1 if p else math.lcm(*(x.denominator for row in grid for w in row for x in w))
+        if not p:
+            grid = [[[x.numerator * (denominator // x.denominator) for x in w] for w in row] for row in grid]
+        ints = np.array(grid, object).reshape(dim_v, dim_v, dim_w)
+        return PairingTriple(field, dim_v, dim_w, ints, symmetry, signs, denominator)
 
-    def _check_symmetry(self) -> None:
+    def __post_init__(self) -> None:
+        # the integers given become the read-only array, reduced mod p
         p = self.field.characteristic
-        keep = [self._sign(e) == 1 for e in range(self.dim_w)]
-        for i in range(self.dim_v):
-            for j in range(i, self.dim_v):
-                a, b = self.tensor[i][j], self.tensor[j][i]
-                want = tuple(x if k else (-x % p if p else -x) for x, k in zip(a, keep))
-                if b != want:
-                    e = next(e for e in range(self.dim_w) if b[e] != want[e])
-                    raise PairingError(
-                        f"declared {self.symmetry} symmetry violated at entry ({i}, {j}), "
-                        f"W coordinate {e}"
-                    )
+        t = self.tensor.astype(np.int64 if 0 < p <= 2**63 else object)
+        if p:
+            t %= p
+        t.flags.writeable = False
+        object.__setattr__(self, "tensor", t)
+        # tensor[j, i] must be the declared image of tensor[i, j]; violations
+        # come in pairs (i, j, e), (j, i, e), so the first one has i <= j
+        want = np.where(np.equal(self._signs(), 1), t, _negated(t, p))
+        violated = np.argwhere(t.transpose(1, 0, 2) != want)
+        if len(violated):
+            i, j, e = violated[0]
+            raise PairingError(
+                f"declared {self.symmetry} symmetry violated at entry ({i}, {j}), "
+                f"W coordinate {e}"
+            )
 
-    def _sign(self, e: int) -> int:
-        if self.symmetry == SYMMETRIC:
-            return 1
-        if self.symmetry == ANTISYMMETRIC:
-            return -1
-        assert self.signs is not None
-        return self.signs[e]
+    def _signs(self) -> tuple[int, ...]:
+        """The sign of each W coordinate under swapping the two slots."""
+        return self.signs or (1 if self.symmetry == SYMMETRIC else -1,) * self.dim_w
+
+    def _key(self) -> tuple:
+        t = self.tensor
+        return self.field, self.symmetry, self.signs, self.denominator, t.shape, *t.ravel().tolist()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PairingTriple) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json_dict(self) -> dict:
         f = self.field
         sym = {"componentwise": list(self.signs)} if self.symmetry == COMPONENTWISE else self.symmetry
+        tensor, d = self.tensor.tolist(), self.denominator
+        if not f.characteristic:
+            tensor = [[[f.serialize_scalar(Fraction(x, d)) for x in w] for w in row] for row in tensor]
         return {
             "field": f.name,
             "dimV": self.dim_v,
             "dimW": self.dim_w,
-            "tensor": [
-                [[f.serialize_scalar(x) for x in w] for w in row] for row in self.tensor
-            ],
+            "tensor": tensor,
             "symmetry": sym,
         }
 
@@ -181,6 +190,11 @@ class PairingTriple:
         return PairingTriple.of(field, data["dimV"], data["dimW"], data["tensor"], sym)
 
 
+def _negated(tensor: np.ndarray, p: int) -> np.ndarray:
+    """-tensor, over GF(p) as residues."""
+    return (p - tensor) % p if p else -tensor
+
+
 def _pairing(t) -> PairingTriple:
     return getattr(t, "pairing", t)
 
@@ -194,10 +208,10 @@ def _rank_kernel(pt: PairingTriple):
     shape (B, n, n) holds completed bases S, F being the span of the first
     k rows of S; one of shape (B, k), a batch of the exhaustive stream,
     holds F's RREF rows as projective points, which one decode completes
-    to the same S (:func:`_completion`).  It serves every field and both
-    scans; the exhaustive scan over a small prime field takes
-    :func:`~raagcheeger.zerosets.zero_set_kernel` instead, and the tests
-    check the two against each other.
+    to the same S (:func:`_completion`).  It serves every field; the
+    exhaustive scan over a small prime field takes
+    :func:`~raagcheeger.zerosets.zero_set_kernel` instead, the coordinate
+    scan :func:`_coordinate_kernel`, and the tests check them against it.
 
     R_F is the (k*m) x n matrix of the functionals v -> q(f_a, v)_e.  Its
     kernel is C = C(F), so dim C = n - rank R_F, and F n C is the kernel of
@@ -207,7 +221,7 @@ def _rank_kernel(pt: PairingTriple):
     invertible column change whose first k columns are R_F|_F: one
     column-by-column elimination of it gives rank R_F|_F after k columns and
     rank R_F at the end.  A nonzero scale of the tensor or of a row of S
-    changes no rank, so over QQ both are scaled to integers.
+    changes no rank, so over QQ both are integers.
 
     Arithmetic is exact.  Residues live in the narrowest numpy integer type
     that holds n * (p - 1)^2, and in object arrays of Python ints past int64
@@ -221,18 +235,12 @@ def _rank_kernel(pt: PairingTriple):
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
     dtype, ptype = product_types(n, p)
-    tensor = pt.tensor
-    if not p:
-        scale = math.lcm(*(x.denominator for row in tensor for w in row for x in w))
-        tensor = [[[int(x * scale) for x in w] for w in row] for row in tensor]
     # table[i, e * n + j] = q(b_i, b_j)_e: a basis row f_a times it is row
     # (a, e) of R_F at every column j, so the product reshapes to (B, k*m, n)
-    table = np.array(tensor, dtype=ptype).transpose(0, 2, 1).reshape(n, m * n)
+    table = pt.tensor.astype(ptype).transpose(0, 2, 1).reshape(n, m * n)
 
     def ranks(k: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         count = len(batch)
-        if not m:
-            return np.zeros(count, np.int64), np.zeros(count, np.int64)
         if batch.ndim == 2:
             rows, bits, units = _completion(n, p)
             f = rows.take(batch, axis=0)
@@ -251,6 +259,22 @@ def _rank_kernel(pt: PairingTriple):
         # cols[b, c] is column c of R_F S^T for the b-th F
         cols = s @ r_t
         del r_t
+        return _column_ranks(cols, k, p, dtype)
+
+    return ranks
+
+
+def _coordinate_kernel(pt: PairingTriple):
+    """The rank kernel's (k, orders) -> (rank R_F, rank R_F|_F) for the
+    coordinate scan.  Row b of ``orders`` holds the k coordinates of the b-th
+    F, then the others: a permutation S of the basis.  So column c of R_F S^T
+    is q(b_{order[a]}, b_{order[c]})_e at row (a, e), gathered with no product."""
+    n, p = pt.dim_v, pt.field.characteristic
+    dtype = product_types(n, p)[0]
+    tensor = pt.tensor.astype(dtype)  # the elimination's type holds every residue
+
+    def ranks(k: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cols = tensor[orders[:, None, :k], orders[:, :, None]].reshape(len(orders), n, k * pt.dim_w)
         return _column_ranks(cols, k, p, dtype)
 
     return ranks
@@ -277,88 +301,14 @@ def _completion(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, bits, units
 
 
-def _column_ranks(cols: np.ndarray, k: int, p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Forward elimination of a batch of matrices given column by column,
-    shape (B, columns, rows), that only counts rank: (rank of all columns,
-    rank of the first k columns) per matrix.  The entries are integers, in
-    any numeric type; they are reduced mod p into ``dtype`` first.
-
-    A column's pivot row is its first row with a nonzero entry there; the
-    pivot row clears that entry from every row, itself included, so no row
-    is a pivot twice.  Over GF(2) (with fewer than 64 columns) each row is
-    packed into an integer and cleared by XOR.  Otherwise the pivot row,
-    with lead its entry in the column, clears the columns right of it as
-    rest <- lead * rest - column * pivot_row, fraction-free: scaling a row
-    by a nonzero lead changes no rank.  Residues are reduced mod p after
-    each step; lead * rest - column * pivot_row lies in
-    [-(p - 1)^2, (p - 1)^2], where p * (x // p) reaches -p * (p - 1), and
-    both bounds are at most n * (p - 1)^2 in size for n >= 2, so the residue
-    type of :func:`_rank_kernel` holds every intermediate.  Over QQ the
-    entries are Python ints, and each step divides exactly by the previous
-    pivot (Bareiss 1968), so every entry stays a minor of the input.
-    """
-    count, n, rows = cols.shape
-    at = np.arange(count)
-    rank = np.zeros(count, np.int64)
-    restricted = rank  # becomes a copy once the first k columns are done
-    if p == 2 and n < 64:
-        bits = (1 << np.arange(n)).astype(np.int8 if n < 8 else np.int64)
-        packed = np.einsum("j,bjr->br", bits, reduce_mod(cols.astype(dtype), 2))
-        for c in range(n):
-            if c == k:
-                restricted = rank.copy()
-            has = (packed & bits[c]) != 0
-            pivot = has.argmax(axis=1)
-            rank += has[at, pivot]
-            if c + 1 == n:
-                break
-            packed ^= has * packed[at, pivot][:, None]
-        return rank, restricted
-    # with the batch axis last every step is a few numpy calls over
-    # contiguous blocks of B entries; pivots are flat positions in a
-    # (rows, B) block, and np.take keeps its results C-contiguous where
-    # fancy indexing would return them transposed
-    block = np.empty((n, rows, count), dtype)
-    np.copyto(block.transpose(2, 0, 1), cols, casting="unsafe")
-    if p:
-        reduce_mod(block, p)
-    else:
-        divisor = np.ones(count, dtype=object)
-    for c in range(n):
-        if c == k:
-            restricted = rank.copy()
-        column = block[c]
-        at_pivot = (column != 0).argmax(axis=0) * count + at
-        lead = np.take(column, at_pivot)
-        found = lead != 0
-        rank += found
-        if c + 1 == n:
-            break
-        # column c is not read again, so only the columns right of it change
-        rest = block[c + 1 :]
-        pivot_row = np.take(rest.reshape(n - c - 1, rows * count), at_pivot, axis=1)
-        rest *= np.where(found, lead, 1)
-        rest -= pivot_row[:, None, :] * column
-        if p:
-            reduce_mod(rest, p)
-        else:
-            # a column without a pivot changes nothing, so nothing is divided
-            rest //= np.where(found, divisor, 1)
-            divisor = np.where(found, lead, divisor)
-    return rank, restricted
-
-
 def _completed_basis(subspace: Subspace) -> np.ndarray:
     """S for one subspace, shaped (1, n, n) like a batch of the stream: its
     basis rows, each scaled to integers by the lcm of its denominators, then
     the unit vectors of its non-leading coordinates in increasing order."""
-    n = subspace.ambient_dim
-    leading = set()
-    rows = []
-    for row in subspace.basis:
-        leading.add(next(c for c, x in enumerate(row) if x))
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * scale) for x in row])
+    n, basis = subspace.ambient_dim, subspace.basis
+    leading = {next(c for c, x in enumerate(row) if x) for row in basis}
+    scales = [math.lcm(*(x.denominator for x in row)) for row in basis]
+    rows = [[int(x * scale) for x in row] for row, scale in zip(basis, scales)]
     rows += [[int(j == c) for j in range(n)] for c in range(n) if c not in leading]
     return np.array([rows], dtype=object)
 
@@ -404,15 +354,15 @@ class CheegerReport:
 
 
 def _first_minimum(
-    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, ranks
+    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, ranks, rows
 ) -> CheegerReport:
     """Scan a nonempty stream of (k, batch) pairs with the kernel's
     ``ranks`` for the least h_F, keeping the first minimizer; h_F >= 0, so
     the scan stops at a zero.  Inside a batch k is fixed, so the first
     argmin of the numerators is the batch's first minimum; across batches
     quotients are compared as num / k by cross-multiplication.  Only the
-    reported minimizer becomes a Subspace, its rows read off the winning
-    entry: the first k rows of a basis, or k point indices."""
+    reported minimizer becomes a Subspace: the first k entries of its batch
+    row index its basis rows in the table ``rows()``."""
     best_num, best_dim = 0, 0
     best = None
     visited = 0
@@ -428,9 +378,7 @@ def _first_minimum(
                 break
         visited += len(batch)
     f = pt.field
-    if best.ndim == 1:
-        best = projective_points(pt.dim_v, f.characteristic)[best]
-    basis = tuple(tuple(f.element(x) for x in row) for row in best.tolist())
+    basis = tuple(tuple(f.element(x) for x in row) for row in rows()[best].tolist())
     return CheegerReport(Fraction(best_num, best_dim), Subspace(f, pt.dim_v, basis), method, visited)
 
 
@@ -451,15 +399,18 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
         # over a field as large as GF(2^61 - 1) no point batch can be built
         first = Subspace(pt.field, n, ((1,) + (0,) * (n - 1),))
         return CheegerReport(Fraction(0), first, "exhaustive", 1)
+    # built at the end: the stream first refuses a field too large for it
+    points = partial(projective_points, n, pt.field.characteristic)
     if zero_sets_pay(pt):
-        return _first_minimum(pt, batches, "exhaustive", zero_set_kernel(pt))
-    # the rank kernel takes a point batch in slices whose completed bases
-    # hold at most POINT_BATCH_BYTES entries, 1,820 subspaces at n = 3 and
-    # 1,024 at n = 4: whole batches of up to 16 K subspaces outgrow the
-    # cache, and slices of 512 pay the decode's fixed cost too often
+        return _first_minimum(pt, batches, "exhaustive", zero_set_kernel(pt), points)
+    return _first_minimum(pt, _rank_slices(batches, n), "exhaustive", _rank_kernel(pt), points)
+
+
+def _rank_slices(batches: Iterable[tuple[int, np.ndarray]], n: int):
+    """The batches in slices of at most POINT_BATCH_BYTES // n^2 subspaces: whole
+    point batches outgrow the cache, and slices of 512 pay the decode too often."""
     step = max(1, linalg.POINT_BATCH_BYTES // (n * n))
-    slices = ((k, points[i : i + step]) for k, points in batches for i in range(0, len(points), step))
-    return _first_minimum(pt, slices, "exhaustive", _rank_kernel(pt))
+    return ((k, rows[i : i + step]) for k, rows in batches for i in range(0, len(rows), step))
 
 
 def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -475,7 +426,8 @@ def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     if n < 2:
         return CheegerReport(None, None, "coordinate", 0)
     budgets.check_coordinates(n)
-    return _first_minimum(pt, _coordinate_batches(n), "coordinate", _rank_kernel(pt))
+    batches = _rank_slices(_coordinate_batches(n), n)
+    return _first_minimum(pt, batches, "coordinate", _coordinate_kernel(pt), partial(np.eye, n, dtype=int))
 
 
 # -- q-valence ---------------------------------------------------------------
@@ -519,13 +471,7 @@ def q_valence_coordinate(t) -> int:
     An upper bound on the q-valence in general, and exactly the q-valence for
     cup-product triples.
     """
-    pt = _pairing(t)
-    best = 0
-    for i in range(pt.dim_v):
-        count = sum(1 for j in range(pt.dim_v) if any(pt.tensor[i][j]))
-        if count > best:
-            best = count
-    return best
+    return int((_pairing(t).tensor != 0).any(axis=2).sum(axis=1).max(initial=0))
 
 
 def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
@@ -620,18 +566,10 @@ def augment_triple(t, pivot: int) -> PairingTriple:
     pt = _pairing(t)
     if not 0 <= pivot < pt.dim_v:
         raise PairingError(f"pivot {pivot} outside basis range 0..{pt.dim_v - 1}")
-    old_signs = [pt._sign(e) for e in range(pt.dim_w)]
-    one, zero = pt.field.one, pt.field.zero
-    tensor = tuple(
-        tuple(
-            w + (one if i == pivot and j == pivot else zero,)
-            for j, w in enumerate(row)
-        )
-        for i, row in enumerate(pt.tensor)
-    )
-    return PairingTriple.of(
-        pt.field, pt.dim_v, pt.dim_w + 1, tensor, COMPONENTWISE, old_signs + [1]
-    )
+    column = np.zeros((pt.dim_v, pt.dim_v, 1), pt.tensor.dtype)
+    column[pivot, pivot] = pt.denominator
+    ints = np.concatenate([pt.tensor, column], axis=2)
+    return PairingTriple(pt.field, pt.dim_v, pt.dim_w + 1, ints, COMPONENTWISE, pt._signs() + (1,), pt.denominator)
 
 
 def is_alternating(t) -> bool:
@@ -639,12 +577,6 @@ def is_alternating(t) -> bool:
     antisymmetric tensor.  Cup-product triples are alternating; augmented
     triples are not, which is the non-realizability witness."""
     pt = _pairing(t)
-    f = pt.field
-    for i in range(pt.dim_v):
-        if any(pt.tensor[i][i]):
-            return False
-        for j in range(i + 1, pt.dim_v):
-            a, b = pt.tensor[i][j], pt.tensor[j][i]
-            if any(b[e] != f.neg(a[e]) for e in range(pt.dim_w)):
-                return False
-    return True
+    t = pt.tensor
+    nonzero_diagonal = (t.diagonal() != 0).any()
+    return not nonzero_diagonal and np.array_equal(t.transpose(1, 0, 2), _negated(t, pt.field.characteristic))

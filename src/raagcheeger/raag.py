@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import Field
 from .graphs import GraphError, SimplicialGraph, max_valence
 from .pairing import ANTISYMMETRIC, PairingTriple
@@ -60,18 +62,11 @@ def build_triple(graph: SimplicialGraph, field: Field) -> RaagTriple:
     n = graph.n_vertices
     pairs = graph.edge_index_pairs()
     m = len(pairs)
-    edge_pos = {pair: e for e, pair in enumerate(pairs)}
-    zero, one = field.zero, field.one
-    minus_one = field.neg(one)
-    zero_w = tuple(zero for _ in range(m))
-    grid = [[zero_w] * n for _ in range(n)]
-    for (i, j), e in edge_pos.items():
-        plus = tuple(one if k == e else zero for k in range(m))
-        minus = tuple(minus_one if k == e else zero for k in range(m))
-        grid[i][j] = plus
-        grid[j][i] = minus
-    tensor = tuple(tuple(row) for row in grid)
-    pairing = PairingTriple.of(field, n, m, tensor, ANTISYMMETRIC)
+    # edge e = (i, j), i < j, puts +1 at [i, j, e] and -1 at [j, i, e]
+    i, j = np.array(pairs, dtype=np.intp).reshape(m, 2).T
+    ints = np.zeros((n, n, m), np.int64)
+    ints[i, j, np.arange(m)], ints[j, i, np.arange(m)] = 1, -1
+    pairing = PairingTriple(field, n, m, ints, ANTISYMMETRIC)
     vertex_basis = tuple(f"{v}*" for v in graph.vertices)
     edge_basis = tuple(f"{u}{v}*" for u, v in graph.edges)
     return RaagTriple(pairing, graph, vertex_basis, edge_basis)

@@ -152,7 +152,7 @@ def pairs_blocks(pt, points: np.ndarray, chunk_bytes: int) -> Iterator[np.ndarra
     dtype, ptype = product_types(n, p)
     count = len(points)
     right = points.T.astype(ptype)
-    table = np.array(pt.tensor, dtype=ptype).reshape(n, n * m)
+    table = pt.tensor.astype(ptype).reshape(n, n * m)
     # a row's products in ptype, then in dtype with reduce_mod's two
     # temporaries, and its images likewise
     size = np.dtype(ptype).itemsize + 3 * np.dtype(dtype).itemsize

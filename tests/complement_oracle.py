@@ -3,7 +3,7 @@
 The library reads every subspace Cheeger constant off one numpy rank kernel,
 h_F = (rank R_F - rank R_F|_F) / dim F, and never forms C(F).  This module
 forms it the way the definition reads: q(x, y) by bilinear expansion of the
-tensor in scalar arithmetic, C(F) = {v : q(f, v) = 0 for all f in F} as the
+tensor in scalar arithmetic, on the scalars of the triple's JSON form, C(F) = {v : q(f, v) = 0 for all f in F} as the
 null space of the rows v -> q(f, v)_e, and F n C by Zassenhaus.  It shares
 with the library only the triple, the RREF accumulator and :class:`Subspace`,
 so the tests can compare the two routes on the same subspaces.
@@ -19,6 +19,7 @@ import numpy as np
 from raagcheeger import LinalgError, PairingError, Subspace
 from raagcheeger.linalg import _Echelon, reduce_mod
 from raagcheeger.pairing import _pairing
+from triple_oracle import scalar_tensor
 
 
 def add(field, a, b):
@@ -79,12 +80,13 @@ def apply_pairing(t, x: Sequence, y: Sequence) -> tuple:
     yv = [f.element(v) for v in y]
     if len(xv) != pt.dim_v or len(yv) != pt.dim_v:
         raise PairingError(f"vectors must have length {pt.dim_v}")
+    tensor = scalar_tensor(pt)
     acc = [f.zero] * pt.dim_w
     for i, xi in enumerate(xv):
         for j, yj in enumerate(yv):
             if xi and yj:
                 c = mul(f, xi, yj)
-                acc = [add(f, a, mul(f, c, w)) for a, w in zip(acc, pt.tensor[i][j])]
+                acc = [add(f, a, mul(f, c, w)) for a, w in zip(acc, tensor[i][j])]
     return tuple(acc)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 from subspace_stream import subspaces
+from triple_oracle import scalar_tensor
 
 
 def _nonzero_grid(pt):
@@ -21,6 +22,7 @@ def _nonzero_grid(pt):
     boolean grid nz[ix][iy] = (q(x, y) != 0)."""
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
+    tensor = scalar_tensor(pt)
     vecs = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     index = {v: k for k, v in enumerate(vecs)}
     # images[i][iy] = q(b_i, y)
@@ -31,7 +33,7 @@ def _nonzero_grid(pt):
             acc = [0] * m
             for j, yj in enumerate(y):
                 if yj:
-                    acc = [(a + yj * b) % p for a, b in zip(acc, pt.tensor[i][j])]
+                    acc = [(a + yj * b) % p for a, b in zip(acc, tensor[i][j])]
             per.append(acc)
         images.append(per)
     grid = []

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from raagcheeger import DEFAULT_BUDGETS, LinalgError, Subspace
 from raagcheeger.linalg import _Echelon
+from triple_oracle import scalar_tensor
 
 
 def enumerate_unordered_bases(n, field, budgets=DEFAULT_BUDGETS):
@@ -47,6 +48,7 @@ def _nonzero_grid(pt):
     boolean grid nz[ix][iy] = (q(x, y) != 0)."""
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
+    tensor = scalar_tensor(pt)
     vecs = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     index = {v: k for k, v in enumerate(vecs)}
     grid = []
@@ -57,7 +59,7 @@ def _nonzero_grid(pt):
             for i, xi in enumerate(x):
                 for j, yj in enumerate(y):
                     if xi and yj:
-                        acc = [(a + xi * yj * w) % p for a, w in zip(acc, pt.tensor[i][j])]
+                        acc = [(a + xi * yj * w) % p for a, w in zip(acc, tensor[i][j])]
             out.append(any(acc))
         grid.append(out)
     return vecs, index, grid
@@ -77,7 +79,8 @@ def q_valence_by_basis_pairs(t, budgets=DEFAULT_BUDGETS):
     if n == 0:
         return 0
     bases = _all_unordered_bases(n, pt.field, budgets)
-    best = max(sum(1 for w in row if any(w)) for row in pt.tensor)
+    tensor = scalar_tensor(pt)
+    best = max(sum(1 for w in row if any(w)) for row in tensor)
     if best == 0:
         return 0
     vecs, index, grid = _nonzero_grid(pt)
@@ -86,7 +89,7 @@ def q_valence_by_basis_pairs(t, budgets=DEFAULT_BUDGETS):
         Subspace.from_vectors(
             pt.field, pt.dim_w,
             [[sum(si * w[e] for si, w in zip(s, col)) for e in range(pt.dim_w)]
-             for col in zip(*pt.tensor)],
+             for col in zip(*tensor)],
         ).dim
         for s in vecs
     ]

@@ -213,6 +213,19 @@ def test_field_past_the_witness_bound_is_refused(p3_file):
     assert res.stdout == ""
 
 
+def test_field_too_large_to_stream_is_refused(tmp_path, capsys):
+    # with the subspace cap raised past its count, the P3 triple over
+    # GF(2^61 - 1) reaches the point stream, whose (2^61 - 1)^3 vectors no
+    # numpy array indexes: the stream refuses it, and names field and dimension
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(build_triple(path(3), Field.gf(2**61 - 1)).to_json_dict()))
+    for command in (["triple-h", "--method", "exhaustive"], ["connectedness"]):
+        assert main([*command, "--input", str(f), "--budget-subspaces", str(10**44)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: gf2305843009213693951^3 has more vectors than a numpy array can index\n"
+
+
 def test_gf7_five_dimensional_scan_answers(tmp_path, capsys):
     # GF(7)^5 up to dimension 2 is 142851 subspaces, within the work cap;
     # h > 0, so the scan visits all of them

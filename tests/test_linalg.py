@@ -399,22 +399,22 @@ def test_point_stream_keeps_only_the_streams_it_reads():
         linalg._kept.cache_clear()
 
 
-@pytest.mark.parametrize("most", [1, 7, 100, linalg.SUBSPACE_CHUNK])
+@pytest.mark.parametrize("most", [1, 7, 14, 100, 512])
 def test_kept_batches_are_views_of_one_array(monkeypatch, most):
     # a kept dimension of each stream is one read-only array, and its batches
     # of most subspaces are views of it that concatenate to it; so the
-    # stream, as it is built when streamed, starts at any offset s as whole[s:]
-    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", most)
-    # GF(3)^6 in dimension 3 names its rows as int16: 6 bytes a subspace
-    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", 6 * most)
+    # stream, as it is built when streamed, starts at any offset s as whole[s:].
+    # GF(3)^6 in dimension 3 names its rows as int16, 6 bytes a subspace, and
+    # a coordinate order of n = 8 takes 8
     cases = [
-        (lambda: [b for _, b in enumerate_subspaces(6, [3], GF3)], (linalg._point_batches, 6, 3, 3)),
-        (lambda: [b for k, b in linalg._coordinate_batches(8) if k == 3], (linalg._coordinate_bases, 8, 3)),
+        (lambda: [b for _, b in enumerate_subspaces(6, [3], GF3)], (linalg._point_batches, 6, 3, 3), 6),
+        (lambda: [b for k, b in linalg._coordinate_batches(8) if k == 3], (linalg._coordinate_orders, 8, 3), 8),
     ]
     rng = random.Random(most)
     linalg._kept.cache_clear()
     try:
-        for batches, key in cases:
+        for batches, key, size in cases:
+            monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", size * most)
             got = batches()
             before = linalg._kept.cache_info()
             whole = linalg._kept(*key)

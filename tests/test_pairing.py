@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -53,7 +54,7 @@ from generators import random_triple, zero_triple
 from decomposition_oracle import pairing_connected_by_decomposition
 from qvalence_oracle import q_valence_by_basis_pairs
 from subspace_stream import canonical_order, subspaces as subspace_stream
-from triple_oracle import triple_by_scalars
+from triple_oracle import described, scalar_tensor, triple_by_scalars
 
 
 def p3_triple(field=GF2):
@@ -89,19 +90,100 @@ def test_triple_json_round_trip():
     assert PairingTriple.from_json_dict(aug.to_json_dict()) == aug
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, Field.gf(2**61 - 1), QQ],
+                         ids=["gf2", "gf3", "gf2305843009213693951", "qq"])
+def test_triples_equal_and_hash_alike_whichever_path_built_them(field):
+    # build_triple scatters into an array, of() coerces scalars, augment_triple
+    # appends a column; their JSON round trips give equal triples of equal hash
+    triples = [build_triple(g, field).pairing for g in (cycle(5), path(4), edgeless(3), edgeless(0))]
+    triples.append(augment_triple(triples[0], 2))
+    if field.is_prime_field:
+        triples += [random_triple(4, 2, field, 7), random_triple(3, 1, field, 8, "symmetric")]
+    else:
+        # reduced denominators 2, 3, 6 and 4, so the canonical one is 12
+        triples.append(PairingTriple.of(QQ, 3, 2, [
+            [(0, 0), ("1/2", "2/3"), (3, "-5/6")],
+            [("-1/2", "-2/3"), (0, 0), ("7/4", 0)],
+            [(-3, "5/6"), ("-7/4", 0), (0, 0)]]))
+        assert triples[-1].denominator == 12
+        assert triples[-1].tensor[0, 2].tolist() == [36, -10]
+    for t in triples:
+        back = PairingTriple.from_json_dict(json.loads(json.dumps(t.to_json_dict())))
+        assert back == t and hash(back) == hash(t)
+        assert back.to_json_dict() == t.to_json_dict()
+        assert not t.tensor.flags.writeable and t.tensor.dtype == (np.int64 if field.characteristic else object)
+    assert len({*triples, *(PairingTriple.from_json_dict(t.to_json_dict()) for t in triples)}) == len(triples)
+    # the same scalars in other forms build an equal triple
+    if not field.is_prime_field:
+        halves = [PairingTriple.of(QQ, 2, 1, [[(0,), (x,)], [(y,), (0,)]])
+                  for x, y in (("1/2", "-1/2"), ("2/4", "-3/6"), (Fraction(1, 2), Fraction(-1, 2)))]
+        assert len(set(halves)) == 1 and halves[0].denominator == 2
+    # what differs outside the values tells triples apart: dims of an empty
+    # array, the symmetry, the signs
+    assert PairingTriple.of(field, 0, 1, []) != PairingTriple.of(field, 0, 2, [])
+    assert PairingTriple.of(field, 1, 1, [[(0,)]], "symmetric") != PairingTriple.of(field, 1, 1, [[(0,)]])
+    assert (PairingTriple.of(field, 1, 1, [[(0,)]], "componentwise", [1])
+            != PairingTriple.of(field, 1, 1, [[(0,)]], "componentwise", [-1]))
+    assert triples[0] != triples[0].to_json_dict()
+
+
+def test_residues_past_int64_are_python_ints():
+    # 2^64 - 59 is the largest prime below 2^64: its residues do not fit int64
+    p = 2**64 - 59
+    t = PairingTriple.of(Field.gf(p), 2, 1, [[(0,), (p - 1,)], [(1,), (0,)]])
+    assert t.tensor.dtype == object and t.tensor.tolist() == [[[0], [p - 1]], [[1], [0]]]
+    assert PairingTriple.from_json_dict(t.to_json_dict()) == t
+    assert q_valence_coordinate(t) == 1 and is_alternating(t)
+
+
+@pytest.mark.parametrize("field, tensor, error, message", [
+    (GF3, [[(0,), (1,)], [(2,)]], PairingError, "tensor is not 2 x 2"),
+    (GF3, [[(0,), (1, 0)], [(2,), (0,)]], PairingError, "tensor entry of length 2, expected 1"),
+    (GF3, [[(0,), (True,)], [(2,), (0,)]], FieldError, "not a GF(3) scalar: True"),
+    (QQ, [[(0,), (False,)], [(0,), (0,)]], FieldError, "not a rational scalar: False"),
+    (GF3, [[(0,), ("x",)], [(2,), (0,)]], ValueError, "invalid literal for int() with base 10: 'x'"),
+    (QQ, [[(0,), ("x",)], [(0,), (0,)]], ValueError, "Invalid literal for Fraction: 'x'"),
+    (GF3, [[(0,), (1,)], [(1,), (0,)]], PairingError,
+     "declared antisymmetric symmetry violated at entry (0, 1), W coordinate 0"),
+    (GF3, [[(1,), (0,)], [(0,), (0,)]], PairingError,
+     "declared antisymmetric symmetry violated at entry (0, 0), W coordinate 0"),
+])
+def test_malformed_tensors_keep_their_refusals(field, tensor, error, message):
+    with pytest.raises(error) as caught:
+        PairingTriple.of(field, 2, 1, tensor)
+    assert str(caught.value) == message
+
+
+def test_symmetry_refusal_names_the_first_violation():
+    # entries (0, 2) in W coordinate 1, (1, 2) in both and (2, 0) in both
+    # violate antisymmetry; the first in the order i <= j, then e, is named
+    grid = [[[0, 0] for _ in range(3)] for _ in range(3)]
+    grid[0][2] = [1, 1]
+    grid[2][0] = [2, 1]
+    grid[1][2] = grid[2][1] = [1, 1]
+    with pytest.raises(PairingError, match=r"entry \(0, 2\), W coordinate 1$"):
+        PairingTriple.of(GF3, 3, 2, grid)
+
+
 def _built(build, *args):
-    """The triple with the type of each scalar, or the exception's type and message."""
+    """What ``build`` returns, or the exception's type and message."""
     try:
-        t = build(*args)
+        return build(*args)
     except Exception as err:
         return type(err), str(err)
-    return t, [type(x) for row in t.tensor for w in row for x in w]
 
 
 def _both_built(*args):
+    """PairingTriple.of's triple, or the type of its exception, checked
+    against the scalar oracle: the same scalars through the JSON form, in a
+    read-only tensor, or the same exception with the same message."""
     fast, oracle = _built(PairingTriple.of, *args), _built(triple_by_scalars, *args)
+    if isinstance(fast, PairingTriple):
+        assert not fast.tensor.flags.writeable
+        assert described(fast) == oracle, args
+        return fast
     assert fast == oracle, args
-    return fast
+    return fast[0]
 
 
 CONSTRUCTION_FIELDS = [GF2, GF3, Field.gf(7919), QQ]
@@ -121,7 +203,7 @@ def test_construction_matches_scalar_oracle_on_odd_scalars(field):
                 tensor = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
                 for i, j, e in places:
                     tensor[i][j][e] = value
-                outcomes.add(_both_built(field, 2, 2, tensor, symmetry, signs)[0])
+                outcomes.add(_both_built(field, 2, 2, tensor, symmetry, signs))
     # the corpus reaches valid triples, coercion errors and symmetry violations
     assert any(isinstance(o, PairingTriple) for o in outcomes)
     assert {o for o in outcomes if isinstance(o, type)} >= {FieldError, PairingError}
@@ -150,12 +232,12 @@ def test_construction_matches_scalar_oracle_on_every_violation(field, symmetry, 
                     a = 0
                 tensor[i][j][e] = a
                 tensor[j][i][e] = (a if keep[e] == 1 else -a) + (p * rng.randint(-2, 2) if p else 0)
-    assert isinstance(_both_built(field, n, m, tensor, symmetry, signs)[0], PairingTriple)
+    assert isinstance(_both_built(field, n, m, tensor, symmetry, signs), PairingTriple)
     violations = 0
     for i, j, e in itertools.product(range(n), range(n), range(m)):
         moved = [[list(w) for w in row] for row in tensor]
         moved[i][j][e] += 1
-        violations += _both_built(field, n, m, moved, symmetry, signs)[0] is PairingError
+        violations += _both_built(field, n, m, moved, symmetry, signs) is PairingError
     assert violations >= n * (n - 1) * m
 
 
@@ -181,7 +263,7 @@ def test_construction_matches_scalar_oracle_on_shapes(field):
 def test_cup_product_triples_match_scalar_oracle(field):
     for graph in (path(3), cycle(5), complete(4), edgeless(3)):
         t = build_triple(graph, field).pairing
-        assert triple_by_scalars(field, t.dim_v, t.dim_w, t.tensor) == t
+        assert triple_by_scalars(field, t.dim_v, t.dim_w, scalar_tensor(t)) == described(t)
         assert PairingTriple.from_json_dict(t.to_json_dict()) == t
 
 
@@ -520,7 +602,9 @@ def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
     # dimension; the comments place the first zero within its dimension and
     # within the point batches of 7, 14 or 512 bytes, whose rows take one
     # byte over GF(2) and GF(3) and two over GF(5).  With the gate refused
-    # the rank kernel reads the same batches in slices of at most 512 / n^2
+    # the rank kernel reads the same batches in slices of at most chunk / n^2
+    # subspaces, and the coordinate scan reads batches of chunk / n orders
+    # in slices of as many
     cases = [
         (random_triple(6, 1, GF2, 6), 3),  # dim 1, 3rd: inside the first batch
         (random_triple(6, 2, GF2, 5), 49),  # dim 1, 49th: last of a 7-batch
@@ -545,7 +629,6 @@ def test_scans_match_complement_route_across_chunk_boundaries(monkeypatch):
         coordinate = _scan_by_complement(t, _coordinate_subspaces(field, n))
         assert exhaustive[2] == visits
         for chunk in (1, 7, 14, 512):
-            monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
             monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
             rep = cheeger_constant_exhaustive(t)
             assert (rep.value, rep.minimizer, rep.subspaces_visited) == exhaustive
@@ -583,7 +666,7 @@ def test_column_elimination_matches_echelon_ranks(p):
         for cols in mats
     ]
     batch = np.array(mats, dtype=np.int64 if p else object)
-    rank, restricted = pairing._column_ranks(batch, k, p, np.int64 if p else object)
+    rank, restricted = linalg._column_ranks(batch, k, p, np.int64 if p else object)
     assert list(zip(rank.tolist(), restricted.tolist())) == expected
 
 
@@ -723,9 +806,8 @@ def _scans(triples):
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
     # the same scans streamed lazily, from a cold cache and from a warm one,
-    # in coordinate batches of chunk subspaces and point batches of chunk
-    # bytes; the disconnected graphs stop early at h = 0
-    monkeypatch.setattr(linalg, "SUBSPACE_CHUNK", chunk)
+    # in coordinate and point batches of chunk bytes; the disconnected graphs
+    # stop early at h = 0
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
     triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
@@ -751,7 +833,7 @@ def test_cached_batches_are_read_only_and_cleared():
     _clear_caches()
     try:
         kept = [points for _, points in enumerate_subspaces(4, [1, 2], GF3)]
-        kept += [bases for _, bases in linalg._coordinate_batches(6)]
+        kept += [orders for _, orders in linalg._coordinate_batches(6)]
         assert linalg._kept.cache_info().currsize == 6
         for batch in kept:
             assert not batch.flags.writeable
@@ -785,9 +867,9 @@ def _retained_bytes(scan) -> int:
 def test_batch_cache_retains_less_than_its_cap():
     # GF(2)^8 keeps its dimensions 1 and 2 and the smaller streams that
     # dimensions 2..4 read (86 KB of arrays, 131 KB retained with the group
-    # tables and the cache); n = 20 keeps its coordinate subspaces
-    # of dimension 1 and 2 (84 KB) and streams those of dimension 3 (456 KB)
-    # and up
+    # tables and the cache); n = 20 keeps its coordinate orders of
+    # dimension 1..3 (27 KB) and 4 (97 KB), and streams those of dimension 5
+    # (310 KB) and up
     _clear_caches()
     try:
         scans = [
@@ -1273,9 +1355,9 @@ def test_augmented_edge_triple_entries():
     t = build_triple(complete(2), GF2)
     aug = augment_triple(t, 0)
     assert aug.dim_w == 2
-    assert aug.tensor[0][0] == (0, 1)  # pivot pairs with itself in the new slot
-    assert aug.tensor[1][1] == (0, 0)
-    assert aug.tensor[0][1] == (1, 0)
+    assert aug.tensor[0][0].tolist() == [0, 1]  # pivot pairs with itself in the new slot
+    assert aug.tensor[1][1].tolist() == [0, 0]
+    assert aug.tensor[0][1].tolist() == [1, 0]
     assert aug.symmetry == "componentwise"
     assert aug.signs == (-1, 1)
     # the pivot now touches one more basis vector than the graph valence
@@ -1318,7 +1400,7 @@ def test_alternating_detects_gf2_diagonal():
 def negated(t: PairingTriple) -> PairingTriple:
     f = t.field
     tensor = tuple(
-        tuple(tuple(f.neg(x) for x in w) for w in row) for row in t.tensor
+        tuple(tuple(f.neg(x) for x in w) for w in row) for row in scalar_tensor(t)
     )
     return PairingTriple.of(f, t.dim_v, t.dim_w, tensor, t.symmetry, t.signs)
 
@@ -1351,6 +1433,6 @@ def test_random_triple_is_deterministic_and_valid():
     b = random_triple(4, 3, GF3, seed=99)
     assert a == b
     assert a.symmetry == "antisymmetric"
-    assert all(x == (0, 0, 0) for x in (a.tensor[i][i] for i in range(4)))
+    assert all(a.tensor[i][i].tolist() == [0, 0, 0] for i in range(4))
     with pytest.raises(PairingError):
         random_triple(2, 1, QQ, seed=1)

@@ -20,27 +20,28 @@ from raagcheeger import (
 from raagcheeger.raag import RaagTriple
 
 from generators import sample_labeled_graphs
+from triple_oracle import scalar_tensor
 
 
 def test_single_edge_triple_over_gf2():
     t = build_triple(complete(2), GF2)
     assert t.pairing.dim_v == 2 and t.pairing.dim_w == 1
-    assert t.pairing.tensor[0][1] == (1,)
-    assert t.pairing.tensor[1][0] == (1,)  # -1 = 1 in characteristic 2
+    assert t.pairing.tensor[0][1].tolist() == [1]
+    assert t.pairing.tensor[1][0].tolist() == [1]  # -1 = 1 in characteristic 2
 
 
 def test_edgeless_triple_has_zero_pairing():
     t = build_triple(edgeless(3), GF2)
     assert t.pairing.dim_w == 0
-    assert all(w == () for row in t.pairing.tensor for w in row)
+    assert t.pairing.tensor.tolist() == [[[]] * 3] * 3
 
 
 def test_triangle_over_gf3_sign_convention():
     t = build_triple(complete(3), GF3)
     assert t.pairing.dim_w == 3
     # edge v0-v1 is the first edge coordinate
-    assert t.pairing.tensor[0][1] == (1, 0, 0)
-    assert t.pairing.tensor[1][0] == (2, 0, 0)  # -1 = 2 mod 3
+    assert t.pairing.tensor[0][1].tolist() == [1, 0, 0]
+    assert t.pairing.tensor[1][0].tolist() == [2, 0, 0]  # -1 = 2 mod 3
 
 
 def test_dimensions_match_graph():
@@ -59,13 +60,13 @@ def test_tensor_structure_small_corpus():
     for n in range(1, 5):
         for g in labeled_graphs(n):
             for field in fields:
-                t = build_triple(g, field).pairing
+                tensor = scalar_tensor(build_triple(g, field).pairing)
                 neg = field.neg
                 nonzero_pairs = 0
                 for i in range(n):
-                    assert not any(t.tensor[i][i])
+                    assert not any(tensor[i][i])
                     for j in range(i + 1, n):
-                        a, b = t.tensor[i][j], t.tensor[j][i]
+                        a, b = tensor[i][j], tensor[j][i]
                         assert b == tuple(neg(x) for x in a)
                         if any(a):
                             nonzero_pairs += 1
@@ -106,8 +107,18 @@ def test_retract_compatibility_with_full_subgraphs():
             emap.append(big_edges[(min(bi, bj), max(bi, bj))])
         for i in range(sub.n_vertices):
             for j in range(sub.n_vertices):
-                projected = tuple(t_big.tensor[vmap[i]][vmap[j]][e] for e in emap)
-                assert projected == t_sub.tensor[i][j]
+                projected = t_big.tensor[vmap[i], vmap[j], emap].tolist()
+                assert projected == t_sub.tensor[i, j].tolist()
+
+
+@pytest.mark.parametrize("field, entry, negated", [(GF3, 0, 0), (QQ, 0, 0), (QQ, "1/2", "-1/2")])
+def test_raag_triple_refuses_a_tensor_its_graph_does_not_give(field, entry, negated):
+    # a valid antisymmetric tensor, but not the cup product of its graph: the
+    # edge v0-v1 cleared, or halved
+    data = build_triple(cycle(4), field).to_json_dict()
+    data["tensor"][0][1][0], data["tensor"][1][0][0] = entry, negated
+    with pytest.raises(GraphError, match="does not match the cup product of its source graph"):
+        RaagTriple.from_json_dict(data)
 
 
 def test_raag_triple_json_round_trip():

@@ -1,25 +1,42 @@
 """Independent triple-construction oracle: every scalar through the Field.
 
-:meth:`raagcheeger.PairingTriple.of` reduces ``int`` entries inline and checks
-the declared symmetry by comparing whole W-tuples.  This module builds the
-same triple the scalar-at-a-time way: each tensor entry is coerced by
-:meth:`Field.element`, and each mirrored entry is compared one W coordinate at
-a time, negated through :meth:`Field.neg`.  It raises the same exceptions with
-the same messages, and is kept to cross-check the fast path on edge cases.
+:meth:`raagcheeger.PairingTriple.of` reduces ``int`` entries inline into an
+integer array and checks the declared symmetry by one array comparison.
+This module builds the same triple the scalar-at-a-time way: each tensor
+entry is coerced by :meth:`Field.element`, and each mirrored entry is
+compared one W coordinate at a time, negated through :meth:`Field.neg`.  It
+raises the same exceptions with the same messages, and describes the triple
+it would build as canonical scalars, which :func:`described` reads off a
+built triple through its public JSON form.  It is kept to cross-check the
+fast path on edge cases.  The other oracles read a triple's scalars through
+:func:`scalar_tensor` too, never through its array.
 """
 
 from __future__ import annotations
 
-from raagcheeger.pairing import (
-    ANTISYMMETRIC,
-    COMPONENTWISE,
-    SYMMETRIC,
-    PairingError,
-    PairingTriple,
-)
+from functools import lru_cache
+
+from raagcheeger.pairing import ANTISYMMETRIC, COMPONENTWISE, SYMMETRIC, PairingError
+
+
+@lru_cache(maxsize=64)
+def scalar_tensor(pt) -> tuple:
+    """q(b_i, b_j) as nested tuples of canonical scalars, read from the
+    triple's JSON form."""
+    f = pt.field
+    return tuple(
+        tuple(tuple(f.element(x) for x in w) for w in row) for row in pt.to_json_dict()["tensor"]
+    )
+
+
+def described(pt) -> tuple:
+    """A built triple as :func:`triple_by_scalars` describes one."""
+    return pt.field, pt.dim_v, pt.dim_w, scalar_tensor(pt), pt.symmetry, pt.signs
 
 
 def triple_by_scalars(field, dim_v, dim_w, tensor, symmetry=ANTISYMMETRIC, signs=None):
+    """(field, dim V, dim W, scalars, symmetry, signs) of the triple that
+    :meth:`PairingTriple.of` builds from the arguments, or its exception."""
     grid = tuple(tuple(tuple(field.element(x) for x in w) for w in row) for row in tensor)
     if len(grid) != dim_v or any(len(row) != dim_v for row in grid):
         raise PairingError(f"tensor is not {dim_v} x {dim_v}")
@@ -49,4 +66,4 @@ def triple_by_scalars(field, dim_v, dim_w, tensor, symmetry=ANTISYMMETRIC, signs
                         f"declared {symmetry} symmetry violated at entry ({i}, {j}), "
                         f"W coordinate {e}"
                     )
-    return PairingTriple(field, dim_v, dim_w, grid, symmetry, sign_tuple)
+    return field, dim_v, dim_w, grid, symmetry, sign_tuple
