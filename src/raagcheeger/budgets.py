@@ -8,6 +8,10 @@ set by its flag: it caps the exact work of the search, computed before any
 work (the subspaces scanned, or the steps of the q-valence min-max over
 projective bases).  The subset scan is capped by vertex count, which bounds
 its sum_{k <= n/2} C(n, k) subsets.
+
+Two caps have no flag, since past them the work is out of reach in any
+budget a user would wait for: the labeled graphs ``--all-graphs`` builds,
+and the vertices of the dense spectral route.
 """
 
 from __future__ import annotations
@@ -52,6 +56,40 @@ def _coordinate_count(n: int) -> int:
         if count >= _EXACT_LIMIT:
             break
     return count
+
+
+# every labeled graph on 6 vertices: verify-theorem --all-graphs 6 took
+# 2.1-2.7 s as one CLI call, one check per isomorphism class, while building
+# the first 100,000 of the 2^21 graphs on 7 vertices took 1.7 s, so about
+# 36 s for all of them before any check
+ALL_GRAPHS_CAP = 2**15
+
+# eigvalsh on the dense Laplacian of a path took 0.68 s at 2,000 vertices,
+# 2.0 s at 3,000 and 5.4 s at 4,000 (growing as n^3), and the matrix takes
+# 8 n^2 bytes: 32 MB at the cap
+DENSE_SPECTRAL_VERTICES = 2_000
+
+
+def check_all_graphs(n: int) -> None:
+    """Refuse to build the 2^C(n,2) labeled graphs on n >= 0 vertices past
+    ALL_GRAPHS_CAP, before any is built."""
+    pairs = n * (n - 1) // 2
+    count = 2**pairs if pairs < _EXACT_BITS else _EXACT_LIMIT
+    if n >= 0 and count > ALL_GRAPHS_CAP:
+        raise BudgetError(
+            f"--all-graphs {n} would build {_stated(count)} labeled graphs, past the cap of "
+            f"{ALL_GRAPHS_CAP} (every graph on 6 vertices)"
+        )
+
+
+def check_dense_spectrum(n: int) -> None:
+    """Refuse the dense n x n Laplacian of the spectral route past
+    DENSE_SPECTRAL_VERTICES vertices, before it is allocated."""
+    if n > DENSE_SPECTRAL_VERTICES:
+        raise BudgetError(
+            f"dense spectral bounds capped at {DENSE_SPECTRAL_VERTICES} vertices (requested {n}; "
+            f"its Laplacian would take {8 * n * n} bytes)"
+        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .budgets import BudgetError, Budgets
+from .budgets import BudgetError, Budgets, check_all_graphs
 from .fields import Field, FieldError
 from .graphs import (
     GraphError,
@@ -156,6 +156,7 @@ def _resolve_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
     if args.input is not None:
         return [_load_graph(p) for p in args.input]
     if all_graphs is not None:
+        check_all_graphs(all_graphs)
         return list(labeled_graphs(all_graphs))
     if not args.sizes:
         raise GraphError(f"--family {args.family} needs at least one size in --sizes")

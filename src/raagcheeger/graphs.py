@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets, check_dense_spectrum
 from .linalg import popcount
 
 
@@ -328,10 +328,12 @@ def is_connected(graph: SimplicialGraph) -> bool:
 
 def laplacian_second_eigenvalue(graph: SimplicialGraph) -> float:
     """Algebraic connectivity of a connected graph: the second-smallest
-    eigenvalue of the dense Laplacian, by LAPACK's symmetric eigensolver."""
+    eigenvalue of the dense Laplacian, by LAPACK's symmetric eigensolver.
+    Past DENSE_SPECTRAL_VERTICES the budget refuses it, before any work."""
     n = graph.n_vertices
     if n < 2:
         raise GraphError("second Laplacian eigenvalue needs at least 2 vertices")
+    check_dense_spectrum(n)
     if not is_connected(graph):
         raise GraphError("spectral bounds require a connected graph")
     lap = np.zeros((n, n), dtype=np.float64)

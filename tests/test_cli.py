@@ -472,6 +472,40 @@ def test_negative_all_graphs_is_refused(argv, capsys):
     assert out == "" and "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [(["verify-theorem", "--all-graphs", "7"], "2097152"),
+     (["verify-invariance", "--all-graphs", "100000"], "at least 2^400")],
+)
+def test_all_graphs_past_the_cap_is_refused_before_any_graph_is_built(argv, count, monkeypatch, capsys):
+    from raagcheeger import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "labeled_graphs", None)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --all-graphs {argv[2]} would build {count} labeled graphs, past the cap "
+                   f"of 32768 (every graph on 6 vertices)\n")
+
+
+def test_all_graphs_at_the_cap_is_admitted():
+    from raagcheeger.budgets import ALL_GRAPHS_CAP, check_all_graphs
+
+    assert ALL_GRAPHS_CAP == 2**15
+    for n in range(-1, 7):
+        check_all_graphs(n)
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "spectral"]])
+def test_dense_spectral_route_past_its_cap_is_refused(mode, capsys):
+    # --mode exact falls back to the spectral route past the subset budget,
+    # and takes the same refusal
+    assert main(["family-report", "--family", "path", "--sizes", "4", "30000", *mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: dense spectral bounds capped at 2000 vertices (requested 30000;")
+
+
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
 def test_jobs_outside_one_to_the_cpu_count_is_refused(tmp_path, jobs, capsys):
     # refused before the input is read (it does not exist) and before any

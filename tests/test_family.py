@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,10 +25,17 @@ from raagcheeger import (
     verify_augmentation,
     verify_main_theorem,
 )
+from raagcheeger.budgets import DEFAULT_BUDGETS
+from raagcheeger.fields import Field
 from raagcheeger.family import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_EXPANDER,
+    VerificationRecord,
+    _canonical_mask,
+    _class_keys,
+    _verify_one_graph,
+    _verify_one_invariance,
 )
 
 from generators import sample_labeled_graphs, zero_triple
@@ -199,10 +208,12 @@ def complete_triangle() -> SimplicialGraph:
 
 
 def test_reports_are_deterministic_across_jobs():
-    graphs = [g for g in labeled_graphs(3)]
-    a = verify_main_theorem(graphs, GF2, jobs=1)
-    b = verify_main_theorem(graphs, GF2, jobs=2)
-    assert a.to_json_dict(verbose=True) == b.to_json_dict(verbose=True)
+    # 66 graphs in 11 isomorphism classes, C4 three times over
+    graphs = [*labeled_graphs(4), cycle(4), _relabeled(cycle(4), [2, 0, 3, 1])]
+    for verify, fields in ((verify_main_theorem, GF2), (field_invariance_check, [GF2, GF3])):
+        a = verify(graphs, fields, jobs=1)
+        b = verify(graphs, fields, jobs=2)
+        assert a.to_json_dict(verbose=True) == b.to_json_dict(verbose=True)
     ra = graph_family_report([cycle(4), cycle(6)], jobs=1)
     rb = graph_family_report([cycle(4), cycle(6)], jobs=2)
     assert ra.to_json_dict() == rb.to_json_dict()
@@ -214,3 +225,67 @@ def test_record_csv_shape():
     assert lines[0] == "index,n,dimV,valence,qvalence,h_graph,h_triple,method,checks_passed"
     assert len(lines) == 3
     assert lines[1].endswith("5/5")
+
+
+# -- one check per isomorphism class -------------------------------------------
+
+
+def _relabeled(graph: SimplicialGraph, perm: list[int]) -> SimplicialGraph:
+    """The graph with vertex i renamed to vertex perm[i], on the same labels."""
+    vs = graph.vertices
+    return SimplicialGraph.of(vs, [(vs[perm[i]], vs[perm[j]]) for i, j in graph.edge_index_pairs()])
+
+
+def _assert_per_graph_items(record: VerificationRecord, items: list[dict]) -> None:
+    """The per-class record equals the per-graph map's ``items``, item by
+    item, in verbose JSON and in CSV."""
+    expected = VerificationRecord(record.kind, record.field, tuple(items))
+    for got, want in zip(record.items, expected.items, strict=True):
+        assert got == want
+    assert json.dumps(record.to_json_dict(verbose=True)) == json.dumps(expected.to_json_dict(verbose=True))
+    assert record.to_csv() == expected.to_csv()
+
+
+@pytest.mark.parametrize("n, fields", [(5, (GF2, GF3)), (4, (GF5, Field.gf(7)))], ids=["n5", "n4"])
+def test_per_class_records_equal_the_per_graph_map(n, fields):
+    # the per-graph map verifies every graph on its own, as the verifiers
+    # did before they keyed classes
+    graphs = list(labeled_graphs(n))
+    for field in fields:
+        per_graph = [_verify_one_graph(g, field, DEFAULT_BUDGETS) for g in graphs]
+        _assert_per_graph_items(verify_main_theorem(graphs, field), per_graph)
+    per_graph = [_verify_one_invariance(g, fields, DEFAULT_BUDGETS) for g in graphs]
+    _assert_per_graph_items(field_invariance_check(graphs, fields), per_graph)
+
+
+def test_canonical_mask_is_invariant_under_relabeling():
+    rng = random.Random(27)
+    for n in range(8):
+        for mask in (0, (1 << n * (n - 1) // 2) - 1, *(rng.getrandbits(n * (n - 1) // 2) for _ in range(6))):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = SimplicialGraph.of([f"v{i}" for i in range(n)],
+                                   [(f"v{i}", f"v{j}") for k, (i, j) in enumerate(pairs) if mask >> k & 1])
+            relabeled = [_relabeled(g, rng.sample(range(n), n)) for _ in range(4)]
+            expected = _canonical_mask(n, g.edge_index_pairs())
+            assert [_canonical_mask(n, h.edge_index_pairs()) for h in relabeled] == [expected] * 4
+            # sharing a bucket, the relabelings all take the graph's key
+            assert len(set(_class_keys([g, *relabeled]))) == 1
+
+
+def test_class_keys_count_the_isomorphism_classes():
+    # the graphs on n unlabeled vertices, OEIS A000088
+    counts = [len(set(_class_keys(list(labeled_graphs(n))))) for n in range(1, 7)]
+    assert counts == [1, 2, 4, 11, 34, 156]
+
+
+def test_graphs_past_the_keyed_size_are_their_own_classes_in_input_order():
+    # three copies of C8, one relabeled, share a bucket, yet each 8-vertex
+    # graph is a class of its own; the three copies of P3 share one key
+    p3 = path(3)
+    graphs = [cycle(8), p3, _relabeled(cycle(8), [1, 2, 3, 4, 5, 6, 7, 0]), _relabeled(p3, [1, 0, 2]),
+              path(8), cycle(8), p3]
+    keys = _class_keys(graphs)
+    assert [keys[i] for i in (0, 2, 4, 5)] == [0, 2, 4, 5]
+    assert keys[1] == keys[3] == keys[6] != 1
+    per_graph = [_verify_one_graph(g, GF2, DEFAULT_BUDGETS) for g in graphs]
+    _assert_per_graph_items(verify_main_theorem(graphs, GF2), per_graph)

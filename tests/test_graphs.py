@@ -30,6 +30,7 @@ from raagcheeger import (
     star,
 )
 from raagcheeger import graphs, linalg
+from raagcheeger.budgets import DENSE_SPECTRAL_VERTICES, check_dense_spectrum
 from raagcheeger.graphs import laplacian_second_eigenvalue
 
 from graph_subset_oracle import cheeger_by_subset_loop
@@ -334,6 +335,22 @@ def test_spectral_sandwich_against_exact():
         lo, up = spectral_cheeger_bounds(g)
         h = cheeger_graph_exact(g).value
         assert lo - 1e-6 <= h <= up + 1e-6, g
+
+
+def test_dense_spectral_route_refuses_past_its_vertex_cap(monkeypatch):
+    # the refusal comes before any work on the graph, and so before the
+    # n x n Laplacian is allocated
+    check_dense_spectrum(DENSE_SPECTRAL_VERTICES)
+    monkeypatch.setattr(graphs, "is_connected", None)
+    n = DENSE_SPECTRAL_VERTICES + 1
+    with pytest.raises(BudgetError) as err:
+        laplacian_second_eigenvalue(path(n))
+    assert str(err.value) == (
+        f"dense spectral bounds capped at {DENSE_SPECTRAL_VERTICES} vertices "
+        f"(requested {n}; its Laplacian would take {8 * n * n} bytes)"
+    )
+    with pytest.raises(BudgetError, match="dense spectral bounds capped"):
+        spectral_cheeger_bounds(cycle(30_000))
 
 
 def test_spectral_rejects_disconnected_and_tiny():
