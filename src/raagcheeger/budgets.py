@@ -9,9 +9,10 @@ work (the subspaces scanned, or the steps of the q-valence min-max over
 projective bases).  The subset scan is capped by vertex count, which bounds
 its sum_{k <= n/2} C(n, k) subsets.
 
-Two caps have no flag, since past them the work is out of reach in any
+Three caps have no flag, since past them the work is out of reach in any
 budget a user would wait for: the labeled graphs ``--all-graphs`` builds,
-and the vertices of the dense spectral route.
+the vertices and edges of a ``--family`` graph, and the vertices of the
+dense spectral route.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def _coordinate_count(n: int) -> int:
 # 36 s for all of them before any check
 ALL_GRAPHS_CAP = 2**15
 
+# vertices plus edges of one --family graph: complete(2000), the largest
+# complete graph the dense spectral route takes, has 2,001,000 and took
+# 1.4 s to build, path(2^20) 0.9 s and margulis(647), the slowest family per
+# edge, 6.5 s (about 0.3-0.4 GB each); complete(30000) would have 450 M
+FAMILY_GRAPH_CAP = 2**21
+
 # eigvalsh on the dense Laplacian of a path took 0.68 s at 2,000 vertices,
 # 2.0 s at 3,000 and 5.4 s at 4,000 (growing as n^3), and the matrix takes
 # 8 n^2 bytes: 32 MB at the cap
@@ -79,6 +86,17 @@ def check_all_graphs(n: int) -> None:
         raise BudgetError(
             f"--all-graphs {n} would build {_stated(count)} labeled graphs, past the cap of "
             f"{ALL_GRAPHS_CAP} (every graph on 6 vertices)"
+        )
+
+
+def check_family_graph(flag: str, size: int, family: str, vertices: int, edges: int) -> None:
+    """Refuse to build a --family graph of ``vertices`` vertices and at most
+    ``edges`` edges past FAMILY_GRAPH_CAP of both together, before it is
+    built."""
+    if vertices + edges > FAMILY_GRAPH_CAP:
+        raise BudgetError(
+            f"{flag} {size} would build a graph of {vertices} vertices and up to {edges} edges "
+            f"(--family {family}), past the cap of {FAMILY_GRAPH_CAP} vertices plus edges"
         )
 
 

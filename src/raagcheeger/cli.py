@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .budgets import BudgetError, Budgets, check_all_graphs
+from .budgets import BudgetError, Budgets, check_all_graphs, check_family_graph
 from .fields import Field, FieldError
 from .graphs import (
     GraphError,
@@ -128,19 +128,35 @@ _FAMILIES = {
 }
 
 
-def _family_graph(name: str, size: int, degree: int | None, seed: int) -> SimplicialGraph:
-    if name != "random-regular":
-        if degree is not None:
-            raise GraphError(f"--degree applies only to --family random-regular, not {name}")
-        return _FAMILIES[name](size)
-    if degree is None:
+# the vertices of each family's graph of size n, and at most how many edges
+# it has; d is the degree of random-regular
+_COUNTS = {
+    "cycle": lambda n, d: (n, n),
+    "path": lambda n, d: (n, n - 1),
+    "complete": lambda n, d: (n, n * (n - 1) // 2),
+    "star": lambda n, d: (n + 1, n),
+    "edgeless": lambda n, d: (n, 0),
+    "random-regular": lambda n, d: (n, n * d // 2),
+    "margulis": lambda n, d: (n * n, 4 * n * n),
+}
+
+
+def _family_graph(
+    name: str, size: int, degree: int | None, seed: int, flag: str = "--size"
+) -> SimplicialGraph:
+    if name != "random-regular" and degree is not None:
+        raise GraphError(f"--degree applies only to --family random-regular, not {name}")
+    if name == "random-regular" and degree is None:
         raise GraphError("--family random-regular needs --degree")
-    return random_regular(size, degree, seed)
+    check_family_graph(flag, size, name, *_COUNTS[name](max(size, 0), max(degree or 0, 0)))
+    if name == "random-regular":
+        return random_regular(size, degree, seed)
+    return _FAMILIES[name](size)
 
 
 def _family_graphs(args: argparse.Namespace) -> list[SimplicialGraph]:
     return [
-        _family_graph(args.family, size, args.degree, (args.seed or 0) + pos)
+        _family_graph(args.family, size, args.degree, (args.seed or 0) + pos, "--sizes")
         for pos, size in enumerate(args.sizes)
     ]
 

@@ -508,18 +508,11 @@ def _class_keys(graphs: list[SimplicialGraph]) -> list:
     most _KEYED_VERTICES vertices that shares its bucket is keyed by its
     canonical mask, and any other graph by its own position, as a class of
     its own."""
-    pairs = [g.edge_index_pairs() for g in graphs]
-    buckets = []
-    for g, edges in zip(graphs, pairs):
-        degree = [0] * g.n_vertices
-        for i, j in edges:
-            degree[i] += 1
-            degree[j] += 1
-        buckets.append((g.n_vertices, tuple(sorted(degree))))
+    buckets = [(g.n_vertices, tuple(sorted(g.degrees))) for g in graphs]
     shared = Counter(buckets)
     return [
-        (n, _canonical_mask(n, edges)) if shared[n, degrees] > 1 and n <= _KEYED_VERTICES else pos
-        for pos, ((n, degrees), edges) in enumerate(zip(buckets, pairs))
+        (n, _canonical_mask(n, g.pairs)) if shared[n, degrees] > 1 and n <= _KEYED_VERTICES else pos
+        for pos, (g, (n, degrees)) in enumerate(zip(graphs, buckets))
     ]
 
 

@@ -60,10 +60,9 @@ class RaagTriple:
 def build_triple(graph: SimplicialGraph, field: Field) -> RaagTriple:
     """The (H^1, H^2, cup) triple of the right-angled Artin group on the graph."""
     n = graph.n_vertices
-    pairs = graph.edge_index_pairs()
-    m = len(pairs)
+    m = graph.n_edges
     # edge e = (i, j), i < j, puts +1 at [i, j, e] and -1 at [j, i, e]
-    i, j = np.array(pairs, dtype=np.intp).reshape(m, 2).T
+    i, j = np.array(graph.pairs, dtype=np.intp).reshape(m, 2).T
     ints = np.zeros((n, n, m), np.int64)
     ints[i, j, np.arange(m)], ints[j, i, np.arange(m)] = 1, -1
     pairing = PairingTriple(field, n, m, ints, ANTISYMMETRIC)

@@ -496,6 +496,49 @@ def test_all_graphs_at_the_cap_is_admitted():
         check_all_graphs(n)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["family-report", "--family", "complete", "--sizes", "30000"],
+      "--sizes 30000 would build a graph of 30000 vertices and up to 449985000 edges (--family complete)"),
+     (["verify-theorem", "--family", "random-regular", "--degree", "3", "--sizes", "2000000"],
+      "--sizes 2000000 would build a graph of 2000000 vertices and up to 3000000 edges "
+      "(--family random-regular)"),
+     (["gen", "--family", "margulis", "--size", "1000"],
+      "--size 1000 would build a graph of 1000000 vertices and up to 4000000 edges (--family margulis)"),
+     (["gen", "--family", "edgeless", "--size", "3000000"],
+      "--size 3000000 would build a graph of 3000000 vertices and up to 0 edges (--family edgeless)")],
+)
+def test_family_graph_past_its_cap_is_refused_before_it_is_built(argv, message, monkeypatch, capsys):
+    from raagcheeger import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_FAMILIES", {})
+    monkeypatch.setattr(cli_module, "random_regular", None)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}, past the cap of 2097152 vertices plus edges\n"
+
+
+def test_family_counts_bound_the_generated_graphs():
+    # each family's count before building gives the graph's vertices and its
+    # edges exactly, but for margulis, where 4 m^2 bounds them
+    from raagcheeger.budgets import FAMILY_GRAPH_CAP, BudgetError, check_family_graph
+    from raagcheeger.cli import _COUNTS, _family_graph
+
+    for name, counts in _COUNTS.items():
+        for size in range(3, 12):
+            degree = 3 if name == "random-regular" else None
+            if degree and size % 2:
+                continue
+            g = _family_graph(name, size, degree, seed=1)
+            vertices, edges = counts(size, degree)
+            assert vertices == g.n_vertices, (name, size)
+            assert edges >= g.n_edges if name == "margulis" else edges == g.n_edges, (name, size)
+    check_family_graph("--size", 1, "path", FAMILY_GRAPH_CAP // 2, FAMILY_GRAPH_CAP // 2)
+    with pytest.raises(BudgetError, match="--size 1 would build"):
+        check_family_graph("--size", 1, "path", FAMILY_GRAPH_CAP // 2, FAMILY_GRAPH_CAP // 2 + 1)
+
+
 @pytest.mark.parametrize("mode", [[], ["--mode", "spectral"]])
 def test_dense_spectral_route_past_its_cap_is_refused(mode, capsys):
     # --mode exact falls back to the spectral route past the subset budget,

@@ -233,7 +233,7 @@ def test_record_csv_shape():
 def _relabeled(graph: SimplicialGraph, perm: list[int]) -> SimplicialGraph:
     """The graph with vertex i renamed to vertex perm[i], on the same labels."""
     vs = graph.vertices
-    return SimplicialGraph.of(vs, [(vs[perm[i]], vs[perm[j]]) for i, j in graph.edge_index_pairs()])
+    return SimplicialGraph.of(vs, [(vs[perm[i]], vs[perm[j]]) for i, j in graph.pairs])
 
 
 def _assert_per_graph_items(record: VerificationRecord, items: list[dict]) -> None:
@@ -266,8 +266,8 @@ def test_canonical_mask_is_invariant_under_relabeling():
             g = SimplicialGraph.of([f"v{i}" for i in range(n)],
                                    [(f"v{i}", f"v{j}") for k, (i, j) in enumerate(pairs) if mask >> k & 1])
             relabeled = [_relabeled(g, rng.sample(range(n), n)) for _ in range(4)]
-            expected = _canonical_mask(n, g.edge_index_pairs())
-            assert [_canonical_mask(n, h.edge_index_pairs()) for h in relabeled] == [expected] * 4
+            expected = _canonical_mask(n, g.pairs)
+            assert [_canonical_mask(n, h.pairs) for h in relabeled] == [expected] * 4
             # sharing a bucket, the relabelings all take the graph's key
             assert len(set(_class_keys([g, *relabeled]))) == 1
 

@@ -33,7 +33,12 @@ from raagcheeger import graphs, linalg
 from raagcheeger.budgets import DENSE_SPECTRAL_VERTICES, check_dense_spectrum
 from raagcheeger.graphs import laplacian_second_eigenvalue
 
-from graph_subset_oracle import cheeger_by_subset_loop
+from graph_subset_oracle import (
+    cheeger_by_subset_loop,
+    connected_by_search,
+    laplacian_by_edge_loop,
+    margulis_by_labels,
+)
 
 
 def abc_path():
@@ -358,6 +363,80 @@ def test_spectral_rejects_disconnected_and_tiny():
         spectral_cheeger_bounds(edgeless(3))
     with pytest.raises(GraphError):
         spectral_cheeger_bounds(edgeless(1))
+
+
+# -- index pairs -------------------------------------------------------------------
+
+
+def _small_and_generated_graphs():
+    gs = [g for n in range(6) for g in labeled_graphs(n)]
+    gs += [cycle(n) for n in range(3, 30)] + [path(n) for n in range(1, 30)]
+    gs += [complete(n) for n in range(9)] + [star(k) for k in range(10)] + [edgeless(n) for n in range(5)]
+    gs += [margulis_like(m) for m in range(2, 7)]
+    gs += [random_regular(n, d, seed) for n, d in ((6, 0), (8, 1), (8, 3), (10, 4), (20, 3)) for seed in range(3)]
+    return gs
+
+
+def test_pairs_and_degrees_agree_with_the_labeled_adjacency():
+    # every graph on at most 5 vertices and the generated families: the
+    # pairs are sorted, distinct and i < j, name the labeled edges in order,
+    # and are the label-keyed adjacency's edges; the degrees, valence and
+    # connectivity read from them are the adjacency's
+    for g in _small_and_generated_graphs():
+        n = g.n_vertices
+        assert list(g.pairs) == sorted(set(g.pairs)) and all(0 <= i < j < n for i, j in g.pairs), g
+        assert g.edges == tuple((g.vertices[i], g.vertices[j]) for i, j in g.pairs), g
+        by_labels = {tuple(sorted((g.index[u], g.index[w]))) for u in g.vertices for w in g.adjacency[u]}
+        assert set(g.pairs) == by_labels, g
+        assert g.degrees == tuple(len(g.adjacency[v]) for v in g.vertices), g
+        assert max_valence(g) == max((len(g.adjacency[v]) for v in g.vertices), default=0), g
+        assert is_connected(g) == connected_by_search(g), g
+
+
+def test_laplacian_from_pairs_equals_the_edge_loop():
+    # the matrix is the per-edge loop's entry for entry, so eigvalsh returns
+    # the same bits
+    gs = [path(n) for n in range(2, 201)] + [cycle(n) for n in range(3, 241)]
+    gs += [margulis_like(m) for m in range(3, 7)]
+    gs += [random_regular(n, 3, seed) for n in (10, 20, 40, 100) for seed in range(3)]
+    for g in gs:
+        expected = laplacian_by_edge_loop(g)
+        assert np.array_equal(graphs._laplacian(g), expected), g
+    for g in gs[::17]:
+        lam2 = float(np.linalg.eigvalsh(laplacian_by_edge_loop(g))[1])
+        assert laplacian_second_eigenvalue(g) == lam2, g
+
+
+def test_generated_graphs_equal_those_built_from_labels():
+    # graphs built directly from index pairs equal, and hash alike, the ones
+    # SimplicialGraph.of builds from their labeled definitions, pairs
+    # included; the seeded random-regular graphs are pinned
+    def check(g, h):
+        assert (g, hash(g), g.pairs) == (h, hash(h), h.pairs), g
+
+    for n in range(6):
+        vs = [f"v{i}" for i in range(n)]
+        every = list(itertools.combinations(vs, 2))
+        for mask, g in enumerate(labeled_graphs(n)):
+            check(g, SimplicialGraph.of(vs, [e for k, e in enumerate(every) if mask >> k & 1]))
+    for n in range(1, 40):
+        vs = [f"v{i}" for i in range(n)]
+        check(path(n), SimplicialGraph.of(vs, zip(vs, vs[1:])))
+        check(complete(n), SimplicialGraph.of(vs, itertools.combinations(vs, 2)))
+        check(star(n - 1), SimplicialGraph.of(vs, [(vs[0], v) for v in vs[1:]]))
+        check(edgeless(n), SimplicialGraph.of(vs, []))
+        if n >= 3:
+            check(cycle(n), SimplicialGraph.of(vs, zip(vs, vs[1:] + vs[:1])))
+    for m in range(2, 9):
+        check(margulis_like(m), margulis_by_labels(m))
+    pinned = {
+        (8, 3, 1): "0-2 0-4 0-5 1-2 1-3 1-5 2-7 3-4 3-6 4-7 5-6 6-7",
+        (10, 4, 2): "0-1 0-2 0-3 0-4 1-2 1-4 1-8 2-6 2-9 3-5 3-8 3-9 4-5 4-7 5-6 5-7 6-7 6-9 7-8 8-9",
+    }
+    for (n, d, seed), edges in pinned.items():
+        pairs = [tuple(map(int, e.split("-"))) for e in edges.split()]
+        vs = [f"v{i}" for i in range(n)]
+        check(random_regular(n, d, seed), SimplicialGraph.of(vs, [(vs[i], vs[j]) for i, j in pairs]))
 
 
 # -- generators --------------------------------------------------------------------

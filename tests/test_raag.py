@@ -100,9 +100,9 @@ def test_retract_compatibility_with_full_subgraphs():
         t_big = build_triple(g, GF3).pairing
         t_sub = build_triple(sub, GF3).pairing
         vmap = [g.index[v] for v in sub.vertices]
-        big_edges = {pair: e for e, pair in enumerate(g.edge_index_pairs())}
+        big_edges = {pair: e for e, pair in enumerate(g.pairs)}
         emap = []
-        for i, j in sub.edge_index_pairs():
+        for i, j in sub.pairs:
             bi, bj = vmap[i], vmap[j]
             emap.append(big_edges[(min(bi, bj), max(bi, bj))])
         for i in range(sub.n_vertices):
