@@ -49,7 +49,7 @@ from .pairing import (
 from .family import (
     field_invariance_check,
     graph_family_report,
-    triple_family_report,
+    graph_triple_family_report,
     verify_augmentation,
     verify_main_theorem,
 )
@@ -269,8 +269,8 @@ def _cmd_family_report(args: argparse.Namespace) -> int:
             raise GraphError(f"{flag} does not apply to --kind {args.kind}")
     graphs = _resolve_graphs(args)
     if args.kind == "triple":
-        triples = [build_triple(g, args.field) for g in graphs]
-        report = triple_family_report(triples, args.budgets, args.valence_bound, jobs=args.jobs)
+        report = graph_triple_family_report(
+            graphs, args.field, args.budgets, args.valence_bound, jobs=args.jobs)
     else:
         report = graph_family_report(
             graphs, args.mode or "exact", args.budgets, args.valence_bound, jobs=args.jobs)

@@ -8,19 +8,18 @@ unbounded valence) but never prove it, so report verdicts are limited to
 Per-index computations are independent; the verifiers accept a ``jobs``
 argument and fold worker results in input order, so output is identical for
 any degree of parallelism.  The dictionary and field-invariance checks run
-once per isomorphism class of the input graphs.
+once per isomorphism class of the input graphs, and scan the classes' first
+graphs of one vertex count as stacks.  The verifiers make their scans'
+refusals before they build any triple, and the triple report of graphs
+builds a triple only where a scan of it runs.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field
@@ -32,17 +31,22 @@ from .graphs import (
     max_valence,
     spectral_cheeger_bounds,
 )
+from .isomorphism import class_keys
 from .linalg import LinalgError
 from .pairing import (
     PairingTriple,
     augment_triple,
-    cheeger_constant_coordinate,
+    check_pivot,
     cheeger_constant_exhaustive,
+    cheeger_constants,
     is_alternating,
     pairing_connected_from_report,
     q_valence_coordinate,
     q_valence_exhaustive,
+    refuse_exhaustive,
+    stack_size,
 )
+from .qvalence import refuse_q_valence
 from .raag import build_triple, max_centralizer_rank
 
 VERDICT_CONSISTENT = "consistent-with-expander"
@@ -207,6 +211,35 @@ def triple_family_report(
     return _assemble_report(_pmap(worker, list(triples), jobs), valence_bound)
 
 
+def graph_triple_family_report(
+    graphs: Sequence[SimplicialGraph],
+    field: Field,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    valence_bound: int | None = None,
+    jobs: int = 1,
+) -> FamilyReport:
+    """:func:`triple_family_report` of the graphs' cohomology triples over
+    ``field``, each built only where a scan of it runs: where the Cheeger
+    scan and the q-valence min-max both refuse, the entry is inconclusive,
+    as the triple's would be, and its coordinate q-valence is the graph's
+    max valence, as for every cup-product triple."""
+    worker = partial(_graph_triple_entry, field=field, budgets=budgets)
+    return _assemble_report(_pmap(worker, list(graphs), jobs), valence_bound)
+
+
+def _graph_triple_entry(graph: SimplicialGraph, field: Field, budgets: Budgets) -> FamilyEntry:
+    n = graph.n_vertices
+    try:
+        refuse_exhaustive(field, n, graph.n_edges, budgets)
+    except (BudgetError, LinalgError) as err:
+        try:
+            refuse_q_valence(field, n, budgets)
+        except (BudgetError, LinalgError):
+            return FamilyEntry("triple", field.name, n, max_valence(graph), "coordinate", None,
+                               method="inconclusive", note=str(err))
+    return _triple_entry(build_triple(graph, field), budgets)
+
+
 def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
     pt: PairingTriple = getattr(t, "pairing", t)
     n = pt.dim_v
@@ -330,18 +363,34 @@ def verify_main_theorem(
     after it takes that record under its own label, on trust that the
     record's values are invariant under relabeling, as a relabeling of the
     graph is an isomorphism of its triple.  ``tests/`` checks that trust
-    against the per-graph map.
+    against the per-graph map.  The first graphs of one vertex count are
+    scanned as stacks (:func:`~raagcheeger.pairing.cheeger_constants`), and
+    the refusals of every scan come before any triple is built.
     """
-    worker = partial(_verify_one_graph, field=field, budgets=budgets)
-    return VerificationRecord("main-theorem", field.name, _per_class(worker, graphs, jobs))
+    def refuse(n: int, m: int) -> None:
+        # the graph scan's, the exhaustive scan's and the coordinate scan's,
+        # none of which refuses a graph on fewer than 2 vertices
+        if n >= 2:
+            budgets.check_subsets(n)
+            refuse_exhaustive(field, n, m, budgets)
+            budgets.check_coordinates(n)
+
+    worker = partial(_verify_theorem_stack, field=field, budgets=budgets)
+    items = _per_class(worker, graphs, jobs, partial(stack_size, field), refuse)
+    return VerificationRecord("main-theorem", field.name, items)
 
 
-def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets: Budgets) -> dict:
-    triple = build_triple(graph, field)
+def _verify_theorem_stack(graphs: list[SimplicialGraph], field: Field, budgets: Budgets) -> list[dict]:
+    """The items of graphs of one vertex count, whose triples are scanned as one stack."""
+    triples = [build_triple(g, field) for g in graphs]
+    exhaustive = cheeger_constants(triples, "exhaustive", budgets)
+    coordinate = cheeger_constants(triples, "coordinate", budgets)
+    return [_theorem_item(*scanned, budgets) for scanned in zip(graphs, triples, exhaustive, coordinate)]
+
+
+def _theorem_item(graph: SimplicialGraph, triple, exh, coord, budgets: Budgets) -> dict:
     n = graph.n_vertices
     h_graph = _exact_or_none(graph, budgets)
-    exh = cheeger_constant_exhaustive(triple, budgets)
-    coord = cheeger_constant_coordinate(triple, budgets)
     qval, qmethod = _q_valence(triple, budgets)
     connected = is_connected(graph)
     p_connected = pairing_connected_from_report(exh)
@@ -384,8 +433,13 @@ def verify_augmentation(
     index, so only the relabelings that fix it preserve the values."""
     if field is None:
         field = Field.gf(2)
+    graphs = list(graphs)
+    for n, m in _shapes(graphs):
+        check_pivot(n, pivot)
+        refuse_exhaustive(field, n, m, budgets)
+        refuse_exhaustive(field, n, 1, budgets)
     worker = partial(_verify_one_augmentation, field=field, pivot=pivot, budgets=budgets)
-    return VerificationRecord("augmentation", field.name, tuple(_pmap(worker, list(graphs), jobs)))
+    return VerificationRecord("augmentation", field.name, tuple(_pmap(worker, graphs, jobs)))
 
 
 def _verify_one_augmentation(
@@ -430,27 +484,44 @@ def field_invariance_check(
 ) -> VerificationRecord:
     """Check that Cheeger value, q-valence and pairing-connectedness of the
     cohomology triple agree across every listed field.  Each isomorphism
-    class is checked once, on trust of relabeling invariance, as in
-    :func:`verify_main_theorem`."""
+    class is checked once, on trust of relabeling invariance, and scanned
+    in stacks, as in :func:`verify_main_theorem`."""
     if not fields:
         raise ValueError("field_invariance_check needs at least one field")
-    worker = partial(_verify_one_invariance, fields=tuple(fields), budgets=budgets)
+    fields = tuple(fields)
+
+    def refuse(n: int, m: int) -> None:
+        for f in fields:
+            refuse_exhaustive(f, n, m, budgets)
+
+    def size(n: int) -> int:
+        return min(stack_size(f, n) for f in fields)
+
+    worker = partial(_verify_invariance_stack, fields=fields, budgets=budgets)
     names = "+".join(f.name for f in fields)
-    return VerificationRecord("field-invariance", names, _per_class(worker, graphs, jobs))
+    return VerificationRecord("field-invariance", names, _per_class(worker, graphs, jobs, size, refuse))
 
 
-def _verify_one_invariance(
-    graph: SimplicialGraph, fields: tuple[Field, ...], budgets: Budgets
-) -> dict:
-    h_by_field = {}
-    d_by_field = {}
-    conn_by_field = {}
+def _verify_invariance_stack(
+    graphs: list[SimplicialGraph], fields: tuple[Field, ...], budgets: Budgets
+) -> list[dict]:
+    """The items of graphs of one vertex count, whose triples over each
+    field are scanned as one stack."""
+    h_by_field = [{} for _ in graphs]
+    d_by_field = [{} for _ in graphs]
+    conn_by_field = [{} for _ in graphs]
     for f in fields:
-        triple = build_triple(graph, f)
-        exh = cheeger_constant_exhaustive(triple, budgets)
-        h_by_field[f.name] = exh.value
-        d_by_field[f.name] = q_valence_coordinate(triple)
-        conn_by_field[f.name] = pairing_connected_from_report(exh)
+        triples = [build_triple(g, f) for g in graphs]
+        for i, (triple, exh) in enumerate(zip(triples, cheeger_constants(triples, "exhaustive", budgets))):
+            h_by_field[i][f.name] = exh.value
+            d_by_field[i][f.name] = q_valence_coordinate(triple)
+            conn_by_field[i][f.name] = pairing_connected_from_report(exh)
+    return [_invariance_item(*found, fields) for found in zip(graphs, h_by_field, d_by_field, conn_by_field)]
+
+
+def _invariance_item(
+    graph: SimplicialGraph, h_by_field: dict, d_by_field: dict, conn_by_field: dict, fields: tuple[Field, ...]
+) -> dict:
     def invariant(d: dict) -> bool:
         vals = list(d.values())
         return all(v == vals[0] for v in vals)
@@ -472,60 +543,39 @@ def _verify_one_invariance(
     return _item(graph, checks, data)
 
 
-# -- isomorphism classes -----------------------------------------------------
-
-# graphs on at most this many vertices are keyed over all n! relabelings:
-# 5,040 at n = 7, whose table took 4-9 ms to build; n = 8's 40,320 took
-# 68 ms and 9 MB
-_KEYED_VERTICES = 7
+def _shapes(graphs: Iterable[SimplicialGraph]) -> list[tuple[int, int]]:
+    """Each (vertex count, 1 if there is an edge else 0) of the graphs, once,
+    in input order: all a triple's scans read of it before any work."""
+    return list(dict.fromkeys((g.n_vertices, min(g.n_edges, 1)) for g in graphs))
 
 
-@lru_cache(maxsize=None)
-def _relabelings(n: int) -> tuple[list[list[int]], np.ndarray]:
-    """The position of each vertex pair {i, j} among the C(n, 2) in
-    lexicographic order, as an n x n table; and, per relabeling of the n
-    vertices (one row each) and per pair position, the bit 2^position of
-    the pair's image."""
-    position = np.zeros((n, n), dtype=np.intp)
-    i, j = np.triu_indices(n, 1)
-    position[i, j] = position[j, i] = np.arange(len(i))
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    return position.tolist(), np.left_shift(1, position[perms[:, i], perms[:, j]])
-
-
-def _canonical_mask(n: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """The least edge bitmask over all relabelings of the graph on n vertices
-    with these edges as index pairs: equal for two graphs on n vertices
-    exactly when they are isomorphic."""
-    position, bits = _relabelings(n)
-    return int(bits[:, [position[i][j] for i, j in pairs]].sum(axis=1).min())
-
-
-def _class_keys(graphs: list[SimplicialGraph]) -> list:
-    """One key per graph, equal for two graphs only when they are isomorphic.
-
-    Graphs are bucketed by vertex count and degree sequence.  A graph on at
-    most _KEYED_VERTICES vertices that shares its bucket is keyed by its
-    canonical mask, and any other graph by its own position, as a class of
-    its own."""
-    buckets = [(g.n_vertices, tuple(sorted(g.degrees))) for g in graphs]
-    shared = Counter(buckets)
-    return [
-        (n, _canonical_mask(n, g.pairs)) if shared[n, degrees] > 1 and n <= _KEYED_VERTICES else pos
-        for pos, (g, (n, degrees)) in enumerate(zip(graphs, buckets))
-    ]
-
-
-def _per_class(worker: Callable, graphs: Iterable[SimplicialGraph], jobs: int) -> tuple[dict, ...]:
+def _per_class(
+    worker: Callable, graphs: Iterable[SimplicialGraph], jobs: int, size: Callable, refuse: Callable
+) -> tuple[dict, ...]:
     """``worker``'s item for each graph, in input order, computed once per
     isomorphism class on the class's first graph and given to every graph of
-    the class under the graph's own label."""
+    the class under the graph's own label.  ``refuse(n, m)`` makes the
+    refusals of each first graph's scans, in input order, before any work.
+    The first graphs of each vertex count n, in input order, go to
+    ``worker`` in stacks of at most ``size(n)``, and ``jobs`` maps over the
+    stacks; each size's stacks are split further, into at least ``jobs``
+    where it has that many graphs, so that every worker gets one."""
     graphs = list(graphs)
-    keys = _class_keys(graphs)
+    keys = class_keys(graphs)
     first = {}
     for g, key in zip(graphs, keys):
         first.setdefault(key, g)
-    items = dict(zip(first, _pmap(worker, list(first.values()), jobs)))
+    for n, m in _shapes(first.values()):
+        refuse(n, m)
+    by_size = {}
+    for key, g in first.items():
+        by_size.setdefault(g.n_vertices, []).append(key)
+    stacks = []
+    for n, group in by_size.items():
+        step = min(size(n), -(-len(group) // max(jobs, 1)))
+        stacks += [group[i : i + step] for i in range(0, len(group), step)]
+    found = _pmap(worker, [[first[key] for key in stack] for stack in stacks], jobs)
+    items = {key: item for stack, done in zip(stacks, found) for key, item in zip(stack, done)}
     return tuple({**items[key], "label": _label(g)} for g, key in zip(graphs, keys))
 
 

@@ -18,7 +18,8 @@ smaller stream it reads, and the coordinate subspaces that the coordinate
 scan reads, as the orders of their coordinates.  Larger dimensions are
 streamed lazily, as they are built.  The projective points of GF(p)^n and
 their codes, which the q-valence min-max and both kernels index by, are
-built once per (n, p) in small lru caches.
+built once per (n, p) in small lru caches, and so is the q-valence
+min-max's frame of hyperplanes and projective bases.
 """
 
 from __future__ import annotations
@@ -296,6 +297,31 @@ def point_codes(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return powers, index, dims
 
 
+@lru_cache(maxsize=8)
+def projective_frame(n: int, p: int, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, outside, bases) for GF(p)^n: the projective points of
+    :func:`projective_points`; outside[h, x] = (h . x != 0), reading point h
+    as the normal of a hyperplane; and every projective basis as a row of n
+    point indices, the n-subsets no hyperplane holds, tested in steps of at
+    most ``chunk`` one-byte entries.
+    """
+    points = projective_points(n, p)
+    outside = reduce_mod(points @ points.T, p) != 0
+    combos = itertools.combinations(range(len(points)), n)
+    step = max(1, chunk // (len(points) * n))
+    bases = []
+    while True:
+        block = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, step)), dtype=np.intp
+        ).reshape(-1, n)
+        if not len(block):
+            break
+        # outside is symmetric, so outside[block.T][j, c, h] says point j of
+        # combination c lies off hyperplane h
+        bases.append(block[outside[block.T].any(axis=0).all(axis=1)])
+    return points, outside, np.concatenate(bases)
+
+
 def popcount(x: np.ndarray, n: int) -> np.ndarray:
     """Entrywise popcount, as uint8, of nonnegative int64 or uint64 masks of
     at most n bits, and of Python ints, by int.bit_count, on object arrays.
@@ -369,12 +395,18 @@ def enumerate_subspaces(
 
 def _dimensions(n: int, dims: list[int], p: int) -> Iterator[tuple[int, np.ndarray]]:
     """The batches of :func:`enumerate_subspaces`, dimension by dimension."""
-    if p**n > sys.maxsize:
-        raise LinalgError(f"gf{p}^{n} has more vectors than a numpy array can index")
+    check_indexable(n, p)
     for k in dims:
         most = max(1, POINT_BATCH_BYTES // (max(k, 1) * _point_type(n, p).itemsize))
         for points in _stream(_point_bytes(n, k, p), most, _point_batches, n, k, p):
             yield k, points
+
+
+def check_indexable(n: int, p: int) -> None:
+    """Refuse GF(p)^n where its vectors are more than a numpy array indexes,
+    as the point stream does at its first batch."""
+    if p**n > sys.maxsize:
+        raise LinalgError(f"gf{p}^{n} has more vectors than a numpy array can index")
 
 
 POINT_BATCH_BYTES = 1 << 14

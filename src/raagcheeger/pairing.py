@@ -1,4 +1,4 @@
-"""(V, W, q) pairing triples: subspace Cheeger constants, q-valence,
+"""(V, W, q) pairing triples: subspace Cheeger constants,
 pairing-connectedness, and the pivot augmentation.
 
 Every mini-max invariant comes in two flavors that are never silently
@@ -21,8 +21,18 @@ matrix products with the triple's integer tensor build the matrices of a
 batch, and one column-by-column elimination ranks them all
 (:func:`_rank_kernel`).  The coordinate scan's S permutes the basis, so
 its matrices are gathered from the tensor with no product and go to the
-same elimination.  Both scans read their batches in slices of at most
-``POINT_BATCH_BYTES // n^2`` subspaces.
+same elimination.
+
+Both scans run over a stack of triples that share a field and dim V
+(:func:`cheeger_constants`): the batch axis of every kernel spans (triple,
+subspace) pairs, so one kernel call ranks a batch for the whole stack.  The
+rank and coordinate kernels read the stack's tensors zero-padded to its
+largest dim W, which changes no rank, and read their batches in slices of
+at most ``POINT_BATCH_BYTES // n^2`` pairs, of more subspaces as triples
+leave; a stack is as large as those slices and the zero-set table allow
+(:func:`stack_size`).  Each triple keeps its own first minimizer and
+leaves the stack at its first zero, so its report is the one its own scan,
+a stack of one, gives.
 
 The zero-set kernel of :mod:`raagcheeger.zerosets` reads the point batches
 as they are and counts in bitsets over those points.  The exhaustive scan
@@ -37,7 +47,8 @@ without building a batch.
 
 The scans build a :class:`Subspace` only for the minimizer they report.
 Pairing-connectedness is decided as h > 0, which is exact for dim V >= 2
-(see :func:`pairing_connected_from_report`).
+(see :func:`pairing_connected_from_report`).  q-valence lives in
+:mod:`raagcheeger.qvalence`, and its two functions are importable from here.
 
 Functions accept either a bare :class:`PairingTriple` or any object carrying
 one in a ``pairing`` attribute (such as the cohomology triples built from
@@ -46,7 +57,6 @@ graphs).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +69,11 @@ from . import linalg
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .fields import Field
 from .linalg import (
-    LinalgError, Subspace, _column_ranks, _coordinate_batches, enumerate_subspaces,
-    product_types, projective_points, reduce_mod,
+    Subspace, _column_ranks, _coordinate_batches, enumerate_subspaces, product_types,
+    projective_points, reduce_mod,
 )
-from .zerosets import pairs_blocks, zero_set_kernel, zero_sets_pay
+from .qvalence import q_valence_coordinate, q_valence_exhaustive
+from .zerosets import zero_set_kernel, zero_set_stack, zero_sets_pay
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -202,14 +213,16 @@ def _pairing(t) -> PairingTriple:
 # -- the rank kernel ---------------------------------------------------------
 
 
-def _rank_kernel(pt: PairingTriple):
-    """The eliminating kernel, built once per call: (k, a batch) -> the
-    arrays (rank R_F, rank R_F|_F), one entry per subspace F.  A batch of
-    shape (B, n, n) holds completed bases S, F being the span of the first
-    k rows of S; one of shape (B, k), a batch of the exhaustive stream,
-    holds F's RREF rows as projective points, which one decode completes
-    to the same S (:func:`_completion`).  It serves every field; the
-    exhaustive scan over a small prime field takes
+def _rank_kernel(*pts: PairingTriple):
+    """The eliminating kernel, built once per call for a stack of triples
+    ``pts`` over one field with one dim V: (k, a batch, live) -> the arrays
+    (rank R_F, rank R_F|_F), one entry per pair of a triple of the stack at
+    the positions ``live`` (all by default) and a subspace F of the batch,
+    triple-major.  A batch of shape (B, n, n) holds completed bases S, F
+    being the span of the first k rows of S; one of shape (B, k), a batch
+    of the exhaustive stream, holds F's RREF rows as projective points,
+    which one decode completes to the same S (:func:`_completion`).  It
+    serves every field; the exhaustive scan over a small prime field takes
     :func:`~raagcheeger.zerosets.zero_set_kernel` instead, the coordinate
     scan :func:`_coordinate_kernel`, and the tests check them against it.
 
@@ -221,7 +234,9 @@ def _rank_kernel(pt: PairingTriple):
     invertible column change whose first k columns are R_F|_F: one
     column-by-column elimination of it gives rank R_F|_F after k columns and
     rank R_F at the end.  A nonzero scale of the tensor or of a row of S
-    changes no rank, so over QQ both are integers.
+    changes no rank, so over QQ both are integers.  The stack's tensors are
+    zero-padded to the largest dim W m, and a zero W coordinate adds only
+    zero rows to R_F, which change no rank.
 
     Arithmetic is exact.  Residues live in the narrowest numpy integer type
     that holds n * (p - 1)^2, and in object arrays of Python ints past int64
@@ -232,14 +247,18 @@ def _rank_kernel(pt: PairingTriple):
     integer type.  Past 2^53 they stay integer or object products, the only
     exact ones there.
     """
-    p = pt.field.characteristic
-    n, m = pt.dim_v, pt.dim_w
+    p = pts[0].field.characteristic
+    n, m = pts[0].dim_v, max(pt.dim_w for pt in pts)
     dtype, ptype = product_types(n, p)
-    # table[i, e * n + j] = q(b_i, b_j)_e: a basis row f_a times it is row
-    # (a, e) of R_F at every column j, so the product reshapes to (B, k*m, n)
-    table = pt.tensor.astype(ptype).transpose(0, 2, 1).reshape(n, m * n)
+    # table[i, t, e * n + j] = q_t(b_i, b_j)_e: a basis row f_a times it is
+    # row (a, e) of the t-th triple's R_F at every column j
+    table = np.zeros((n, len(pts), m, n), ptype)
+    for t, pt in enumerate(pts):
+        table[:, t, : pt.dim_w] = pt.tensor.transpose(0, 2, 1)
+    table = table.reshape(n, len(pts), m * n)
+    everyone = np.arange(len(pts))
 
-    def ranks(k: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def ranks(k: int, batch: np.ndarray, live: np.ndarray = everyone) -> tuple[np.ndarray, np.ndarray]:
         count = len(batch)
         if batch.ndim == 2:
             rows, bits, units = _completion(n, p)
@@ -249,33 +268,47 @@ def _rank_kernel(pt: PairingTriple):
         else:
             s = batch.astype(ptype, copy=False)
             f = s[:, :k]
-        r_f = f.reshape(count * k, n) @ table
+        stack = table if len(live) == len(pts) else table[:, live]
+        r_f = f.reshape(count * k, n) @ stack.reshape(n, len(live) * m * n)
         if p:
             r_f = reduce_mod(r_f.astype(dtype, copy=False), p)
-        # r_t[b, j] is column j of R_F, its k*m entries ordered (a, e); the
-        # second product is about twice as slow on a transposed view
-        r_t = r_f.reshape(count, k * m, n).transpose(0, 2, 1).astype(ptype, order="C")
+        # r_t[l, b, j] is column j of R_F for the l-th live triple and the
+        # b-th F, its k*m entries ordered (a, e); the second product is about
+        # twice as slow on a transposed view
+        r_t = r_f.reshape(count, k, len(live), m, n).transpose(2, 0, 4, 1, 3).astype(ptype, order="C")
         del r_f
-        # cols[b, c] is column c of R_F S^T for the b-th F
-        cols = s @ r_t
+        # cols[l, b, c] is column c of R_F S^T
+        cols = s[None] @ r_t.reshape(len(live), count, n, k * m)
         del r_t
-        return _column_ranks(cols, k, p, dtype)
+        return _column_ranks(cols.reshape(len(live) * count, n, k * m), k, p, dtype)
 
     return ranks
 
 
-def _coordinate_kernel(pt: PairingTriple):
-    """The rank kernel's (k, orders) -> (rank R_F, rank R_F|_F) for the
-    coordinate scan.  Row b of ``orders`` holds the k coordinates of the b-th
-    F, then the others: a permutation S of the basis.  So column c of R_F S^T
-    is q(b_{order[a]}, b_{order[c]})_e at row (a, e), gathered with no product."""
-    n, p = pt.dim_v, pt.field.characteristic
+def _coordinate_kernel(*pts: PairingTriple):
+    """The rank kernel's (k, orders, live) -> (rank R_F, rank R_F|_F) for the
+    coordinate scan of a stack of triples.  Row b of ``orders`` holds the k
+    coordinates of the b-th F, then the others: a permutation S of the
+    basis.  So column c of R_F S^T is q(b_{order[a]}, b_{order[c]})_e at row
+    (a, e), gathered with no product from the live triples' tensors,
+    zero-padded to the largest dim W."""
+    n, p = pts[0].dim_v, pts[0].field.characteristic
+    m = max(pt.dim_w for pt in pts)
     dtype = product_types(n, p)[0]
-    tensor = pt.tensor.astype(dtype)  # the elimination's type holds every residue
+    # the elimination's type holds every residue; row i * n + j of a triple
+    # holds q(b_i, b_j)
+    tensor = np.zeros((len(pts), n * n, m), dtype)
+    for t, pt in enumerate(pts):
+        tensor[t, :, : pt.dim_w] = pt.tensor.reshape(n * n, pt.dim_w)
+    everyone = np.arange(len(pts))
 
-    def ranks(k: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cols = tensor[orders[:, None, :k], orders[:, :, None]].reshape(len(orders), n, k * pt.dim_w)
-        return _column_ranks(cols, k, p, dtype)
+    def ranks(k: int, orders: np.ndarray, live: np.ndarray = everyone) -> tuple[np.ndarray, np.ndarray]:
+        stack = tensor if len(live) == len(pts) else tensor[live]
+        # one np.take along the rows, about twice as fast as indexing by
+        # the two index arrays, and three times for a stack of eight
+        at = orders[:, None, :k].astype(np.intp) * n + orders[:, :, None]
+        cols = np.take(stack, at.ravel(), axis=1)
+        return _column_ranks(cols.reshape(len(live) * len(orders), n, k * m), k, p, dtype)
 
     return ranks
 
@@ -353,33 +386,83 @@ class CheegerReport:
         }
 
 
-def _first_minimum(
-    pt: PairingTriple, batches: Iterable[tuple[int, np.ndarray]], method: str, ranks, rows
-) -> CheegerReport:
+def _first_minima(
+    pts: Sequence[PairingTriple], batches: Iterable[tuple[int, np.ndarray]], method: str, ranks, rows,
+    pair_bytes: int = 0,
+) -> list[CheegerReport]:
     """Scan a nonempty stream of (k, batch) pairs with the kernel's
-    ``ranks`` for the least h_F, keeping the first minimizer; h_F >= 0, so
-    the scan stops at a zero.  Inside a batch k is fixed, so the first
-    argmin of the numerators is the batch's first minimum; across batches
-    quotients are compared as num / k by cross-multiplication.  Only the
+    ``ranks`` for each triple's least h_F, keeping its first minimizer;
+    h_F >= 0, so a triple leaves the stack at its first zero, and the scan
+    stops when none is left.  Inside a batch k is fixed, so the first argmin
+    of a triple's numerators is its batch's first minimum; across batches
+    quotients are compared as num / k by cross-multiplication.  Only a
     reported minimizer becomes a Subspace: the first k entries of its batch
-    row index its basis rows in the table ``rows()``."""
-    best_num, best_dim = 0, 0
-    best = None
-    visited = 0
-    for k, batch in batches:
-        rank, rank_restricted = ranks(k, batch)
-        nums = rank - rank_restricted
-        i = int(nums.argmin())
-        num = int(nums[i])
-        if best is None or num * best_dim < best_num * k:
-            best_num, best_dim, best = num, k, batch[i, :k]
-            if not num:
-                visited += i + 1
-                break
-        visited += len(batch)
-    f = pt.field
-    basis = tuple(tuple(f.element(x) for x in row) for row in rows()[best].tolist())
-    return CheegerReport(Fraction(best_num, best_dim), Subspace(f, pt.dim_v, basis), method, visited)
+    row index its basis rows in the table ``rows()``.
+
+    A rank kernel takes ``pair_bytes`` per pair of a live triple and a
+    subspace, so its batches are ranked in slices of at most
+    POINT_BATCH_BYTES // (pair_bytes * live triples) subspaces, as many as
+    the triples left allow: whole point batches outgrow the cache, and
+    slices of 512 pay the decode too often.  The zero-set kernel slices its
+    batches itself."""
+    best = [(1, 0, None)] * len(pts)  # 1/0 stands for no subspace yet
+    visited = [0] * len(pts)
+    alive = list(range(len(pts)))
+    live = np.arange(len(pts))
+    for k, whole in batches:
+        start = 0
+        while alive and start < len(whole):
+            step = max(1, linalg.POINT_BATCH_BYTES // (pair_bytes * len(alive))) if pair_bytes else len(whole)
+            batch = whole[start : start + step]
+            start += step
+            rank, rank_restricted = ranks(k, batch, live)
+            nums = (rank - rank_restricted).reshape(len(alive), len(batch))
+            left = []
+            for l, (t, i) in enumerate(zip(alive, nums.argmin(axis=1).tolist())):
+                num = int(nums[l, i])
+                if num * best[t][1] < best[t][0] * k:
+                    best[t] = num, k, batch[i, :k]
+                # a zero is a first minimum, and its triple leaves the stack
+                visited[t] += i + 1 if not num else len(batch)
+                if num:
+                    left.append(t)
+            if len(left) < len(alive):
+                alive, live = left, np.array(left, np.intp)
+        if not alive:
+            break
+    f, table = pts[0].field, rows()
+    return [
+        CheegerReport(Fraction(num, k), Subspace(f, pt.dim_v, tuple(
+            tuple(f.element(x) for x in row) for row in table[r].tolist())), method, v)
+        for pt, (num, k, r), v in zip(pts, best, visited)
+    ]
+
+
+def stack_size(field: Field, n: int) -> int:
+    """The most triples over ``field`` with dim V = n that one scan takes as
+    one stack, from the byte caps of its kernels: the rank kernels' slices
+    hold POINT_BATCH_BYTES // n^2 pairs of a triple and a subspace, at
+    least one subspace per triple, and a zero-set table holds
+    :func:`~raagcheeger.zerosets.zero_set_stack` triples where its gate
+    admits them."""
+    size = max(1, linalg.POINT_BATCH_BYTES // max(1, n * n))
+    return min(size, zero_set_stack(field, n) or size)
+
+
+def cheeger_constants(
+    triples: Sequence, method: str = "exhaustive", budgets: Budgets = DEFAULT_BUDGETS
+) -> list[CheegerReport]:
+    """The report of :func:`cheeger_constant_exhaustive`, or with ``method``
+    "coordinate" of :func:`cheeger_constant_coordinate`, for each of the
+    triples, in order.  They share one field and one dim V, and are scanned
+    in stacks of at most :func:`stack_size`: each batch of the stream is
+    ranked for a whole stack in one kernel call.  A budget refuses the
+    call as it refuses each triple's scan, before any work."""
+    pts = [_pairing(t) for t in triples]
+    if any((pt.field, pt.dim_v) != (pts[0].field, pts[0].dim_v) for pt in pts):
+        raise PairingError("a stack of triples shares one field and one dim V")
+    size = stack_size(pts[0].field, pts[0].dim_v) if pts else 1
+    return [r for i in range(0, len(pts), size) for r in _scan(pts[i : i + size], method, budgets)]
 
 
 def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -389,28 +472,7 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     witnessing minimizer: the first one in canonical enumeration order.
     h_F >= 0 always, so the scan stops early at a zero.
     """
-    pt = _pairing(t)
-    n = pt.dim_v
-    if n < 2:
-        return CheegerReport(None, None, "exhaustive", 0)
-    batches = enumerate_subspaces(n, range(1, n // 2 + 1), pt.field, budgets)
-    if not pt.dim_w:
-        # a zero pairing has h_F = 0 at the first subspace, the line of e_0;
-        # over a field as large as GF(2^61 - 1) no point batch can be built
-        first = Subspace(pt.field, n, ((1,) + (0,) * (n - 1),))
-        return CheegerReport(Fraction(0), first, "exhaustive", 1)
-    # built at the end: the stream first refuses a field too large for it
-    points = partial(projective_points, n, pt.field.characteristic)
-    if zero_sets_pay(pt):
-        return _first_minimum(pt, batches, "exhaustive", zero_set_kernel(pt), points)
-    return _first_minimum(pt, _rank_slices(batches, n), "exhaustive", _rank_kernel(pt), points)
-
-
-def _rank_slices(batches: Iterable[tuple[int, np.ndarray]], n: int):
-    """The batches in slices of at most POINT_BATCH_BYTES // n^2 subspaces: whole
-    point batches outgrow the cache, and slices of 512 pay the decode too often."""
-    step = max(1, linalg.POINT_BATCH_BYTES // (n * n))
-    return ((k, rows[i : i + step]) for k, rows in batches for i in range(0, len(rows), step))
+    return _scan([_pairing(t)], "exhaustive", budgets)[0]
 
 
 def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -421,104 +483,48 @@ def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     :meth:`Budgets.check_coordinates`) it raises :class:`BudgetError` before
     any work.
     """
-    pt = _pairing(t)
-    n = pt.dim_v
+    return _scan([_pairing(t)], "coordinate", budgets)[0]
+
+
+def _scan(pts: list[PairingTriple], method: str, budgets: Budgets) -> list[CheegerReport]:
+    """The reports of one stack's scans."""
+    n, field = pts[0].dim_v, pts[0].field
     if n < 2:
-        return CheegerReport(None, None, "coordinate", 0)
-    budgets.check_coordinates(n)
-    batches = _rank_slices(_coordinate_batches(n), n)
-    return _first_minimum(pt, batches, "coordinate", _coordinate_kernel(pt), partial(np.eye, n, dtype=int))
+        return [CheegerReport(None, None, method, 0)] * len(pts)
+    if method == "coordinate":
+        budgets.check_coordinates(n)
+        return _first_minima(
+            pts, _coordinate_batches(n), method, _coordinate_kernel(*pts), partial(np.eye, n, dtype=int), n * n
+        )
+    batches = enumerate_subspaces(n, range(1, n // 2 + 1), field, budgets)
+    rest = [pt for pt in pts if pt.dim_w]
+    found = []
+    if rest:
+        # built at the end: the stream first refuses a field too large for it
+        points = partial(projective_points, n, field.characteristic)
+        if zero_sets_pay(rest[0]):
+            found = _first_minima(rest, batches, method, zero_set_kernel(*rest), points)
+        else:
+            found = _first_minima(rest, batches, method, _rank_kernel(*rest), points, n * n)
+    if len(found) == len(pts):
+        return found
+    # a zero pairing has h_F = 0 at the first subspace, the line of e_0,
+    # reported without a batch: over a field as large as GF(2^61 - 1) no
+    # point batch can be built
+    first = CheegerReport(Fraction(0), Subspace(field, n, ((1,) + (0,) * (n - 1),)), method, 1)
+    found = iter(found)
+    return [next(found) if pt.dim_w else first for pt in pts]
 
 
-# -- q-valence ---------------------------------------------------------------
-
-
-QVALENCE_CHUNK_BYTES = 1 << 18
-"""Size of the largest temporary of the q-valence min-max, in one-byte
-entries: the combinations tested for independence and the bases scanned
-per numpy step are chunked to stay within it."""
-
-
-@lru_cache(maxsize=8)
-def _projective_frame(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, outside, bases) for GF(p)^n: the projective points of
-    :func:`~raagcheeger.linalg.projective_points`; outside[h, x] =
-    (h . x != 0), reading point h as the normal of a hyperplane; and every
-    projective basis as a row of n point indices, the n-subsets no
-    hyperplane holds.
-    """
-    points = projective_points(n, p)
-    outside = reduce_mod(points @ points.T, p) != 0
-    combos = itertools.combinations(range(len(points)), n)
-    step = max(1, QVALENCE_CHUNK_BYTES // (len(points) * n))
-    bases = []
-    while True:
-        chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, step)), dtype=np.intp
-        ).reshape(-1, n)
-        if not len(chunk):
-            break
-        # outside is symmetric, so outside[chunk.T][j, c, h] says point j of
-        # combination c lies off hyperplane h
-        bases.append(chunk[outside[chunk.T].any(axis=0).all(axis=1)])
-    return points, outside, np.concatenate(bases)
-
-
-def q_valence_coordinate(t) -> int:
-    """d_B(B) with B the distinguished basis: the largest number of basis
-    vectors any single basis vector pairs nontrivially with.
-
-    An upper bound on the q-valence in general, and exactly the q-valence for
-    cup-product triples.
-    """
-    return int((_pairing(t).tensor != 0).any(axis=2).sum(axis=1).max(initial=0))
-
-
-def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """min over unordered bases S and B of max_{s in S} #{b in B : q(s, b) != 0}.
-
-    With w_B(x) = #{b in B : q(x, b) != 0}, this is computed as
-    min_B max_H min_{x not in H} w_B(x) over hyperplanes H, because for each
-    B, min_S max_{s in S} w_B(s) = max_H min_{x not in H} w_B(x):
-
-    - the set {x : w_B(x) <= t} spans V exactly when it lies in no hyperplane;
-    - every basis S meets the complement of every hyperplane.
-
-    Scaling a vector changes neither w_B nor the basis property, so x, the
-    vectors of B and the normals of H all range over projective points.
-    Per chunk of bases, the weights are n in-place adds of gathered columns
-    of q(x, y) != 0, and the min-max is a numpy reduction; temporaries take
-    at most :data:`QVALENCE_CHUNK_BYTES` entries.  Refuses over non-prime
-    fields and past the basis budgets (see :meth:`Budgets.check_bases`)
-    before any work.
-    """
-    pt = _pairing(t)
-    n, m = pt.dim_v, pt.dim_w
-    if n == 0:
-        return 0
-    if not pt.field.is_prime_field:
-        raise LinalgError("non-enumerable field: basis enumeration needs a prime field")
-    budgets.check_bases(pt.field, n)
-    if m == 0:
-        return 0
-    p = pt.field.characteristic
-    points, outside, bases = _projective_frame(n, p)
-    pairs = np.concatenate(list(pairs_blocks(pt, points, QVALENCE_CHUNK_BYTES))).view(np.uint8)
-    # on[x, h] is all ones where point x lies on hyperplane h and 0 off it;
-    # no weight exceeds n < 255, so OR-ing it in hides exactly the points on h
-    on = np.where(outside, 0, 255).astype(np.uint8)
-    best = n
-    step = max(1, QVALENCE_CHUNK_BYTES // outside.size)
-    for chunk in np.split(bases, range(step, len(bases), step)):
-        # weights[x, c] = w_B(x) for the c-th basis B of the chunk
-        weights = np.take(pairs, chunk[:, 0], axis=1)
-        for column in chunk.T[1:]:
-            weights += np.take(pairs, column, axis=1)
-        least_off = (weights[:, None, :] | on[:, :, None]).min(axis=0)
-        best = min(best, int(least_off.max(axis=0).min()))
-        if not best:
-            break
-    return best
+def refuse_exhaustive(field: Field, n: int, dim_w: int, budgets: Budgets = DEFAULT_BUDGETS) -> None:
+    """Raise what the exhaustive scan of a triple over ``field`` with dim V =
+    n and dim W = ``dim_w`` raises before its first kernel call, in the same
+    order, without the triple: the stream's refusals of the field and of the
+    budget, then, where dim W > 0, of a space too large to index."""
+    if n >= 2:
+        enumerate_subspaces(n, range(1, n // 2 + 1), field, budgets)
+        if dim_w:
+            linalg.check_indexable(n, field.characteristic)
 
 
 # -- pairing-connectedness ---------------------------------------------------
@@ -564,12 +570,17 @@ def augment_triple(t, pivot: int) -> PairingTriple:
     survive augmentation.
     """
     pt = _pairing(t)
-    if not 0 <= pivot < pt.dim_v:
-        raise PairingError(f"pivot {pivot} outside basis range 0..{pt.dim_v - 1}")
+    check_pivot(pt.dim_v, pivot)
     column = np.zeros((pt.dim_v, pt.dim_v, 1), pt.tensor.dtype)
     column[pivot, pivot] = pt.denominator
     ints = np.concatenate([pt.tensor, column], axis=2)
     return PairingTriple(pt.field, pt.dim_v, pt.dim_w + 1, ints, COMPONENTWISE, pt._signs() + (1,), pt.denominator)
+
+
+def check_pivot(n: int, pivot: int) -> None:
+    """Refuse a pivot outside the basis of an n-dimensional V."""
+    if not 0 <= pivot < n:
+        raise PairingError(f"pivot {pivot} outside basis range 0..{n - 1}")
 
 
 def is_alternating(t) -> bool:

@@ -616,3 +616,72 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     code = "import sys, raagcheeger.cli; print('multiprocessing' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+
+
+_K150_SUBSPACES = ("subspace enumeration over gf2 in dimension 150 would visit at least 2^400 subspaces, "
+                   "past the cap of 308992 (raise with --budget-subspaces)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-theorem"], "exact subset enumeration capped at 24 vertices (requested 150; raise with "
+                         "--budget-subsets or use spectral bounds)"),
+    (["verify-invariance"], _K150_SUBSPACES),
+    (["verify-augmentation"], _K150_SUBSPACES),
+], ids=["theorem", "invariance", "augmentation"])
+def test_a_triple_too_large_to_build_is_refused_before_it_is_built(monkeypatch, capsys, argv, message):
+    # K150's triple is a (150, 150, 11175) tensor, 1.87 GiB of int64; the
+    # checks its scans would make come first, so none is built
+    from raagcheeger import family
+
+    built = []
+    monkeypatch.setattr(family, "build_triple", lambda *args: built.append(args))
+    assert main([*argv, "--family", "complete", "--sizes", "4", "150"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err, built) == ("", f"error: {message}\n", [])
+
+
+def test_scan_refusals_come_in_input_order(tmp_path, capsys):
+    # the first graph whose scans refuse names the refusal, as when every
+    # triple was built and scanned in turn; within a graph, the graph scan's
+    # budget comes before the subspace scan's, and the pivot before both
+    files = {}
+    for name, g in (("p2", path(2)), ("c12", cycle(12)), ("c30", cycle(30))):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(g.to_json_dict()))
+    cases = [
+        (["verify-theorem", "--input", files["p2"], files["c30"], files["c12"]],
+         "exact subset enumeration capped at 24 vertices (requested 30;"),
+        (["verify-theorem", "--input", files["c12"], files["c30"]],
+         "subspace enumeration over gf2 in dimension 12 would visit"),
+        (["verify-augmentation", "--pivot", "3", "--input", files["p2"], files["c12"]],
+         "pivot 3 outside basis range 0..1"),
+        (["verify-augmentation", "--pivot", "3", "--input", files["c12"], files["p2"]],
+         "subspace enumeration over gf2 in dimension 12 would visit"),
+        (["verify-invariance", "--fields", "gf2", "rational", "--input", files["p2"]],
+         "non-enumerable field: subspace enumeration needs a prime field"),
+    ]
+    for argv, message in cases:
+        assert main([str(a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}"), (argv, err)
+
+
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_triple_reports_build_no_triple_that_no_scan_reads(monkeypatch, capsys, field):
+    # K150's Cheeger scan and q-valence min-max both refuse, over GF(2) by
+    # budget and over the rationals by field, so its entry is inconclusive
+    # without its 1.87 GiB triple, as it was with it; K4's triple is built
+    # over GF(2), while over the rationals no scan of it runs either
+    from raagcheeger import family
+
+    built = []
+    real = family.build_triple
+    monkeypatch.setattr(family, "build_triple", lambda g, f: built.append(g.n_vertices) or real(g, f))
+    argv = ["family-report", "--kind", "triple", "--field", field, "--family", "complete", "--sizes", "4", "150"]
+    assert main(argv) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert built == ([4] if field == "gf2" else [])
+    assert entries[1]["method"] == "inconclusive" and entries[1]["valence"] == 149
+    assert entries[1]["valence_method"] == "coordinate"
+    assert entries[1]["note"] == (_K150_SUBSPACES if field == "gf2" else
+                                  "non-enumerable field: subspace enumeration needs a prime field")

@@ -13,6 +13,7 @@ from raagcheeger import (
     SimplicialGraph,
     build_triple,
     cheeger_graph_exact,
+    complete,
     cycle,
     edgeless,
     field_invariance_check,
@@ -32,11 +33,11 @@ from raagcheeger.family import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_EXPANDER,
     VerificationRecord,
-    _canonical_mask,
-    _class_keys,
-    _verify_one_graph,
-    _verify_one_invariance,
+    graph_triple_family_report,
+    _verify_invariance_stack,
+    _verify_theorem_stack,
 )
+from raagcheeger.isomorphism import canonical_masks, class_keys
 
 from generators import sample_labeled_graphs, zero_triple
 
@@ -219,6 +220,39 @@ def test_reports_are_deterministic_across_jobs():
     assert ra.to_json_dict() == rb.to_json_dict()
 
 
+def test_triple_reports_from_graphs_equal_those_from_their_triples():
+    # a triple is built only where a scan reads it; the entries equal those
+    # of the built triples wherever the Cheeger scan, the q-valence min-max,
+    # both or neither refuse
+    graphs = [edgeless(0), path(1), edgeless(3), path(2), cycle(4), star(4), complete(5), cycle(9), path(12)]
+    budgets = [DEFAULT_BUDGETS, Budgets(subspace_work=10), Budgets(subspace_work=400, basis_work=10),
+               Budgets(basis_work=10**7)]
+    for field in (GF2, GF3, Field.gf(101), QQ):
+        for b in budgets:
+            want = triple_family_report([build_triple(g, field) for g in graphs], b).to_json_dict()
+            for jobs in (1, 2):
+                assert graph_triple_family_report(graphs, field, b, jobs=jobs).to_json_dict() == want, (field, b)
+
+
+def test_every_job_gets_a_stack(monkeypatch):
+    # the 34 classes of 5-vertex graphs fit one stack, which is split so
+    # that each job takes one; the records do not depend on the split
+    from raagcheeger import family
+
+    stacks = []
+    real = family._pmap
+
+    def pmap(fn, items, jobs):
+        stacks.append([len(stack) for stack in items])
+        return real(fn, items, 1)
+
+    monkeypatch.setattr(family, "_pmap", pmap)
+    graphs = [*labeled_graphs(5), *labeled_graphs(3)]
+    records = [verify_main_theorem(graphs, GF2, jobs=jobs).to_json_dict(verbose=True) for jobs in (1, 2, 3)]
+    assert stacks == [[34, 4], [17, 17, 2, 2], [12, 12, 10, 2, 2]]
+    assert records[1] == records[0] == records[2]
+
+
 def test_record_csv_shape():
     record = verify_main_theorem([path(3), cycle(4)], GF2)
     lines = record.to_csv().strip().splitlines()
@@ -234,6 +268,17 @@ def _relabeled(graph: SimplicialGraph, perm: list[int]) -> SimplicialGraph:
     """The graph with vertex i renamed to vertex perm[i], on the same labels."""
     vs = graph.vertices
     return SimplicialGraph.of(vs, [(vs[perm[i]], vs[perm[j]]) for i, j in graph.pairs])
+
+
+def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets) -> dict:
+    """The per-graph map of verify_main_theorem: the graph's triple scanned
+    as a stack of one."""
+    return _verify_theorem_stack([graph], field, budgets)[0]
+
+
+def _verify_one_invariance(graph: SimplicialGraph, fields, budgets) -> dict:
+    """The per-graph map of field_invariance_check, a stack of one per field."""
+    return _verify_invariance_stack([graph], tuple(fields), budgets)[0]
 
 
 def _assert_per_graph_items(record: VerificationRecord, items: list[dict]) -> None:
@@ -266,15 +311,15 @@ def test_canonical_mask_is_invariant_under_relabeling():
             g = SimplicialGraph.of([f"v{i}" for i in range(n)],
                                    [(f"v{i}", f"v{j}") for k, (i, j) in enumerate(pairs) if mask >> k & 1])
             relabeled = [_relabeled(g, rng.sample(range(n), n)) for _ in range(4)]
-            expected = _canonical_mask(n, g.pairs)
-            assert [_canonical_mask(n, h.pairs) for h in relabeled] == [expected] * 4
+            expected, *masks = canonical_masks(n, [g.pairs] + [h.pairs for h in relabeled])
+            assert masks == [expected] * 4
             # sharing a bucket, the relabelings all take the graph's key
-            assert len(set(_class_keys([g, *relabeled]))) == 1
+            assert len(set(class_keys([g, *relabeled]))) == 1
 
 
 def test_class_keys_count_the_isomorphism_classes():
     # the graphs on n unlabeled vertices, OEIS A000088
-    counts = [len(set(_class_keys(list(labeled_graphs(n))))) for n in range(1, 7)]
+    counts = [len(set(class_keys(list(labeled_graphs(n))))) for n in range(1, 7)]
     assert counts == [1, 2, 4, 11, 34, 156]
 
 
@@ -284,8 +329,38 @@ def test_graphs_past_the_keyed_size_are_their_own_classes_in_input_order():
     p3 = path(3)
     graphs = [cycle(8), p3, _relabeled(cycle(8), [1, 2, 3, 4, 5, 6, 7, 0]), _relabeled(p3, [1, 0, 2]),
               path(8), cycle(8), p3]
-    keys = _class_keys(graphs)
+    keys = class_keys(graphs)
     assert [keys[i] for i in (0, 2, 4, 5)] == [0, 2, 4, 5]
     assert keys[1] == keys[3] == keys[6] != 1
     per_graph = [_verify_one_graph(g, GF2, DEFAULT_BUDGETS) for g in graphs]
     _assert_per_graph_items(verify_main_theorem(graphs, GF2), per_graph)
+
+
+def test_stacks_of_several_sizes_map_over_jobs():
+    # the first graphs of each vertex count are scanned as stacks, one per
+    # size here, and jobs maps over the stacks; the records equal the
+    # per-graph map for one and two jobs
+    rng = random.Random(31)
+    graphs = [g for n in (2, 5, 3, 4) for g in rng.sample(list(labeled_graphs(n)), min(12, 2 ** (n * (n - 1) // 2)))]
+    graphs += [edgeless(5), cycle(5), graphs[0]]
+    for field in (GF2, GF3):
+        per_graph = [_verify_one_graph(g, field, DEFAULT_BUDGETS) for g in graphs]
+        for jobs in (1, 2):
+            _assert_per_graph_items(verify_main_theorem(graphs, field, jobs=jobs), per_graph)
+    fields = (GF2, GF3)
+    per_graph = [_verify_one_invariance(g, fields, DEFAULT_BUDGETS) for g in graphs]
+    for jobs in (1, 2):
+        _assert_per_graph_items(field_invariance_check(graphs, fields, jobs=jobs), per_graph)
+
+
+def test_blocked_masks_equal_the_per_graph_gather():
+    # the masks of a bucket come from float64 products over blocks of C(n, 2)
+    # graphs; each equals the least, over the relabelings, of the sum of the
+    # table's bits at the graph's own pair positions, gathered graph by graph
+    from raagcheeger.isomorphism import _relabelings
+
+    for n in range(8):
+        graphs = list(labeled_graphs(n))[::7] if n <= 6 else [cycle(7), path(7), complete(7), edgeless(7)]
+        position, bits = _relabelings(n)
+        gathered = [int(bits[:, [position[i][j] for i, j in g.pairs]].sum(axis=1).min()) for g in graphs]
+        assert canonical_masks(n, [g.pairs for g in graphs]) == gathered

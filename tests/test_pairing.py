@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import raagcheeger
-from raagcheeger import linalg, pairing, zerosets
+from raagcheeger import linalg, pairing, qvalence, zerosets
 from raagcheeger import (
     GF2,
     GF3,
@@ -1198,18 +1198,14 @@ def test_q_valence_min_max_is_chunk_invariant(monkeypatch, chunk):
     # with tiny chunks the independence test and the scan each take many steps
     triples = [t for t in _seeded_triples() if t.dim_v >= 3][::3]
     expected = [q_valence_exhaustive(t) for t in triples]
-    monkeypatch.setattr(pairing, "QVALENCE_CHUNK_BYTES", chunk)
-    pairing._projective_frame.cache_clear()
-    try:
-        assert [q_valence_exhaustive(t) for t in triples] == expected
-    finally:
-        pairing._projective_frame.cache_clear()
+    monkeypatch.setattr(qvalence, "QVALENCE_CHUNK_BYTES", chunk)
+    assert [q_valence_exhaustive(t) for t in triples] == expected
 
 
 def test_q_valence_gf2_dim5_in_seconds():
     # 3 is the value of one run of the basis-pair oracle, which takes about 15 s
     t = random_triple(5, 3, GF2, 2024)
-    pairing._projective_frame.cache_clear()
+    linalg.projective_frame.cache_clear()
     start = time.perf_counter()
     assert q_valence_exhaustive(t, Budgets(basis_work=80_078_240)) == 3
     assert time.perf_counter() - start < 2
@@ -1245,7 +1241,7 @@ def test_projective_frame_matches_the_filtered_grid(p, most):
         points = grid[grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)] == 1]
         combos = np.array(list(itertools.combinations(range(len(points)), n)))
         dets = np.rint(np.linalg.det(points[combos])).astype(np.int64)
-        got_points, got_outside, got_bases = pairing._projective_frame(n, p)
+        got_points, got_outside, got_bases = linalg.projective_frame(n, p, qvalence.QVALENCE_CHUNK_BYTES)
         assert got_points.tolist() == points.tolist()
         assert got_outside.tolist() == (points @ points.T % p != 0).tolist()
         assert got_bases.tolist() == combos[dets % p != 0].tolist()
@@ -1255,14 +1251,14 @@ def test_q_valence_frame_holds_only_the_points():
     # GF(1000003)^1 has one projective point, so the frame must not hold the
     # p^n vectors of the whole space
     line = PairingTriple.of(Field.gf(1_000_003), 1, 1, [[(1,)]], "symmetric")
-    pairing._projective_frame.cache_clear()
+    linalg.projective_frame.cache_clear()
     tracemalloc.start()
     try:
         assert q_valence_exhaustive(line, Budgets(basis_work=1_000_004)) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        pairing._projective_frame.cache_clear()
+        linalg.projective_frame.cache_clear()
     assert peak < 2**20
 
 
