@@ -5,13 +5,16 @@ A finite prefix of a family can disprove expansion (a zero Cheeger value, an
 unbounded valence) but never prove it, so report verdicts are limited to
 ``consistent-with-expander``, ``not-expander`` and ``inconclusive``.
 
-Per-index computations are independent; the verifiers accept a ``jobs``
-argument and fold worker results in input order, so output is identical for
-any degree of parallelism.  The dictionary and field-invariance checks run
-once per isomorphism class of the input graphs, and scan the classes' first
-graphs of one vertex count as stacks.  The verifiers make their scans'
-refusals before they build any triple, and the triple report of graphs
-builds a triple only where a scan of it runs.
+Per-index computations are independent; the verifiers and reports accept
+a ``jobs`` argument and fold worker results in input order
+(:mod:`raagcheeger.fold`), so output is identical for any degree of
+parallelism.  Every caller that scans many triples scans those of one
+field and dim V as stacks, in one run per job whose stacks share the
+streams they read.  The dictionary and field-invariance checks run once
+per isomorphism class of the input graphs, the augmentation check once
+per graph.  The verifiers make their scans' refusals before they build any
+triple, and the triple report of graphs builds a triple only where a scan
+of it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .budgets import DEFAULT_BUDGETS, BudgetError, Budgets
 from .fields import Field
@@ -31,13 +34,11 @@ from .graphs import (
     max_valence,
     spectral_cheeger_bounds,
 )
-from .isomorphism import class_keys
+from .fold import _label, _per_class, _pmap, _runs
 from .linalg import LinalgError
 from .pairing import (
-    PairingTriple,
     augment_triple,
     check_pivot,
-    cheeger_constant_exhaustive,
     cheeger_constants,
     is_alternating,
     pairing_connected_from_report,
@@ -205,10 +206,14 @@ def triple_family_report(
 
     Fields may differ across indices.  A triple past the enumeration budgets,
     or over the rationals, which the exhaustive scan cannot enumerate, is
-    recorded as an inconclusive entry rather than failing the report.
+    recorded as an inconclusive entry rather than failing the report.  The
+    triples of one field and dim V are scanned as stacks, and ``jobs`` maps
+    over runs of them (:func:`~raagcheeger.fold._runs`).
     """
-    worker = partial(_triple_entry, budgets=budgets)
-    return _assemble_report(_pmap(worker, list(triples), jobs), valence_bound)
+    pts = [getattr(t, "pairing", t) for t in triples]
+    worker = partial(_triple_stack, budgets=budgets)
+    entries = _runs(worker, pts, jobs, lambda pt: (pt.field, pt.dim_v), lambda shape: stack_size(*shape))
+    return _assemble_report(entries, valence_bound)
 
 
 def graph_triple_family_report(
@@ -223,37 +228,54 @@ def graph_triple_family_report(
     scan and the q-valence min-max both refuse, the entry is inconclusive,
     as the triple's would be, and its coordinate q-valence is the graph's
     max valence, as for every cup-product triple."""
-    worker = partial(_graph_triple_entry, field=field, budgets=budgets)
-    return _assemble_report(_pmap(worker, list(graphs), jobs), valence_bound)
+    worker = partial(_graph_triple_stack, field=field, budgets=budgets)
+    entries = _runs(worker, list(graphs), jobs, lambda g: g.n_vertices, partial(stack_size, field))
+    return _assemble_report(entries, valence_bound)
 
 
-def _graph_triple_entry(graph: SimplicialGraph, field: Field, budgets: Budgets) -> FamilyEntry:
-    n = graph.n_vertices
+def _graph_triple_stack(graphs: list[SimplicialGraph], read, field: Field, budgets: Budgets) -> list[FamilyEntry]:
+    """The entries of graphs of one vertex count, whose triples are built
+    where a scan of them runs and go to :func:`_triple_stack`."""
+    refusals = [_refusal(refuse_exhaustive, field, g.n_vertices, g.n_edges, budgets) for g in graphs]
+    built = [err is None or _refusal(refuse_q_valence, field, g.n_vertices, budgets) is None
+             for g, err in zip(graphs, refusals)]
+    triples = [build_triple(g, field) for g, b in zip(graphs, built) if b]
+    done = iter(_triple_stack(triples, read, budgets, [err for err, b in zip(refusals, built) if b]))
+    return [next(done) if b else FamilyEntry("triple", field.name, g.n_vertices, max_valence(g), "coordinate",
+                                             None, method="inconclusive", note=str(err))
+            for g, err, b in zip(graphs, refusals, built)]
+
+
+def _refusal(refuse, *args) -> Exception | None:
+    """What ``refuse(*args)`` raises of a budget or of enumeration, or None."""
     try:
-        refuse_exhaustive(field, n, graph.n_edges, budgets)
+        refuse(*args)
     except (BudgetError, LinalgError) as err:
-        try:
-            refuse_q_valence(field, n, budgets)
-        except (BudgetError, LinalgError):
-            return FamilyEntry("triple", field.name, n, max_valence(graph), "coordinate", None,
-                               method="inconclusive", note=str(err))
-    return _triple_entry(build_triple(graph, field), budgets)
+        return err
+    return None
 
 
-def _triple_entry(t, budgets: Budgets) -> FamilyEntry:
-    pt: PairingTriple = getattr(t, "pairing", t)
-    n = pt.dim_v
-    qval, qmethod = _q_valence(pt, budgets)
-    try:
-        report = cheeger_constant_exhaustive(pt, budgets)
-    except (BudgetError, LinalgError) as err:
-        return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None,
-                           method="inconclusive", note=str(err))
-    if report.value is None:
-        return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None,
-                           method="undefined", note="dim V < 2")
-    return FamilyEntry("triple", pt.field.name, n, qval, qmethod, report.value,
-                       method="exact")
+def _triple_stack(triples: list, read, budgets: Budgets, refusals: list | None = None) -> list[FamilyEntry]:
+    """The entries of triples of one field and dim V, given their exhaustive
+    scans' refusals (by default :func:`refuse_exhaustive`'s, made here): a
+    refused triple's entry is inconclusive, and the others are scanned as
+    a stack, reading the streams of ``read``."""
+    pts = [getattr(t, "pairing", t) for t in triples]
+    if refusals is None:
+        refusals = [_refusal(refuse_exhaustive, pt.field, pt.dim_v, pt.dim_w, budgets) for pt in pts]
+    scanned = [pt for pt, err in zip(pts, refusals) if err is None]
+    reports = iter(cheeger_constants(scanned, "exhaustive", budgets, read))
+    return [_triple_entry(pt, budgets, next(reports) if err is None else err) for pt, err in zip(pts, refusals)]
+
+
+def _triple_entry(pt, budgets: Budgets, found) -> FamilyEntry:
+    """A triple's entry, from its exhaustive scan's report or refusal."""
+    entry = partial(FamilyEntry, "triple", pt.field.name, pt.dim_v, *_q_valence(pt, budgets))
+    if isinstance(found, Exception):
+        return entry(None, method="inconclusive", note=str(found))
+    if found.value is None:
+        return entry(None, method="undefined", note="dim V < 2")
+    return entry(found.value, method="exact")
 
 
 def _q_valence(t, budgets: Budgets) -> tuple[int, str]:
@@ -275,11 +297,6 @@ def _check(name: str, passed: bool, witness: dict) -> dict:
     if not passed:
         check["witness"] = witness
     return check
-
-
-def _label(graph: SimplicialGraph) -> str:
-    edges = ";".join(f"{u}-{v}" for u, v in graph.edges)
-    return f"n={graph.n_vertices}[{edges}]"
 
 
 def _item(graph: SimplicialGraph, checks: list[dict], data: dict) -> dict:
@@ -380,11 +397,12 @@ def verify_main_theorem(
     return VerificationRecord("main-theorem", field.name, items)
 
 
-def _verify_theorem_stack(graphs: list[SimplicialGraph], field: Field, budgets: Budgets) -> list[dict]:
-    """The items of graphs of one vertex count, whose triples are scanned as one stack."""
+def _verify_theorem_stack(graphs: list[SimplicialGraph], read, field: Field, budgets: Budgets) -> list[dict]:
+    """The items of graphs of one vertex count, whose triples are scanned as
+    one stack, reading the streams of ``read``."""
     triples = [build_triple(g, field) for g in graphs]
-    exhaustive = cheeger_constants(triples, "exhaustive", budgets)
-    coordinate = cheeger_constants(triples, "coordinate", budgets)
+    exhaustive = cheeger_constants(triples, "exhaustive", budgets, read)
+    coordinate = cheeger_constants(triples, "coordinate", budgets, read)
     return [_theorem_item(*scanned, budgets) for scanned in zip(graphs, triples, exhaustive, coordinate)]
 
 
@@ -430,25 +448,40 @@ def verify_augmentation(
     up, coordinate q-valence by at most one, and the alternating property
     flips from true to false.  Unlike the other checks this one runs on
     every graph, not once per isomorphism class: the pivot is a fixed vertex
-    index, so only the relabelings that fix it preserve the values."""
+    index, so only the relabelings that fix it preserve the values.  The
+    triples of the graphs of one vertex count and their augmentations are
+    scanned as stacks, and the refusals come before any triple is built,
+    as in :func:`verify_main_theorem`."""
     if field is None:
         field = Field.gf(2)
-    graphs = list(graphs)
-    for n, m in _shapes(graphs):
+
+    def refuse(n: int, m: int) -> None:
         check_pivot(n, pivot)
         refuse_exhaustive(field, n, m, budgets)
         refuse_exhaustive(field, n, 1, budgets)
-    worker = partial(_verify_one_augmentation, field=field, pivot=pivot, budgets=budgets)
-    return VerificationRecord("augmentation", field.name, tuple(_pmap(worker, graphs, jobs)))
+
+    def size(n: int) -> int:
+        # a stack of graphs scans their triples and augmentations as one stack
+        return max(1, stack_size(field, n) // 2)
+
+    worker = partial(_verify_augmentation_stack, field=field, pivot=pivot, budgets=budgets)
+    items = _per_class(worker, graphs, jobs, size, refuse, lambda gs: range(len(gs)))
+    return VerificationRecord("augmentation", field.name, items)
 
 
-def _verify_one_augmentation(
-    graph: SimplicialGraph, field: Field, pivot: int, budgets: Budgets
-) -> dict:
-    triple = build_triple(graph, field)
-    augmented = augment_triple(triple, pivot)
-    h_orig = cheeger_constant_exhaustive(triple, budgets).value
-    h_aug = cheeger_constant_exhaustive(augmented, budgets).value
+def _verify_augmentation_stack(
+    graphs: list[SimplicialGraph], read, field: Field, pivot: int, budgets: Budgets
+) -> list[dict]:
+    """The items of graphs of one vertex count, whose triples and their
+    augmentations are scanned together, as one stack where two triples per
+    graph fit, reading the streams of ``read``."""
+    triples = [build_triple(g, field) for g in graphs]
+    augmented = [augment_triple(t, pivot) for t in triples]
+    h = [r.value for r in cheeger_constants(triples + augmented, "exhaustive", budgets, read)]
+    return [_augmentation_item(*found) for found in zip(graphs, triples, augmented, h, h[len(graphs) :])]
+
+
+def _augmentation_item(graph: SimplicialGraph, triple, augmented, h_orig, h_aug) -> dict:
     if h_orig is None:
         monotone = h_aug is None
     else:
@@ -503,16 +536,16 @@ def field_invariance_check(
 
 
 def _verify_invariance_stack(
-    graphs: list[SimplicialGraph], fields: tuple[Field, ...], budgets: Budgets
+    graphs: list[SimplicialGraph], read, fields: tuple[Field, ...], budgets: Budgets
 ) -> list[dict]:
     """The items of graphs of one vertex count, whose triples over each
-    field are scanned as one stack."""
+    field are scanned as one stack, reading the streams of ``read``."""
     h_by_field = [{} for _ in graphs]
     d_by_field = [{} for _ in graphs]
     conn_by_field = [{} for _ in graphs]
     for f in fields:
         triples = [build_triple(g, f) for g in graphs]
-        for i, (triple, exh) in enumerate(zip(triples, cheeger_constants(triples, "exhaustive", budgets))):
+        for i, (triple, exh) in enumerate(zip(triples, cheeger_constants(triples, "exhaustive", budgets, read))):
             h_by_field[i][f.name] = exh.value
             d_by_field[i][f.name] = q_valence_coordinate(triple)
             conn_by_field[i][f.name] = pairing_connected_from_report(exh)
@@ -541,53 +574,3 @@ def _invariance_item(
         "method": "+".join(f.name for f in fields),
     }
     return _item(graph, checks, data)
-
-
-def _shapes(graphs: Iterable[SimplicialGraph]) -> list[tuple[int, int]]:
-    """Each (vertex count, 1 if there is an edge else 0) of the graphs, once,
-    in input order: all a triple's scans read of it before any work."""
-    return list(dict.fromkeys((g.n_vertices, min(g.n_edges, 1)) for g in graphs))
-
-
-def _per_class(
-    worker: Callable, graphs: Iterable[SimplicialGraph], jobs: int, size: Callable, refuse: Callable
-) -> tuple[dict, ...]:
-    """``worker``'s item for each graph, in input order, computed once per
-    isomorphism class on the class's first graph and given to every graph of
-    the class under the graph's own label.  ``refuse(n, m)`` makes the
-    refusals of each first graph's scans, in input order, before any work.
-    The first graphs of each vertex count n, in input order, go to
-    ``worker`` in stacks of at most ``size(n)``, and ``jobs`` maps over the
-    stacks; each size's stacks are split further, into at least ``jobs``
-    where it has that many graphs, so that every worker gets one."""
-    graphs = list(graphs)
-    keys = class_keys(graphs)
-    first = {}
-    for g, key in zip(graphs, keys):
-        first.setdefault(key, g)
-    for n, m in _shapes(first.values()):
-        refuse(n, m)
-    by_size = {}
-    for key, g in first.items():
-        by_size.setdefault(g.n_vertices, []).append(key)
-    stacks = []
-    for n, group in by_size.items():
-        step = min(size(n), -(-len(group) // max(jobs, 1)))
-        stacks += [group[i : i + step] for i in range(0, len(group), step)]
-    found = _pmap(worker, [[first[key] for key in stack] for stack in stacks], jobs)
-    items = {key: item for stack, done in zip(stacks, found) for key, item in zip(stack, done)}
-    return tuple({**items[key], "label": _label(g)} for g, key in zip(graphs, keys))
-
-
-# -- parallel fold -----------------------------------------------------------
-
-
-def _pmap(fn: Callable, items: list, jobs: int) -> list:
-    """Order-preserving map, optionally across processes.  Results depend only
-    on the inputs, never on the worker count."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    import multiprocessing  # here, so that a call that starts no pool never imports it
-
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4)))

@@ -10,14 +10,10 @@ in :func:`projective_points`; both kernels of the exhaustive scan read it,
 the zero-set kernel of :mod:`raagcheeger.zerosets` as it is and the rank
 kernel of :mod:`raagcheeger.pairing` after completing each subspace's rows
 to a basis of the whole space.  Every part of the stream is read from one
-smaller stream, that of GF(p)^{n-1} in dimension k - 1.  A dimension's
-stream depends only on (n, k, p), so one that takes at most
-:data:`BATCH_CACHE_BYTES` is built once per process as one read-only array
-in an lru cache, and its batches are views of that array; so is the
-smaller stream it reads, and the coordinate subspaces that the coordinate
-scan reads, as the orders of their coordinates.  Larger dimensions are
-streamed lazily, as they are built.  The projective points of GF(p)^n and
-their codes, which the q-valence min-max and both kernels index by, are
+smaller stream, that of GF(p)^{n-1} in dimension k - 1, and every stream
+is built lazily, batch by batch, as it is read: a scan of a stack of
+triples reads it once for the whole stack.  The projective points of GF(p)^n
+and their codes, which the q-valence min-max and both kernels index by, are
 built once per (n, p) in small lru caches, and so is the q-valence
 min-max's frame of hyperplanes and projective bases.
 """
@@ -369,18 +365,13 @@ def enumerate_subspaces(
     work, and a space of more vectors than a numpy array indexes at the
     first batch.
 
-    A dimension that takes at most :data:`BATCH_CACHE_BYTES` is built once
-    per process and its batches are read-only views of the kept array (one
-    ``verify-theorem`` call scans many triples of one size); a larger one is
-    streamed lazily.  The stream of dimension k of GF(p)^n is read from the
-    (n - 1, k - 1) stream (:func:`_pieces`): the subspaces whose first pivot
-    is column c are row 0's p^(n-k-c) fills times the tail of that stream
-    that is the (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is
-    kept in the same cache when it takes at most :data:`BATCH_CACHE_BYTES`,
-    so the dimensions of one request, and of later ones, share it, and a
-    dimension scanned in one space is the same array as the one read for
-    the next larger space; past that cap it is built whole for the
-    dimension that streams it, and held while that dimension streams.
+    Each batch is built as it is read, a new array.  The stream of
+    dimension k of GF(p)^n is read from the (n - 1, k - 1) stream
+    (:func:`_pieces`): the subspaces whose first pivot is column c are row
+    0's p^(n-k-c) fills times the tail of that stream that is the
+    (n - 1 - c, k - 1) stream.  The (n - 1, k - 1) stream is built whole,
+    as one batch, for the dimension that reads it, and held while that
+    dimension streams.
     """
     n = ambient_dim
     if not field.is_prime_field:
@@ -398,7 +389,7 @@ def _dimensions(n: int, dims: list[int], p: int) -> Iterator[tuple[int, np.ndarr
     check_indexable(n, p)
     for k in dims:
         most = max(1, POINT_BATCH_BYTES // (max(k, 1) * _point_type(n, p).itemsize))
-        for points in _stream(_point_bytes(n, k, p), most, _point_batches, n, k, p):
+        for points in _point_batches(n, k, p, most):
             yield k, points
 
 
@@ -410,20 +401,15 @@ def check_indexable(n: int, p: int) -> None:
 
 
 POINT_BATCH_BYTES = 1 << 14
-"""Largest batch of :func:`enumerate_subspaces`, in bytes.  A kept
-dimension serves slices of as many subspaces as fit; a streamed one writes
-each batch at its own size from the pieces that fit, so it holds the batch
-being written beside the one its reader has."""
+"""Largest batch of :func:`enumerate_subspaces`, in bytes.  Each batch is
+written at its own size from the pieces that fit, so the stream holds the
+batch being written beside the one its reader has."""
 
 
 @lru_cache(maxsize=16)
 def _point_type(n: int, p: int) -> np.dtype:
     """The narrowest integer type indexing every projective point of GF(p)^n."""
     return np.dtype(int_type((p**n - 1) // (p - 1)))
-
-
-def _point_bytes(n: int, k: int, p: int) -> int:
-    return gaussian_binomial(n, k, p) * k * _point_type(n, p).itemsize
 
 
 def _point_batches(n: int, k: int, p: int, most: int) -> Iterator[np.ndarray]:
@@ -457,9 +443,12 @@ def _pieces(n: int, k: int, p: int, most: int) -> Iterator[tuple[np.ndarray, np.
     at a time; under each pivot set row 0 runs through its p^(m-k) fills
     (:func:`_groups`), and each fill takes the whole group.  A piece holds
     as many fills as fit, or a slice of a group past ``most`` under one fill.
+    The whole (n - 1, k - 1) stream is held while the dimension streams: at
+    most 35 KB (GF(2)^7 in dimension 3) in the scans up to n/2 that the
+    default budget admits, 4.7 MB for dimension 4 of GF(2)^10 past it.
     """
     # one batch of the whole (n - 1, k - 1) stream
-    (sub,) = _stream(_point_bytes(n - 1, k - 1, p), sys.maxsize, _point_batches, n - 1, k - 1, p)
+    (sub,) = _point_batches(n - 1, k - 1, p, sys.maxsize)
     sub_sizes = _groups(n - 1, k - 1, p)[0]
     for m in range(n, k - 1, -1):
         sizes = sub_sizes[-math.comb(m - 1, k - 1) :]
@@ -489,6 +478,7 @@ def _groups(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     difference p^(n-2) of the two leading parts' first points.  For the
     others column 1 is free, and its digit d, the most significant, adds
     d * p^(n-2) to the heads of the (n - 1, k) leading part, moved alike.
+    At most 64 pairs stay cached: 25 KB after a scan of GF(2)^8.
     """
     if k == 0:
         return np.ones(1, np.int64), np.zeros((p**n, 0), np.int64)
@@ -518,11 +508,10 @@ def _coordinate_batches(n: int):
     """The coordinate subspaces of dimension 1..n/2 in the order of
     itertools.combinations, as (k, orders) batches of at most
     :data:`POINT_BATCH_BYTES`: row b of orders holds the b-th subspace's k
-    coordinates, then the others, as int8 up to n = 127.  Like the point
-    stream, a dimension within the cache cap is built once per process."""
+    coordinates, then the others, as int8 up to n = 127."""
     most = max(1, POINT_BATCH_BYTES // n)
     for k in range(1, n // 2 + 1):
-        for orders in _stream(math.comb(n, k) * n, most, _coordinate_orders, n, k):
+        for orders in _coordinate_orders(n, k, most):
             yield k, orders
 
 
@@ -534,41 +523,3 @@ def _coordinate_orders(n: int, k: int, most: int):
         off[np.arange(len(chosen))[:, None], chosen] = False
         yield np.argsort(off, axis=1, kind="stable").astype(int_type(n))
 
-
-BATCH_CACHE_BYTES = 1 << 18
-"""Largest stream, in bytes, that :func:`_stream` keeps whole.  Every
-dimension of GF(2)^7 and GF(3)^6 is kept (GF(3)^6 in dimension 3 takes
-203 KB), and GF(2)^8 in dimension 3 (583 KB) is streamed; so are the
-coordinate orders of n = 17 in dimension 8 (413 KB) and of n = 20 from
-dimension 5 (310 KB).  The kept
-streams share one lru cache (:func:`_kept`) of at most 48 arrays, each at
-most 256 KB, so together they never hold more than 12 MB; a scan of
-dimensions 1..4 of GF(2)^8 keeps 8 of them.  Beside them the recursion
-keeps at most 64 pairs of group tables (:func:`_groups`), one integer per
-pivot set and per fill and pivot set of a leading part: 25 KB in all after
-a scan of GF(2)^8.  A streamed dimension also holds its (n - 1, k - 1)
-stream whole while it streams: 4.7 MB for dimension 4 of GF(2)^10 (past
-the default budget), at most 35 KB (GF(2)^7 in dimension 3) in the scans
-up to n/2 that the default budget admits."""
-
-
-def _stream(size: int, most: int, batches, *args) -> Iterator[np.ndarray]:
-    """``batches(*args, most)``, a deterministic stream of subspaces taking
-    ``size`` bytes, in batches of at most ``most`` subspaces: views of the
-    array :func:`_kept` keeps when ``size`` is at most
-    :data:`BATCH_CACHE_BYTES`, otherwise streamed lazily.  An empty stream,
-    the dimension-0 points that every dimension 1 reads, is built again on
-    each read rather than take a cache entry."""
-    if not 0 < size <= BATCH_CACHE_BYTES:
-        return batches(*args, most)
-    whole = _kept(batches, *args)
-    return (whole[i : i + most] for i in range(0, len(whole), most))
-
-
-@lru_cache(maxsize=48)
-def _kept(batches, *args) -> np.ndarray:
-    """The whole stream of ``batches(*args, most)``, built as one batch,
-    read-only and kept once per process."""
-    (whole,) = batches(*args, sys.maxsize)
-    whole.flags.writeable = False
-    return whole

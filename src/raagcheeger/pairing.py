@@ -30,9 +30,9 @@ rank and coordinate kernels read the stack's tensors zero-padded to its
 largest dim W, which changes no rank, and read their batches in slices of
 at most ``POINT_BATCH_BYTES // n^2`` pairs, of more subspaces as triples
 leave; a stack is as large as those slices and the zero-set table allow
-(:func:`stack_size`).  Each triple keeps its own first minimizer and
-leaves the stack at its first zero, so its report is the one its own scan,
-a stack of one, gives.
+(:func:`stack_size`), and the stacks of one run build their stream once.
+Each triple keeps its own first minimizer and leaves the stack at its
+first zero, so its report is the one its own scan, a stack of one, gives.
 
 The zero-set kernel of :mod:`raagcheeger.zerosets` reads the point batches
 as they are and counts in bitsets over those points.  The exhaustive scan
@@ -421,7 +421,8 @@ def _first_minima(
             for l, (t, i) in enumerate(zip(alive, nums.argmin(axis=1).tolist())):
                 num = int(nums[l, i])
                 if num * best[t][1] < best[t][0] * k:
-                    best[t] = num, k, batch[i, :k]
+                    # a copy: a view would hold the whole batch to the end
+                    best[t] = num, k, batch[i, :k].copy()
                 # a zero is a first minimum, and its triple leaves the stack
                 visited[t] += i + 1 if not num else len(batch)
                 if num:
@@ -450,19 +451,49 @@ def stack_size(field: Field, n: int) -> int:
 
 
 def cheeger_constants(
-    triples: Sequence, method: str = "exhaustive", budgets: Budgets = DEFAULT_BUDGETS
+    triples: Sequence, method: str = "exhaustive", budgets: Budgets = DEFAULT_BUDGETS, read: dict | None = None
 ) -> list[CheegerReport]:
     """The report of :func:`cheeger_constant_exhaustive`, or with ``method``
     "coordinate" of :func:`cheeger_constant_coordinate`, for each of the
     triples, in order.  They share one field and one dim V, and are scanned
     in stacks of at most :func:`stack_size`: each batch of the stream is
-    ranked for a whole stack in one kernel call.  A budget refuses the
-    call as it refuses each triple's scan, before any work."""
+    ranked for a whole stack in one kernel call.  The calls of a run of
+    stacks that share the dict ``read`` build each stream once, and ``read``
+    holds what they read of it while the run lasts: at most 2.2 MB,
+    dimensions 1..4 of GF(2)^8, as the default budgets admit no more.  Under
+    a raised ``subspace_work``, and without ``read``, each stack builds its
+    own, so that what is held does not grow with the budget.  A budget
+    refuses the call as it refuses each triple's scan, before any work."""
     pts = [_pairing(t) for t in triples]
     if any((pt.field, pt.dim_v) != (pts[0].field, pts[0].dim_v) for pt in pts):
         raise PairingError("a stack of triples shares one field and one dim V")
-    size = stack_size(pts[0].field, pts[0].dim_v) if pts else 1
-    return [r for i in range(0, len(pts), size) for r in _scan(pts[i : i + size], method, budgets)]
+    if not pts or pts[0].dim_v < 2:
+        return [CheegerReport(None, None, method, 0)] * len(pts)
+    n, field = pts[0].dim_v, pts[0].field
+    size, key = stack_size(field, n), (method, field, n)
+    stacks = [pts[i : i + size] for i in range(0, len(pts), size)]
+    if read is None or budgets.subspace_work > DEFAULT_BUDGETS.subspace_work:
+        return [r for stack in stacks for r in _scan(stack, method, _stream(method, field, n, budgets))]
+    if key not in read:
+        read[key] = _stream(method, field, n, budgets), []
+    return [r for stack in stacks for r in _scan(stack, method, _replay(*read[key]))]
+
+
+def _stream(method: str, field: Field, n: int, budgets: Budgets):
+    """A scan's stream, refused as the scan refuses it, before any work."""
+    if method == "coordinate":
+        budgets.check_coordinates(n)
+        return _coordinate_batches(n)
+    return enumerate_subspaces(n, range(1, n // 2 + 1), field, budgets)
+
+
+def _replay(stream, held: list):
+    """The batches of ``stream`` from its first: those read before, from
+    ``held``, then the rest as it builds them, each held for the next reader."""
+    yield from held
+    for batch in stream:
+        held.append(batch)
+        yield batch
 
 
 def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -472,7 +503,7 @@ def cheeger_constant_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     witnessing minimizer: the first one in canonical enumeration order.
     h_F >= 0 always, so the scan stops early at a zero.
     """
-    return _scan([_pairing(t)], "exhaustive", budgets)[0]
+    return cheeger_constants([t], "exhaustive", budgets)[0]
 
 
 def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> CheegerReport:
@@ -483,20 +514,14 @@ def cheeger_constant_coordinate(t, budgets: Budgets = DEFAULT_BUDGETS) -> Cheege
     :meth:`Budgets.check_coordinates`) it raises :class:`BudgetError` before
     any work.
     """
-    return _scan([_pairing(t)], "coordinate", budgets)[0]
+    return cheeger_constants([t], "coordinate", budgets)[0]
 
 
-def _scan(pts: list[PairingTriple], method: str, budgets: Budgets) -> list[CheegerReport]:
-    """The reports of one stack's scans."""
+def _scan(pts: list[PairingTriple], method: str, batches) -> list[CheegerReport]:
+    """The reports of one stack's scans, reading ``batches`` of its stream."""
     n, field = pts[0].dim_v, pts[0].field
-    if n < 2:
-        return [CheegerReport(None, None, method, 0)] * len(pts)
     if method == "coordinate":
-        budgets.check_coordinates(n)
-        return _first_minima(
-            pts, _coordinate_batches(n), method, _coordinate_kernel(*pts), partial(np.eye, n, dtype=int), n * n
-        )
-    batches = enumerate_subspaces(n, range(1, n // 2 + 1), field, budgets)
+        return _first_minima(pts, batches, method, _coordinate_kernel(*pts), partial(np.eye, n, dtype=int), n * n)
     rest = [pt for pt in pts if pt.dim_w]
     found = []
     if rest:

@@ -26,17 +26,35 @@ from raagcheeger import (
     verify_augmentation,
     verify_main_theorem,
 )
-from raagcheeger.budgets import DEFAULT_BUDGETS
+from raagcheeger import linalg, pairing
+from raagcheeger.budgets import DEFAULT_BUDGETS, BudgetError
 from raagcheeger.fields import Field
 from raagcheeger.family import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_EXPANDER,
+    FamilyEntry,
     VerificationRecord,
     graph_triple_family_report,
+    _check,
+    _fmt,
+    _item,
+    _q_valence,
     _verify_invariance_stack,
     _verify_theorem_stack,
 )
+from raagcheeger.graphs import max_valence
+from raagcheeger.linalg import LinalgError
+from raagcheeger.pairing import (
+    PairingError,
+    augment_triple,
+    check_pivot,
+    cheeger_constant_exhaustive,
+    is_alternating,
+    q_valence_coordinate,
+    refuse_exhaustive,
+)
+from raagcheeger.qvalence import refuse_q_valence
 from raagcheeger.isomorphism import canonical_masks, class_keys
 
 from generators import sample_labeled_graphs, zero_triple
@@ -235,21 +253,42 @@ def test_triple_reports_from_graphs_equal_those_from_their_triples():
 
 
 def test_every_job_gets_a_stack(monkeypatch):
-    # the 34 classes of 5-vertex graphs fit one stack, which is split so
-    # that each job takes one; the records do not depend on the split
-    from raagcheeger import family
+    # the 34 classes of 5-vertex graphs are split so that each job takes one
+    # run of them, which goes to the worker in stacks (of five here); the
+    # stacks of a run read one exhaustive stream, and the records do not
+    # depend on the split
+    from raagcheeger import family, fold
 
-    stacks = []
-    real = family._pmap
+    runs, stacks, streams = [], [], []
+    real, real_stream = fold._pmap, pairing.enumerate_subspaces
 
     def pmap(fn, items, jobs):
-        stacks.append([len(stack) for stack in items])
+        runs.append([len(run) for _, run in items])
         return real(fn, items, 1)
 
-    monkeypatch.setattr(family, "_pmap", pmap)
+    def worker(graphs, read, field, budgets):
+        stacks.append(len(graphs))
+        return real_worker(graphs, read, field, budgets)
+
+    def stream(n, *args):
+        batches = real_stream(n, *args)
+
+        def read():
+            streams.append(n)
+            yield from batches
+        return read()
+
+    real_worker = family._verify_theorem_stack
+    monkeypatch.setattr(fold, "_pmap", pmap)
+    monkeypatch.setattr(family, "_verify_theorem_stack", worker)
+    monkeypatch.setattr(family, "stack_size", lambda field, n: 5)
+    monkeypatch.setattr(pairing, "stack_size", lambda field, n: 5)
+    monkeypatch.setattr(pairing, "enumerate_subspaces", stream)
     graphs = [*labeled_graphs(5), *labeled_graphs(3)]
     records = [verify_main_theorem(graphs, GF2, jobs=jobs).to_json_dict(verbose=True) for jobs in (1, 2, 3)]
-    assert stacks == [[34, 4], [17, 17, 2, 2], [12, 12, 10, 2, 2]]
+    assert runs == [[34, 4], [17, 17, 2, 2], [12, 12, 10, 2, 2]]
+    assert stacks == [5] * 6 + [4, 4] + ([5] * 3 + [2]) * 2 + [2, 2] + ([5] * 2 + [2]) * 2 + [5, 5, 2, 2]
+    assert streams == [5, 3, 5, 5, 3, 3, 5, 5, 5, 3, 3]
     assert records[1] == records[0] == records[2]
 
 
@@ -273,12 +312,12 @@ def _relabeled(graph: SimplicialGraph, perm: list[int]) -> SimplicialGraph:
 def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets) -> dict:
     """The per-graph map of verify_main_theorem: the graph's triple scanned
     as a stack of one."""
-    return _verify_theorem_stack([graph], field, budgets)[0]
+    return _verify_theorem_stack([graph], None, field, budgets)[0]
 
 
 def _verify_one_invariance(graph: SimplicialGraph, fields, budgets) -> dict:
     """The per-graph map of field_invariance_check, a stack of one per field."""
-    return _verify_invariance_stack([graph], tuple(fields), budgets)[0]
+    return _verify_invariance_stack([graph], None, tuple(fields), budgets)[0]
 
 
 def _assert_per_graph_items(record: VerificationRecord, items: list[dict]) -> None:
@@ -364,3 +403,190 @@ def test_blocked_masks_equal_the_per_graph_gather():
         position, bits = _relabelings(n)
         gathered = [int(bits[:, [position[i][j] for i, j in g.pairs]].sum(axis=1).min()) for g in graphs]
         assert canonical_masks(n, [g.pairs for g in graphs]) == gathered
+
+
+# -- stacked augmentation and triple reports -----------------------------------
+
+
+def _verify_one_augmentation(graph: SimplicialGraph, field: Field, pivot: int, budgets) -> dict:
+    """The per-graph map of verify_augmentation: the graph's triple and its
+    augmentation, each scanned alone."""
+    triple = build_triple(graph, field)
+    augmented = augment_triple(triple, pivot)
+    h_orig = cheeger_constant_exhaustive(triple, budgets).value
+    h_aug = cheeger_constant_exhaustive(augmented, budgets).value
+    if h_orig is None:
+        monotone = h_aug is None
+    else:
+        monotone = h_aug is not None and h_aug >= h_orig
+    d_orig = q_valence_coordinate(triple)
+    d_aug = q_valence_coordinate(augmented)
+    alt_orig = is_alternating(triple)
+    alt_aug = is_alternating(augmented)
+    checks = [
+        _check("cheeger-monotone-under-augmentation", monotone,
+               {"h": _fmt(h_orig), "h_augmented": _fmt(h_aug)}),
+        _check("qvalence-grows-at-most-one", d_aug <= d_orig + 1,
+               {"d": d_orig, "d_augmented": d_aug}),
+        _check("alternating-flips", alt_orig and not alt_aug,
+               {"alternating": alt_orig, "alternating_augmented": alt_aug}),
+    ]
+    data = {
+        "n": graph.n_vertices,
+        "dimV": triple.pairing.dim_v,
+        "qvalence": d_orig,
+        "h_graph": _fmt(h_orig),
+        "h_triple": _fmt(h_aug),
+        "method": "exhaustive",
+    }
+    return _item(graph, checks, data)
+
+
+def _augmentation_by_graph(graphs, field, pivot, budgets=DEFAULT_BUDGETS) -> VerificationRecord:
+    """verify_augmentation as the per-graph map: every size's refusals in
+    input order, then each graph on its own."""
+    for n, m in dict.fromkeys((g.n_vertices, min(g.n_edges, 1)) for g in graphs):
+        check_pivot(n, pivot)
+        refuse_exhaustive(field, n, m, budgets)
+        refuse_exhaustive(field, n, 1, budgets)
+    items = tuple(_verify_one_augmentation(g, field, pivot, budgets) for g in graphs)
+    return VerificationRecord("augmentation", field.name, items)
+
+
+@pytest.mark.parametrize("sizes, fields", [
+    (range(1, 6), (GF2, GF3)), ([4], (GF5, Field.gf(7))), ([3], (Field.gf(31), Field.gf(101))),
+], ids=["gf2-gf3", "gf5-gf7", "gf31-gf101"])
+def test_stacked_augmentation_equals_the_per_graph_map(sizes, fields):
+    # every graph of each size, in stacks of one vertex count that mix
+    # edgeless, disconnected and connected graphs; GF(5)^4 and GF(7)^4 scan
+    # on the zero-set kernel, dim V = 3 on the rank kernel at any field.
+    # Pivot 0 in one call over all the sizes, on one and two jobs, and pivot
+    # n - 1 size by size, on two jobs for the largest size
+    for field in fields:
+        graphs = [g for n in sizes for g in labeled_graphs(n)]
+        want = _augmentation_by_graph(graphs, field, 0)
+        for jobs in (1, 2):
+            _assert_per_graph_items(verify_augmentation(graphs, field, 0, jobs=jobs), list(want.items))
+        for n in sizes:
+            graphs = list(labeled_graphs(n))
+            want = _augmentation_by_graph(graphs, field, n - 1)
+            for jobs in (1, 2) if n == max(sizes) else (1,):
+                _assert_per_graph_items(verify_augmentation(graphs, field, n - 1, jobs=jobs), list(want.items))
+
+
+@pytest.mark.parametrize("chunk", [7, 100])
+def test_stacked_augmentation_in_small_batches(monkeypatch, chunk):
+    # batches of chunk bytes, and stacks as small as those caps make them,
+    # over graphs of several sizes in one call
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
+    rng = random.Random(chunk)
+    graphs = [g for n in (4, 2, 5, 3) for g in rng.sample(list(labeled_graphs(n)), min(20, 2 ** (n * (n - 1) // 2)))]
+    for field in (GF2, GF3):
+        want = _augmentation_by_graph(graphs, field, 1)
+        for jobs in (1, 2):
+            _assert_per_graph_items(verify_augmentation(graphs, field, 1, jobs=jobs), list(want.items))
+
+
+@pytest.mark.parametrize("graphs, field, pivot, budgets, refused, message", [
+    ([path(3), path(2), path(4)], GF2, 2, DEFAULT_BUDGETS, PairingError, "pivot 2 outside basis range 0..1"),
+    ([path(3), edgeless(0)], GF2, 0, DEFAULT_BUDGETS, PairingError, "pivot 0 outside basis range 0..-1"),
+    ([path(3), complete(9)], GF2, 0, DEFAULT_BUDGETS, BudgetError, "--budget-subspaces"),
+    ([complete(9)], GF2, 9, DEFAULT_BUDGETS, PairingError, "pivot 9 outside basis range 0..8"),
+    ([complete(9), path(2)], GF2, 2, DEFAULT_BUDGETS, BudgetError, "--budget-subspaces"),
+    ([edgeless(3), path(2)], Field.gf(2**61 - 1), 0, DEFAULT_BUDGETS, BudgetError, "--budget-subspaces"),
+    ([edgeless(3), path(2)], Field.gf(2**61 - 1), 0, Budgets(subspace_work=10**60), LinalgError,
+     "gf2305843009213693951^3 has more vectors than a numpy array can index"),
+    ([path(3), cycle(4)], QQ, 1, DEFAULT_BUDGETS, LinalgError, "non-enumerable field"),
+], ids=["pivot", "empty", "budget", "pivot-before-budget", "input-order", "budget-before-dim-w-1", "dim-w-1",
+        "rational"])
+def test_augmentation_refusals_keep_their_order(monkeypatch, graphs, field, pivot, budgets, refused, message):
+    # the per-graph map's first refusal, with its message, before any triple
+    # is built: graph by graph in input order, a pivot out of range before
+    # the budget, and for the edgeless graph over
+    # GF(2^61 - 1) the budget, then, with the budget raised, the dim W = 1
+    # check of its augmentation, a space too large to index
+    from raagcheeger import family
+
+    built = []
+    real = family.build_triple
+    monkeypatch.setattr(family, "build_triple", lambda g, f: built.append(g) or real(g, f))
+    outcomes = []
+    for verify in (_augmentation_by_graph, verify_augmentation):
+        with pytest.raises(refused) as err:
+            verify(graphs, field, pivot, budgets)
+        outcomes.append(str(err.value))
+    assert outcomes[0] == outcomes[1] and message in outcomes[1] and not built
+
+
+def _triple_entry_alone(t, budgets) -> FamilyEntry:
+    """The per-triple map of the triple reports: the triple scanned alone."""
+    pt = getattr(t, "pairing", t)
+    n = pt.dim_v
+    qval, qmethod = _q_valence(pt, budgets)
+    try:
+        report = cheeger_constant_exhaustive(pt, budgets)
+    except (BudgetError, LinalgError) as err:
+        return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None, method="inconclusive", note=str(err))
+    if report.value is None:
+        return FamilyEntry("triple", pt.field.name, n, qval, qmethod, None, method="undefined", note="dim V < 2")
+    return FamilyEntry("triple", pt.field.name, n, qval, qmethod, report.value, method="exact")
+
+
+def _graph_triple_entry_alone(graph: SimplicialGraph, field: Field, budgets) -> FamilyEntry:
+    """The per-graph map of graph_triple_family_report: the graph's triple
+    built only where a scan of it runs, and scanned alone."""
+    n = graph.n_vertices
+    try:
+        refuse_exhaustive(field, n, graph.n_edges, budgets)
+    except (BudgetError, LinalgError) as err:
+        try:
+            refuse_q_valence(field, n, budgets)
+        except (BudgetError, LinalgError):
+            return FamilyEntry("triple", field.name, n, max_valence(graph), "coordinate", None,
+                               method="inconclusive", note=str(err))
+    return _triple_entry_alone(build_triple(graph, field), budgets)
+
+
+def _refused(refuse, *args) -> bool:
+    try:
+        refuse(*args)
+    except (BudgetError, LinalgError):
+        return True
+    return False
+
+
+def test_stacked_triple_reports_equal_the_per_triple_map(monkeypatch):
+    # mixed fields and sizes in one report, in stacks of one field and dim V
+    # that hold edgeless graphs beside connected ones; budgets that refuse
+    # the Cheeger scan of some sizes and not others, the q-valence min-max
+    # too or not, and QQ, where both refuse by field.  A graph's triple is
+    # built once where one of its scans runs, and nowhere else
+    from raagcheeger import family
+
+    rng = random.Random(30)
+    graphs = [edgeless(0), path(1), edgeless(3), path(2), cycle(4), star(4), complete(5), cycle(9), path(12)]
+    graphs += [g for n in (4, 5, 3) for g in rng.sample(list(labeled_graphs(n)), 8)] + [edgeless(4), edgeless(5)]
+    budgets = [DEFAULT_BUDGETS, Budgets(subspace_work=10), Budgets(subspace_work=400, basis_work=10),
+               Budgets(basis_work=10**7)]
+    fields = (GF2, GF3, Field.gf(101), QQ)
+    built = []
+    real = family.build_triple
+    monkeypatch.setattr(family, "build_triple", lambda g, f: built.append(id(g)) or real(g, f))
+    seen = set()
+    for b in budgets:
+        triples = [real(g, fields[i % len(fields)]) for i, g in enumerate(graphs)]
+        want = [_triple_entry_alone(t, b) for t in triples]
+        for jobs in (1, 2):
+            assert list(triple_family_report(triples, b, jobs=jobs).entries) == want, (b, jobs)
+        for field in fields:
+            want = [_graph_triple_entry_alone(g, field, b) for g in graphs]
+            seen |= {(e.method, e.valence_method) for e in want}
+            read = [id(g) for g in graphs if not (_refused(refuse_exhaustive, field, g.n_vertices, g.n_edges, b)
+                                                  and _refused(refuse_q_valence, field, g.n_vertices, b))]
+            for jobs in (1, 2):
+                built.clear()
+                assert list(graph_triple_family_report(graphs, field, b, jobs=jobs).entries) == want, (field, b)
+                if jobs == 1:
+                    assert sorted(built) == sorted(read), (field, b)
+    assert {("exact", "exhaustive"), ("undefined", "exhaustive"), ("inconclusive", "exhaustive"),
+            ("inconclusive", "coordinate")} <= seen

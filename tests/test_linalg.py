@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -234,11 +235,11 @@ def _completed_bases(n, p, k, at):
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
     # batches of chunk bytes pack consecutive pivot profiles of one
-    # dimension: every batch but the last of its dimension is full, and
-    # concatenated the rows they name are the canonical order; each decodes
-    # to bases S whose first k rows are those rows and whose others are the
-    # unit vectors of the non-leading coordinates, so each S is invertible
-    # mod p; the stream repeats exactly
+    # dimension, each written from the pieces that fit, so it holds from one
+    # subspace to as many as fit, and concatenated the rows they name are
+    # the canonical order; each decodes to bases S whose first k rows are
+    # those rows and whose others are the unit vectors of the non-leading
+    # coordinates, so each S is invertible mod p; the stream repeats exactly
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     cases = ((5, [1, 2], GF2, np.int8), (4, [0, 1, 2, 4], GF3, np.int8),
              (3, [1, 2], GF5, np.int8), (2, [1], Field.gf(257), np.int16))
@@ -249,11 +250,10 @@ def test_enumeration_batches_follow_the_canonical_order(monkeypatch, chunk):
         flat = [basis for _, at in batches for basis in points[at].tolist()]
         assert flat == list(canonical_order(n, dims, p))
         assert [k for k, _ in batches] == sorted(k for k, _ in batches)
-        for i, (k, at) in enumerate(batches):
+        for k, at in batches:
             assert at.shape[1] == k and at.dtype == dtype
             most = max(1, chunk // (max(k, 1) * at.itemsize))
-            last_of_dim = i + 1 == len(batches) or batches[i + 1][0] != k
-            assert 1 <= len(at) <= most and (last_of_dim or len(at) == most)
+            assert 1 <= len(at) <= most
             for basis in _completed_bases(n, p, k, at).astype(int).tolist():
                 assert Subspace.from_vectors(field, n, basis).dim == n
         again = list(enumerate_subspaces(n, dims, field))
@@ -300,9 +300,8 @@ def test_point_stream_follows_the_bases_stream(p, most):
         for k in range(n + 1):
             batches = _check_point_stream(n, k, field)
             if (p, n, k) == (2, 8, 4):
-                # more than the batch cache's cap, so streamed; the first
-                # pivot set, (0, 1, 2, 3) with 16^4 fills, spans batches
-                assert gaussian_binomial(8, 4, 2) * 4 * 2 > linalg.BATCH_CACHE_BYTES
+                # the first pivot set, (0, 1, 2, 3) with 16^4 fills, spans
+                # batches
                 assert all(at.flags.writeable for at in batches)
                 assert len(batches[0]) < 16**4
 
@@ -321,10 +320,8 @@ def test_points_of_the_zero_space(p):
 def test_point_stream_splits_pivot_sets_at_any_cap(monkeypatch, cap):
     # at 10 bytes the (0, 1) pivot set of GF(3)^4 (9 * 9 fills, 5 per batch)
     # slices row 1, and (0, 1, 2) in dimension 3 (3^3 fills, 3 per batch)
-    # fixes row 0 and takes row 1 one fill at a time; every dimension is
-    # streamed, so that its pieces, not slices of a kept array, are the batches
+    # fixes row 0 and takes row 1 one fill at a time
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", cap)
-    monkeypatch.setattr(linalg, "BATCH_CACHE_BYTES", -1)
     for p, most in ((2, 5), (3, 4), (5, 3)):
         for n in range(1, most + 1):
             for k in range(n + 1):
@@ -335,103 +332,85 @@ def test_point_stream_splits_pivot_sets_at_any_cap(monkeypatch, cap):
 def test_point_stream_is_the_canonical_order(monkeypatch, p, most):
     # the rows the stream names are the library-free order, row for row; the
     # first p^(n-k) [n-1, k-1] subspaces have a pivot at column 0 and the
-    # others none, as the recursion builds them.  Streamed with the cache cap
-    # below 0, and for the small spaces in batches of 10 bytes, so that pieces
-    # split groups and fills, the stream names the same rows
+    # others none, as the recursion builds them.  In batches of 10 bytes, for
+    # the small spaces, so that pieces split groups and fills, the stream
+    # names the same rows
     def stream(n, k):
         batches = [at for _, at in enumerate_subspaces(n, [k], Field.gf(p))]
         assert all(at.dtype == linalg.int_type(len(linalg.projective_points(n, p))) for at in batches)
         return np.concatenate(batches)
 
-    linalg._kept.cache_clear()
-    kept = {}
-    try:
-        for n in range(most + 1):
-            for k in range(n + 1):
-                if n:
-                    assert gaussian_binomial(n, k, p) == (
-                        p ** (n - k) * gaussian_binomial(n - 1, k - 1, p) + gaussian_binomial(n - 1, k, p))
-                kept[n, k] = at = stream(n, k)
-                rows = linalg.projective_points(n, p)[at]
-                canon = canonical_order(n, [k], p)
-                for start in range(0, len(rows), 4096):
-                    chunk = list(itertools.islice(canon, 4096))
-                    assert rows[start : start + 4096].tolist() == chunk, (n, k, p, start)
-                assert next(canon, None) is None
-                lead = p ** (n - k) * gaussian_binomial(n - 1, k - 1, p)
-                column0 = rows[..., :1].any(axis=(1, 2))
-                assert column0[:lead].all() and not column0[lead:].any()
-                assert k == n or np.array_equal(at[lead:], kept[n - 1, k]), (n, k, p)
-        linalg._kept.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
-            for cap, largest in ((linalg.POINT_BATCH_BYTES, most), (10, min(most, 5))):
-                m.setattr(linalg, "POINT_BATCH_BYTES", cap)
-                for n in range(largest + 1):
-                    for k in range(n + 1):
-                        assert (stream(n, k) == kept[n, k]).all(), (n, k, p, cap)
-            assert linalg._kept.cache_info().currsize == 0
-    finally:
-        linalg._kept.cache_clear()
+    streams = {}
+    for n in range(most + 1):
+        for k in range(n + 1):
+            if n:
+                assert gaussian_binomial(n, k, p) == (
+                    p ** (n - k) * gaussian_binomial(n - 1, k - 1, p) + gaussian_binomial(n - 1, k, p))
+            streams[n, k] = at = stream(n, k)
+            rows = linalg.projective_points(n, p)[at]
+            canon = canonical_order(n, [k], p)
+            for start in range(0, len(rows), 4096):
+                chunk = list(itertools.islice(canon, 4096))
+                assert rows[start : start + 4096].tolist() == chunk, (n, k, p, start)
+            assert next(canon, None) is None
+            lead = p ** (n - k) * gaussian_binomial(n - 1, k - 1, p)
+            column0 = rows[..., :1].any(axis=(1, 2))
+            assert column0[:lead].all() and not column0[lead:].any()
+            assert k == n or np.array_equal(at[lead:], streams[n - 1, k]), (n, k, p)
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", 10)
+    for n in range(min(most, 5) + 1):
+        for k in range(n + 1):
+            assert (stream(n, k) == streams[n, k]).all(), (n, k, p)
 
 
-def test_point_stream_keeps_only_the_streams_it_reads():
-    # dimension k of GF(2)^8 reads the (7, k - 1) stream, which reads
-    # (6, k - 2), down to dimension 0, which is empty and not kept; every
-    # other smaller stream is a tail of one of these, so none is built.  Of
-    # GF(2)^8 itself only dimensions 1 and 2 are within the cap, and kept.
-    # Asking for the kept ones again hits the cache each time and adds
-    # nothing to it
-    streams = {4: [(7, 3), (6, 2), (5, 1)], 3: [(7, 2), (6, 1)], 2: [(8, 2), (7, 1)], 1: [(8, 1)]}
-    try:
-        for dims in ([4], [1, 2, 3, 4]):
-            linalg._kept.cache_clear()
-            for _ in enumerate_subspaces(8, dims, GF2):
-                pass
-            kept = [key for k in dims for key in streams[k]]
-            before = linalg._kept.cache_info()
-            for n, k in kept:
-                linalg._kept(linalg._point_batches, n, k, 2)
-            after = linalg._kept.cache_info()
-            assert before.currsize == after.currsize == len(kept), dims
-            assert after.hits - before.hits == len(kept), dims
-    finally:
-        linalg._kept.cache_clear()
+def test_point_stream_keeps_only_the_streams_it_reads(monkeypatch):
+    # dimension k of GF(2)^8 reads the (7, k - 1) stream, built whole as one
+    # batch, which reads (6, k - 2), down to dimension 0; every other smaller
+    # stream is a tail of one of these, so none is built, and each is built
+    # once for the dimension that reads it, whatever the dimensions before
+    built = []
+    real = linalg._point_batches
+
+    def batches(n, k, p, most):
+        built.append((n, k, most == sys.maxsize))
+        return real(n, k, p, most)
+
+    monkeypatch.setattr(linalg, "_point_batches", batches)
+    chain = {k: [(8, k, False)] + [(8 - j, k - j, True) for j in range(1, k + 1)] for k in range(1, 5)}
+    for dims in ([4], [1, 2, 3, 4], [2, 4]):
+        built.clear()
+        for _ in enumerate_subspaces(8, dims, GF2):
+            pass
+        assert built == [key for k in dims for key in chain[k]], dims
 
 
 @pytest.mark.parametrize("most", [1, 7, 14, 100, 512])
 def test_kept_batches_are_views_of_one_array(monkeypatch, most):
-    # a kept dimension of each stream is one read-only array, and its batches
-    # of most subspaces are views of it that concatenate to it; so the
-    # stream, as it is built when streamed, starts at any offset s as whole[s:].
-    # GF(3)^6 in dimension 3 names its rows as int16, 6 bytes a subspace, and
-    # a coordinate order of n = 8 takes 8
+    # a dimension keeps the smaller stream it reads whole, as one array, the
+    # stream built as one batch, and the rows of its pieces are views of that
+    # array, whatever their size: the pieces of GF(3)^5 in dimension 3 read
+    # the (4, 2) stream.  Built in batches of most subspaces, a stream
+    # concatenates to the stream kept whole, so it starts at any offset s as
+    # whole[s:]: GF(3)^6 in dimension 3 names its rows as int16, 6 bytes a
+    # subspace, and a coordinate order of n = 8 takes 8
+    (sub,) = linalg._point_batches(4, 2, 3, sys.maxsize)
+    pieces = list(linalg._pieces(5, 3, 3, most))
+    assert all(rows.base is pieces[0][1].base and len(rows) <= most for _, rows in pieces)
+    assert np.array_equal(pieces[0][1].base, sub)
     cases = [
         (lambda: [b for _, b in enumerate_subspaces(6, [3], GF3)], (linalg._point_batches, 6, 3, 3), 6),
         (lambda: [b for k, b in linalg._coordinate_batches(8) if k == 3], (linalg._coordinate_orders, 8, 3), 8),
     ]
     rng = random.Random(most)
-    linalg._kept.cache_clear()
-    try:
-        for batches, key, size in cases:
-            monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", size * most)
-            got = batches()
-            before = linalg._kept.cache_info()
-            whole = linalg._kept(*key)
-            assert linalg._kept.cache_info().hits == before.hits + 1, key
-            assert not whole.flags.writeable
-            assert all(np.shares_memory(b, whole) and not b.flags.writeable for b in got), key
-            assert all(len(b) == most for b in got[:-1]) and 1 <= len(got[-1]) <= most
-            assert np.array_equal(np.concatenate(got), whole)
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
-                streamed = batches()
-            assert not any(np.shares_memory(b, whole) for b in streamed)
-            streamed = np.concatenate(streamed)
-            for s in {0, 1, len(whole) - 1, len(whole), *rng.sample(range(len(whole)), 5)}:
-                assert np.array_equal(whole[s:], streamed[s:]), (key, s)
-    finally:
-        linalg._kept.cache_clear()
+    for batches, (build, *key), size in cases:
+        monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", size * most)
+        (whole,) = build(*key, sys.maxsize)
+        got = batches()
+        assert all(1 <= len(b) <= most for b in got) and not any(np.shares_memory(b, whole) for b in got)
+        streamed = np.concatenate(got)
+        for s in {0, 1, len(whole) - 1, len(whole), *rng.sample(range(len(whole)), 5)}:
+            assert np.array_equal(whole[s:], streamed[s:]), (key, s)
+    assert [tuple(o[:3]) for o in whole.tolist()] == list(itertools.combinations(range(8), 3))
 
 
 @pytest.mark.parametrize("p, n, dtype", [(5, 5, np.int8), (79, 5, np.int16), (101, 5, np.int32)])

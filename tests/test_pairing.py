@@ -784,7 +784,7 @@ def test_kernel_float_rungs_at_their_bounds(p, n, past):
     assert (reached > limit) == past
 
 
-# -- the batch cache -----------------------------------------------------------------
+# -- streams and caches ---------------------------------------------------------------
 
 
 def _clear_caches():
@@ -805,82 +805,53 @@ def _scans(triples):
 
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
-    # the same scans streamed lazily, from a cold cache and from a warm one,
-    # in coordinate and point batches of chunk bytes; the disconnected graphs
-    # stop early at h = 0
-    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
+    # the same scans in coordinate and point batches of the default size and
+    # of chunk bytes, from cold per-(n, p) tables and from warm ones; the
+    # disconnected graphs stop early at h = 0
     two_edges = SimplicialGraph.of("abcd", [("a", "b"), ("c", "d")])
     triples = [build_triple(g, field) for g in (cycle(5), two_edges) for field in (GF2, GF3)]
     triples += [build_triple(path(6), GF2), random_triple(5, 2, GF3, 11),
                 random_triple(6, 3, GF2, 12, "symmetric")]
     _clear_caches()
     try:
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "BATCH_CACHE_BYTES", -1)
-            lazy = _scans(triples)
-            assert linalg._kept.cache_info().currsize == 0
+        default = _scans(triples)
+        monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
+        _clear_caches()
         cold = _scans(triples)
-        assert linalg._kept.cache_info().currsize > 0
-        assert _scans(triples) == cold == lazy
-        assert any(value == 0 for value, _, _ in lazy[::2])
+        assert _scans(triples) == cold == default
+        assert any(value == 0 for value, _, _ in default[::2])
     finally:
         _clear_caches()
 
 
-def test_cached_batches_are_read_only_and_cleared():
-    # GF(3)^4 keeps its dimensions 1 and 2 and the (3, 1) stream that
-    # dimension 2 reads; the coordinate scan of n = 6 keeps dimensions 1..3
+def test_streamed_batches_are_fresh_arrays():
+    # every batch of the point stream and of the coordinate orders is a new
+    # writable array, which shares memory with no other batch and no cached
+    # table, so writing into one changes no later read of a stream; the
+    # projective points that batches index are read-only, and clearing the
+    # caches empties the per-(n, p) tables
     _clear_caches()
     try:
-        kept = [points for _, points in enumerate_subspaces(4, [1, 2], GF3)]
-        kept += [orders for _, orders in linalg._coordinate_batches(6)]
-        assert linalg._kept.cache_info().currsize == 6
-        for batch in kept:
-            assert not batch.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                batch[(0,) * batch.ndim] = 1
-        # dimension 3 of GF(2)^8 takes more than the cap and is streamed;
-        # only the (7, 2) and (6, 1) streams it reads are kept
-        streamed = [points for _, points in enumerate_subspaces(8, [3], GF2)]
-        assert linalg._kept.cache_info().currsize == 8
-        assert all(points.flags.writeable for points in streamed)
+        points = linalg.projective_points(4, 3)
+        streams = [lambda: [at for _, at in enumerate_subspaces(4, [1, 2], GF3)],
+                   lambda: [orders for _, orders in linalg._coordinate_batches(6)],
+                   lambda: [at for _, at in enumerate_subspaces(8, [3], GF2)]]
+        for stream in streams:
+            batches = stream()
+            saved = [batch.copy() for batch in batches]
+            for a, b in itertools.combinations([*batches, points], 2):
+                assert not np.shares_memory(a, b)
+            for batch in batches:
+                assert batch.flags.writeable and batch.flags.owndata
+                batch[...] = 0
+            assert all(np.array_equal(a, b) for a, b in zip(stream(), saved, strict=True))
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 1
+        assert linalg._groups.cache_info().currsize > 0
     finally:
         _clear_caches()
-    assert linalg._kept.cache_info().currsize == 0
-
-
-def _retained_bytes(scan) -> int:
-    """Bytes still allocated after draining the batches of ``scan()``."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in scan():
-            pass
-        del _
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-
-
-def test_batch_cache_retains_less_than_its_cap():
-    # GF(2)^8 keeps its dimensions 1 and 2 and the smaller streams that
-    # dimensions 2..4 read (86 KB of arrays, 131 KB retained with the group
-    # tables and the cache); n = 20 keeps its coordinate orders of
-    # dimension 1..3 (27 KB) and 4 (97 KB), and streams those of dimension 5
-    # (310 KB) and up
-    _clear_caches()
-    try:
-        scans = [
-            lambda: enumerate_subspaces(8, range(1, 5), GF2),
-            lambda: itertools.takewhile(lambda b: b[0] <= 3, linalg._coordinate_batches(20)),
-        ]
-        for scan in scans:
-            assert 0 < _retained_bytes(scan) < linalg.BATCH_CACHE_BYTES
-            _clear_caches()
-    finally:
-        _clear_caches()
+    assert linalg._groups.cache_info().currsize == linalg.projective_points.cache_info().currsize == 0
 
 
 # -- the zero-set kernel -------------------------------------------------------------
@@ -1009,8 +980,8 @@ def test_zero_set_kernel_on_points(n, m, field, seed, counts):
 
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
-    # the exhaustive scan reports what it reports on the rank kernel, from a
-    # cold and from a warm cache, and every batch of the stream gives both
+    # the exhaustive scan reports what it reports on the rank kernel, from
+    # cold and from warm per-(n, p) tables, and every batch of the stream gives both
     # kernels' ranks; the two-edge graph stops early at h = 0
     # batches of the point stream hold chunk bytes: 1 to chunk / k subspaces
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
@@ -1026,7 +997,6 @@ def test_zero_set_scans_agree_with_a_cold_and_a_warm_cache(monkeypatch, chunk):
         _clear_caches()
         for _ in ("cold", "warm"):
             assert [cheeger_constant_exhaustive(t) for t in triples] == expected
-            assert linalg._kept.cache_info().currsize > 0
             for t in triples:
                 assert _kernels_agree(t, _exhaustive_stream(t))
         assert [rep.value for rep in expected].count(0) == 2
@@ -1081,24 +1051,47 @@ def test_zero_set_table_build_stays_under_its_cap():
 
 def test_point_stream_and_zero_set_scan_stay_under_their_caps():
     # the point stream holds the batch its consumer has, the pieces of the
-    # next and their join: at most four batches; a zero-set scan adds the
-    # kernel's table and its slices, within ZERO_SET_BYTES, and what the
-    # batch cache keeps of the stream (GF(2)^8 in dimensions 1 and 2), which
-    # stays allocated after the scan.  Points and codes are shared per (n, p)
-    # and built before.
-    linalg.point_codes(8, 2)
-    for k in range(1, 5):
-        linalg.projective_points(k, 2)
+    # next and their join, and the smaller stream it reads; a zero-set scan
+    # adds the kernel's table and its slices, within ZERO_SET_BYTES.  Measured
+    # from the points and codes of GF(2)^8, shared per (n, p) and built
+    # before, the total peak stays at or below what it was while kept streams
+    # were cached (107 KB for dimension 4 of GF(2)^8, 404 KB for the C8 scan).
+    # What stays allocated is the per-(n, p) tables the streams build, the
+    # group tables (:func:`~raagcheeger.linalg._groups`) above all: 26 and
+    # 46 KB measured, bounded here a quarter higher
     c8 = build_triple(cycle(8), GF2)
     assert zerosets.zero_sets_pay(c8.pairing)
-    scans = [
-        (lambda: enumerate_subspaces(8, [4], GF2), 4 * linalg.POINT_BATCH_BYTES),
-        (lambda: [cheeger_constant_exhaustive(c8)],
-         zerosets.ZERO_SET_BYTES + 4 * linalg.POINT_BATCH_BYTES),
-    ]
-    _clear_caches()
+    _assert_scans_under(
+        (lambda: enumerate_subspaces(8, [4], GF2), 107, 33, True),
+        (lambda: [cheeger_constant_exhaustive(c8)], 404, 58, True),
+    )
+
+
+def test_batch_cache_retains_less_than_its_cap():
+    # no batch is kept across calls any more: what a scan leaves allocated is
+    # the per-(n, p) tables it builds, and its peak stays at or below what it
+    # was while kept streams were cached.  GF(2)^8 in dimensions 1..4 peaks at
+    # 174 KB and keeps its group tables (43 KB measured); the coordinate
+    # orders of n = 20 up to dimension 3, with the first batch of dimension
+    # 4, peak at 1,477 KB and build no table: what numpy allocates on first
+    # use (up to 1.5 KB measured, none once warm) stays under 4 KB
+    _assert_scans_under(
+        (lambda: enumerate_subspaces(8, range(1, 5), GF2), 174, 54, True),
+        (lambda: itertools.takewhile(lambda b: b[0] <= 3, linalg._coordinate_batches(20)),
+         1477, 4, False),
+    )
+
+
+def _assert_scans_under(*scans):
+    """Drain each ``(scan, peak_kb, kept_kb, tables)`` from cleared caches,
+    with the points and codes of GF(2)^8 built before, and bound the traced
+    peak by ``peak_kb`` and what stays allocated by ``kept_kb``; a scan with
+    ``tables`` builds group tables, which stay allocated, and one without
+    builds none."""
     try:
-        for scan, cap in scans:
+        for scan, peak_kb, kept_kb, tables in scans:
+            _clear_caches()
+            linalg.point_codes(8, 2)
             gc.collect()
             tracemalloc.start()
             try:
@@ -1108,9 +1101,9 @@ def test_point_stream_and_zero_set_scan_stay_under_their_caps():
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert kept < linalg.BATCH_CACHE_BYTES and 0 < peak - kept < cap, (peak, kept, cap)
-            _clear_caches()
-            linalg.point_codes(8, 2)
+            assert kept < kept_kb * 1024 and peak <= peak_kb * 1024, (peak, kept)
+            assert (linalg._groups.cache_info().currsize > 0) == tables
+            assert kept > 0 or not tables
     finally:
         _clear_caches()
 

@@ -3,7 +3,12 @@ batch of the stream for a whole stack of triples, and must report, triple by
 triple, what the per-triple map reports: each triple's own scan, a stack of
 one."""
 
+import gc
+import inspect
 import random
+import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +32,7 @@ from raagcheeger import (
     complete,
     cycle,
     edgeless,
+    is_connected,
     labeled_graphs,
     path,
     star,
@@ -197,6 +203,51 @@ def test_slices_grow_as_triples_leave_the_stack(monkeypatch, method, kernel, n):
     assert max(size for live, size in calls if live == 1) > width(16)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_of_stacks_builds_its_stream_once(monkeypatch, method):
+    # stacks of two, three to a call: the edgeless pair never reads the
+    # stream, the disconnected graphs stop at their first zero and the
+    # connected ones read it all.  Calls that share a dict ``read`` build the
+    # stream once and yield each batch once; under a raised budget, and
+    # without ``read``, each stack builds its own.  No batch outlives the
+    # calls and the dict
+    monkeypatch.setattr(pairing, "stack_size", lambda field, n: 2)
+    two_paths = SimplicialGraph.of("abcde", [("a", "b"), ("b", "c"), ("d", "e")])
+    graphs = [edgeless(5), edgeless(5), two_paths, cycle(5), complete(5), path(5), star(4)]
+    name = "enumerate_subspaces" if method == "exhaustive" else "_coordinate_batches"
+    real, built, alive = getattr(pairing, name), [], []
+
+    def recorded(*args):
+        built.append(0)
+        for k, batch in real(*args):
+            built[-1] += 1
+            alive.append(weakref.ref(batch))
+            yield k, batch
+
+    def run(triples, budgets, read):
+        return [r for i in range(0, 7, 3) for r in cheeger_constants(triples[i : i + 3], method, budgets, read)]
+
+    raised = Budgets(subspace_work=DEFAULT_BUDGETS.subspace_work + 1)
+    for field in (GF2, GF3):
+        triples = [build_triple(g, field) for g in graphs]
+        wanted = _per_triple(triples, method)
+        whole = sum(1 for _ in (real(5, [1, 2], field) if method == "exhaustive" else real(5)))
+        for budgets, shared in ((DEFAULT_BUDGETS, True), (raised, True), (DEFAULT_BUDGETS, False)):
+            built.clear()
+            alive.clear()
+            with monkeypatch.context() as m:
+                m.setattr(pairing, name, recorded)
+                assert run(triples, budgets, {} if shared else None) == wanted
+            gc.collect()
+            assert not any(ref() is not None for ref in alive), (field, budgets)
+            if budgets is DEFAULT_BUDGETS and shared:
+                assert built == [whole], (field, built)
+            else:
+                # one stream per stack that reads one: the exhaustive scan of
+                # the edgeless pair reads none
+                assert len(built) == (4 if method == "exhaustive" else 5) and max(built) == whole, (field, built)
+
+
 def test_stack_size_follows_the_byte_caps():
     # the rank kernels' slices hold POINT_BATCH_BYTES // n^2 pairs, and a
     # zero-set table at most half of ZERO_SET_BYTES
@@ -241,3 +292,50 @@ def test_scan_refusals_come_before_the_triple(field, n, dim_w, budgets, refused)
             outcomes.append((type(err), str(err)))
     assert outcomes[0] == outcomes[1]
     assert (outcomes[0] and outcomes[0][0]) == refused
+
+
+@pytest.mark.parametrize("zero_sets", [True, False], ids=["zero-set", "rank"])
+def test_a_stack_holds_no_batch_of_its_minimizers(monkeypatch, zero_sets):
+    # each triple of a stack keeps the rows of its first minimizer as a
+    # copy: a view would hold the minimizer's whole batch until the scan
+    # ends, one batch per triple.  In batches of 16 bytes the first minimizers
+    # of the connected 4-vertex graphs' triples over GF(3) fall in five
+    # batches, and h > 0 for all of them, so their one stack reads the whole
+    # stream; when the stream ends, every batch but the one in hand is freed,
+    # and what tracemalloc still finds of the stream's batches is less than
+    # two batches (110 bytes here, and 666 with views)
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", 16)
+    monkeypatch.setattr(pairing, "stack_size", lambda field, n: 64)
+    if not zero_sets:
+        monkeypatch.setattr(pairing, "zero_sets_pay", lambda pt: False)
+    triples = [build_triple(g, GF3) for g in labeled_graphs(4) if is_connected(g)]
+    stream = list(linalg.enumerate_subspaces(4, [1, 2], GF3))
+    rows = [[linalg.projective_points(4, 3)[at].tolist() for at in batch] for _, batch in stream]
+    wanted = _per_triple(triples, "exhaustive")
+    held = {next(i for i, batch in enumerate(rows) if [list(map(int, r)) for r in rep.minimizer.basis] in batch)
+            for rep in wanted}
+    assert len(held) == 5 and all(rep.value > 0 for rep in wanted)
+
+    alive, ended = [], []
+    real = pairing.enumerate_subspaces
+
+    def traced(*args):
+        for k, batch in real(*args):
+            alive.append(weakref.ref(batch))
+            yield k, batch
+        del batch
+        gc.collect()
+        lines, first = inspect.getsourcelines(linalg._point_batches)
+        built = [t.size for t in tracemalloc.take_snapshot().traces if t.traceback[0].filename == linalg.__file__
+                 and first <= t.traceback[0].lineno < first + len(lines)]
+        ended.append(([ref() is not None for ref in alive], sum(built)))
+
+    monkeypatch.setattr(pairing, "enumerate_subspaces", traced)
+    tracemalloc.start()
+    try:
+        assert cheeger_constants(triples) == wanted
+    finally:
+        tracemalloc.stop()
+    (still, built), = ended
+    assert len(still) == len(stream) and still == [False] * (len(still) - 1) + [True]
+    assert 0 < built < 2 * sys.getsizeof(stream[-1][1]), built
