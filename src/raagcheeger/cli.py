@@ -7,8 +7,11 @@ status a shell gives a writer killed by a closed pipe) when stdout is closed
 before the output is written, as by ``| head -1``; that case prints nothing
 on stderr.  Each command takes only the flags it reads, so any other flag
 exits 2, and so does a --jobs below 1 or above the CPU count.  All output
-is deterministic for a fixed invocation, including under --jobs
-parallelism.
+is deterministic for a fixed invocation and a fixed number of BLAS
+threads, including under --jobs parallelism: the float spectral bounds of
+``family-report`` come from BLAS products, whose last digits change with
+the thread count (C240's ``cheeger_lower`` under OPENBLAS_NUM_THREADS=1
+and 2).  Every exact value is independent of it.
 """
 
 from __future__ import annotations

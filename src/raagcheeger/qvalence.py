@@ -3,8 +3,9 @@ projective bases and hyperplanes, and the coordinate value over the
 distinguished basis, exact for cup-product triples.
 
 Its only link to the Cheeger scans of :mod:`raagcheeger.pairing` is the
-table of q(x, y) != 0 over projective points, built by
-:func:`~raagcheeger.zerosets.pairs_blocks`.
+zero-set table over projective points that the zero-set kernel counts in,
+built by :func:`~raagcheeger.zerosets.write_zero_sets`, which it unpacks
+and inverts into q(x, y) != 0.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .linalg import LinalgError, projective_frame
-from .zerosets import pairs_blocks
+from .zerosets import write_zero_sets
 
 
 def _pairing(t):
@@ -64,7 +65,11 @@ def q_valence_exhaustive(t, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         return 0
     p = pt.field.characteristic
     points, outside, bases = projective_frame(n, p, QVALENCE_CHUNK_BYTES)
-    pairs = np.concatenate(list(pairs_blocks(pt, points, QVALENCE_CHUNK_BYTES))).view(np.uint8)
+    zero = np.zeros((len(points), -(-len(points) // 8)), np.uint8)
+    write_zero_sets(pt, zero, QVALENCE_CHUNK_BYTES)
+    # pairs[x, y] = 1 where q(x, y) != 0, else 0
+    pairs = np.unpackbits(zero, axis=1, count=len(points), bitorder="little")
+    pairs ^= 1
     # on[x, h] is all ones where point x lies on hyperplane h and 0 off it;
     # no weight exceeds n < 255, so OR-ing it in hides exactly the points on h
     on = np.where(outside, 0, 255).astype(np.uint8)

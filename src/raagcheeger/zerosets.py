@@ -7,13 +7,14 @@ normalized projective points, which the subspace stream of
 :mod:`raagcheeger.linalg` names by index.  So the kernel tabulates, once
 per scan, the zero set of every projective point of V as a bitset, gathers
 the bitsets of F's rows and ANDs them in place into C(F), reads dim C off
-C's popcount, summed word by word, and dim(F n C) off the bits of C at F's
-points, where the rank kernel of :mod:`raagcheeger.pairing` completes the
-same rows to bases and eliminates.
+C's popcount, counted for a whole slice of subspaces at once, and
+dim(F n C) off the bits of C at F's points, where the rank kernel of
+:mod:`raagcheeger.pairing` completes the same rows to bases and eliminates.
 F n C lies in C, so F's points are built only for the F with C != 0: 2-3%
 of the subspaces of the cycle C6's triple and of a random triple over
-GF(3)^6.  The same points table, as q(x, y) != 0, is the q-valence
-min-max's (:func:`pairs_blocks`).
+GF(3)^6.  q(x, y) = 0 exactly when q(y, x) = 0, so the table is built
+from the pairs y >= x and mirrored (:func:`write_zero_sets`); inverted,
+it is the q-valence min-max's table of q(x, y) != 0.
 
 A scan runs over a stack of triples of one field and dim V, and the
 table holds a row of bitsets per projective point and triple, so that one
@@ -32,18 +33,27 @@ losses remain: GF(7)^4 (1.15 times) and scans that stop early at h = 0.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .linalg import point_codes, popcount, product_types, projective_points, reduce_mod
 
 ZERO_SET_BYTES = 1 << 18
-"""Most memory the zero-set kernel's table and its temporaries take
-together: the gate admits a table of at most half of it, and the table is
-built in row blocks whose temporaries fit in the rest.  A scan ranks its
-batches in slices whose AND temporaries take at most half of what the table
-leaves, and builds F's points in pieces of at most as much."""
+"""Most memory the zero-set kernel's table and the temporaries of its build
+take together: the gate admits a table of at most half of it, and the
+table is built in row blocks of half the point pairs whose temporaries fit
+in the rest.  A scan builds F's points in pieces of at most half of what
+the table leaves."""
+
+SLICE_BYTES = 1 << 18
+"""Most memory the temporaries of one slice of a scan's batch take: the
+running AND of the slice's bitsets beside one gathered row of bitsets per
+pair, then beside its popcounts in float32.  A slice of 256 KB ranks a
+batch of GF(2)^7 in one slice and one of GF(3)^6 in one or two; a sweep
+from 64 KB to 768 KB on the benchmark's exhaustive scans found it fastest
+(CHANGES.md)."""
+
+BITS = 2.0 ** np.arange(8, dtype=np.float32)
+"""The weights of the 8 bits of a byte, in little-endian order."""
 
 
 def zero_sets_pay(pt) -> bool:
@@ -78,20 +88,22 @@ def zero_set_kernel(*pts):
     run over (triple, subspace) pairs, triple-major.
 
     Built once per scan: for every projective point x of V and every triple
-    t, the bitset, in little-endian uint64 words, of the points y with
-    q_t(x, y) = 0, at row (x, t) of one table, so that the rows of one point
-    for every triple of the stack are one gather.  C = C(F) is the AND of
-    the bitsets of F's rows, gathered by ``np.take`` for every live triple
-    and ANDed in place.  A subspace of dimension d has (p^d - 1)/(p - 1)
-    projective points, so the popcount of C, the
-    :func:`~raagcheeger.linalg.popcount` of each word added into one count
-    per pair, gives dim C = n - rank R_F.  The bits of C at F's points count
-    the points of F n C, which gives dim(F n C) = k - rank R_F|_F.  Where
-    C = 0, F n C = 0 and F's points are not built.  Elsewhere they are the
-    combinations c . F, c a projective point of GF(p)^k, each normalized
-    since F is in RREF.  A batch is ranked in slices of subspaces, each for
-    every live triple, so that the table and the temporaries stay within
-    :data:`ZERO_SET_BYTES`.
+    t, the bitset of the points y with q_t(x, y) = 0
+    (:func:`write_zero_sets`), at row (x, t) of one table, so that the rows
+    of one point for every triple of the stack are one gather.  C = C(F) is
+    the AND of the bitsets of F's rows, gathered by ``np.take`` for every
+    live triple and ANDed in place.  A subspace of dimension d has
+    (p^d - 1)/(p - 1) projective points, so the popcount of C gives dim C =
+    n - rank R_F: one :func:`~raagcheeger.linalg.popcount` of a slice's
+    words, summed per pair by one float32 product with a ones vector, exact
+    for the at most 1,023 points of a table within its cap.  The bits of C
+    at F's points count the points of F n C, which gives dim(F n C) = k -
+    rank R_F|_F.  Where C = 0, F n C = 0 and F's points are not built.
+    Elsewhere they are the combinations c . F, c a projective point of
+    GF(p)^k, each normalized since F is in RREF.  A batch is ranked in
+    slices of subspaces, each for every live triple, whose temporaries stay
+    within :data:`SLICE_BYTES`; F's points are built in pieces that stay,
+    with the table, within :data:`ZERO_SET_BYTES`.
     """
     p = pts[0].field.characteristic
     n = pts[0].dim_v
@@ -99,24 +111,21 @@ def zero_set_kernel(*pts):
     words = -(-len(points) // 64)
     table = np.zeros((len(points), len(pts), words * 8), np.uint8)
     for t, pt in enumerate(pts):
-        start = 0
-        for block in pairs_blocks(pt, points, ZERO_SET_BYTES - table.nbytes):
-            packed = np.packbits(~block, axis=1, bitorder="little")
-            table[start : start + len(block), t, : packed.shape[1]] = packed
-            start += len(block)
+        write_zero_sets(pt, table[:, t], ZERO_SET_BYTES - table.nbytes)
     # one row per point, its bitsets for every triple side by side
     table = table.view("<u8").reshape(len(points), -1)
     dtype, ptype = product_types(n, p)
     powers, index, dims = point_codes(n, p)
     rows = points.astype(ptype)
     everyone = np.arange(len(pts))
-    # a slice's running AND and one gathered row of bitsets per pair take at
-    # most half of what the table leaves, and so do F's points
+    ones = np.ones(words, np.float32)
+    # a slice's running AND and one gathered row of bitsets per pair, then
+    # the running AND with its popcounts in float32, take 16 bytes a word
+    step = max(1, SLICE_BYTES // (16 * words))
+    # F's points take at most half of what the table leaves: an entry is a
+    # residue, alive with the ptype product it comes from, then with
+    # reduce_mod's two temporaries, then with its intp copy for the codes
     spare = (ZERO_SET_BYTES - table.nbytes) // 2
-    step = max(1, spare // (16 * words))
-    # an entry of F's points is a residue, alive with the ptype product it
-    # comes from, then with reduce_mod's two temporaries, then with its intp
-    # copy for the codes
     size = np.dtype(dtype).itemsize
     per_entry = size + max(np.dtype(ptype).itemsize, 2 * size, np.dtype(np.intp).itemsize)
 
@@ -152,13 +161,9 @@ def zero_set_kernel(*pts):
             for a in range(1, k):
                 zero &= np.take(stack, part[:, a], axis=0)
             zero = zero.reshape(-1, words)
-            # at most the 1,024 points of a table within its cap; numpy takes
-            # narrow indices faster than it indexes by them
-            count = np.zeros(len(zero), np.int16)
-            for word in zero.T:
-                count += popcount(word, 64)
+            count = popcount(zero, 64).astype(np.float32) @ ones
             found = dim_c[start * len(live) : (start + len(part)) * len(live)]
-            found[:] = dims.take(count)
+            found[:] = dims.take(count.astype(np.intp))
             # F n C lies in C, so only the pairs with C != 0 need F's points
             some = found.nonzero()[0]
             meets = dim_meet[start * len(live) : (start + len(part)) * len(live)]
@@ -171,32 +176,74 @@ def zero_set_kernel(*pts):
     return ranks
 
 
-def pairs_blocks(pt, points: np.ndarray, chunk_bytes: int) -> Iterator[np.ndarray]:
-    """The rows of pairs[x, y] = (q(x, y) != 0) over the given points of V, a
-    prime field's residues, as boolean blocks of consecutive rows, each
-    built with at most about ``chunk_bytes`` of arrays alive (at least one
-    row per block).
+def write_zero_sets(pt, out: np.ndarray, chunk_bytes: int) -> None:
+    """Write into row x of ``out``, zeros of shape (points, at least
+    ceil(points / 8)) uint8, the bitset in little-endian bytes of the
+    projective points y of V with q(x, y) = 0, for the triple ``pt`` over a
+    prime field with dim W > 0, building it with at most about
+    ``chunk_bytes`` of arrays alive (at least 8 rows and one W coordinate
+    at a time).
 
-    For a block of rows x, images[e, x] = (q(x, b_j)_e)_j, reduced mod p,
-    and q(x, y)_e = images[e, x] . y: two products, each summing n terms
-    below (p - 1)^2 in the types of :func:`~raagcheeger.linalg.product_types`
-    and reduced mod p in the integer one.  A pair is nonzero where the
-    largest of its dim W residues is.
+    Every declared symmetry makes q(y, x) = +-q(x, y) in each W coordinate,
+    so q(x, y) = 0 exactly when q(y, x) = 0, and the pairs y >= x decide the
+    table.  A block of rows [a, b), a a multiple of 8, is formed against the
+    points from a on: images[e, x] = (q(x, b_j)_e)_j, reduced mod p, and
+    q(x, y)_e = images[e, x] . y, two products, each summing n terms below
+    (p - 1)^2 in the types of :func:`~raagcheeger.linalg.product_types` and
+    reduced mod p in the integer one.  A pair is zero where the largest of
+    its dim W residues is.  The block's rows are packed from byte a/8 on,
+    and its transpose past its own columns, read 8 rows to a byte, into rows
+    b and later at bytes a/8 to b/8; so a block's height is a multiple of 8
+    but for the last.
     """
     p = pt.field.characteristic
     n, m = pt.dim_v, pt.dim_w
     dtype, ptype = product_types(n, p)
-    count = len(points)
-    right = points.T.astype(ptype)
-    table = pt.tensor.astype(ptype).reshape(n, n * m)
-    # a row's products in ptype, then in dtype with reduce_mod's two
-    # temporaries, and its images likewise
+    count = len(out)
+    right = projective_points(n, p).T.astype(ptype)
+    # column e * n + j holds q(b_i, b_j)_e at row i
+    table = pt.tensor.transpose(0, 2, 1).astype(ptype).reshape(n, m * n)
+    # a pair (x, y) takes, per W coordinate, its product in ptype, then in
+    # dtype with reduce_mod's two temporaries, and 3 bytes for its largest
+    # residue, its zero flag and its bits
     size = np.dtype(ptype).itemsize + 3 * np.dtype(dtype).itemsize
-    per_row = count * (m * size + 3) + n * m * (size + np.dtype(ptype).itemsize)
-    step = max(1, (chunk_bytes - right.nbytes - table.nbytes) // per_row)
-    for start in range(0, count, step):
-        rows = points[start : start + step].astype(ptype)
-        images = reduce_mod((rows @ table).astype(dtype), p).reshape(-1, n, m)
-        images = images.transpose(2, 0, 1).reshape(-1, n).astype(ptype)
-        block = reduce_mod((images @ right).astype(dtype), p).reshape(m, -1, count)
-        yield block.max(axis=0) != 0
+    spare = chunk_bytes - right.nbytes - table.nbytes
+    a = 0
+    while a < count:
+        width = count - a
+        # the most rows, a multiple of 8, that fit with every W coordinate
+        # in one product, then as many W coordinates a product as fit.  A
+        # product (rows x n) @ (n x columns) has at most chunk_bytes / 7
+        # entries, or 8 rows of one W coordinate, each a sum of n terms: for
+        # a table within the kernel's cap, under 10^6 multiply-adds.  Past
+        # 10^6 OpenBLAS runs a float32 product on all cores, which on a
+        # shared 2-vCPU machine stalled for 8 ms a call (CHANGES.md)
+        b = min(count, a + max(8, spare // (width * (m * size + 3)) // 8 * 8))
+        pairs = (b - a) * width
+        group = max(1, (spare // pairs - 3) // size)
+        zero = _zero_pairs(right[:, a:b].T, right[:, a:], table, p, group)
+        out[a:b, a // 8 : a // 8 + -(-width // 8)] = np.packbits(zero, axis=1, bitorder="little")
+        if b < count:
+            # bit j of byte i of row y is zero[8 i + j, y], summed exactly in
+            # float32: np.packbits along the rows takes about four times as long
+            mirror = BITS @ zero[:, b - a :].astype(np.float32).reshape(-1, 8, count - b)
+            out[b:, a // 8 : b // 8] = mirror.astype(np.uint8).T
+        a = b
+
+
+def _zero_pairs(rows: np.ndarray, columns: np.ndarray, table: np.ndarray, p: int, group: int) -> np.ndarray:
+    """zero[x, y] = (q(x, y) = 0) for the points x given as the rows of
+    ``rows`` and y as the columns of ``columns``, both in the product type,
+    with ``table`` the tensor of :func:`write_zero_sets`, in products of
+    ``group`` W coordinates at a time.  Its temporaries are freed when it
+    returns, before the block is packed."""
+    n = rows.shape[1]
+    dtype = product_types(n, p)[0]
+    images = reduce_mod((rows @ table).astype(dtype), p)
+    images = images.reshape(len(rows), -1, n).transpose(1, 0, 2).astype(columns.dtype)
+    top = None
+    for e in range(0, len(images), group):
+        block = reduce_mod((images[e : e + group].reshape(-1, n) @ columns).astype(dtype), p)
+        block = block.reshape(-1, len(rows), columns.shape[1]).max(axis=0)
+        top = block if top is None else np.maximum(top, block, out=top)
+    return top == 0

@@ -55,6 +55,7 @@ from decomposition_oracle import pairing_connected_by_decomposition
 from qvalence_oracle import q_valence_by_basis_pairs
 from subspace_stream import canonical_order, subspaces as subspace_stream
 from triple_oracle import described, scalar_tensor, triple_by_scalars
+from zero_set_oracle import nonzero_pairs
 
 
 def p3_triple(field=GF2):
@@ -367,10 +368,10 @@ def test_complement_oracle_stays_independent_of_the_rank_kernel():
     # no test oracle names either kernel or the tables the zero-set kernel
     # counts in, so the cross-checks of both kernels stay independent
     kernels = {"zerosets", "_rank_kernel", "_column_ranks", "zero_set_kernel", "zero_sets_pay",
-               "pairs_blocks", "point_codes"}
+               "write_zero_sets", "point_codes"}
     oracles = sorted(Path(__file__).parent.glob("*_oracle.py")) + [
         Path(__file__).with_name("subspace_stream.py")]
-    assert len(oracles) == 6
+    assert len(oracles) == 7
     for oracle in oracles:
         tree = ast.parse(oracle.read_text())
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -874,6 +875,75 @@ def _kernels_agree(t, batches) -> int:
 def _exhaustive_stream(t):
     pt = getattr(t, "pairing", t)
     return enumerate_subspaces(pt.dim_v, range(1, pt.dim_v // 2 + 1), pt.field)
+
+
+def _half_table_agrees(t, chunk_bytes=zerosets.ZERO_SET_BYTES) -> list:
+    """Assert that the table :func:`~raagcheeger.zerosets.write_zero_sets`
+    builds from half the point pairs equals, bit for bit, the packed
+    complement of the full-row oracle, written as the kernel writes it: into
+    one triple's rows of a stack's table, a strided view whose other triple
+    and padding bytes it leaves zero.  Returns the heights of its blocks."""
+    pt = getattr(t, "pairing", t)
+    points = linalg.projective_points(pt.dim_v, pt.field.characteristic)
+    want = np.packbits(~nonzero_pairs(pt, points), axis=1, bitorder="little")
+    stack = np.zeros((len(points), 2, -(-len(points) // 64) * 8), np.uint8)
+    heights = []
+    real = zerosets._zero_pairs
+
+    def recorded(rows, *args):
+        heights.append(len(rows))
+        return real(rows, *args)
+
+    zerosets._zero_pairs = recorded
+    try:
+        zerosets.write_zero_sets(pt, stack[:, 1], chunk_bytes)
+    finally:
+        zerosets._zero_pairs = real
+    assert np.array_equal(stack[:, 1, : want.shape[1]], want), pt
+    assert not stack[:, 0].any() and not stack[:, 1, want.shape[1] :].any()
+    assert sum(heights) == len(points) and all(h % 8 == 0 for h in heights[:-1])
+    return heights
+
+
+@pytest.mark.parametrize("p, most", [(2, 5), (3, 5), (5, 4), (7, 4)])
+def test_half_table_matches_the_full_rows_on_every_graph(p, most):
+    # every labeled graph with at least one edge on up to 5 vertices over
+    # GF(2) and GF(3), on 4 over GF(5) and GF(7): 3 to 400 points, of which
+    # only GF(7)^4's 400 are a multiple of 8, in the default blocks and in
+    # blocks of 8 rows
+    field, checked = Field.gf(p), 0
+    for n in range(2, most + 1):
+        for g in labeled_graphs(n):
+            if g.edges:
+                t = build_triple(g, field)
+                _half_table_agrees(t)
+                _half_table_agrees(t, 1)
+                checked += 1
+    assert checked == (1 + 7 + 63 + 1023 if most == 5 else 1 + 7 + 63)
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (5, 4), (2, 7), (3, 3)], ids=["gf3^6", "gf5^4", "gf2^7", "gf3^3"])
+def test_half_table_matches_the_full_rows_on_random_triples(p, n):
+    # symmetric, antisymmetric and augmented (componentwise) triples with dim
+    # W = 1, 3 and 9 on 364, 156, 127 and 13 points, none a multiple of 8,
+    # built in the default blocks, in blocks of 8 rows and one W coordinate
+    # at a time (a cap of 1 byte), and in blocks whose heights grow as the
+    # rows shorten (a cap of 16 rows of every point at 10 bytes a pair and
+    # W coordinate)
+    field, rng = Field.gf(p), random.Random(31 * p + n)
+    points = (p**n - 1) // (p - 1)
+    assert points % 8
+    grown = set()
+    for m in (1, 3, 9):
+        symmetric = random_triple(n, m, field, rng.randrange(2**32), "symmetric")
+        antisymmetric = random_triple(n, m, field, rng.randrange(2**32))
+        for t in (symmetric, antisymmetric, augment_triple(antisymmetric, rng.randrange(n))):
+            _half_table_agrees(t)
+            assert _half_table_agrees(t, 1) == [8] * (points // 8) + [points % 8]
+            heights = _half_table_agrees(t, 16 * points * 10 * t.dim_w)
+            if len(set(heights[:-1])) > 1:
+                grown.add(m)
+    assert points < 64 or grown == {1, 3, 9}
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])

@@ -5,6 +5,7 @@ one."""
 
 import gc
 import inspect
+import itertools
 import random
 import sys
 import tracemalloc
@@ -151,7 +152,8 @@ def test_stacks_mix_edgeless_disconnected_and_connected_graphs():
 @pytest.mark.parametrize("chunk, zero_set_bytes", [(512, None), (2048, 4096)])
 def test_stacks_span_many_slices(monkeypatch, chunk, zero_set_bytes):
     # small point batches make the rank kernels' slices one subspace of a
-    # stack of several triples; a smaller zero-set cap slices its batches too
+    # stack of several triples; a smaller zero-set cap makes smaller stacks,
+    # and builds F's points in smaller pieces
     monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", chunk)
     if zero_set_bytes:
         monkeypatch.setattr(zerosets, "ZERO_SET_BYTES", zero_set_bytes)
@@ -166,6 +168,26 @@ def test_stacks_span_many_slices(monkeypatch, chunk, zero_set_bytes):
                 _assert_stacked(triples, ("exhaustive",))
     finally:
         _clear_caches()
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_zero_set_slices_of_one_and_seven_pairs(monkeypatch, pairs):
+    # 5-vertex triples over GF(3), 121 points in 2 words, on the zero-set
+    # kernel with slices of 1 and 7 (triple, subspace) pairs: one subspace
+    # for every live triple, or 7 // live subspaces once fewer than 8 are
+    # live.  Disconnected graphs leave their stack at their first zero,
+    # inside a batch, and every report is the one of the default slices, in
+    # a stack of 17, of 3 and of one
+    triples = [build_triple(g, GF3) for g in list(labeled_graphs(5))[::61]]
+    assert zerosets.zero_sets_pay(triples[-1].pairing) and len(triples) <= stack_size(GF3, 5)
+    wanted = cheeger_constants(triples)
+    ends = set(itertools.accumulate(len(batch) for _, batch in linalg.enumerate_subspaces(5, [1, 2], GF3)))
+    leaving = [r.subspaces_visited for r in wanted[9:12] if r.value == 0]
+    assert len(leaving) == 2 and not ends & set(leaving) and wanted[11].value > 0
+    monkeypatch.setattr(zerosets, "SLICE_BYTES", 16 * 2 * pairs)
+    assert cheeger_constants(triples) == wanted
+    assert cheeger_constants(triples[9:12]) == wanted[9:12]
+    assert _per_triple(triples, "exhaustive") == wanted
 
 
 @pytest.mark.parametrize("method, kernel, n", [
