@@ -9,10 +9,10 @@ work (the subspaces scanned, or the steps of the q-valence min-max over
 projective bases).  The subset scan is capped by vertex count, which bounds
 its sum_{k <= n/2} C(n, k) subsets.
 
-Three caps have no flag, since past them the work is out of reach in any
+Four caps have no flag, since past them the work is out of reach in any
 budget a user would wait for: the labeled graphs ``--all-graphs`` builds,
-the vertices and edges of a ``--family`` graph, and the vertices of the
-dense spectral route.
+the vertices and edges of a ``--family`` graph, the expected stub draws of
+a random-regular graph, and the vertices of the dense spectral route.
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ ALL_GRAPHS_CAP = 2**15
 # edge, 6.5 s (about 0.3-0.4 GB each); complete(30000) would have 450 M
 FAMILY_GRAPH_CAP = 2**21
 
+# expected stub draws of the random-regular pairing model, exp((d^2 - 1)/4)
+# attempts (Bollobas) of n*d draws each: (100000, 3), 2.2 M draws, took 2.9 s
+# and (200, 6), 7.6 M, 3.7 s (shared 2-vCPU machine), so about 5 s at the cap
+RANDOM_REGULAR_DRAWS = 2**22
+
 # eigvalsh on the dense Laplacian of a path took 0.68 s at 2,000 vertices,
 # 2.0 s at 3,000 and 5.4 s at 4,000 (growing as n^3), and the matrix takes
 # 8 n^2 bytes: 32 MB at the cap
@@ -97,6 +102,20 @@ def check_family_graph(flag: str, size: int, family: str, vertices: int, edges: 
         raise BudgetError(
             f"{flag} {size} would build a graph of {vertices} vertices and up to {edges} edges "
             f"(--family {family}), past the cap of {FAMILY_GRAPH_CAP} vertices plus edges"
+        )
+
+
+def check_random_regular(flag: str, size: int, degree: int) -> None:
+    """Refuse a random ``degree``-regular graph on ``size`` vertices whose
+    pairing model expects more than RANDOM_REGULAR_DRAWS stub draws, before
+    any; a degree outside 1..size - 1 is the generator's to refuse."""
+    exponent = (degree * degree - 1) / 4
+    if 0 < degree < size and exponent + math.log(size * degree) > math.log(RANDOM_REGULAR_DRAWS):
+        attempts = f"{math.exp(exponent):.3g}" if exponent < 700 else "more than 1e300"
+        raise BudgetError(
+            f"{flag} {size} --degree {degree} would take about {attempts} attempts of {size * degree} "
+            f"stub draws each (--family random-regular), past the cap of {RANDOM_REGULAR_DRAWS} "
+            f"expected draws (lower --degree or {flag})"
         )
 
 

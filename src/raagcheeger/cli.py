@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .budgets import BudgetError, Budgets, check_all_graphs, check_family_graph
+from .budgets import BudgetError, Budgets, check_all_graphs, check_family_graph, check_random_regular
 from .fields import Field, FieldError
 from .graphs import (
     GraphError,
@@ -153,6 +153,7 @@ def _family_graph(
         raise GraphError("--family random-regular needs --degree")
     check_family_graph(flag, size, name, *_COUNTS[name](max(size, 0), max(degree or 0, 0)))
     if name == "random-regular":
+        check_random_regular(flag, size, degree)
         return random_regular(size, degree, seed)
     return _FAMILIES[name](size)
 

@@ -8,13 +8,13 @@ unbounded valence) but never prove it, so report verdicts are limited to
 Per-index computations are independent; the verifiers and reports accept
 a ``jobs`` argument and fold worker results in input order
 (:mod:`raagcheeger.fold`), so output is identical for any degree of
-parallelism.  Every caller that scans many triples scans those of one
-field and dim V as stacks, in one run per job whose stacks share the
-streams they read.  The dictionary and field-invariance checks run once
-per isomorphism class of the input graphs, the augmentation check once
-per graph.  The verifiers make their scans' refusals before they build any
-triple, and the triple report of graphs builds a triple only where a scan
-of it runs.
+parallelism.  Every caller that scans many triples hands each job one
+run of those of one field and dim V, which one call of
+:func:`~raagcheeger.pairing.cheeger_constants` cuts into stacks.  The
+dictionary and field-invariance checks run once per isomorphism class of
+the input graphs, the augmentation check once per graph.  The verifiers
+make their scans' refusals before they build any triple, and the triple
+report of graphs builds a triple only where a scan of it runs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .pairing import (
     q_valence_coordinate,
     q_valence_exhaustive,
     refuse_exhaustive,
-    stack_size,
 )
 from .qvalence import refuse_q_valence
 from .raag import build_triple, max_centralizer_rank
@@ -211,8 +210,7 @@ def triple_family_report(
     over runs of them (:func:`~raagcheeger.fold._runs`).
     """
     pts = [getattr(t, "pairing", t) for t in triples]
-    worker = partial(_triple_stack, budgets=budgets)
-    entries = _runs(worker, pts, jobs, lambda pt: (pt.field, pt.dim_v), lambda shape: stack_size(*shape))
+    entries = _runs(partial(_triple_run, budgets=budgets), pts, jobs, lambda pt: (pt.field, pt.dim_v))
     return _assemble_report(entries, valence_bound)
 
 
@@ -228,19 +226,19 @@ def graph_triple_family_report(
     scan and the q-valence min-max both refuse, the entry is inconclusive,
     as the triple's would be, and its coordinate q-valence is the graph's
     max valence, as for every cup-product triple."""
-    worker = partial(_graph_triple_stack, field=field, budgets=budgets)
-    entries = _runs(worker, list(graphs), jobs, lambda g: g.n_vertices, partial(stack_size, field))
+    worker = partial(_graph_triple_run, field=field, budgets=budgets)
+    entries = _runs(worker, list(graphs), jobs, lambda g: g.n_vertices)
     return _assemble_report(entries, valence_bound)
 
 
-def _graph_triple_stack(graphs: list[SimplicialGraph], read, field: Field, budgets: Budgets) -> list[FamilyEntry]:
-    """The entries of graphs of one vertex count, whose triples are built
-    where a scan of them runs and go to :func:`_triple_stack`."""
+def _graph_triple_run(graphs: list[SimplicialGraph], field: Field, budgets: Budgets) -> list[FamilyEntry]:
+    """The entries of a run of graphs of one vertex count, whose triples are
+    built where a scan of them runs and go to :func:`_triple_run`."""
     refusals = [_refusal(refuse_exhaustive, field, g.n_vertices, g.n_edges, budgets) for g in graphs]
     built = [err is None or _refusal(refuse_q_valence, field, g.n_vertices, budgets) is None
              for g, err in zip(graphs, refusals)]
     triples = [build_triple(g, field) for g, b in zip(graphs, built) if b]
-    done = iter(_triple_stack(triples, read, budgets, [err for err, b in zip(refusals, built) if b]))
+    done = iter(_triple_run(triples, budgets, [err for err, b in zip(refusals, built) if b]))
     return [next(done) if b else FamilyEntry("triple", field.name, g.n_vertices, max_valence(g), "coordinate",
                                              None, method="inconclusive", note=str(err))
             for g, err, b in zip(graphs, refusals, built)]
@@ -255,16 +253,16 @@ def _refusal(refuse, *args) -> Exception | None:
     return None
 
 
-def _triple_stack(triples: list, read, budgets: Budgets, refusals: list | None = None) -> list[FamilyEntry]:
-    """The entries of triples of one field and dim V, given their exhaustive
-    scans' refusals (by default :func:`refuse_exhaustive`'s, made here): a
-    refused triple's entry is inconclusive, and the others are scanned as
-    a stack, reading the streams of ``read``."""
+def _triple_run(triples: list, budgets: Budgets, refusals: list | None = None) -> list[FamilyEntry]:
+    """The entries of a run of triples of one field and dim V, given their
+    exhaustive scans' refusals (by default :func:`refuse_exhaustive`'s, made
+    here): a refused triple's entry is inconclusive, and the others are
+    scanned in one call, as stacks."""
     pts = [getattr(t, "pairing", t) for t in triples]
     if refusals is None:
         refusals = [_refusal(refuse_exhaustive, pt.field, pt.dim_v, pt.dim_w, budgets) for pt in pts]
     scanned = [pt for pt, err in zip(pts, refusals) if err is None]
-    reports = iter(cheeger_constants(scanned, "exhaustive", budgets, read))
+    reports = iter(cheeger_constants(scanned, "exhaustive", budgets))
     return [_triple_entry(pt, budgets, next(reports) if err is None else err) for pt, err in zip(pts, refusals)]
 
 
@@ -392,17 +390,16 @@ def verify_main_theorem(
             refuse_exhaustive(field, n, m, budgets)
             budgets.check_coordinates(n)
 
-    worker = partial(_verify_theorem_stack, field=field, budgets=budgets)
-    items = _per_class(worker, graphs, jobs, partial(stack_size, field), refuse)
+    items = _per_class(partial(_verify_theorem_run, field=field, budgets=budgets), graphs, jobs, refuse)
     return VerificationRecord("main-theorem", field.name, items)
 
 
-def _verify_theorem_stack(graphs: list[SimplicialGraph], read, field: Field, budgets: Budgets) -> list[dict]:
-    """The items of graphs of one vertex count, whose triples are scanned as
-    one stack, reading the streams of ``read``."""
+def _verify_theorem_run(graphs: list[SimplicialGraph], field: Field, budgets: Budgets) -> list[dict]:
+    """The items of a run of graphs of one vertex count, whose triples are
+    scanned in one call per method, as stacks."""
     triples = [build_triple(g, field) for g in graphs]
-    exhaustive = cheeger_constants(triples, "exhaustive", budgets, read)
-    coordinate = cheeger_constants(triples, "coordinate", budgets, read)
+    exhaustive = cheeger_constants(triples, "exhaustive", budgets)
+    coordinate = cheeger_constants(triples, "coordinate", budgets)
     return [_theorem_item(*scanned, budgets) for scanned in zip(graphs, triples, exhaustive, coordinate)]
 
 
@@ -460,24 +457,19 @@ def verify_augmentation(
         refuse_exhaustive(field, n, m, budgets)
         refuse_exhaustive(field, n, 1, budgets)
 
-    def size(n: int) -> int:
-        # a stack of graphs scans their triples and augmentations as one stack
-        return max(1, stack_size(field, n) // 2)
-
-    worker = partial(_verify_augmentation_stack, field=field, pivot=pivot, budgets=budgets)
-    items = _per_class(worker, graphs, jobs, size, refuse, lambda gs: range(len(gs)))
+    worker = partial(_verify_augmentation_run, field=field, pivot=pivot, budgets=budgets)
+    items = _per_class(worker, graphs, jobs, refuse, lambda gs: range(len(gs)))
     return VerificationRecord("augmentation", field.name, items)
 
 
-def _verify_augmentation_stack(
-    graphs: list[SimplicialGraph], read, field: Field, pivot: int, budgets: Budgets
+def _verify_augmentation_run(
+    graphs: list[SimplicialGraph], field: Field, pivot: int, budgets: Budgets
 ) -> list[dict]:
-    """The items of graphs of one vertex count, whose triples and their
-    augmentations are scanned together, as one stack where two triples per
-    graph fit, reading the streams of ``read``."""
+    """The items of a run of graphs of one vertex count, whose triples and
+    their augmentations are scanned together, in one call, as stacks."""
     triples = [build_triple(g, field) for g in graphs]
     augmented = [augment_triple(t, pivot) for t in triples]
-    h = [r.value for r in cheeger_constants(triples + augmented, "exhaustive", budgets, read)]
+    h = [r.value for r in cheeger_constants(triples + augmented, "exhaustive", budgets)]
     return [_augmentation_item(*found) for found in zip(graphs, triples, augmented, h, h[len(graphs) :])]
 
 
@@ -527,25 +519,22 @@ def field_invariance_check(
         for f in fields:
             refuse_exhaustive(f, n, m, budgets)
 
-    def size(n: int) -> int:
-        return min(stack_size(f, n) for f in fields)
-
-    worker = partial(_verify_invariance_stack, fields=fields, budgets=budgets)
+    worker = partial(_verify_invariance_run, fields=fields, budgets=budgets)
     names = "+".join(f.name for f in fields)
-    return VerificationRecord("field-invariance", names, _per_class(worker, graphs, jobs, size, refuse))
+    return VerificationRecord("field-invariance", names, _per_class(worker, graphs, jobs, refuse))
 
 
-def _verify_invariance_stack(
-    graphs: list[SimplicialGraph], read, fields: tuple[Field, ...], budgets: Budgets
+def _verify_invariance_run(
+    graphs: list[SimplicialGraph], fields: tuple[Field, ...], budgets: Budgets
 ) -> list[dict]:
-    """The items of graphs of one vertex count, whose triples over each
-    field are scanned as one stack, reading the streams of ``read``."""
+    """The items of a run of graphs of one vertex count, whose triples over
+    each field are scanned in one call, as stacks of that field's size."""
     h_by_field = [{} for _ in graphs]
     d_by_field = [{} for _ in graphs]
     conn_by_field = [{} for _ in graphs]
     for f in fields:
         triples = [build_triple(g, f) for g in graphs]
-        for i, (triple, exh) in enumerate(zip(triples, cheeger_constants(triples, "exhaustive", budgets, read))):
+        for i, (triple, exh) in enumerate(zip(triples, cheeger_constants(triples, "exhaustive", budgets))):
             h_by_field[i][f.name] = exh.value
             d_by_field[i][f.name] = q_valence_coordinate(triple)
             conn_by_field[i][f.name] = pairing_connected_from_report(exh)

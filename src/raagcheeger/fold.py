@@ -1,8 +1,8 @@
 """The order-preserving fold of the verifiers and the triple reports.
 
 The inputs of one shape go to ``jobs`` workers, each a run of consecutive
-inputs that it scans in stacks, which share the streams they read
-(:func:`~raagcheeger.pairing.cheeger_constants`), and the results come
+inputs that it scans whole, in stacks that
+:func:`~raagcheeger.pairing.cheeger_constants` cuts, and the results come
 back in input order, so output is identical for any degree of
 parallelism.  The verifiers fold once per key of their graphs, the
 isomorphism class by default, and make every scan's refusals before any
@@ -11,7 +11,6 @@ work.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterable
 
 from .graphs import SimplicialGraph
@@ -30,15 +29,14 @@ def _shapes(graphs: Iterable[SimplicialGraph]) -> list[tuple[int, int]]:
 
 
 def _per_class(
-    worker: Callable, graphs: Iterable[SimplicialGraph], jobs: int, size: Callable, refuse: Callable,
-    keys: Callable = class_keys,
+    worker: Callable, graphs: Iterable[SimplicialGraph], jobs: int, refuse: Callable, keys: Callable = class_keys
 ) -> tuple[dict, ...]:
     """``worker``'s item for each graph, in input order, computed once per
     key of ``keys(graphs)``, by default the isomorphism class, on the key's
     first graph and given to every graph of the key under the graph's own
     label.  ``refuse(n, m)`` makes the refusals of each first graph's scans,
     in input order, before any work.  The first graphs of each vertex count
-    n go to ``worker`` in runs of stacks of at most ``size(n)`` (:func:`_runs`)."""
+    n go to ``worker`` in runs (:func:`_runs`)."""
     graphs = list(graphs)
     keyed = keys(graphs)
     first = {}
@@ -46,38 +44,28 @@ def _per_class(
         first.setdefault(key, g)
     for n, m in _shapes(first.values()):
         refuse(n, m)
-    items = dict(zip(first, _runs(worker, list(first.values()), jobs, lambda g: g.n_vertices, size)))
+    items = dict(zip(first, _runs(worker, list(first.values()), jobs, lambda g: g.n_vertices)))
     return tuple({**items[key], "label": _label(g)} for g, key in zip(graphs, keyed))
 
 
-def _runs(worker: Callable, inputs: list, jobs: int, shape: Callable, size: Callable) -> list:
+def _runs(worker: Callable, inputs: list, jobs: int, shape: Callable) -> list:
     """``worker``'s result for each of the inputs, in input order.  The
     inputs of each ``shape``, in input order, are split into ``jobs`` runs
     of consecutive inputs, one each where there are fewer, and ``jobs``
-    maps over the runs, so that every worker gets one.  A run goes to
-    ``worker`` in stacks of at most ``size(shape)`` (:func:`_stacked`)."""
+    maps ``worker`` over the runs, so that every worker gets one whole run."""
     by_shape = {}
     for i, x in enumerate(inputs):
         by_shape.setdefault(shape(x), []).append(i)
     runs = []
-    for key, group in by_shape.items():
+    for group in by_shape.values():
         step = -(-len(group) // max(jobs, 1))
-        runs += [(size(key), group[i : i + step]) for i in range(0, len(group), step)]
-    found = _pmap(partial(_stacked, worker), [(k, [inputs[i] for i in run]) for k, run in runs], jobs)
+        runs += [group[i : i + step] for i in range(0, len(group), step)]
+    found = _pmap(worker, [[inputs[i] for i in run] for run in runs], jobs)
     results = [None] * len(inputs)
-    for (_, run), done in zip(runs, found):
+    for run, done in zip(runs, found):
         for i, result in zip(run, done):
             results[i] = result
     return results
-
-
-def _stacked(worker: Callable, sized: tuple[int, list]) -> list:
-    """``worker(stack, read)``'s results for a run given as (size, inputs),
-    in stacks of at most size; several share one dict ``read`` of streams,
-    and a single stack gets None and holds none."""
-    size, run = sized
-    read = {} if len(run) > size else None
-    return [r for i in range(0, len(run), size) for r in worker(run[i : i + size], read)]
 
 
 def _pmap(fn: Callable, items: list, jobs: int) -> list:

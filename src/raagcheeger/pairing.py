@@ -30,7 +30,7 @@ rank and coordinate kernels read the stack's tensors zero-padded to its
 largest dim W, which changes no rank, and read their batches in slices of
 at most ``POINT_BATCH_BYTES // n^2`` pairs, of more subspaces as triples
 leave; a stack is as large as those slices and the zero-set table allow
-(:func:`stack_size`), and the stacks of one run build their stream once.
+(:func:`stack_size`), and the stacks of one call build their stream once.
 Each triple keeps its own first minimizer and leaves the stack at its
 first zero, so its report is the one its own scan, a stack of one, gives.
 
@@ -451,32 +451,31 @@ def stack_size(field: Field, n: int) -> int:
 
 
 def cheeger_constants(
-    triples: Sequence, method: str = "exhaustive", budgets: Budgets = DEFAULT_BUDGETS, read: dict | None = None
+    triples: Sequence, method: str = "exhaustive", budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[CheegerReport]:
     """The report of :func:`cheeger_constant_exhaustive`, or with ``method``
     "coordinate" of :func:`cheeger_constant_coordinate`, for each of the
     triples, in order.  They share one field and one dim V, and are scanned
     in stacks of at most :func:`stack_size`: each batch of the stream is
-    ranked for a whole stack in one kernel call.  The calls of a run of
-    stacks that share the dict ``read`` build each stream once, and ``read``
-    holds what they read of it while the run lasts: at most 2.2 MB,
-    dimensions 1..4 of GF(2)^8, as the default budgets admit no more.  Under
-    a raised ``subspace_work``, and without ``read``, each stack builds its
-    own, so that what is held does not grow with the budget.  A budget
-    refuses the call as it refuses each triple's scan, before any work."""
+    ranked for a whole stack in one kernel call.  The stacks of one call
+    build the stream once, and the call holds what they read of it until
+    it returns: at most 2.2 MB, dimensions 1..4 of GF(2)^8, as the default
+    budgets admit no more.  Under a raised ``subspace_work``, and for a
+    single stack, each stack builds its own as it reads it, so that what is
+    held does not grow with the budget.  A budget refuses the call as it
+    refuses each triple's scan, before any work."""
     pts = [_pairing(t) for t in triples]
     if any((pt.field, pt.dim_v) != (pts[0].field, pts[0].dim_v) for pt in pts):
         raise PairingError("a stack of triples shares one field and one dim V")
     if not pts or pts[0].dim_v < 2:
         return [CheegerReport(None, None, method, 0)] * len(pts)
     n, field = pts[0].dim_v, pts[0].field
-    size, key = stack_size(field, n), (method, field, n)
+    size = stack_size(field, n)
     stacks = [pts[i : i + size] for i in range(0, len(pts), size)]
-    if read is None or budgets.subspace_work > DEFAULT_BUDGETS.subspace_work:
-        return [r for stack in stacks for r in _scan(stack, method, _stream(method, field, n, budgets))]
-    if key not in read:
-        read[key] = _stream(method, field, n, budgets), []
-    return [r for stack in stacks for r in _scan(stack, method, _replay(*read[key]))]
+    stream = partial(_stream, method, field, n, budgets)
+    if len(stacks) > 1 and budgets.subspace_work <= DEFAULT_BUDGETS.subspace_work:
+        stream = partial(_replay, stream(), [])
+    return [r for stack in stacks for r in _scan(stack, method, stream())]
 
 
 def _stream(method: str, field: Field, n: int, budgets: Budgets):

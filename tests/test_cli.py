@@ -559,6 +559,45 @@ def test_jobs_outside_one_to_the_cpu_count_is_refused(tmp_path, jobs, capsys):
         assert (out, err) == ("", f"error: --jobs must be between 1 and {os.cpu_count() or 1}, got {jobs}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--family", "random-regular", "--size", "60", "--degree", "12", "--seed", "1"],
+     "--size 60 --degree 12 would take about 3.36e+15 attempts of 720 stub draws each"),
+    (["verify-theorem", "--family", "random-regular", "--degree", "7", "--sizes", "8"],
+     "--sizes 8 --degree 7 would take about 1.63e+05 attempts of 56 stub draws each"),
+    (["family-report", "--family", "random-regular", "--degree", "3", "--sizes", "200000"],
+     "--sizes 200000 --degree 3 would take about 7.39 attempts of 600000 stub draws each"),
+    (["gen", "--family", "random-regular", "--size", "100", "--degree", "99"],
+     "--size 100 --degree 99 would take about more than 1e300 attempts of 9900 stub draws each"),
+])
+def test_random_regular_past_its_expected_draws_is_refused_before_any_draw(argv, message, monkeypatch, capsys):
+    # the pairing model's expected attempts, exp((d^2 - 1)/4), times its n*d
+    # stub draws each, past the cap: (60, 12) once ran out of its 100,000
+    # attempts after about 25 s, and (200000, 3) took 10 s
+    from raagcheeger import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "random_regular", None)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message} (--family random-regular), past the cap of 4194304 expected draws " \
+                  f"(lower --degree or {message.split()[0]})\n"
+
+
+def test_random_regular_cap_admits_the_seeded_graphs():
+    # every (n, d) the tests draw stays below the cap, as does the largest n
+    # of each degree from 3 to 6 that it admits; a degree outside 1..n - 1
+    # is left to the generator
+    from raagcheeger.budgets import RANDOM_REGULAR_DRAWS, BudgetError, check_random_regular
+
+    for n, d in ((8, 3), (10, 4), (12, 4), (20, 3), (100, 3), (6, 2), (8, 1), (6, 0), (4, 4), (5, 100),
+                 (180_000, 3), (23_000, 4), (2_000, 5), (110, 6)):
+        check_random_regular("--size", n, d)
+    for n, d in ((190_000, 3), (25_000, 4), (2_100, 5), (112, 6), (8, 7)):
+        with pytest.raises(BudgetError, match=f"--size {n} --degree {d} would take"):
+            check_random_regular("--size", n, d)
+    assert RANDOM_REGULAR_DRAWS == 2**22
+
+
 def test_seed_controls_random_regular():
     a = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")
     b = run_cli("gen", "--family", "random-regular", "--size", "8", "--degree", "3", "--seed", "5")

@@ -40,8 +40,8 @@ from raagcheeger.family import (
     _fmt,
     _item,
     _q_valence,
-    _verify_invariance_stack,
-    _verify_theorem_stack,
+    _verify_invariance_run,
+    _verify_theorem_run,
 )
 from raagcheeger.graphs import max_valence
 from raagcheeger.linalg import LinalgError
@@ -254,42 +254,65 @@ def test_triple_reports_from_graphs_equal_those_from_their_triples():
 
 def test_every_job_gets_a_stack(monkeypatch):
     # the 34 classes of 5-vertex graphs are split so that each job takes one
-    # run of them, which goes to the worker in stacks (of five here); the
-    # stacks of a run read one exhaustive stream, and the records do not
-    # depend on the split
+    # run of them, which goes to the worker whole, in one call; the worker's
+    # one call per method cuts the run into stacks (of five here) that read
+    # one stream, and the records do not depend on the split
     from raagcheeger import family, fold
 
-    runs, stacks, streams = [], [], []
-    real, real_stream = fold._pmap, pairing.enumerate_subspaces
+    runs, calls, streams = [], [], []
+    real, real_worker = fold._pmap, family._verify_theorem_run
 
     def pmap(fn, items, jobs):
-        runs.append([len(run) for _, run in items])
+        runs.append([len(run) for run in items])
         return real(fn, items, 1)
 
-    def worker(graphs, read, field, budgets):
-        stacks.append(len(graphs))
-        return real_worker(graphs, read, field, budgets)
+    def worker(graphs, field, budgets):
+        calls.append(len(graphs))
+        return real_worker(graphs, field, budgets)
 
-    def stream(n, *args):
-        batches = real_stream(n, *args)
+    def recorded(name):
+        stream = getattr(pairing, name)
 
-        def read():
-            streams.append(n)
-            yield from batches
-        return read()
+        def built(n, *args):
+            batches = stream(n, *args)
 
-    real_worker = family._verify_theorem_stack
+            def read():
+                streams.append((n, name))
+                yield from batches
+            return read()
+        return built
+
     monkeypatch.setattr(fold, "_pmap", pmap)
-    monkeypatch.setattr(family, "_verify_theorem_stack", worker)
-    monkeypatch.setattr(family, "stack_size", lambda field, n: 5)
+    monkeypatch.setattr(family, "_verify_theorem_run", worker)
     monkeypatch.setattr(pairing, "stack_size", lambda field, n: 5)
-    monkeypatch.setattr(pairing, "enumerate_subspaces", stream)
+    for name in ("enumerate_subspaces", "_coordinate_batches"):
+        monkeypatch.setattr(pairing, name, recorded(name))
     graphs = [*labeled_graphs(5), *labeled_graphs(3)]
     records = [verify_main_theorem(graphs, GF2, jobs=jobs).to_json_dict(verbose=True) for jobs in (1, 2, 3)]
     assert runs == [[34, 4], [17, 17, 2, 2], [12, 12, 10, 2, 2]]
-    assert stacks == [5] * 6 + [4, 4] + ([5] * 3 + [2]) * 2 + [2, 2] + ([5] * 2 + [2]) * 2 + [5, 5, 2, 2]
-    assert streams == [5, 3, 5, 5, 3, 3, 5, 5, 5, 3, 3]
+    assert calls == [size for sizes in runs for size in sizes]
+    sizes = [5, 3, 5, 5, 3, 3, 5, 5, 5, 3, 3]
+    assert streams == [(n, name) for n in sizes for name in ("enumerate_subspaces", "_coordinate_batches")]
     assert records[1] == records[0] == records[2]
+
+
+def test_invariance_stacks_each_field_by_its_own_size(monkeypatch):
+    # the 34 classes of 5-vertex graphs are one run, whose triples over each
+    # field go to one call: one stack over GF(2), whose zero-set table holds
+    # them all, and 34 over GF(5), whose table holds one triple
+    scanned = []
+    real = pairing._scan
+
+    def scan(pts, method, batches):
+        scanned.append((pts[0].field.name, len(pts)))
+        return real(pts, method, batches)
+
+    monkeypatch.setattr(pairing, "_scan", scan)
+    graphs = list(labeled_graphs(5))
+    assert min(pairing.stack_size(GF2, 5), pairing.stack_size(GF3, 5)) >= 34 and pairing.stack_size(GF5, 5) == 1
+    record = field_invariance_check(graphs, (GF2, GF3, GF5))
+    assert (record.checked, record.failed) == (1024, 0)
+    assert scanned == [("gf2", 34), ("gf3", 34), *[("gf5", 1)] * 34]
 
 
 def test_record_csv_shape():
@@ -312,12 +335,12 @@ def _relabeled(graph: SimplicialGraph, perm: list[int]) -> SimplicialGraph:
 def _verify_one_graph(graph: SimplicialGraph, field: Field, budgets) -> dict:
     """The per-graph map of verify_main_theorem: the graph's triple scanned
     as a stack of one."""
-    return _verify_theorem_stack([graph], None, field, budgets)[0]
+    return _verify_theorem_run([graph], field, budgets)[0]
 
 
 def _verify_one_invariance(graph: SimplicialGraph, fields, budgets) -> dict:
     """The per-graph map of field_invariance_check, a stack of one per field."""
-    return _verify_invariance_stack([graph], None, tuple(fields), budgets)[0]
+    return _verify_invariance_run([graph], tuple(fields), budgets)[0]
 
 
 def _assert_per_graph_items(record: VerificationRecord, items: list[dict]) -> None:

@@ -1105,10 +1105,13 @@ def test_zero_set_gate_refusals():
 
 def test_zero_set_table_build_stays_under_its_cap():
     # the table and the temporaries of its row-block build, measured with the
-    # points and codes of GF(p)^n already built (they are shared per (n, p))
+    # points and codes of GF(p)^n already built (they are shared per (n, p));
+    # the points are built apart from the codes, as another test may have
+    # evicted them from their cache while the codes stayed
     for p, n, m in ((2, 8, 8), (3, 6, 6), (5, 5, 3)):
         t = random_triple(n, m, Field.gf(p), 5)
         linalg.point_codes(n, p)
+        linalg.projective_points(n, p)
         gc.collect()
         tracemalloc.start()
         try:

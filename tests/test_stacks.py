@@ -226,48 +226,53 @@ def test_slices_grow_as_triples_leave_the_stack(monkeypatch, method, kernel, n):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_a_run_of_stacks_builds_its_stream_once(monkeypatch, method):
-    # stacks of two, three to a call: the edgeless pair never reads the
-    # stream, the disconnected graphs stop at their first zero and the
-    # connected ones read it all.  Calls that share a dict ``read`` build the
-    # stream once and yield each batch once; under a raised budget, and
-    # without ``read``, each stack builds its own.  No batch outlives the
-    # calls and the dict
+def test_a_call_of_several_stacks_builds_its_stream_once(monkeypatch, method):
+    # stacks of two in one call: the edgeless pair never reads the stream,
+    # the disconnected graphs stop at their first zero and the connected
+    # ones read it all.  Under the default budget the call builds the stream
+    # once and yields each batch once; under a raised budget each stack that
+    # reads it builds its own.  A single stack holds no batch it has read
+    # past, and no batch outlives a call.  Batches of 16 bytes make every
+    # stream 6 to 213 batches long
     monkeypatch.setattr(pairing, "stack_size", lambda field, n: 2)
+    monkeypatch.setattr(linalg, "POINT_BATCH_BYTES", 16)
     two_paths = SimplicialGraph.of("abcde", [("a", "b"), ("b", "c"), ("d", "e")])
     graphs = [edgeless(5), edgeless(5), two_paths, cycle(5), complete(5), path(5), star(4)]
     name = "enumerate_subspaces" if method == "exhaustive" else "_coordinate_batches"
-    real, built, alive = getattr(pairing, name), [], []
+    real, built, alive, held = getattr(pairing, name), [], [], []
 
     def recorded(*args):
         built.append(0)
         for k, batch in real(*args):
+            held.append(sum(ref() is not None for ref in alive[len(alive) - built[-1] :]))
             built[-1] += 1
             alive.append(weakref.ref(batch))
             yield k, batch
-
-    def run(triples, budgets, read):
-        return [r for i in range(0, 7, 3) for r in cheeger_constants(triples[i : i + 3], method, budgets, read)]
 
     raised = Budgets(subspace_work=DEFAULT_BUDGETS.subspace_work + 1)
     for field in (GF2, GF3):
         triples = [build_triple(g, field) for g in graphs]
         wanted = _per_triple(triples, method)
         whole = sum(1 for _ in (real(5, [1, 2], field) if method == "exhaustive" else real(5)))
-        for budgets, shared in ((DEFAULT_BUDGETS, True), (raised, True), (DEFAULT_BUDGETS, False)):
+        assert whole >= 6
+        for budgets, at in ((DEFAULT_BUDGETS, slice(None)), (raised, slice(None)), (DEFAULT_BUDGETS, slice(3, 5))):
             built.clear()
             alive.clear()
+            held.clear()
             with monkeypatch.context() as m:
                 m.setattr(pairing, name, recorded)
-                assert run(triples, budgets, {} if shared else None) == wanted
+                assert cheeger_constants(triples[at], method, budgets) == wanted[at]
             gc.collect()
             assert not any(ref() is not None for ref in alive), (field, budgets)
-            if budgets is DEFAULT_BUDGETS and shared:
-                assert built == [whole], (field, built)
+            if at.start:
+                # the batches the scan has read past are freed as it reads
+                assert built == [whole] and max(held) <= 1, (field, built, held)
+            elif budgets is DEFAULT_BUDGETS:
+                assert built == [whole] and held[-1] == whole - 1, (field, built)
             else:
                 # one stream per stack that reads one: the exhaustive scan of
                 # the edgeless pair reads none
-                assert len(built) == (4 if method == "exhaustive" else 5) and max(built) == whole, (field, built)
+                assert len(built) == (3 if method == "exhaustive" else 4) and max(built) == whole, (field, built)
 
 
 def test_stack_size_follows_the_byte_caps():
